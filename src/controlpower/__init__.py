@@ -11,8 +11,8 @@ from .power_index import (  # noqa: E402,F401
     make_game,
     spi_dp,
     spi_permutation_oracle,
-    spi_single,
     spi_subset,
+    top_holder_powers,
 )
 from .evolution import (  # noqa: E402,F401
     ControlPowerPdf,

@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=1.5)
     p.add_argument("--period-range", help="lo,hi in years")
     p.add_argument("--grid-step", type=float, default=0.05)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility, has no effect")
     p.add_argument("--macro", action="append", help="name=path of a year,value CSV; repeatable")
     p.set_defaults(func=_cmd_pipeline)
 

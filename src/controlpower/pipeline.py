@@ -5,7 +5,7 @@ macro correlations, and machine-readable report emission.
 The pipeline is a pure function of its inputs: records are canonically
 sorted before any aggregation, every random element lives in the seeded
 generators of the dataset module, and reports serialize with sorted keys,
-so identical inputs give byte-identical outputs at any worker count.
+so identical inputs give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import hashlib
 import json
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -40,7 +39,7 @@ from .fitting import (
     fourier_extrema,
     pearson,
 )
-from .power_index import make_game, spi_single
+from .power_index import top_holder_powers
 
 SPI_MODES = ("top9", "top10", "top11")
 SERIES_NAMES = ("r_spi_1", "m_top1", "m_top2_10")
@@ -105,31 +104,13 @@ def _mean_sd(values: Sequence[float]) -> tuple[float | None, float | None]:
     return mean, sd
 
 
-def _mode_game(record: FirmYearRecord, spi_mode: str):
-    if spi_mode == "top9":
-        return make_game(record.shares[:9])
-    if spi_mode == "top10":
-        return make_game(record.shares)
-    if spi_mode == "top11":
-        if record.meeting_share is None:
-            raise DataError(
-                f"firm {record.firm_id} year {record.year}: top11 mode needs meeting_share"
-            )
-        residual = max(record.meeting_share - record.top_total, 0.0)
-        return make_game(record.shares + (residual,))
-    raise ValueError(f"unknown spi mode {spi_mode!r}")
-
-
-def _top1_spi(record: FirmYearRecord, spi_mode: str) -> Fraction:
-    return spi_single(_mode_game(record, spi_mode), 0)
-
-
 def year_stats(records: Sequence[FirmYearRecord], spi_mode: str = "top10") -> YearStats:
     """Aggregate one group-year: power ratios, share means, meeting ratios.
 
     All records must belong to the same (group, year). The leading
-    holder's power is computed exactly per firm under the requested mode;
-    firms below full power feed the normal-fit fields.
+    holder's power is computed exactly for every firm in one batch per
+    mode (top9, top10, top11); firms below full power under the requested
+    mode feed the normal-fit fields.
     """
     if not records:
         raise ValueError("no records for this group-year")
@@ -141,10 +122,13 @@ def year_stats(records: Sequence[FirmYearRecord], spi_mode: str = "top10") -> Ye
     year = records[0].year
     n = len(records)
 
-    spi_top9 = [_top1_spi(r, "top9") for r in records]
-    spi_top10 = [_top1_spi(r, "top10") for r in records]
+    spi_top9 = top_holder_powers([r.shares[:9] for r in records])
+    spi_top10 = top_holder_powers([r.shares for r in records])
     with_meeting = [r for r in records if r.meeting_share is not None]
-    spi_top11 = [_top1_spi(r, "top11") for r in with_meeting]
+    # top11 adds the meeting attendance beyond the top 10, clipped at zero
+    spi_top11 = top_holder_powers(
+        [r.shares + (max(r.meeting_share - r.top_total, 0.0),) for r in with_meeting]
+    )
 
     if spi_mode == "top9":
         spi_values = spi_top9
@@ -230,6 +214,10 @@ def year_stats_from_draws(year: int, draws: Sequence[float]) -> YearStats:
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """Pipeline settings. ``workers`` is accepted for compatibility and has
+    no effect: every cell runs in the calling thread, and it must be at
+    least 1."""
+
     spi_mode: str = "top10"
     min_sample: int = 50
     h: float = 1.5
@@ -476,22 +464,12 @@ def _sorted_records(records: Iterable[FirmYearRecord]) -> list[FirmYearRecord]:
 
 
 def _aggregate(records, config: PipelineConfig) -> dict[GroupKey, list[YearStats]]:
-    grouped = group_records(records)
-    cells = []
-    for group in sorted(grouped):
-        by_year: dict[int, list[FirmYearRecord]] = {}
-        for rec in grouped[group]:
-            by_year.setdefault(rec.year, []).append(rec)
-        for year in sorted(by_year):
-            cells.append((group, year, by_year[year]))
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(lambda c: year_stats(c[2], config.spi_mode), cells))
-    else:
-        results = [year_stats(recs, config.spi_mode) for _, _, recs in cells]
     out: dict[GroupKey, list[YearStats]] = {}
-    for (group, _, _), ys in zip(cells, results):
-        out.setdefault(group, []).append(ys)
+    for group, members in group_records(records).items():
+        by_year: dict[int, list[FirmYearRecord]] = {}
+        for rec in members:
+            by_year.setdefault(rec.year, []).append(rec)
+        out[group] = [year_stats(by_year[year], config.spi_mode) for year in sorted(by_year)]
     return out
 
 

@@ -8,23 +8,40 @@ can never both win, and the grand coalition always wins.
 All voting decisions are made in exact integer arithmetic. At construction
 the given weights are converted to proportions of their own total and
 placed on a fixed integer grid (``grid`` units per unit of total weight,
-rounded half to even). Pivot counting is pure-integer and power values are
-returned as ``fractions.Fraction``, so the three independent algorithms
-(permutation enumeration, subset enumeration, generating-function dynamic
-program) agree bit for bit wherever their size contracts overlap.
+rounded half to even). Power values are returned as ``fractions.Fraction``.
+
+One counting engine serves the library: a batched numpy kernel that sums,
+for a whole batch of games at once, the pivot weights k!(n-1-k)! of one
+player over every coalition of the others (subset counting in the manner
+of Matsui & Matsui 2000 and Bilbao et al. 2000). ``top_holder_powers``
+runs it over the leading holders of many share lists and ``spi_dp`` over
+every player of one game. Permutation enumeration and pure-Python subset
+enumeration are kept as independent test oracles; all three agree bit
+for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+import numpy as np
+
 DEFAULT_GRID = 10**6
 MAX_PLAYERS = 20
 ORACLE_MAX_PLAYERS = 9
+
+# Largest number of elements in one (games x coalitions) intermediate of
+# the counting kernel; batches are cut along the game axis to stay below.
+_MAX_ELEMENTS = 1 << 20
+# Players enumerated by one cached subset matrix; larger games pair two.
+_BLOCK_PLAYERS = 10
+# Integers up to 2^53 are exact in float64 (and so is every sum of them).
+_FLOAT_EXACT = 2**53
 
 
 @dataclass(frozen=True)
@@ -74,45 +91,6 @@ class PowerProfile:
 
     def __getitem__(self, i: int) -> Fraction:
         return self.exact[i]
-
-
-class CoalitionCount:
-    """Subset counts indexed by (coalition size, accumulated grid weight).
-
-    Built once for all players; per-player counts are recovered by dividing
-    out that player's generating factor, which avoids n separate passes.
-    """
-
-    def __init__(self, table: dict[tuple[int, int], int]):
-        self.table = table
-
-    @classmethod
-    def build(cls, weights: Sequence[int]) -> "CoalitionCount":
-        table = {(0, 0): 1}
-        for w in weights:
-            grown = dict(table)
-            for (k, acc), c in table.items():
-                key = (k + 1, acc + w)
-                grown[key] = grown.get(key, 0) + c
-            table = grown
-        return cls(table)
-
-    def excluding(self, weight: int) -> dict[tuple[int, int], int]:
-        """Counts over subsets that omit one player of the given weight.
-
-        Uses the recurrence C[k][acc] = A[k][acc] - C[k-1][acc-weight],
-        valid because A = C * (1 + x^weight * y) as generating functions.
-        """
-        out: dict[tuple[int, int], int] = {}
-        for key in sorted(self.table):
-            k, acc = key
-            c = self.table[key] - out.get((k - 1, acc - weight), 0)
-            if c:
-                out[key] = c
-        return out
-
-    def total(self) -> int:
-        return sum(self.table.values())
 
 
 def make_game(shares: Sequence[float], *, grid: int = DEFAULT_GRID) -> WeightedVotingGame:
@@ -221,55 +199,93 @@ def spi_subset(game: WeightedVotingGame) -> PowerProfile:
     return PowerProfile(tuple(Fraction(v, n_fact) for v in nums))
 
 
+@functools.cache
+def _subsets(m: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 membership of m players (rows) in all 2^m coalitions (column c
+    is bitmask c) as ``dtype``, and each coalition's size."""
+    bits = (np.arange(1 << m)[None, :] >> np.arange(m)[:, None]) & 1
+    return bits.astype(dtype), bits.sum(axis=0)
+
+
+def _pivot_numerators(weights: np.ndarray) -> np.ndarray:
+    """n!-scaled power of player 0 in each row's game, as int64.
+
+    ``weights`` holds one game of n integer weights per row, as float64
+    when every 2 * total is at most 2^53 (all sums then stay exact
+    integers) and as Python ints (object) otherwise. Player 0 pivots on
+    every coalition S of the others with T - 2*w_0 < 2*w(S) <= T, each
+    worth |S|!(n-1-|S|)!. A dictator (2*w_0 > T) is settled in closed
+    form; only the other rows are counted.
+    """
+    n = weights.shape[1]
+    totals = weights.sum(axis=1)
+    floors = totals - 2 * weights[:, 0]
+    dictator = floors < 0
+    nums = np.where(dictator, math.factorial(n), 0).astype(np.int64)
+    contested = np.flatnonzero(~dictator)
+    if not contested.size:
+        return nums
+    m = n - 1
+    lo = min(m, _BLOCK_PLAYERS)
+    bits_lo, size_lo = _subsets(lo, weights.dtype)
+    bits_hi, size_hi = _subsets(m - lo, weights.dtype)
+    # coalition c = hi * 2^lo + lo_mask, matching the reshape below
+    coeffs = np.array(_pivot_coeffs(n), dtype=np.int64)[(size_hi[:, None] + size_lo).ravel()]
+    step = max(1, _MAX_ELEMENTS >> m)
+    for at in range(0, contested.size, step):
+        rows = contested[at : at + step]
+        w = weights[rows]
+        acc_hi = w[:, 1 + lo :] @ bits_hi
+        acc_lo = w[:, 1 : 1 + lo] @ bits_lo
+        twice = 2 * (acc_hi[:, :, None] + acc_lo[:, None, :]).reshape(len(rows), -1)
+        pivot = (twice <= totals[rows, None]) & (twice > floors[rows, None])
+        nums[rows] = pivot @ coeffs
+    return nums
+
+
 def spi_dp(game: WeightedVotingGame) -> PowerProfile:
-    """Power via generating-function coalition counting.
+    """Every player's power from the batched counting engine.
 
-    One dynamic program over (size, weight) covers all players; each
-    player's own factor is divided back out, so the cost is bounded by the
-    number of distinct (size, weight) states rather than raw 2^n whenever
-    weights collide on the grid.
+    Row i of the batch is the game seen from player i (that player first,
+    the others after), so the whole profile is one kernel call, cut into
+    chunks of players for large games. The name is kept from the dynamic
+    program this engine replaced.
     """
-    n = game.n
-    weights = game.int_weights
-    total = game.int_total
-    counts = CoalitionCount.build(weights)
-    coeffs = _pivot_coeffs(n)
-    n_fact = math.factorial(n)
-    values = []
-    for w_i in weights:
-        others = counts.excluding(w_i)
-        num = 0
-        for (k, acc), c in others.items():
-            if 2 * acc <= total < 2 * (acc + w_i):
-                num += c * coeffs[k]
-        values.append(Fraction(num, n_fact))
-    return PowerProfile(tuple(values))
+    w = game.int_weights
+    rows = [(w[i],) + w[:i] + w[i + 1 :] for i in range(game.n)]
+    dtype = np.float64 if 2 * game.int_total <= _FLOAT_EXACT else object
+    nums = _pivot_numerators(np.array(rows, dtype=dtype))
+    n_fact = math.factorial(game.n)
+    return PowerProfile(tuple(Fraction(int(v), n_fact) for v in nums))
 
 
-def spi_single(game: WeightedVotingGame, player: int) -> Fraction:
-    """One player's power without building the full profile.
+def top_holder_powers(share_rows: Sequence[Sequence[float]]) -> list[Fraction]:
+    """Power of player 0 in ``make_game(row)`` for every row, in one batch.
 
-    Same pivot combinatorics as spi_dp, but the dynamic program runs only
-    over the other players; used in bulk by the statistics pipeline.
+    Rows may differ in length; each length is one kernel batch. The grid
+    weights are make_game's bit for bit (fsum total, rounded half to even),
+    so every value equals ``spi_dp(make_game(row))[0]``. Raises ValueError
+    on any row make_game would reject.
     """
-    n = game.n
-    if not 0 <= player < n:
-        raise ValueError(f"player index {player} out of range for {n} players")
-    weights = game.int_weights
-    total = game.int_total
-    w_i = weights[player]
-    table: dict[tuple[int, int], int] = {(0, 0): 1}
-    for j, w in enumerate(weights):
-        if j == player:
-            continue
-        grown = dict(table)
-        for (k, acc), c in table.items():
-            key = (k + 1, acc + w)
-            grown[key] = grown.get(key, 0) + c
-        table = grown
-    coeffs = _pivot_coeffs(n)
-    num = 0
-    for (k, acc), c in table.items():
-        if 2 * acc <= total < 2 * (acc + w_i):
-            num += c * coeffs[k]
-    return Fraction(num, math.factorial(n))
+    by_size: dict[int, list[int]] = {}
+    for i, row in enumerate(share_rows):
+        by_size.setdefault(len(row), []).append(i)
+    out: list[Fraction] = [Fraction(0)] * len(share_rows)
+    for n, index in by_size.items():
+        if not 1 <= n <= MAX_PLAYERS:
+            raise ValueError(f"a game needs 1 to {MAX_PLAYERS} players, got {n}")
+        rows = [share_rows[i] for i in index]
+        shares = np.array(rows, dtype=float)
+        if not np.isfinite(shares).all():
+            raise ValueError("weights must be finite")
+        if (shares < 0).any():
+            raise ValueError("weights must be non-negative")
+        totals = np.array([math.fsum(row) for row in rows])
+        if not (totals > 0).all():
+            raise ValueError("total weight must be positive")
+        # grid units are exact float64 integers: 2 * total is about 2 * 10**6
+        weights = np.rint(shares / totals[:, None] * DEFAULT_GRID)
+        n_fact = math.factorial(n)
+        for i, num in zip(index, _pivot_numerators(weights).tolist()):
+            out[i] = Fraction(num, n_fact)
+    return out

@@ -1,19 +1,21 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from controlpower.power_index import (
-    CoalitionCount,
     MAX_PLAYERS,
+    ORACLE_MAX_PLAYERS,
+    WeightedVotingGame,
     extend_with_residual,
     is_winning,
     make_game,
     spi_dp,
     spi_permutation_oracle,
-    spi_single,
     spi_subset,
+    top_holder_powers,
 )
 
 THIRD = Fraction(1, 3)
@@ -158,33 +160,120 @@ class TestDp:
         assert spi_dp(game).exact == spi_subset(game).exact
 
     def test_spi_single_matches_profile(self):
+        # one batch of every player's view of 20 games: player i moved first
+        # keeps make_game's grid weights, so its top-holder power is profile[i]
         rng = random.Random(23)
+        rows, expected = [], []
         for _ in range(20):
             game = random_game(rng, n_max=8)
-            profile = spi_dp(game)
-            for i in range(game.n):
-                assert spi_single(game, i) == profile.exact[i]
+            w = game.weights
+            rows += [(w[i],) + w[:i] + w[i + 1 :] for i in range(game.n)]
+            expected += spi_dp(game).exact
+        assert top_holder_powers(rows) == expected
 
     def test_spi_single_rejects_bad_index(self):
-        with pytest.raises(ValueError):
-            spi_single(make_game([1, 1]), 2)
+        # a row without a player 0, or too many players, has no top holder
+        for rows in ([[]], [[1, 1], []], [[1.0] * (MAX_PLAYERS + 1)]):
+            with pytest.raises(ValueError):
+                top_holder_powers(rows)
 
 
-class TestCoalitionCount:
-    def test_total_is_two_to_the_n(self):
-        rng = random.Random(3)
-        for _ in range(20):
-            n = rng.randint(1, 10)
-            weights = [rng.randint(0, 9) for _ in range(n)]
-            counts = CoalitionCount.build(weights)
-            assert counts.total() == 2**n
-            assert all(c >= 0 for c in counts.table.values())
+def _oracle(game):
+    if game.n <= ORACLE_MAX_PLAYERS:
+        return spi_permutation_oracle(game).exact
+    return spi_subset(game).exact
 
-    def test_excluding_halves_the_total(self):
-        weights = [4, 2, 2, 1]
-        counts = CoalitionCount.build(weights)
-        for w in set(weights):
-            assert sum(counts.excluding(w).values()) == 2 ** (len(weights) - 1)
+
+class TestEngine:
+    """The batched engine against the enumeration oracles."""
+
+    def test_mixed_player_counts_in_one_batch(self):
+        rng = random.Random(41)
+        rows = []
+        for n in list(range(1, 12)) * 4:
+            row = [rng.uniform(0.0, 1.0) for _ in range(n)]
+            if n > 1 and rng.random() < 0.5:
+                row[rng.randrange(1, n)] = 0.0  # zero-weight players
+            rows.append(sorted(row, reverse=True))
+        rng.shuffle(rows)
+        games = [make_game(row) for row in rows]
+        assert top_holder_powers(rows) == [_oracle(g)[0] for g in games]
+        for game in games:
+            assert spi_dp(game).exact == _oracle(game)
+
+    def test_zero_weight_players(self):
+        rows = [[0.3, 0.0], [0.0, 0.3, 0.2], [0.2, 0.2, 0.0, 0.0, 0.1], [0.0, 0.0, 1.0]]
+        for row in rows:
+            game = make_game(row)
+            profile = spi_dp(game).exact
+            assert profile == _oracle(game)
+            assert all(v == 0 for v, w in zip(profile, row) if w == 0)
+        assert top_holder_powers(rows) == [_oracle(make_game(r))[0] for r in rows]
+
+    def test_planted_exact_half_coalitions(self):
+        # integer weights whose total splits exactly in two: the half
+        # coalition loses, so the grid (a multiple of the total) keeps the tie
+        rng = random.Random(43)
+        ties = 0
+        for _ in range(150):
+            n = rng.randint(3, 11)
+            half = [rng.randint(1, 50) for _ in range(rng.randint(1, n - 1))]
+            rest = [rng.randint(1, 50) for _ in range(n - len(half) - 1)]
+            rest.append(sum(half) - sum(rest))
+            if rest[-1] < 0:
+                continue
+            row = sorted(half + rest, reverse=True)
+            game = make_game(row, grid=2 * sum(row))
+            assert game.int_weights == tuple(2 * w for w in row)
+            assert spi_dp(game).exact == _oracle(game)
+            ties += 1
+        assert ties >= 50
+        rows = [[3, 2, 1], [2, 1, 1], [5, 3, 2], [4, 4], [3, 3, 2, 2, 1, 1]]
+        assert top_holder_powers(rows) == [_oracle(make_game(r))[0] for r in rows]
+
+    def test_half_total_is_not_full_power(self):
+        # 2 * w1 == T: the leader alone ties and loses, so power < 1
+        rows = [[1, 1], [2, 1, 1], [0.5, 0.25, 0.25], [0.3, 0.2, 0.1]]
+        powers = top_holder_powers(rows)
+        assert powers == [Fraction(1, 2), Fraction(2, 3), Fraction(2, 3), Fraction(2, 3)]
+        assert all(p < 1 for p in powers)
+        assert top_holder_powers([[0.500001, 0.499999]]) == [Fraction(1)]
+
+    def test_clipped_top11_residual_is_a_dummy(self):
+        # the top11 row appends max(meeting - top total, 0): a zero residual
+        # is a dummy and leaves the leader's power unchanged
+        rng = random.Random(47)
+        rows = [sorted((round(rng.uniform(0.01, 0.3), 4) for _ in range(10)), reverse=True) for _ in range(40)]
+        meeting = [round(rng.uniform(0.3, 1.0), 4) for _ in rows]
+        top11 = [tuple(r) + (max(m - math.fsum(r), 0.0),) for r, m in zip(rows, meeting)]
+        assert any(row[-1] == 0.0 for row in top11) and any(row[-1] > 0 for row in top11)
+        powers = top_holder_powers(top11)
+        assert powers == [spi_subset(make_game(row)).exact[0] for row in top11]
+        plain = top_holder_powers(rows)
+        for row, p, q in zip(top11, powers, plain):
+            if row[-1] == 0.0:
+                assert p == q
+
+    def test_max_players_game_is_fast_and_exact(self):
+        rng = random.Random(53)
+        game = make_game([rng.uniform(0.0, 1.0) for _ in range(MAX_PLAYERS)])
+        start = time.perf_counter()
+        profile = spi_dp(game)
+        assert time.perf_counter() - start < 5.0
+        assert sum(profile.exact) == 1
+        assert top_holder_powers([game.weights]) == [profile.exact[0]]
+
+    def test_huge_grid_stays_exact(self):
+        # weights this large are not exact in float64 and would overflow
+        # int64 at 10**19: the engine must count them as Python integers
+        rng = random.Random(59)
+        for grid in (10**18, 10**19, 10**40):
+            for _ in range(5):
+                game = make_game([rng.uniform(0.0, 1.0) for _ in range(rng.randint(2, 9))], grid=grid)
+                assert spi_dp(game).exact == spi_subset(game).exact
+        tie = WeightedVotingGame(weights=(2.0, 1.0, 1.0), int_weights=(2 * 10**19, 10**19, 10**19), grid=4 * 10**19)
+        assert spi_dp(tie).exact == (Fraction(2, 3), Fraction(1, 6), Fraction(1, 6))
+        assert spi_dp(make_game([0.9, 0.1, 0.05], grid=10**19)).exact == (1, 0, 0)
 
 
 class TestAxioms:
