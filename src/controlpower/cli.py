@@ -246,6 +246,17 @@ def _load_macro(path: str) -> dict[int, float]:
 
 
 def _cmd_pipeline(args) -> int:
+    formats = [f.strip() for f in args.format.split(",") if f.strip()]
+    if not formats:
+        print("pipeline: --format names no format", file=sys.stderr)
+        return USAGE_ERROR
+    for fmt in formats:
+        if fmt not in REPORT_FORMATS:
+            print(f"pipeline: unknown format {fmt!r}", file=sys.stderr)
+            return USAGE_ERROR
+    if not args.output and formats != ["json"]:
+        print("pipeline: stdout takes --format json only; give --output for other formats", file=sys.stderr)
+        return USAGE_ERROR
     macros = {}
     for item in args.macro or []:
         name, _, path = item.partition("=")
@@ -285,11 +296,6 @@ def _cmd_pipeline(args) -> int:
         print("pipeline: provide --input or --synth", file=sys.stderr)
         return USAGE_ERROR
     report = run_pipeline(source, config)
-    formats = [f.strip() for f in args.format.split(",") if f.strip()]
-    for fmt in formats:
-        if fmt not in REPORT_FORMATS:
-            print(f"pipeline: unknown format {fmt!r}", file=sys.stderr)
-            return USAGE_ERROR
     if args.output:
         for fmt in formats:
             emit_report(report, fmt, args.output)
@@ -361,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--synth", help="default | registry | outcomes")
     p.add_argument("--seed", type=int)
     p.add_argument("--output", help="report directory; stdout JSON when omitted")
-    p.add_argument("--format", default="json", help="comma list of json,csv-tables,plot-data")
+    p.add_argument("--format", default="json",
+                   help="comma list of json,csv-tables,plot-data; formats other than json need --output")
     p.add_argument("--spi-mode", default="top10", choices=SPI_MODES)
     p.add_argument("--min-sample", type=int, default=50)
     p.add_argument("--h", type=float, default=1.5)
@@ -382,10 +389,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (DataError, OSError) as exc:
-        print(f"controlpower: {exc}", file=sys.stderr)
-        return DATA_ERROR
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:  # DataError is a ValueError
         print(f"controlpower: {exc}", file=sys.stderr)
         return DATA_ERROR
 

@@ -10,12 +10,12 @@ so identical inputs give byte-identical outputs.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from fractions import Fraction
+from dataclasses import asdict, astuple, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
@@ -30,6 +30,7 @@ from .dataset import (
     synth_outcomes,
     synth_registry,
 )
+from .evolution import wave_eval
 from .fitting import (
     CorrelationResult,
     FourierFit,
@@ -48,8 +49,6 @@ PERIOD_RATIO_EXPECTED = 0.5
 PERIOD_RATIO_RTOL = 0.05
 PHASE_DIFF_EXPECTED = math.pi
 PHASE_DIFF_TOL = 0.1
-
-_FULL = Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -104,6 +103,32 @@ def _mean_sd(values: Sequence[float]) -> tuple[float | None, float | None]:
     return mean, sd
 
 
+def _full_ratio(values: Sequence[float]) -> float | None:
+    return sum(1 for v in values if v == 1.0) / len(values) if values else None
+
+
+def _power_fields(values: Sequence[float]) -> dict:
+    """Full-power ratio and the below-full summary of float power values.
+
+    Comparing with 1.0 is exact: pipeline games have at most 11 players,
+    so a power below 1 is at most 1 - 1/11! (about 1 - 2.5e-8) and stays
+    apart from 1 as a float.
+    """
+    lt1 = [v for v in values if v != 1.0]
+    mean, sd = _mean_sd(lt1)
+    band = None
+    if len(lt1) >= 2:
+        nf = fit_normal(lt1)
+        mean, sd, band = nf.mu, nf.sigma, nf.band_ratio
+    return {
+        "r_spi_1": _full_ratio(values),
+        "spi_lt1_mean": mean,
+        "spi_lt1_sd": sd,
+        "spi_lt1_band": band,
+        "n_spi_lt1": len(lt1),
+    }
+
+
 def year_stats(records: Sequence[FirmYearRecord], spi_mode: str = "top10") -> YearStats:
     """Aggregate one group-year: power ratios, share means, meeting ratios.
 
@@ -119,42 +144,18 @@ def year_stats(records: Sequence[FirmYearRecord], spi_mode: str = "top10") -> Ye
         raise ValueError("records span more than one (group, year) cell")
     if spi_mode not in SPI_MODES:
         raise ValueError(f"unknown spi mode {spi_mode!r}")
-    year = records[0].year
-    n = len(records)
-
-    spi_top9 = top_holder_powers([r.shares[:9] for r in records])
-    spi_top10 = top_holder_powers([r.shares for r in records])
     with_meeting = [r for r in records if r.meeting_share is not None]
-    # top11 adds the meeting attendance beyond the top 10, clipped at zero
-    spi_top11 = top_holder_powers(
-        [r.shares + (max(r.meeting_share - r.top_total, 0.0),) for r in with_meeting]
-    )
+    if spi_mode == "top11" and len(with_meeting) != len(records):
+        missing = next(r for r in records if r.meeting_share is None)
+        raise DataError(f"firm {missing.firm_id} year {missing.year}: top11 mode needs meeting_share")
 
-    if spi_mode == "top9":
-        spi_values = spi_top9
-    elif spi_mode == "top10":
-        spi_values = spi_top10
-    else:
-        if len(with_meeting) != n:
-            missing = next(r for r in records if r.meeting_share is None)
-            raise DataError(
-                f"firm {missing.firm_id} year {missing.year}: top11 mode needs meeting_share"
-            )
-        spi_values = spi_top11
-
-    r_spi_1 = sum(1 for v in spi_values if v == _FULL) / n
-    lt1 = [float(v) for v in spi_values if v != _FULL]
-    lt1_mean, lt1_sd = _mean_sd(lt1)
-    lt1_band = None
-    if len(lt1) >= 2:
-        nf = fit_normal(lt1)
-        lt1_mean, lt1_sd, lt1_band = nf.mu, nf.sigma, nf.band_ratio
-
-    top9 = sum(1 for v in spi_top9 if v == _FULL) / n
-    top10 = sum(1 for v in spi_top10 if v == _FULL) / n
-    top11 = None
-    if with_meeting:
-        top11 = sum(1 for v in spi_top11 if v == _FULL) / len(with_meeting)
+    rows = {
+        "top9": [r.shares[:9] for r in records],
+        "top10": [r.shares for r in records],
+        # top11 adds the meeting attendance beyond the top 10, clipped at zero
+        "top11": [r.shares + (max(r.meeting_share - r.top_total, 0.0),) for r in with_meeting],
+    }
+    powers = {mode: [float(v) for v in top_holder_powers(rows[mode])] for mode in SPI_MODES}
 
     m_top1, m_top1_sd = _mean_sd([r.top1 for r in records])
     m_top2_10, m_top2_10_sd = _mean_sd([r.top2_10 for r in records])
@@ -167,9 +168,8 @@ def year_stats(records: Sequence[FirmYearRecord], spi_mode: str = "top10") -> Ye
         band = sum(1 for v in ratios if lo <= v <= hi) / len(ratios)
 
     return YearStats(
-        year=year,
-        n_sample=n,
-        r_spi_1=r_spi_1,
+        year=records[0].year,
+        n_sample=len(records),
         m_top1=m_top1,
         m_top1_sd=m_top1_sd,
         m_top2_10=m_top2_10,
@@ -178,14 +178,11 @@ def year_stats(records: Sequence[FirmYearRecord], spi_mode: str = "top10") -> Ye
         meeting_ratio_sd=ratio_sd,
         band_count_ratio=band,
         n_meeting=len(ratios),
-        r_spi_1_top9=top9,
-        r_spi_1_top10=top10,
-        r_spi_1_top11=top11,
+        r_spi_1_top9=_full_ratio(powers["top9"]),
+        r_spi_1_top10=_full_ratio(powers["top10"]),
+        r_spi_1_top11=_full_ratio(powers["top11"]),
         n_top11=len(with_meeting),
-        spi_lt1_mean=lt1_mean,
-        spi_lt1_sd=lt1_sd,
-        spi_lt1_band=lt1_band,
-        n_spi_lt1=len(lt1),
+        **_power_fields(powers[spi_mode]),
     )
 
 
@@ -194,22 +191,7 @@ def year_stats_from_draws(year: int, draws: Sequence[float]) -> YearStats:
     values = [float(v) for v in draws]
     if not values:
         raise ValueError("no draws for this year")
-    n = len(values)
-    lt1 = [v for v in values if v != 1.0]
-    lt1_mean, lt1_sd = _mean_sd(lt1)
-    lt1_band = None
-    if len(lt1) >= 2:
-        nf = fit_normal(lt1)
-        lt1_mean, lt1_sd, lt1_band = nf.mu, nf.sigma, nf.band_ratio
-    return YearStats(
-        year=year,
-        n_sample=n,
-        r_spi_1=sum(1 for v in values if v == 1.0) / n,
-        spi_lt1_mean=lt1_mean,
-        spi_lt1_sd=lt1_sd,
-        spi_lt1_band=lt1_band,
-        n_spi_lt1=len(lt1),
-    )
+    return YearStats(year=year, n_sample=len(values), **_power_fields(values))
 
 
 @dataclass(frozen=True)
@@ -273,7 +255,8 @@ class Report:
             "version": self.version,
             "provenance": dict(self.provenance),
             "groups": {
-                f"{k.board}/{k.ownership}": _group_to_dict(g) for k, g in self.groups.items()
+                _group_label(k): {f: v for f, v in asdict(g).items() if f != "group"}
+                for k, g in self.groups.items()
             },
         }
 
@@ -283,9 +266,9 @@ class Report:
     @classmethod
     def from_dict(cls, data: Mapping) -> "Report":
         groups = {}
-        for key, payload in data["groups"].items():
-            board, ownership = key.split("/")
-            groups[GroupKey(board, ownership)] = _group_from_dict(GroupKey(board, ownership), payload)
+        for label, payload in data["groups"].items():
+            group = GroupKey(*label.split("/"))
+            groups[group] = _group_from_dict(group, payload)
         return cls(version=data["version"], provenance=dict(data["provenance"]), groups=groups)
 
     @classmethod
@@ -293,29 +276,8 @@ class Report:
         return cls.from_dict(json.loads(text))
 
 
-def _year_to_dict(ys: YearStats) -> dict:
-    return {k: getattr(ys, k) for k in YearStats.__dataclass_fields__}
-
-
-def _fit_to_dict(fit: FourierFit) -> dict:
-    return {k: getattr(fit, k) for k in FourierFit.__dataclass_fields__}
-
-
-def _group_to_dict(g: GroupReport) -> dict:
-    return {
-        "years": [_year_to_dict(ys) for ys in g.years],
-        "fitted_years": list(g.fitted_years),
-        "fits": {name: _fit_to_dict(fit) for name, fit in g.fits.items()},
-        "extrema": {name: list(v) for name, v in g.extrema.items()},
-        "diagnostics": {k: getattr(g.diagnostics, k) for k in Diagnostics.__dataclass_fields__},
-        "correlations": {
-            macro: {
-                series: {"r": c.r, "p_value": c.p_value, "n": c.n}
-                for series, c in by_series.items()
-            }
-            for macro, by_series in g.correlations.items()
-        },
-    }
+def _group_label(group: GroupKey) -> str:
+    return f"{group.board}/{group.ownership}"
 
 
 def _group_from_dict(group: GroupKey, data: Mapping) -> GroupReport:
@@ -328,16 +290,16 @@ def _group_from_dict(group: GroupKey, data: Mapping) -> GroupReport:
         diagnostics=Diagnostics(**data["diagnostics"]),
         correlations={
             macro: {
-                series: CorrelationResult(c["r"], c["p_value"], c["n"])
-                for series, c in by_series.items()
+                series: CorrelationResult(**c) for series, c in by_series.items()
             }
             for macro, by_series in data["correlations"].items()
         },
     )
 
 
-def _series_value(ys: YearStats, name: str) -> float | None:
-    return getattr(ys, name)
+def _series_points(years: Iterable[YearStats], name: str, origin: int) -> list[tuple[float, float]]:
+    """(t, value) of one series, t counted from ``origin``; years without a value are skipped."""
+    return [(float(ys.year - origin), getattr(ys, name)) for ys in years if getattr(ys, name) is not None]
 
 
 def _wrap_angle(angle: float) -> float:
@@ -362,15 +324,10 @@ def build_group_report(
     extrema: dict[str, tuple[float, float]] = {}
     origin = fitted_years[0] if fitted_years else 0
     for name in SERIES_NAMES:
-        points = [
-            (float(ys.year - origin), _series_value(ys, name))
-            for ys in qualifying
-            if _series_value(ys, name) is not None
-        ]
+        points = _series_points(qualifying, name, origin)
         if len(points) < MIN_FIT_YEARS:
             continue
-        series = TimeSeries(tuple(p[0] for p in points), tuple(p[1] for p in points))
-        fit = fit_fourier1(series, config.period_range, grid_step=config.grid_step)
+        fit = fit_fourier1(TimeSeries.from_pairs(points), config.period_range, grid_step=config.grid_step)
         fits[name] = fit
         if not fit.degenerate:
             extrema[name] = fourier_extrema(fit)
@@ -405,9 +362,9 @@ def build_group_report(
         by_series: dict[str, CorrelationResult] = {}
         for name in SERIES_NAMES:
             pairs = [
-                (_series_value(ys, name), macro[ys.year])
+                (getattr(ys, name), macro[ys.year])
                 for ys in qualifying
-                if ys.year in macro and _series_value(ys, name) is not None
+                if ys.year in macro and getattr(ys, name) is not None
             ]
             if len(pairs) < 3:
                 continue
@@ -503,14 +460,14 @@ def run_pipeline(
             draws = synth_outcomes(source)
             stats = [year_stats_from_draws(year, draws[year]) for year in sorted(draws)]
             return build_report({source.group: stats}, config, provenance)
-        records = synth_registry(source)
+        records = _sorted_records(synth_registry(source))
     else:
         records = _sorted_records(source)
         provenance = {
             "input_digest": hashlib.sha256(records_to_csv_bytes(records)).hexdigest(),
             "seed": None,
         }
-    records = apply_sample_filter(_sorted_records(records))
+    records = apply_sample_filter(records)
     if not records:
         raise DataError("no records survive the sampling filter")
     return build_report(_aggregate(records, config), config, provenance)
@@ -522,20 +479,57 @@ REPORT_FORMATS = ("json", "csv-tables", "plot-data")
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    import csv as _csv
-
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = _csv.writer(handle, lineterminator="\n")
+        writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
 
 
-def _group_label(group: GroupKey) -> str:
-    return f"{group.board}/{group.ownership}"
+def _year_rows(*fields: str):
+    """Row generator of a per-year table: group label, year, then ``fields`` of each YearStats."""
+    def rows(report: Report):
+        for g in report.groups.values():
+            for ys in g.years:
+                yield [_group_label(g.group), ys.year] + [getattr(ys, f) for f in fields]
+    return rows
 
 
-def _group_slug(group: GroupKey) -> str:
-    return f"{group.board}_{group.ownership}"
+def _fit_rows(report: Report):
+    # astuple(fit) is a0, a1, b1, period, sse, rmse, r_squared, degenerate
+    for g in report.groups.values():
+        for name, fit in g.fits.items():
+            yield [_group_label(g.group), name, *astuple(fit), *g.extrema.get(name, (None, None)),
+                   g.diagnostics.period_ratio, g.diagnostics.phase_diff]
+
+
+def _correlation_rows(report: Report):
+    for g in report.groups.values():
+        for macro, by_series in g.correlations.items():
+            for series, c in by_series.items():
+                yield [_group_label(g.group), macro, series, *astuple(c)]
+
+
+# csv-tables: (file name, header, row generator) per table
+_TABLES = (
+    ("table_meeting.csv",
+     ["group", "year", "s_meeting_over_s_top10_mean", "s_meeting_over_s_top10_sd",
+      "band_count_ratio", "n_meeting", "r_spi_1_top9", "r_spi_1_top10",
+      "r_spi_1_top11", "n_top11", "n_sample"],
+     _year_rows("meeting_ratio_mean", "meeting_ratio_sd", "band_count_ratio", "n_meeting",
+                "r_spi_1_top9", "r_spi_1_top10", "r_spi_1_top11", "n_top11", "n_sample")),
+    ("table_spi1_ratio.csv", ["group", "year", "ratio", "n"], _year_rows("r_spi_1", "n_sample")),
+    ("table_spi_lt1.csv",
+     ["group", "year", "mean", "sd", "band_ratio", "n"],
+     _year_rows("spi_lt1_mean", "spi_lt1_sd", "spi_lt1_band", "n_spi_lt1")),
+    ("table_shares.csv",
+     ["group", "year", "top1_mean", "top1_sd", "top2_10_mean", "top2_10_sd", "n"],
+     _year_rows("m_top1", "m_top1_sd", "m_top2_10", "m_top2_10_sd", "n_sample")),
+    ("table_fits.csv",
+     ["group", "series", "a0", "a1", "b1", "period", "sse", "rmse", "r_squared",
+      "degenerate", "max", "min", "period_ratio", "phase_diff"],
+     _fit_rows),
+    ("table_correlations.csv", ["group", "macro", "series", "r", "p_value", "n"], _correlation_rows),
+)
 
 
 def emit_report(report: Report, format: str, dest: str) -> list[str]:
@@ -549,7 +543,6 @@ def emit_report(report: Report, format: str, dest: str) -> list[str]:
     if format not in REPORT_FORMATS:
         raise ValueError(f"unknown report format {format!r}")
     os.makedirs(dest, exist_ok=True)
-    written: list[str] = []
 
     if format == "json":
         path = os.path.join(dest, "report.json")
@@ -557,107 +550,24 @@ def emit_report(report: Report, format: str, dest: str) -> list[str]:
             handle.write(report.to_json())
         return [path]
 
+    written: list[str] = []
     if format == "csv-tables":
-        path = os.path.join(dest, "table_meeting.csv")
-        _write_csv(
-            path,
-            ["group", "year", "s_meeting_over_s_top10_mean", "s_meeting_over_s_top10_sd",
-             "band_count_ratio", "n_meeting", "r_spi_1_top9", "r_spi_1_top10",
-             "r_spi_1_top11", "n_top11", "n_sample"],
-            [
-                [_group_label(g.group), ys.year, ys.meeting_ratio_mean, ys.meeting_ratio_sd,
-                 ys.band_count_ratio, ys.n_meeting, ys.r_spi_1_top9, ys.r_spi_1_top10,
-                 ys.r_spi_1_top11, ys.n_top11, ys.n_sample]
-                for g in report.groups.values()
-                for ys in g.years
-            ],
-        )
-        written.append(path)
-
-        path = os.path.join(dest, "table_spi1_ratio.csv")
-        _write_csv(
-            path,
-            ["group", "year", "ratio", "n"],
-            [
-                [_group_label(g.group), ys.year, ys.r_spi_1, ys.n_sample]
-                for g in report.groups.values()
-                for ys in g.years
-            ],
-        )
-        written.append(path)
-
-        path = os.path.join(dest, "table_spi_lt1.csv")
-        _write_csv(
-            path,
-            ["group", "year", "mean", "sd", "band_ratio", "n"],
-            [
-                [_group_label(g.group), ys.year, ys.spi_lt1_mean, ys.spi_lt1_sd,
-                 ys.spi_lt1_band, ys.n_spi_lt1]
-                for g in report.groups.values()
-                for ys in g.years
-            ],
-        )
-        written.append(path)
-
-        path = os.path.join(dest, "table_shares.csv")
-        _write_csv(
-            path,
-            ["group", "year", "top1_mean", "top1_sd", "top2_10_mean", "top2_10_sd", "n"],
-            [
-                [_group_label(g.group), ys.year, ys.m_top1, ys.m_top1_sd,
-                 ys.m_top2_10, ys.m_top2_10_sd, ys.n_sample]
-                for g in report.groups.values()
-                for ys in g.years
-            ],
-        )
-        written.append(path)
-
-        path = os.path.join(dest, "table_fits.csv")
-        _write_csv(
-            path,
-            ["group", "series", "a0", "a1", "b1", "period", "sse", "rmse", "r_squared",
-             "degenerate", "max", "min", "period_ratio", "phase_diff"],
-            [
-                [_group_label(g.group), name, fit.a0, fit.a1, fit.b1, fit.period, fit.sse,
-                 fit.rmse, fit.r_squared, fit.degenerate,
-                 g.extrema.get(name, (None, None))[0], g.extrema.get(name, (None, None))[1],
-                 g.diagnostics.period_ratio, g.diagnostics.phase_diff]
-                for g in report.groups.values()
-                for name, fit in g.fits.items()
-            ],
-        )
-        written.append(path)
-
-        path = os.path.join(dest, "table_correlations.csv")
-        _write_csv(
-            path,
-            ["group", "macro", "series", "r", "p_value", "n"],
-            [
-                [_group_label(g.group), macro, series, c.r, c.p_value, c.n]
-                for g in report.groups.values()
-                for macro, by_series in g.correlations.items()
-                for series, c in by_series.items()
-            ],
-        )
-        written.append(path)
+        for name, header, rows in _TABLES:
+            path = os.path.join(dest, name)
+            _write_csv(path, header, rows(report))
+            written.append(path)
         return written
 
     # plot-data
-    from .evolution import wave_eval
-
     for g in report.groups.values():
         origin = g.fitted_years[0] if g.fitted_years else 0
-        by_year = {ys.year: ys for ys in g.years}
+        qualifying = [ys for ys in g.years if ys.year in g.fitted_years]
         for name, fit in g.fits.items():
-            rows = []
-            for year in g.fitted_years:
-                observed = _series_value(by_year[year], name)
-                if observed is None:
-                    continue
-                t = float(year - origin)
-                fitted = fit.a0 if fit.degenerate else wave_eval(fit.params, t)
-                rows.append([t, observed, fitted])
-            path = os.path.join(dest, f"plot_{_group_slug(g.group)}_{name}.csv")
+            rows = [
+                [t, observed, fit.a0 if fit.degenerate else wave_eval(fit.params, t)]
+                for t, observed in _series_points(qualifying, name, origin)
+            ]
+            path = os.path.join(dest, f"plot_{g.group.board}_{g.group.ownership}_{name}.csv")
             _write_csv(path, ["t", "observed", "fitted"], rows)
             written.append(path)
     return written

@@ -193,6 +193,51 @@ class TestPipeline:
         code, _, _ = run_cli("pipeline", "--input", "/no/such/file.csv", capsys=capsys)
         assert code == 2
 
+    def test_unknown_format_stops_before_any_work(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("pipeline ran before --format was checked")
+
+        monkeypatch.setattr("controlpower.cli.run_pipeline", fail)
+        out_dir = tmp_path / "rep"
+        code, _, err = run_cli(
+            "pipeline", "--synth", "default", "--seed", "1", "--format", "yaml",
+            "--output", str(out_dir), capsys=capsys,
+        )
+        assert code == 1
+        assert "yaml" in err
+        assert not out_dir.exists()
+
+    def test_unknown_format_beats_missing_input(self, capsys):
+        code, _, err = run_cli(
+            "pipeline", "--input", "/no/such/file.csv", "--format", "yaml", capsys=capsys
+        )
+        assert code == 1
+        assert "yaml" in err
+
+    def test_empty_format_is_usage_error(self, tmp_path, capsys):
+        out_dir = tmp_path / "rep"
+        code, _, err = run_cli(
+            "pipeline", "--synth", "outcomes", "--seed", "1", "--format", " , ",
+            "--output", str(out_dir), capsys=capsys,
+        )
+        assert code == 1
+        assert "--format" in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("formats", ["csv-tables", "plot-data", "json,csv-tables"])
+    def test_table_formats_need_output(self, formats, capsys):
+        code, out, err = run_cli(
+            "pipeline", "--synth", "outcomes", "--seed", "1", "--format", formats, capsys=capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert "--output" in err
+
+    def test_json_to_stdout(self, capsys):
+        code, out, _ = run_cli("pipeline", "--synth", "outcomes", "--seed", "1", capsys=capsys)
+        assert code == 0
+        assert json.loads(out)["provenance"]["seed"] == 1
+
 
 def test_module_invocation():
     proc = subprocess.run(

@@ -54,8 +54,10 @@ def _mismatches(expected, actual, path="", key=None):
 
 def _cell(text):
     """A CSV cell as the value it was written from: None, bool, int, float or label."""
-    if text in ("", "True", "False"):
-        return {"": None, "True": True, "False": False}[text]
+    if text == "":
+        return None
+    if text in ("True", "False"):
+        return text == "True"
     for kind in (int, float):
         try:
             return kind(text)

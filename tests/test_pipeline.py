@@ -23,7 +23,7 @@ from controlpower.pipeline import (
     year_stats,
     year_stats_from_draws,
 )
-from controlpower.power_index import make_game
+from controlpower.power_index import make_game, spi_dp
 
 MAIN_PRIVATE = GroupKey("main", "private")
 
@@ -157,6 +157,24 @@ class TestYearStatsFromDraws:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             year_stats_from_draws(1999, [])
+
+    def test_same_power_summary_as_year_stats(self):
+        # (0.30, 0.20, 0.10) plants an exact-half coalition, (0.40, 0.10, 0.10)
+        # a full-power holder; the rest are 2-10 holder rows at 4 decimals
+        rng = random.Random(11)
+        recs = [record("half", (0.30, 0.20, 0.10)), record("full", (0.40, 0.10, 0.10))]
+        for i in range(40):
+            shares = sorted((round(rng.uniform(0.01, 0.09), 4) for _ in range(rng.randint(2, 10))), reverse=True)
+            recs.append(record(f"f{i}", shares))
+        powers = [float(spi_dp(make_game(r.shares)).spi[0]) for r in recs]
+        assert powers[0] < 1.0 and powers[1] == 1.0
+        assert 0 < sum(v == 1.0 for v in powers) < len(powers) - 2
+
+        from_records = year_stats(recs)
+        from_draws = year_stats_from_draws(2001, powers)
+        for name in ("r_spi_1", "spi_lt1_mean", "spi_lt1_sd", "spi_lt1_band", "n_spi_lt1"):
+            assert getattr(from_records, name) == getattr(from_draws, name), name
+        assert from_records.spi_lt1_band is not None
 
 
 class TestYearStatsValidation:
