@@ -12,6 +12,7 @@ from .power_index import (  # noqa: E402,F401
     spi_dp,
     spi_permutation_oracle,
     spi_subset,
+    top_holder_numerators,
     top_holder_powers,
 )
 from .evolution import (  # noqa: E402,F401

@@ -34,7 +34,7 @@ from .evolution import (
     ratio_sequence,
     wave_eval,
 )
-from .fitting import TimeSeries, fit_fourier1, fourier_extrema
+from .fitting import DEFAULT_GRID_STEP, TimeSeries, fit_fourier1, fourier_extrema
 from .pipeline import (
     REPORT_FORMATS,
     SPI_MODES,
@@ -337,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="first-order Fourier fit of a t,y CSV")
     p.add_argument("--input", required=True)
     p.add_argument("--period-range", help="lo,hi in years")
-    p.add_argument("--grid-step", type=float, default=0.05)
+    p.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
     p.add_argument("--output")
     p.set_defaults(func=_cmd_fit)
 
@@ -373,7 +373,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-sample", type=int, default=50)
     p.add_argument("--h", type=float, default=1.5)
     p.add_argument("--period-range", help="lo,hi in years")
-    p.add_argument("--grid-step", type=float, default=0.05)
+    p.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
     p.add_argument("--workers", type=int, default=1, help="accepted for compatibility, has no effect")
     p.add_argument("--macro", action="append", help="name=path of a year,value CSV; repeatable")
     p.set_defaults(func=_cmd_pipeline)

@@ -29,6 +29,10 @@ LADDER_STATES = (
 )
 UNIFORM_LAW = (0.25, 0.25, 0.25, 0.25)
 GOLDEN_LIMIT = (math.sqrt(5.0) - 1.0) / 2.0
+# Least normal mass in (0, 1) a ControlPowerPdf may have; below it the
+# rejection sampler of pdf_sample would need about 1/mass draws per value
+# (and none at all at zero mass).
+MIN_TRUNCATION_MASS = 1e-3
 
 
 class FibVector(NamedTuple):
@@ -234,6 +238,12 @@ class ControlPowerPdf:
     def __post_init__(self):
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
+        mass = self._truncation_mass()
+        if not mass >= MIN_TRUNCATION_MASS:
+            raise ValueError(
+                f"normal(mu={self.mu}, sigma={self.sigma}) puts {mass:.3g} of its mass in (0, 1),"
+                f" below the {MIN_TRUNCATION_MASS} needed to sample it"
+            )
         hi, lo = wave_extrema(self.wave)
         if float(lo) < -1e-12 or float(hi) > 1.0 + 1e-12:
             raise ValueError("point-mass weight must stay within [0, 1] over time")

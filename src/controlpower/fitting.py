@@ -2,12 +2,18 @@
 normal fits with one-sigma band ratios, and Pearson correlation with
 two-sided significance.
 
-The period of the Fourier model is found by a coarse grid scan of the
-least-squares error followed by golden-section refinement; for a fixed
-period the three remaining coefficients are an ordinary linear solve. The
-p-value engine is a self-contained regularized incomplete beta evaluated
-by Lentz's continued fraction, so reported (r, n) pairs can be checked
-without external tables.
+The period of the Fourier model is found by a grid scan of the
+least-squares error followed by golden-section refinement. The scan
+scores every trial period in one numpy pass: with y, cos and sin centred
+on their means, each period's 2x2 normal equations are solved in closed
+form (the floating-mean periodogram of Zechmeister & Kuerster 2009) and
+the error is summed from explicit residuals. Periods whose centred design
+is ill-conditioned, the golden-section refinement and the reported
+coefficients use an ordinary ``lstsq`` solve at the fixed period.
+
+The p-value engine is a self-contained regularized incomplete beta
+evaluated by Lentz's continued fraction, so reported (r, n) pairs can be
+checked without external tables.
 """
 
 from __future__ import annotations
@@ -21,7 +27,21 @@ import numpy as np
 from .evolution import WaveParams, wave_extrema
 
 DEFAULT_GRID_STEP = 0.05
+# Most trial periods one scan may score; a larger grid is rejected before
+# anything is allocated.
+MAX_GRID_PERIODS = 10**6
 DEGENERATE_AMPLITUDE = 1e-9
+# Largest (periods x points) intermediate of the period scan; the grid is
+# cut along the period axis to stay below it.
+_SCAN_ELEMENTS = 1 << 13
+# A trial period is ill-conditioned when the smaller eigenvalue of its
+# centred 2x2 normal matrix (det/trace within a factor 2) falls below this
+# share of the point count; lstsq scores it instead of the closed form.
+_SCAN_MIN_EIGEN = 1e-8
+# Scan errors within this share of the total sum of squares of the
+# smallest are equal: aliased periods (T and 1/(1 - 1/T) on integer t) tie
+# in exact arithmetic and differ only by rounding.
+_SCAN_TIE = 1e-12
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BETA_EPS = 1e-12
 _BETA_MAX_ITER = 400
@@ -95,6 +115,59 @@ def _coeffs_and_sse(t: np.ndarray, y: np.ndarray, period: float):
     return coef, float(resid @ resid)
 
 
+def _period_grid(lo: float, hi: float, grid_step: float) -> np.ndarray:
+    """Trial periods lo, lo + step, ... up to hi, with hi appended when the
+    steps miss it; rejects a grid of more than MAX_GRID_PERIODS periods."""
+    count = (hi - lo) / grid_step + 2
+    if not count <= MAX_GRID_PERIODS:  # NaN and inf fail too
+        raise ValueError(
+            f"period grid over [{lo}, {hi}] in steps of {grid_step} exceeds {MAX_GRID_PERIODS} trial periods"
+        )
+    steps = int(math.floor((hi - lo) / grid_step + 1e-9))
+    grid = lo + np.arange(steps + 1) * grid_step
+    if grid[-1] < hi - 1e-12:
+        grid = np.append(grid, hi)
+    return grid
+
+
+def _scan_sse(t: np.ndarray, y: np.ndarray, periods: np.ndarray) -> np.ndarray:
+    """Least-squares error of the three-coefficient fit at every period.
+
+    Centring y, cos and sin on their means removes a0, so each period is a
+    2x2 solve in closed form; the error is summed from explicit residuals,
+    never as y'y - b'A^-1 b, which cancels. Ill-conditioned periods (such
+    as T = 1 or 2 on integer t, where sin is rounding noise) are scored by
+    ``_coeffs_and_sse``, whose lstsq truncates the vanishing column.
+    """
+    n = t.size
+    wt = 2.0 * math.pi * t
+    yc = y - y.mean()
+    sse = np.empty(periods.size)
+    rows = max(1, _SCAN_ELEMENTS // n)
+    for at in range(0, periods.size, rows):
+        theta = wt / periods[at : at + rows, None]
+        c = np.cos(theta)
+        s = np.sin(theta)
+        c -= c.mean(axis=1, keepdims=True)
+        s -= s.mean(axis=1, keepdims=True)
+        cc = np.einsum("ij,ij->i", c, c)
+        ss = np.einsum("ij,ij->i", s, s)
+        cs = np.einsum("ij,ij->i", c, s)
+        cy = c @ yc
+        sy = s @ yc
+        det = cc * ss - cs * cs
+        sound = det > _SCAN_MIN_EIGEN * n * (cc + ss)
+        det = np.where(sound, det, 1.0)
+        a1 = (ss * cy - cs * sy) / det
+        b1 = (cc * sy - cs * cy) / det
+        resid = yc - a1[:, None] * c - b1[:, None] * s
+        chunk = np.einsum("ij,ij->i", resid, resid)
+        for i in np.flatnonzero(~sound):
+            chunk[i] = _coeffs_and_sse(t, y, float(periods[at + i]))[1]
+        sse[at : at + rows] = chunk
+    return sse
+
+
 def fit_fourier1(
     series: TimeSeries,
     period_range: tuple[float, float] | None = None,
@@ -105,8 +178,10 @@ def fit_fourier1(
 
     T is scanned over ``period_range`` (default [4, 2 * span]) in steps of
     ``grid_step`` and refined by golden section around the best grid point;
-    on equal error the smaller period wins. Needs at least 4 points. A
-    constant series is reported as degenerate, not an error.
+    on equal error (to 1e-12 of the total sum of squares, so aliases tie)
+    the smaller period wins. Needs at least 4 points, and at most
+    MAX_GRID_PERIODS trial periods. A constant series is reported as
+    degenerate, not an error.
     """
     if len(series) < 4:
         raise ValueError("Fourier fitting needs at least 4 points")
@@ -119,21 +194,17 @@ def fit_fourier1(
     lo, hi = float(period_range[0]), float(period_range[1])
     if not (0.0 < lo <= hi):
         raise ValueError("empty period range")
+    grid = _period_grid(lo, hi, grid_step)
 
     mean = float(y.mean())
     sst = float(((y - mean) ** 2).sum())
     if sst == 0.0:
         return FourierFit(mean, 0.0, 0.0, None, 0.0, 0.0, 1.0, True)
 
-    steps = int(math.floor((hi - lo) / grid_step + 1e-9))
-    grid = [lo + k * grid_step for k in range(steps + 1)]
-    if grid[-1] < hi - 1e-12:
-        grid.append(hi)
-    best_period, best_sse = grid[0], math.inf
-    for period in grid:
-        _, sse = _coeffs_and_sse(t, y, period)
-        if sse < best_sse:
-            best_sse, best_period = sse, period
+    # the first (smallest) period among equal errors wins
+    scan = _scan_sse(t, y, grid)
+    best_period = float(grid[np.argmax(scan <= scan.min() + _SCAN_TIE * sst)])
+    best_sse = _coeffs_and_sse(t, y, best_period)[1]
 
     # golden-section refinement inside the bracketing grid cells
     a = max(lo, best_period - grid_step)

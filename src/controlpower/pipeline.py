@@ -32,6 +32,7 @@ from .dataset import (
 )
 from .evolution import wave_eval
 from .fitting import (
+    DEFAULT_GRID_STEP,
     CorrelationResult,
     FourierFit,
     TimeSeries,
@@ -40,7 +41,7 @@ from .fitting import (
     fourier_extrema,
     pearson,
 )
-from .power_index import top_holder_powers
+from .power_index import top_holder_numerators
 
 SPI_MODES = ("top9", "top10", "top11")
 SERIES_NAMES = ("r_spi_1", "m_top1", "m_top2_10")
@@ -155,7 +156,8 @@ def year_stats(records: Sequence[FirmYearRecord], spi_mode: str = "top10") -> Ye
         # top11 adds the meeting attendance beyond the top 10, clipped at zero
         "top11": [r.shares + (max(r.meeting_share - r.top_total, 0.0),) for r in with_meeting],
     }
-    powers = {mode: [float(v) for v in top_holder_powers(rows[mode])] for mode in SPI_MODES}
+    # int true division is correctly rounded: the float of the exact power
+    powers = {mode: [num / n_fact for num, n_fact in top_holder_numerators(rows[mode])] for mode in SPI_MODES}
 
     m_top1, m_top1_sd = _mean_sd([r.top1 for r in records])
     m_top2_10, m_top2_10_sd = _mean_sd([r.top2_10 for r in records])
@@ -204,7 +206,7 @@ class PipelineConfig:
     min_sample: int = 50
     h: float = 1.5
     period_range: tuple[float, float] | None = None
-    grid_step: float = 0.05
+    grid_step: float = DEFAULT_GRID_STEP
     workers: int = 1
     macros: Mapping[str, Mapping[int, float]] = field(default_factory=dict)
 

@@ -8,14 +8,16 @@ can never both win, and the grand coalition always wins.
 All voting decisions are made in exact integer arithmetic. At construction
 the given weights are converted to proportions of their own total and
 placed on a fixed integer grid (``grid`` units per unit of total weight,
-rounded half to even). Power values are returned as ``fractions.Fraction``.
+rounded half to even). Power values are exact: ``fractions.Fraction``, or
+(numerator, n!) int pairs from ``top_holder_numerators``.
 
 One counting engine serves the library: a batched numpy kernel that sums,
 for a whole batch of games at once, the pivot weights k!(n-1-k)! of one
 player over every coalition of the others (subset counting in the manner
-of Matsui & Matsui 2000 and Bilbao et al. 2000). ``top_holder_powers``
-runs it over the leading holders of many share lists and ``spi_dp`` over
-every player of one game. Permutation enumeration and pure-Python subset
+of Matsui & Matsui 2000 and Bilbao et al. 2000). ``top_holder_numerators``
+runs it over the leading holders of many share lists (``top_holder_powers``
+gives the same values as exact rationals) and ``spi_dp`` over every
+player of one game. Permutation enumeration and pure-Python subset
 enumeration are kept as independent test oracles; all three agree bit
 for bit.
 """
@@ -259,18 +261,20 @@ def spi_dp(game: WeightedVotingGame) -> PowerProfile:
     return PowerProfile(tuple(Fraction(int(v), n_fact) for v in nums))
 
 
-def top_holder_powers(share_rows: Sequence[Sequence[float]]) -> list[Fraction]:
-    """Power of player 0 in ``make_game(row)`` for every row, in one batch.
+def top_holder_numerators(share_rows: Sequence[Sequence[float]]) -> list[tuple[int, int]]:
+    """n!-scaled power of player 0 in ``make_game(row)`` for every row, as
+    (numerator, n!) int pairs, in one batch.
 
     Rows may differ in length; each length is one kernel batch. The grid
-    weights are make_game's bit for bit (fsum total, rounded half to even),
-    so every value equals ``spi_dp(make_game(row))[0]``. Raises ValueError
-    on any row make_game would reject.
+    weights are make_game's bit for bit (fsum total, rounded half to even).
+    ``num / n_fact`` (correctly rounded int division) is the float of the
+    exact power, with no ``Fraction`` built. Raises ValueError on any row
+    make_game would reject.
     """
     by_size: dict[int, list[int]] = {}
     for i, row in enumerate(share_rows):
         by_size.setdefault(len(row), []).append(i)
-    out: list[Fraction] = [Fraction(0)] * len(share_rows)
+    out: list[tuple[int, int]] = [(0, 1)] * len(share_rows)
     for n, index in by_size.items():
         if not 1 <= n <= MAX_PLAYERS:
             raise ValueError(f"a game needs 1 to {MAX_PLAYERS} players, got {n}")
@@ -287,5 +291,11 @@ def top_holder_powers(share_rows: Sequence[Sequence[float]]) -> list[Fraction]:
         weights = np.rint(shares / totals[:, None] * DEFAULT_GRID)
         n_fact = math.factorial(n)
         for i, num in zip(index, _pivot_numerators(weights).tolist()):
-            out[i] = Fraction(num, n_fact)
+            out[i] = (num, n_fact)
     return out
+
+
+def top_holder_powers(share_rows: Sequence[Sequence[float]]) -> list[Fraction]:
+    """Exact power of player 0 in ``make_game(row)`` for every row; each
+    value equals ``spi_dp(make_game(row))[0]``. See ``top_holder_numerators``."""
+    return [Fraction(num, n_fact) for num, n_fact in top_holder_numerators(share_rows)]

@@ -100,6 +100,16 @@ class TestFit:
         code, _, err = run_cli("fit", "--input", "/nonexistent.csv", capsys=capsys)
         assert code == 2
 
+    def test_oversized_grid_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "series.csv"
+        path.write_text("".join(f"{t},{0.5 + 0.01 * (t % 5)}\n" for t in range(26)))
+        code, out, err = run_cli(
+            "fit", "--input", str(path), "--period-range", "4,50", "--grid-step", "1e-9", capsys=capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "trial periods" in err
+
 
 class TestSynth:
     def test_registry_deterministic(self, tmp_path, capsys):
@@ -123,6 +133,18 @@ class TestSynth:
     def test_seed_required(self, capsys):
         code, _, _ = run_cli("synth", "registry", capsys=capsys)
         assert code == 1
+
+    def test_outcomes_without_normal_mass_exits_promptly(self):
+        # no mass in (0, 1): the sampler used to loop until killed
+        proc = subprocess.run(
+            [sys.executable, "-m", "controlpower.cli", "synth", "outcomes", "--seed", "1", "--mu", "5", "--sigma", "0.01"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "mass" in proc.stderr
 
 
 class TestPipeline:
@@ -232,6 +254,14 @@ class TestPipeline:
         assert code == 1
         assert out == ""
         assert "--output" in err
+
+    def test_oversized_grid_is_data_error(self, capsys):
+        code, out, err = run_cli(
+            "pipeline", "--synth", "outcomes", "--seed", "1", "--grid-step", "1e-9", capsys=capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "trial periods" in err
 
     def test_json_to_stdout(self, capsys):
         code, out, _ = run_cli("pipeline", "--synth", "outcomes", "--seed", "1", capsys=capsys)

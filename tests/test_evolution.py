@@ -8,6 +8,7 @@ from scipy import integrate
 from controlpower.evolution import (
     GOLDEN_LIMIT,
     LADDER_STATES,
+    MIN_TRUNCATION_MASS,
     ControlPowerPdf,
     EvolutionClock,
     OscillationModel,
@@ -258,6 +259,18 @@ class TestControlPowerPdf:
             ControlPowerPdf(wave=FITTED_WAVE, sigma=0.0)
         with pytest.raises(ValueError):
             ControlPowerPdf(wave=WaveParams(0.9, 0.2, 0.0, 10.0))
+
+    def test_rejects_normal_mass_below_floor(self):
+        # mu = -0.5 (or 1.5) keeps 0.0012 of the normal in (0, 1), mu = -0.51
+        # (or 1.51) 0.000998, just below the floor; mu = 5 at sigma 0.01
+        # keeps none and made pdf_sample loop forever
+        for mu in (-0.5, 1.5):
+            pdf = ControlPowerPdf(wave=FITTED_WAVE, mu=mu)
+            assert MIN_TRUNCATION_MASS <= pdf._truncation_mass() < 1.3e-3
+            assert pdf_sample(pdf, 0.0, 50, seed=1).size == 50
+        for mu, sigma in ((-0.51, 0.165), (1.51, 0.165), (5.0, 0.01), (math.nan, 0.165)):
+            with pytest.raises(ValueError, match="mass"):
+                ControlPowerPdf(wave=FITTED_WAVE, mu=mu, sigma=sigma)
 
 
 class TestPdfSample:

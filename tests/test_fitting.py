@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
+from controlpower import fitting
 from controlpower.evolution import ControlPowerPdf, WaveParams, pdf_sample, wave_eval
 from controlpower.fitting import (
     TimeSeries,
@@ -112,6 +113,130 @@ class TestFourierFit:
             fit_fourier1(series, (10.0, 5.0))
         with pytest.raises(ValueError):
             fit_fourier1(series, (0.0, 5.0))
+
+
+def reference_fit(series, period_range=None, grid_step=0.05):
+    """The fit as one lstsq per grid period (the scan before vectorisation),
+    with the same refinement: (period, a0, a1, b1, sse)."""
+    coeffs_and_sse = fitting._coeffs_and_sse
+    t = np.asarray(series.t, dtype=float)
+    y = np.asarray(series.y, dtype=float)
+    lo, hi = period_range or (4.0, 2.0 * series.span)
+    steps = int(math.floor((hi - lo) / grid_step + 1e-9))
+    grid = [lo + k * grid_step for k in range(steps + 1)]
+    if grid[-1] < hi - 1e-12:
+        grid.append(hi)
+    best_period, best_sse = grid[0], math.inf
+    for period in grid:
+        _, sse = coeffs_and_sse(t, y, period)
+        if sse < best_sse:
+            best_sse, best_period = sse, period
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    a = max(lo, best_period - grid_step)
+    b = min(hi, best_period + grid_step)
+    c = b - golden * (b - a)
+    d = a + golden * (b - a)
+    fc = coeffs_and_sse(t, y, c)[1]
+    fd = coeffs_and_sse(t, y, d)[1]
+    while b - a > 1e-11 * max(1.0, b):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - golden * (b - a)
+            fc = coeffs_and_sse(t, y, c)[1]
+        else:
+            a, c, fc = c, d, fd
+            d = a + golden * (b - a)
+            fd = coeffs_and_sse(t, y, d)[1]
+    period = 0.5 * (a + b)
+    coef, sse = coeffs_and_sse(t, y, period)
+    if best_sse < sse:
+        period = best_period
+        coef, sse = coeffs_and_sse(t, y, period)
+    return (period, *(float(v) for v in coef), sse)
+
+
+def random_series(rng, integer_t):
+    """Trend plus wave plus noise on 4-30 points."""
+    n = int(rng.integers(4, 31))
+    if integer_t:
+        t = np.arange(n, dtype=float) + float(rng.choice([0, 1, 1996]))
+    else:
+        t = np.cumsum(rng.uniform(0.2, 1.8, n)) + rng.uniform(-5.0, 5.0)
+    rel = t - t[0]
+    y = (
+        0.5
+        + rng.uniform(-0.02, 0.02) * rel
+        + rng.uniform(0.0, 0.2) * np.cos(2 * np.pi * rel / rng.uniform(3.0, 25.0) + rng.uniform(0.0, 6.3))
+        + rng.normal(0.0, rng.choice([0.0, 1e-3, 0.05]), n)
+    )
+    return TimeSeries(tuple(t), tuple(y))
+
+
+def fit_tuple(fit):
+    return (fit.period, fit.a0, fit.a1, fit.b1, fit.sse)
+
+
+class TestPeriodScan:
+    """The vectorised scan against one lstsq solve per trial period."""
+
+    def test_scan_matches_lstsq_at_every_period(self):
+        rng = np.random.default_rng(2009)
+        for k in range(60):
+            series = random_series(rng, integer_t=k % 2 == 0)
+            t, y = np.asarray(series.t), np.asarray(series.y)
+            lo = float(rng.choice([0.5, 1.0, 2.0, 4.0]))  # 0.5, 1 and 2 are near-singular on integer t
+            grid = fitting._period_grid(lo, lo + rng.uniform(1.0, 40.0), float(rng.choice([0.05, 0.25, 0.5])))
+            scan = fitting._scan_sse(t, y, grid)
+            ref = np.array([fitting._coeffs_and_sse(t, y, float(p))[1] for p in grid])
+            sst = float(((y - y.mean()) ** 2).sum())
+            assert np.isfinite(scan).all()
+            assert (np.abs(scan - ref) <= np.maximum(1e-9 * ref, 1e-12 * sst)).all(), k
+
+    def test_default_range_matches_reference_loop_bit_for_bit(self):
+        rng = np.random.default_rng(1996)
+        for k in range(30):
+            series = random_series(rng, integer_t=k % 3 != 0)
+            if series.span < 2.0:
+                continue  # the default range [4, 2 * span] would be empty
+            assert fit_tuple(fit_fourier1(series)) == reference_fit(series), k
+
+    def test_chunked_scan_gives_the_same_fit(self, monkeypatch):
+        series = sample_series(GEN, np.arange(26.0), noise_sd=0.02, seed=4)
+        t, y = np.asarray(series.t), np.asarray(series.y)
+        grid = fitting._period_grid(4.0, 50.0, 0.05)
+        monkeypatch.setattr(fitting, "_SCAN_ELEMENTS", grid.size * len(series))  # one chunk
+        whole, whole_scan = fit_fourier1(series), fitting._scan_sse(t, y, grid)
+        monkeypatch.setattr(fitting, "_SCAN_ELEMENTS", 3 * len(series) + 1)  # 3 periods per chunk
+        assert fit_fourier1(series) == whole
+        np.testing.assert_allclose(fitting._scan_sse(t, y, grid), whole_scan, rtol=1e-12, atol=0.0)
+
+    def test_near_singular_periods_do_not_win(self):
+        # integer years from 1996, a rising trend: at T = 1 cos is exactly
+        # 1 and at T = 2 sin is rounding noise, where a plain closed form
+        # divides by zero or fits the trend with the noise column
+        t = np.arange(1996.0, 2022.0)
+        rng = np.random.default_rng(5)
+        y = 0.5 + 0.004 * (t - 1996) + 0.05 * np.sin(2 * np.pi * t / 7.5) + rng.normal(0.0, 0.01, t.size)
+        series = TimeSeries(tuple(t), tuple(y))
+        fit = fit_fourier1(series, (1.0, 10.0))
+        assert fit_tuple(fit) == reference_fit(series, (1.0, 10.0))
+        assert 7.0 < fit.period < 8.0
+
+    def test_aliased_periods_keep_the_smaller(self):
+        # on integer t, T = 6 and T = 1.2 (1/1.2 = 1 - 1/6) fit equally well
+        series = sample_series(WaveParams(0.5, 0.1, 0.05, 6.0), np.arange(16.0))
+        fit = fit_fourier1(series, (1.0, 7.0))
+        assert fit.period == pytest.approx(1.2, rel=1e-6)
+
+    def test_rejects_oversized_grid_before_scanning(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("the scan must not run")
+
+        monkeypatch.setattr(fitting, "_scan_sse", no_scan)
+        series = sample_series(GEN, np.arange(26.0))
+        for period_range, step in [((4.0, 50.0), 1e-9), ((4.0, math.inf), 0.05), ((4.0, 50.0), math.nan)]:
+            with pytest.raises(ValueError, match="trial periods"):
+                fit_fourier1(series, period_range, grid_step=step)
 
 
 class TestFourierExtrema:

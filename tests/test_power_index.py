@@ -15,6 +15,7 @@ from controlpower.power_index import (
     spi_dp,
     spi_permutation_oracle,
     spi_subset,
+    top_holder_numerators,
     top_holder_powers,
 )
 
@@ -253,6 +254,21 @@ class TestEngine:
         for row, p, q in zip(top11, powers, plain):
             if row[-1] == 0.0:
                 assert p == q
+
+    def test_numerators_divide_to_the_exact_float(self):
+        # int true division is correctly rounded, so num / n! is the float
+        # of the exact power, also where n! exceeds 2^53 (19 and 20 players)
+        rng = random.Random(59)
+        rows = [[round(rng.uniform(0.01, 1.0), rng.randint(2, 4)) for _ in range(n)]
+                for n in list(range(1, 12)) * 6 + [19, 20, 20]]
+        rng.shuffle(rows)
+        pairs = top_holder_numerators(rows)
+        assert [n_fact for _, n_fact in pairs] == [math.factorial(len(row)) for row in rows]
+        exact = top_holder_powers(rows)
+        assert [Fraction(num, n_fact) for num, n_fact in pairs] == exact
+        assert [num / n_fact for num, n_fact in pairs] == [float(v) for v in exact]
+        assert any(0 < v < 1 for row, v in zip(rows, exact) if len(row) >= 19)
+        assert top_holder_numerators([]) == []
 
     def test_max_players_game_is_fast_and_exact(self):
         rng = random.Random(53)
