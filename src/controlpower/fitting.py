@@ -118,13 +118,12 @@ def _coeffs_and_sse(t: np.ndarray, y: np.ndarray, period: float):
 def _period_grid(lo: float, hi: float, grid_step: float) -> np.ndarray:
     """Trial periods lo, lo + step, ... up to hi, with hi appended when the
     steps miss it; rejects a grid of more than MAX_GRID_PERIODS periods."""
-    count = (hi - lo) / grid_step + 2
-    if not count <= MAX_GRID_PERIODS:  # NaN and inf fail too
+    steps = (hi - lo) / grid_step
+    if not steps + 2 <= MAX_GRID_PERIODS:  # NaN and inf fail too
         raise ValueError(
             f"period grid over [{lo}, {hi}] in steps of {grid_step} exceeds {MAX_GRID_PERIODS} trial periods"
         )
-    steps = int(math.floor((hi - lo) / grid_step + 1e-9))
-    grid = lo + np.arange(steps + 1) * grid_step
+    grid = lo + np.arange(int(math.floor(steps + 1e-9)) + 1) * grid_step
     if grid[-1] < hi - 1e-12:
         grid = np.append(grid, hi)
     return grid
