@@ -6,14 +6,11 @@ __version__ = "0.1.0"
 from .power_index import (  # noqa: E402,F401
     PowerProfile,
     WeightedVotingGame,
-    extend_with_residual,
-    is_winning,
     make_game,
     spi_dp,
     spi_permutation_oracle,
     spi_subset,
     top_holder_numerators,
-    top_holder_powers,
 )
 from .evolution import (  # noqa: E402,F401
     ControlPowerPdf,

@@ -150,18 +150,30 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _cmd_fit(args) -> int:
+def _read_pairs(path: str, key) -> list[tuple]:
+    """(key(first cell), float(second cell)) of each row of a two-column CSV.
+
+    Rows whose first cell does not parse (blank, header, comment) are
+    skipped; a row whose first cell parses but whose second cell is
+    missing or not a number is a DataError naming the file and line.
+    """
     pairs = []
-    with open(args.input, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         for row in reader:
-            if not row or not row[0].strip():
+            try:
+                first = key(row[0])
+            except (IndexError, ValueError):
                 continue
             try:
-                pairs.append((float(row[0]), float(row[1])))
-            except ValueError:
-                continue  # header or comment row
-    series = TimeSeries.from_pairs(pairs)
+                pairs.append((first, float(row[1])))
+            except (IndexError, ValueError):
+                raise DataError(f"{path} line {reader.line_num}: no number after {row[0]!r}") from None
+    return pairs
+
+
+def _cmd_fit(args) -> int:
+    series = TimeSeries.from_pairs(_read_pairs(args.input, float))
     period_range = _parse_range(args.period_range) if args.period_range else None
     fit = fit_fourier1(series, period_range, grid_step=args.grid_step)
     payload = {
@@ -230,21 +242,6 @@ def _default_synth(seed: int) -> SynthConfig:
     )
 
 
-def _load_macro(path: str) -> dict[int, float]:
-    out: dict[int, float] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
-        for row in csv.reader(handle):
-            if not row or not row[0].strip():
-                continue
-            try:
-                out[int(row[0])] = float(row[1])
-            except ValueError:
-                continue
-    if not out:
-        raise DataError(f"macro file {path} has no (year, value) rows")
-    return out
-
-
 def _cmd_pipeline(args) -> int:
     formats = [f.strip() for f in args.format.split(",") if f.strip()]
     if not formats:
@@ -263,7 +260,9 @@ def _cmd_pipeline(args) -> int:
         if not path:
             print("pipeline: --macro expects name=path", file=sys.stderr)
             return USAGE_ERROR
-        macros[name] = _load_macro(path)
+        macros[name] = dict(_read_pairs(path, int))
+        if not macros[name]:
+            raise DataError(f"macro file {path} has no (year, value) rows")
     config = PipelineConfig(
         spi_mode=args.spi_mode,
         min_sample=args.min_sample,

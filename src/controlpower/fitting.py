@@ -64,7 +64,7 @@ class TimeSeries:
 
     @classmethod
     def from_pairs(cls, pairs) -> "TimeSeries":
-        ts, ys = zip(*((float(a), float(b)) for a, b in pairs))
+        ts, ys = list(zip(*((float(a), float(b)) for a, b in pairs))) or ((), ())
         return cls(ts, ys)
 
     def __len__(self) -> int:
@@ -115,15 +115,27 @@ def _coeffs_and_sse(t: np.ndarray, y: np.ndarray, period: float):
     return coef, float(resid @ resid)
 
 
-def _period_grid(lo: float, hi: float, grid_step: float) -> np.ndarray:
-    """Trial periods lo, lo + step, ... up to hi, with hi appended when the
-    steps miss it; rejects a grid of more than MAX_GRID_PERIODS periods."""
-    steps = (hi - lo) / grid_step
-    if not steps + 2 <= MAX_GRID_PERIODS:  # NaN and inf fail too
+def check_period_grid(period_range: tuple[float, float] | None, grid_step: float) -> None:
+    """Reject a grid step that is not positive, a period range outside
+    0 < lo <= hi, or a grid of more than MAX_GRID_PERIODS trial periods,
+    without building the grid. With no range only the step is checked."""
+    if grid_step <= 0:
+        raise ValueError("grid step must be positive")
+    if period_range is None:
+        return
+    lo, hi = float(period_range[0]), float(period_range[1])
+    if not (0.0 < lo <= hi):
+        raise ValueError("empty period range")
+    if not (hi - lo) / grid_step + 2 <= MAX_GRID_PERIODS:  # NaN and inf fail too
         raise ValueError(
             f"period grid over [{lo}, {hi}] in steps of {grid_step} exceeds {MAX_GRID_PERIODS} trial periods"
         )
-    grid = lo + np.arange(int(math.floor(steps + 1e-9)) + 1) * grid_step
+
+
+def _period_grid(lo: float, hi: float, grid_step: float) -> np.ndarray:
+    """Trial periods lo, lo + step, ... up to hi, with hi appended when the
+    steps miss it; the range must pass ``check_period_grid``."""
+    grid = lo + np.arange(int(math.floor((hi - lo) / grid_step + 1e-9)) + 1) * grid_step
     if grid[-1] < hi - 1e-12:
         grid = np.append(grid, hi)
     return grid
@@ -184,15 +196,12 @@ def fit_fourier1(
     """
     if len(series) < 4:
         raise ValueError("Fourier fitting needs at least 4 points")
-    if grid_step <= 0:
-        raise ValueError("grid step must be positive")
-    t = np.asarray(series.t, dtype=float)
-    y = np.asarray(series.y, dtype=float)
     if period_range is None:
         period_range = (4.0, 2.0 * series.span)
+    check_period_grid(period_range, grid_step)
+    t = np.asarray(series.t, dtype=float)
+    y = np.asarray(series.y, dtype=float)
     lo, hi = float(period_range[0]), float(period_range[1])
-    if not (0.0 < lo <= hi):
-        raise ValueError("empty period range")
     grid = _period_grid(lo, hi, grid_step)
 
     mean = float(y.mean())
@@ -236,10 +245,8 @@ def fit_fourier1(
     return FourierFit(a0, a1, b1, float(period), sse, rmse, r_squared, False)
 
 
-def fourier_extrema(fit: FourierFit | WaveParams) -> tuple[float, float]:
-    """(max, min) of a fitted or constructed wave; rejects degenerate fits."""
-    if isinstance(fit, WaveParams):
-        return wave_extrema(fit)
+def fourier_extrema(fit: FourierFit) -> tuple[float, float]:
+    """(max, min) of a fitted wave; rejects degenerate fits."""
     if fit.degenerate:
         raise ValueError("degenerate fit has no reportable extrema")
     return wave_extrema(fit.params)

@@ -36,6 +36,7 @@ from .fitting import (
     CorrelationResult,
     FourierFit,
     TimeSeries,
+    check_period_grid,
     fit_fourier1,
     fit_normal,
     fourier_extrema,
@@ -219,6 +220,8 @@ class PipelineConfig:
             raise ValueError("worker count must be positive")
         if not self.h > 0:
             raise ValueError("h must be positive")
+        # before any work; a default range needs a group's span, so the fit checks it
+        check_period_grid(self.period_range, self.grid_step)
 
 
 @dataclass(frozen=True)
@@ -265,38 +268,9 @@ class Report:
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
 
-    @classmethod
-    def from_dict(cls, data: Mapping) -> "Report":
-        groups = {}
-        for label, payload in data["groups"].items():
-            group = GroupKey(*label.split("/"))
-            groups[group] = _group_from_dict(group, payload)
-        return cls(version=data["version"], provenance=dict(data["provenance"]), groups=groups)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        return cls.from_dict(json.loads(text))
-
 
 def _group_label(group: GroupKey) -> str:
     return f"{group.board}/{group.ownership}"
-
-
-def _group_from_dict(group: GroupKey, data: Mapping) -> GroupReport:
-    return GroupReport(
-        group=group,
-        years=tuple(YearStats(**y) for y in data["years"]),
-        fitted_years=tuple(data["fitted_years"]),
-        fits={name: FourierFit(**f) for name, f in data["fits"].items()},
-        extrema={name: tuple(v) for name, v in data["extrema"].items()},
-        diagnostics=Diagnostics(**data["diagnostics"]),
-        correlations={
-            macro: {
-                series: CorrelationResult(**c) for series, c in by_series.items()
-            }
-            for macro, by_series in data["correlations"].items()
-        },
-    )
 
 
 def _series_points(years: Iterable[YearStats], name: str, origin: int) -> list[tuple[float, float]]:

@@ -15,9 +15,8 @@ One counting engine serves the library: a batched numpy kernel that sums,
 for a whole batch of games at once, the pivot weights k!(n-1-k)! of one
 player over every coalition of the others (subset counting in the manner
 of Matsui & Matsui 2000 and Bilbao et al. 2000). ``top_holder_numerators``
-runs it over the leading holders of many share lists (``top_holder_powers``
-gives the same values as exact rationals) and ``spi_dp`` over every
-player of one game. Permutation enumeration and pure-Python subset
+runs it over the leading holders of many share lists and ``spi_dp`` over
+every player of one game. Permutation enumeration and pure-Python subset
 enumeration are kept as independent test oracles; all three agree bit
 for bit.
 """
@@ -29,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -63,16 +62,6 @@ class WeightedVotingGame:
         return len(self.weights)
 
     @property
-    def total(self) -> float:
-        """Total raw weight of all players."""
-        return math.fsum(self.weights)
-
-    @property
-    def quota(self) -> float:
-        """Raw-weight threshold; a coalition wins strictly above it."""
-        return self.total / 2.0
-
-    @property
     def int_total(self) -> int:
         return sum(self.int_weights)
 
@@ -87,12 +76,6 @@ class PowerProfile:
     def spi(self) -> tuple[float, ...]:
         """Float view of the exact values (error only at this boundary)."""
         return tuple(float(v) for v in self.exact)
-
-    def __len__(self) -> int:
-        return len(self.exact)
-
-    def __getitem__(self, i: int) -> Fraction:
-        return self.exact[i]
 
 
 def make_game(shares: Sequence[float], *, grid: int = DEFAULT_GRID) -> WeightedVotingGame:
@@ -118,29 +101,6 @@ def make_game(shares: Sequence[float], *, grid: int = DEFAULT_GRID) -> WeightedV
         raise ValueError("total weight must be positive")
     int_weights = tuple(round(s / total * grid) for s in shares)
     return WeightedVotingGame(weights=shares, int_weights=int_weights, grid=grid)
-
-
-def extend_with_residual(game: WeightedVotingGame, residual_share: float) -> WeightedVotingGame:
-    """Append one extra player holding max(residual_share, 0).
-
-    Negative or non-finite residuals clip to a zero-weight player, which is
-    a dummy and leaves every other player's power unchanged. The quota is
-    recomputed over the enlarged total.
-    """
-    residual = float(residual_share)
-    if not math.isfinite(residual) or residual < 0:
-        residual = 0.0
-    return make_game(game.weights + (residual,), grid=game.grid)
-
-
-def is_winning(game: WeightedVotingGame, coalition: Iterable[int]) -> bool:
-    """True iff the coalition's weight strictly exceeds half the game total."""
-    members = set(coalition)
-    for i in members:
-        if not 0 <= i < game.n:
-            raise ValueError(f"player index {i} out of range for {game.n} players")
-    acc = sum(game.int_weights[i] for i in members)
-    return 2 * acc > game.int_total
 
 
 def _pivot_coeffs(n: int) -> list[int]:
@@ -293,9 +253,3 @@ def top_holder_numerators(share_rows: Sequence[Sequence[float]]) -> list[tuple[i
         for i, num in zip(index, _pivot_numerators(weights).tolist()):
             out[i] = (num, n_fact)
     return out
-
-
-def top_holder_powers(share_rows: Sequence[Sequence[float]]) -> list[Fraction]:
-    """Exact power of player 0 in ``make_game(row)`` for every row; each
-    value equals ``spi_dp(make_game(row))[0]``. See ``top_holder_numerators``."""
-    return [Fraction(num, n_fact) for num, n_fact in top_holder_numerators(share_rows)]

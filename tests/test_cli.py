@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -109,6 +110,22 @@ class TestFit:
         assert code == 2
         assert out == ""
         assert "trial periods" in err
+
+    def test_short_row_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "series.csv"
+        path.write_text("0,1\n1,2\n2\n")
+        code, out, err = run_cli("fit", "--input", str(path), capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{path} line 3" in err
+        assert "Traceback" not in err
+
+    def test_header_only_is_empty_series(self, tmp_path, capsys):
+        path = tmp_path / "series.csv"
+        path.write_text("t,y\n# no rows\n\n")
+        code, _, err = run_cli("fit", "--input", str(path), capsys=capsys)
+        assert code == 2
+        assert "series is empty" in err
 
 
 class TestSynth:
@@ -258,6 +275,30 @@ class TestPipeline:
     def test_oversized_grid_is_data_error(self, capsys):
         code, out, err = run_cli(
             "pipeline", "--synth", "outcomes", "--seed", "1", "--grid-step", "1e-9", capsys=capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert "trial periods" in err
+
+    def test_short_macro_row_is_data_error(self, tmp_path, capsys):
+        macro = tmp_path / "index.csv"
+        macro.write_text("year,value\n1996,100\n1997\n")
+        code, out, err = run_cli(
+            "pipeline", "--synth", "outcomes", "--seed", "1", "--macro", f"idx={macro}", capsys=capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{macro} line 3" in err
+        assert "Traceback" not in err
+
+    def test_bad_grid_stops_before_ingest(self, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("input was read before the grid was checked")
+
+        monkeypatch.setattr("controlpower.cli.ingest_csv", fail)
+        code, out, err = run_cli(
+            "pipeline", "--input", str(Path(__file__).parent / "data" / "golden_registry.csv"),
+            "--period-range", "4,50", "--grid-step", "1e-9", capsys=capsys,
         )
         assert code == 2
         assert out == ""

@@ -15,7 +15,7 @@ from controlpower.fitting import (
     pearson,
     regularized_incomplete_beta,
 )
-from controlpower.evolution import ideal_wave
+from controlpower.evolution import ideal_wave, wave_extrema
 
 GEN = WaveParams(0.553, 0.060, -0.083, 17.357)
 
@@ -41,6 +41,10 @@ class TestTimeSeries:
         series = TimeSeries.from_pairs([(0, 1.0), (1, 2.0)])
         assert series.t == (0.0, 1.0)
         assert series.span == 1.0
+
+    def test_from_no_pairs_is_empty(self):
+        with pytest.raises(ValueError, match="series is empty"):
+            TimeSeries.from_pairs([])
 
 
 class TestFourierFit:
@@ -241,7 +245,7 @@ class TestPeriodScan:
 
 class TestFourierExtrema:
     def test_ideal_wave_by_construction(self):
-        hi, lo = fourier_extrema(ideal_wave(1.5))
+        hi, lo = wave_extrema(ideal_wave(1.5))
         assert hi == pytest.approx(2 / 3, abs=1e-15)
         assert lo == pytest.approx(0.5, abs=1e-15)
 

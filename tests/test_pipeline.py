@@ -1,8 +1,10 @@
+import json
 import math
 import random
 
 import pytest
 
+from controlpower import fitting
 from controlpower.dataset import (
     DataError,
     FirmYearRecord,
@@ -15,7 +17,6 @@ from controlpower.dataset import (
 from controlpower.evolution import ControlPowerPdf, ideal_wave, wave_eval
 from controlpower.pipeline import (
     PipelineConfig,
-    Report,
     YearStats,
     build_report,
     emit_report,
@@ -187,6 +188,25 @@ class TestYearStatsValidation:
             YearStats(year=2000, n_sample=-1)
 
 
+class TestPipelineConfig:
+    @pytest.mark.parametrize(
+        "period_range, step",
+        [(None, 0.0), (None, -1.0), ((4.0, 50.0), 0.0), ((10.0, 5.0), 0.05), ((0.0, 5.0), 0.05),
+         ((4.0, 50.0), 1e-9)],
+    )
+    def test_rejects_bad_grid_without_building_it(self, period_range, step, monkeypatch):
+        def no_grid(*args):
+            raise AssertionError("the config check must not build the grid")
+
+        monkeypatch.setattr(fitting, "_period_grid", no_grid)
+        with pytest.raises(ValueError, match="grid step|period range|trial periods"):
+            PipelineConfig(period_range=period_range, grid_step=step)
+
+    def test_default_range_checks_only_the_step(self):
+        # the default range needs a group's span, so its size is checked at the fit
+        assert PipelineConfig(grid_step=1e-9).grid_step == 1e-9
+
+
 class TestRunPipeline:
     def test_row_order_invariance(self):
         records = apply_sample_filter(synth_registry(registry_config()))
@@ -316,7 +336,13 @@ class TestReportEmission:
         paths = emit_report(report, "json", str(tmp_path))
         assert [p.endswith("report.json") for p in paths] == [True]
         text = (tmp_path / "report.json").read_text()
-        assert Report.from_json(text) == report
+        assert text == report.to_json()
+        # parsing and re-dumping gives the same text: no NaN, every float exact
+        parsed = json.loads(text, parse_constant=lambda c: pytest.fail(f"non-JSON constant {c}"))
+        assert json.dumps(parsed, indent=2, sort_keys=True) + "\n" == text
+        for group, g in report.groups.items():
+            years = parsed["groups"][f"{group.board}/{group.ownership}"]["years"]
+            assert tuple(YearStats(**y) for y in years) == g.years
 
     def test_csv_tables(self, report, tmp_path):
         paths = emit_report(report, "csv-tables", str(tmp_path))

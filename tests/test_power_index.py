@@ -9,17 +9,19 @@ from controlpower.power_index import (
     MAX_PLAYERS,
     ORACLE_MAX_PLAYERS,
     WeightedVotingGame,
-    extend_with_residual,
-    is_winning,
     make_game,
     spi_dp,
     spi_permutation_oracle,
     spi_subset,
     top_holder_numerators,
-    top_holder_powers,
 )
 
 THIRD = Fraction(1, 3)
+
+
+def top_holder_powers(rows):
+    """Exact power of player 0 in make_game(row) for every row."""
+    return [Fraction(num, n_fact) for num, n_fact in top_holder_numerators(rows)]
 
 
 def random_game(rng, n_max=9, allow_zero=True, integer=False):
@@ -39,19 +41,20 @@ class TestMakeGame:
     def test_direct_construction(self):
         game = make_game([0.30, 0.10, 0.05])
         assert game.n == 3
-        assert game.total == pytest.approx(0.45)
-        assert game.quota == pytest.approx(0.225)
+        assert game.weights == (0.30, 0.10, 0.05)
+        assert game.int_weights == (666667, 222222, 111111)
+        assert game.int_total == game.grid
 
     def test_single_player_is_dictator(self):
         game = make_game([0.51])
-        assert is_winning(game, [0])
+        assert game.int_weights == (game.grid,)
         assert spi_dp(game).exact == (Fraction(1),)
 
     def test_ten_player_top_heavy_total(self):
         shares = [0.278] + [0.293 / 9] * 9
         game = make_game(shares)
         assert game.n == 10
-        assert game.total == pytest.approx(0.571)
+        assert math.fsum(game.weights) == pytest.approx(0.571)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
@@ -76,35 +79,6 @@ class TestMakeGame:
     def test_rejects_zero_grid(self):
         with pytest.raises(ValueError):
             make_game([1.0, 2.0], grid=0)
-
-
-class TestIsWinning:
-    def test_exactly_half_loses(self):
-        game = make_game([2, 1, 1])
-        assert not is_winning(game, {0})
-
-    def test_strict_majority_wins(self):
-        game = make_game([2, 1, 1])
-        assert is_winning(game, {0, 1})
-
-    def test_symmetric_game(self):
-        game = make_game([1, 1, 1])
-        assert is_winning(game, {0, 1})
-        assert not is_winning(game, {2})
-
-    def test_complement_rule(self):
-        # a coalition and its complement can never both win
-        rng = random.Random(5)
-        for _ in range(50):
-            game = random_game(rng, n_max=6)
-            members = [i for i in range(game.n) if rng.random() < 0.5]
-            rest = [i for i in range(game.n) if i not in members]
-            assert not (is_winning(game, members) and is_winning(game, rest))
-
-    def test_rejects_out_of_range(self):
-        game = make_game([2, 1, 1])
-        with pytest.raises(ValueError):
-            is_winning(game, {0, 3})
 
 
 class TestPermutationOracle:
@@ -358,22 +332,3 @@ class TestAxioms:
             assert (profile.exact[0] == 1) == is_dictator
         assert dictators >= 20 and followers >= 20
 
-
-class TestResidualPlayer:
-    def test_negative_residual_becomes_dummy(self):
-        game = make_game([0.30, 0.10, 0.05])
-        extended = extend_with_residual(game, -0.02)
-        assert extended.n == 4
-        assert extended.weights[3] == 0.0
-        assert spi_dp(extended).exact[:3] == spi_dp(game).exact
-
-    def test_zero_residual_has_zero_power(self):
-        game = make_game([0.30, 0.10, 0.05])
-        extended = extend_with_residual(game, 0.0)
-        assert spi_dp(extended).exact[3] == 0
-
-    def test_positive_residual(self):
-        game = make_game([0.30, 0.10, 0.05])
-        extended = extend_with_residual(game, 0.10)
-        assert extended.n == 4
-        assert extended.total == pytest.approx(0.55)
