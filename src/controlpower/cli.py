@@ -155,9 +155,11 @@ def _read_pairs(path: str, key) -> list[tuple]:
 
     Rows whose first cell does not parse (blank, header, comment) are
     skipped; a row whose first cell parses but whose second cell is
-    missing or not a number is a DataError naming the file and line.
+    missing or not a number, or whose key an earlier row already had, is
+    a DataError naming the file and line.
     """
     pairs = []
+    seen = set()
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         for row in reader:
@@ -165,6 +167,9 @@ def _read_pairs(path: str, key) -> list[tuple]:
                 first = key(row[0])
             except (IndexError, ValueError):
                 continue
+            if first in seen:
+                raise DataError(f"{path} line {reader.line_num}: {row[0]!r} repeats an earlier row")
+            seen.add(first)
             try:
                 pairs.append((first, float(row[1])))
             except (IndexError, ValueError):

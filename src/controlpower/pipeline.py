@@ -12,10 +12,13 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import itertools
 import json
 import math
 import os
+from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field
+from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
@@ -131,39 +134,50 @@ def _power_fields(values: Sequence[float]) -> dict:
     }
 
 
-def year_stats(records: Sequence[FirmYearRecord], spi_mode: str = "top10") -> YearStats:
-    """Aggregate one group-year: power ratios, share means, meeting ratios.
+# the game of one record in each mode, None where the mode has none: top11
+# adds the meeting attendance beyond the top 10, clipped at zero
+_MODE_ROWS = {
+    "top9": lambda r: r.shares[:9],
+    "top10": lambda r: r.shares,
+    "top11": lambda r: (
+        None if r.meeting_share is None else r.shares + (max(r.meeting_share - r.top_total, 0.0),)
+    ),
+}
 
-    All records must belong to the same (group, year). The leading
-    holder's power is computed exactly for every firm in one batch per
-    mode (top9, top10, top11); firms below full power under the requested
-    mode feed the normal-fit fields.
+
+def _batch_powers(rows: Sequence[tuple[float, ...] | None]) -> list[float | None]:
+    """Float top-holder power of every row's game in one batch; None stays None."""
+    # int true division is correctly rounded: the float of the exact power
+    values = iter([num / n_fact for num, n_fact in top_holder_numerators([x for x in rows if x is not None])])
+    return [None if x is None else next(values) for x in rows]
+
+
+def _mode_powers(records: Sequence[FirmYearRecord]) -> dict[str, list[float | None]]:
+    """Top-holder power of every record in each mode, aligned with ``records``.
+
+    The modes run one batch after the other, so only one mode's rows are
+    alive at a time.
     """
-    if not records:
-        raise ValueError("no records for this group-year")
-    keys = {(r.group, r.year) for r in records}
-    if len(keys) != 1:
-        raise ValueError("records span more than one (group, year) cell")
-    if spi_mode not in SPI_MODES:
-        raise ValueError(f"unknown spi mode {spi_mode!r}")
-    with_meeting = [r for r in records if r.meeting_share is not None]
-    if spi_mode == "top11" and len(with_meeting) != len(records):
-        missing = next(r for r in records if r.meeting_share is None)
+    return {mode: _batch_powers([row(r) for r in records]) for mode, row in _MODE_ROWS.items()}
+
+
+def _check_top11(records: Iterable[FirmYearRecord]) -> None:
+    missing = next((r for r in records if r.meeting_share is None), None)
+    if missing is not None:
         raise DataError(f"firm {missing.firm_id} year {missing.year}: top11 mode needs meeting_share")
 
-    rows = {
-        "top9": [r.shares[:9] for r in records],
-        "top10": [r.shares for r in records],
-        # top11 adds the meeting attendance beyond the top 10, clipped at zero
-        "top11": [r.shares + (max(r.meeting_share - r.top_total, 0.0),) for r in with_meeting],
-    }
-    # int true division is correctly rounded: the float of the exact power
-    powers = {mode: [num / n_fact for num, n_fact in top_holder_numerators(rows[mode])] for mode in SPI_MODES}
+
+def _cell_stats(
+    records: Sequence[FirmYearRecord], powers: Mapping[str, Sequence[float | None]], spi_mode: str
+) -> YearStats:
+    """Aggregates of one (group, year) cell from its records' precomputed
+    ``_mode_powers`` (aligned with ``records``)."""
+    top11 = [v for v in powers["top11"] if v is not None]
 
     m_top1, m_top1_sd = _mean_sd([r.top1 for r in records])
     m_top2_10, m_top2_10_sd = _mean_sd([r.top2_10 for r in records])
 
-    ratios = [r.meeting_share / r.top_total for r in with_meeting if r.top_total > 0]
+    ratios = [r.meeting_share / r.top_total for r in records if r.meeting_share is not None and r.top_total > 0]
     ratio_mean, ratio_sd = _mean_sd(ratios)
     band = None
     if ratio_sd is not None:
@@ -183,10 +197,30 @@ def year_stats(records: Sequence[FirmYearRecord], spi_mode: str = "top10") -> Ye
         n_meeting=len(ratios),
         r_spi_1_top9=_full_ratio(powers["top9"]),
         r_spi_1_top10=_full_ratio(powers["top10"]),
-        r_spi_1_top11=_full_ratio(powers["top11"]),
-        n_top11=len(with_meeting),
-        **_power_fields(powers[spi_mode]),
+        r_spi_1_top11=_full_ratio(top11),
+        n_top11=len(top11),
+        **_power_fields(top11 if spi_mode == "top11" else powers[spi_mode]),
     )
+
+
+def year_stats(records: Sequence[FirmYearRecord], spi_mode: str = "top10") -> YearStats:
+    """Aggregate one group-year: power ratios, share means, meeting ratios.
+
+    All records must belong to the same (group, year). The leading
+    holder's power is computed exactly for every firm in one batch per
+    mode (top9, top10, top11); firms below full power under the requested
+    mode feed the normal-fit fields.
+    """
+    if not records:
+        raise ValueError("no records for this group-year")
+    keys = {(r.group, r.year) for r in records}
+    if len(keys) != 1:
+        raise ValueError("records span more than one (group, year) cell")
+    if spi_mode not in SPI_MODES:
+        raise ValueError(f"unknown spi mode {spi_mode!r}")
+    if spi_mode == "top11":
+        _check_top11(records)
+    return _cell_stats(records, _mode_powers(records), spi_mode)
 
 
 def year_stats_from_draws(year: int, draws: Sequence[float]) -> YearStats:
@@ -220,7 +254,8 @@ class PipelineConfig:
             raise ValueError("worker count must be positive")
         if not self.h > 0:
             raise ValueError("h must be positive")
-        # before any work; a default range needs a group's span, so the fit checks it
+        # before any work; a default range needs a group's span, so run_pipeline
+        # checks it once the records are grouped
         check_period_grid(self.period_range, self.grid_step)
 
 
@@ -396,13 +431,42 @@ def _sorted_records(records: Iterable[FirmYearRecord]) -> list[FirmYearRecord]:
     return sorted(records, key=lambda r: (r.year, r.board, r.ownership, r.firm_id, r.shares))
 
 
-def _aggregate(records, config: PipelineConfig) -> dict[GroupKey, list[YearStats]]:
+def _check_default_grid(groups: Mapping[GroupKey, Sequence[FirmYearRecord]], config: PipelineConfig) -> None:
+    """Raise the error the first fit would raise for an oversized default
+    period grid, before any power work.
+
+    The default range [4, 2 * span] needs the span of a group's qualifying
+    years, which is known once the records are grouped; only groups with
+    enough qualifying years to be fitted count.
+    """
+    if config.period_range is not None:
+        return  # PipelineConfig checked it
+    for members in groups.values():
+        sizes = Counter(r.year for r in members)
+        years = sorted(year for year, n in sizes.items() if n >= config.min_sample)
+        if len(years) >= MIN_FIT_YEARS:
+            check_period_grid((4.0, 2.0 * (years[-1] - years[0])), config.grid_step)
+
+
+def _aggregate(
+    groups: Mapping[GroupKey, Sequence[FirmYearRecord]], config: PipelineConfig
+) -> dict[GroupKey, list[YearStats]]:
+    """Per-year aggregates of every group, with one power batch per mode
+    per group. Each group's members must be year-ordered, so that every
+    cell is one contiguous run of them."""
     out: dict[GroupKey, list[YearStats]] = {}
-    for group, members in group_records(records).items():
-        by_year: dict[int, list[FirmYearRecord]] = {}
-        for rec in members:
-            by_year.setdefault(rec.year, []).append(rec)
-        out[group] = [year_stats(by_year[year], config.spi_mode) for year in sorted(by_year)]
+    for group, members in groups.items():
+        if config.spi_mode == "top11":
+            _check_top11(members)
+        powers = _mode_powers(members)
+        stats = []
+        at = 0
+        for _, cell in itertools.groupby(members, key=attrgetter("year")):
+            cell = list(cell)
+            end = at + len(cell)
+            stats.append(_cell_stats(cell, {mode: p[at:end] for mode, p in powers.items()}, config.spi_mode))
+            at = end
+        out[group] = stats
     return out
 
 
@@ -446,7 +510,9 @@ def run_pipeline(
     records = apply_sample_filter(records)
     if not records:
         raise DataError("no records survive the sampling filter")
-    return build_report(_aggregate(records, config), config, provenance)
+    groups = group_records(records)
+    _check_default_grid(groups, config)
+    return build_report(_aggregate(groups, config), config, provenance)
 
 
 # report emission ------------------------------------------------------------

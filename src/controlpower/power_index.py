@@ -19,6 +19,15 @@ runs it over the leading holders of many share lists and ``spi_dp`` over
 every player of one game. Permutation enumeration and pure-Python subset
 enumeration are kept as independent test oracles; all three agree bit
 for bit.
+
+A batch is counted in chunks of games of at most ``_MAX_ELEMENTS``
+(games x coalitions) elements, so that every intermediate of one chunk
+stays in a core's L2 cache. Measured on all three modes of one
+2,547-firm registry group (2-vCPU Xeon, 2 MiB L2 per core, numpy 2.4,
+median of 25 runs), the chunk size 2^12 / 2^14 / 2^16 / 2^18 / 2^20
+took 45 / 36 / 36 / 40 / 56 ms, with a traced allocation peak of 1.0 /
+1.4 / 2.9 / 9.1 / 26 MiB: 2^14 is the smallest size on the fast plateau.
+The chunk size never changes a result.
 """
 
 from __future__ import annotations
@@ -38,7 +47,10 @@ ORACLE_MAX_PLAYERS = 9
 
 # Largest number of elements in one (games x coalitions) intermediate of
 # the counting kernel; batches are cut along the game axis to stay below.
-_MAX_ELEMENTS = 1 << 20
+# 2^14 float64 elements are 128 KiB, so a chunk's few intermediates stay
+# in L2; smaller chunks pay more per-chunk overhead, larger ones spill
+# (see the module docstring for the measured sweep).
+_MAX_ELEMENTS = 1 << 14
 # Players enumerated by one cached subset matrix; larger games pair two.
 _BLOCK_PLAYERS = 10
 # Integers up to 2^53 are exact in float64 (and so is every sum of them).

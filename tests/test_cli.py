@@ -120,6 +120,14 @@ class TestFit:
         assert f"{path} line 3" in err
         assert "Traceback" not in err
 
+    def test_repeated_t_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "series.csv"
+        path.write_text("t,y\n0,1\n1,2\n2,3\n1.0,4\n3,5\n")
+        code, out, err = run_cli("fit", "--input", str(path), capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{path} line 5: '1.0' repeats an earlier row" in err
+
     def test_header_only_is_empty_series(self, tmp_path, capsys):
         path = tmp_path / "series.csv"
         path.write_text("t,y\n# no rows\n\n")
@@ -290,6 +298,30 @@ class TestPipeline:
         assert out == ""
         assert f"{macro} line 3" in err
         assert "Traceback" not in err
+
+    def test_repeated_macro_year_is_data_error(self, tmp_path, capsys):
+        macro = tmp_path / "index.csv"
+        macro.write_text("year,value\n" + "".join(f"{y},{y - 1900}\n" for y in range(1996, 2022)) + "1996,9999\n")
+        code, out, err = run_cli(
+            "pipeline", "--synth", "outcomes", "--seed", "1", "--macro", f"idx={macro}", capsys=capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{macro} line 28: '1996' repeats an earlier row" in err
+        assert "Traceback" not in err
+
+    def test_oversized_default_grid_stops_before_any_power_batch(self, monkeypatch, capsys):
+        def fail(rows):
+            raise AssertionError("a power batch ran before the grid was checked")
+
+        monkeypatch.setattr("controlpower.pipeline.top_holder_numerators", fail)
+        code, out, err = run_cli(
+            "pipeline", "--input", str(Path(__file__).parent / "data" / "golden_registry.csv"),
+            "--min-sample", "5", "--grid-step", "1e-9", capsys=capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert "trial periods" in err
 
     def test_bad_grid_stops_before_ingest(self, monkeypatch, capsys):
         def fail(*args, **kwargs):

@@ -1,11 +1,14 @@
+import dataclasses
 import json
 import math
 import random
 
 import pytest
 
-from controlpower import fitting
+from controlpower import fitting, pipeline
 from controlpower.dataset import (
+    BOARDS,
+    OWNERSHIPS,
     DataError,
     FirmYearRecord,
     GroupKey,
@@ -16,6 +19,8 @@ from controlpower.dataset import (
 )
 from controlpower.evolution import ControlPowerPdf, ideal_wave, wave_eval
 from controlpower.pipeline import (
+    MIN_FIT_YEARS,
+    SPI_MODES,
     PipelineConfig,
     YearStats,
     build_report,
@@ -24,7 +29,7 @@ from controlpower.pipeline import (
     year_stats,
     year_stats_from_draws,
 )
-from controlpower.power_index import make_game, spi_dp
+from controlpower.power_index import make_game, spi_dp, top_holder_numerators
 
 MAIN_PRIVATE = GroupKey("main", "private")
 
@@ -297,6 +302,124 @@ class TestRunPipeline:
         assert corr["m_top1"].r == pytest.approx(-1.0, abs=1e-9)
         assert corr["m_top2_10"].r == pytest.approx(1.0, abs=1e-9)
         assert corr["m_top1"].n == len(years)
+
+
+def random_registry(seed, blank_meeting=0.15):
+    """Seeded registry over at least two groups and six years: 1-10 holders
+    at 4 decimals, some blank meeting shares, some firms above the filter
+    limit and some where the leader holds exactly half the total."""
+    rng = random.Random(seed)
+    groups = rng.sample([GroupKey(b, o) for b in BOARDS for o in OWNERSHIPS], rng.randint(2, 4))
+    records = []
+    for group in groups:
+        for year in range(2000, 2006):
+            for i in range(rng.randint(1, 7)):
+                n = rng.randint(1, 10)
+                if n >= 2 and rng.random() < 0.2:
+                    rest = sorted((rng.randint(1, 400) for _ in range(n - 1)), reverse=True)
+                    units = [sum(rest)] + rest  # the leader holds exactly half
+                else:
+                    units = sorted((rng.randint(1, 6000) for _ in range(n)), reverse=True)
+                    total = sum(units)
+                    units = [max(1, u * 9500 // total) for u in units] if total > 9500 else units
+                shares = tuple(u / 10_000 for u in units)
+                meeting = None if rng.random() < blank_meeting else round(rng.uniform(0.1, 1.0), 4)
+                records.append(FirmYearRecord(f"{group.board}-{group.ownership}-{year}-{i:02d}", year,
+                                              group.board, group.ownership, shares, meeting))
+    return records
+
+
+def per_cell_stats(records, spi_mode):
+    """The aggregates of every (group, year) cell, one ``year_stats`` call
+    per cell in group, year and record order."""
+    cells = {}
+    for rec in sorted(apply_sample_filter(records), key=lambda r: (r.group, r.year, r.firm_id)):
+        cells.setdefault(rec.group, {}).setdefault(rec.year, []).append(rec)
+    return {g: tuple(year_stats(cell, spi_mode) for cell in by_year.values()) for g, by_year in cells.items()}
+
+
+class TestBatchedPowers:
+    """One power batch per mode per group gives what one call per cell gives."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("spi_mode", SPI_MODES)
+    def test_same_year_stats_as_per_cell_calls(self, seed, spi_mode):
+        records = random_registry(seed)
+        if spi_mode == "top11":
+            records = [r for r in records if r.meeting_share is not None]
+        assert any(r.meeting_share is None for r in records) == (spi_mode != "top11")
+        assert any(2 * r.top1 == pytest.approx(math.fsum(r.shares)) for r in records)
+        random.Random(seed).shuffle(records)
+        report = run_pipeline(records, PipelineConfig(spi_mode=spi_mode, min_sample=1))
+        expected = per_cell_stats(records, spi_mode)
+        assert len(expected) >= 2
+        assert {g: r.years for g, r in report.groups.items()} == expected
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_top11_names_the_first_firm_without_meeting_share(self, seed):
+        records = apply_sample_filter(random_registry(seed, blank_meeting=0.0))
+        groups = sorted({r.group for r in records})
+        # the first group's last year comes before the last group's first
+        # year, though the sorted records run the other way
+        late = max((r for r in records if r.group == groups[0]), key=lambda r: r.year)
+        early = min((r for r in records if r.group == groups[-1]), key=lambda r: r.year)
+        assert late.year > early.year
+        blank = {late.firm_id, early.firm_id} | {r.firm_id for r in random.Random(seed).sample(records, 2)}
+        records = [dataclasses.replace(r, meeting_share=None) if r.firm_id in blank else r for r in records]
+        with pytest.raises(DataError) as per_cell:
+            per_cell_stats(records, "top11")
+        with pytest.raises(DataError) as batched:
+            run_pipeline(records, PipelineConfig(spi_mode="top11", min_sample=1))
+        assert str(batched.value) == str(per_cell.value)
+
+    @pytest.mark.parametrize("spi_mode", SPI_MODES)
+    def test_one_batch_per_mode_per_group(self, spi_mode, monkeypatch):
+        records = random_registry(5, blank_meeting=0.0 if spi_mode == "top11" else 0.15)
+        calls = []
+
+        def counting(rows):
+            calls.append(len(rows))
+            return top_holder_numerators(rows)
+
+        monkeypatch.setattr(pipeline, "top_holder_numerators", counting)
+        report = run_pipeline(records, PipelineConfig(spi_mode=spi_mode, min_sample=1))
+        assert len(report.groups) >= 2
+        assert len(calls) == len(SPI_MODES) * len(report.groups)
+
+
+class TestDefaultGridFailsFast:
+    def _no_power(self, monkeypatch):
+        def fail(rows):
+            raise AssertionError("a power batch ran before the grid was checked")
+
+        monkeypatch.setattr(pipeline, "top_holder_numerators", fail)
+
+    @pytest.mark.parametrize("spi_mode", SPI_MODES)
+    def test_oversized_default_grid_before_any_power_batch(self, spi_mode, monkeypatch):
+        records = random_registry(6)
+        config = PipelineConfig(spi_mode=spi_mode, min_sample=1, grid_step=1e-9)
+        stats = per_cell_stats(records, "top10")
+        with pytest.raises(ValueError, match="trial periods") as fit_error:
+            build_report(stats, config)  # the error the first fit raises
+        self._no_power(monkeypatch)
+        # in top11 mode the grid error comes before the missing meeting_share
+        with pytest.raises(ValueError) as early:
+            run_pipeline(records, config)
+        assert str(early.value) == str(fit_error.value)
+
+    def test_only_groups_that_are_fitted_are_checked(self):
+        records = random_registry(6)
+        # every year below the threshold: nothing is fitted and the grid never matters
+        with pytest.raises(DataError, match="minimum sample size"):
+            run_pipeline(records, PipelineConfig(min_sample=100, grid_step=1e-9))
+        # fewer than MIN_FIT_YEARS fitted years: no fit, so no grid
+        short = [r for r in records if r.year < 2000 + MIN_FIT_YEARS - 1]
+        assert run_pipeline(short, PipelineConfig(min_sample=1, grid_step=1e-9)).groups
+
+    def test_explicit_range_is_left_to_the_config(self, monkeypatch):
+        self._no_power(monkeypatch)
+        with pytest.raises(ValueError, match="trial periods"):
+            run_pipeline(random_registry(6), PipelineConfig(period_range=(4.0, 50.0), grid_step=1e-9))
 
 
 class TestPredictionDiagnostics:

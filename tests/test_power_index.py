@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from controlpower import power_index
 from controlpower.power_index import (
     MAX_PLAYERS,
     ORACLE_MAX_PLAYERS,
@@ -264,6 +265,26 @@ class TestEngine:
         tie = WeightedVotingGame(weights=(2.0, 1.0, 1.0), int_weights=(2 * 10**19, 10**19, 10**19), grid=4 * 10**19)
         assert spi_dp(tie).exact == (Fraction(2, 3), Fraction(1, 6), Fraction(1, 6))
         assert spi_dp(make_game([0.9, 0.1, 0.05], grid=10**19)).exact == (1, 0, 0)
+
+
+    @pytest.mark.parametrize("max_elements", [1, 3 << 9])  # one game per chunk; 3 at 10 players
+    def test_chunk_size_does_not_change_numerators(self, max_elements, monkeypatch):
+        rng = random.Random(61)
+        mixed = [sorted((round(rng.uniform(0.0, 1.0), 4) for _ in range(n)), reverse=True)
+                 for n in list(range(1, 12)) * 5]
+        rng.shuffle(mixed)
+        float_games = [make_game([rng.uniform(0.0, 1.0) for _ in range(n)]) for n in (2, 7, 10, 11)]
+        object_games = [make_game([rng.uniform(0.0, 1.0) for _ in range(n)], grid=grid)
+                        for n, grid in ((3, 10**18), (9, 10**19), (11, 10**40))]
+        twenty = make_game([rng.uniform(0.0, 1.0) for _ in range(MAX_PLAYERS)])
+        games = float_games + object_games + [twenty]
+
+        def results():
+            return top_holder_numerators(mixed), [spi_dp(g).exact for g in games]
+
+        expected = results()
+        monkeypatch.setattr(power_index, "_MAX_ELEMENTS", max_elements)
+        assert results() == expected
 
 
 class TestAxioms:
