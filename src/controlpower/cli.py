@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from .dataset import (
@@ -141,6 +142,10 @@ def _cmd_evolve(args) -> int:
         params = WaveParams(args.a0, args.a1, args.b1, args.period)
     else:
         params = ideal_wave(args.h)
+    if not (math.isfinite(args.t_step) and args.t_step > 0):
+        raise ValueError("--t-step must be a finite positive number")
+    if not args.t_max / args.t_step + 1 <= 1e6:
+        raise ValueError("--t-max / --t-step gives more than 10^6 rows")
     rows = []
     t = 0.0
     while t <= args.t_max + 1e-9:
@@ -178,7 +183,8 @@ def _read_pairs(path: str, key) -> list[tuple]:
 
 
 def _cmd_fit(args) -> int:
-    series = TimeSeries.from_pairs(_read_pairs(args.input, float))
+    # _read_pairs rejects a repeated t, so sorting by t is unambiguous
+    series = TimeSeries.from_pairs(sorted(_read_pairs(args.input, float)))
     period_range = _parse_range(args.period_range) if args.period_range else None
     fit = fit_fourier1(series, period_range, grid_step=args.grid_step)
     payload = {

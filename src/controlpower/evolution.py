@@ -20,13 +20,6 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 MAX_FIB_ITER = 90
-LADDER_STATES = (
-    Fraction(1, 2),
-    Fraction(2, 3),
-    Fraction(3, 5),
-    Fraction(5, 8),
-    Fraction(8, 13),
-)
 UNIFORM_LAW = (0.25, 0.25, 0.25, 0.25)
 GOLDEN_LIMIT = (math.sqrt(5.0) - 1.0) / 2.0
 # Least normal mass in (0, 1) a ControlPowerPdf may have; below it the
@@ -68,6 +61,9 @@ def ratio_sequence(k: int) -> list[Fraction]:
         cur, prev = cur + prev, cur
         out.append(Fraction(prev, cur))
     return out
+
+
+LADDER_STATES = tuple(ratio_sequence(5))
 
 
 def collapse_walk(

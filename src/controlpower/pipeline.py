@@ -97,15 +97,13 @@ class YearStats:
             raise ValueError("meeting ratio cannot be negative")
 
 
-def _mean_sd(values: Sequence[float]) -> tuple[float | None, float | None]:
-    n = len(values)
-    if n == 0:
-        return None, None
-    mean = math.fsum(values) / n
-    if n == 1:
-        return mean, None
-    sd = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
-    return mean, sd
+def _moments(values: Sequence[float]) -> tuple[float | None, float | None, float | None]:
+    """Mean, n-1 SD and band ratio by ``fit_normal``'s rule; None where
+    there are too few values to define one."""
+    if len(values) < 2:
+        return (values[0] if values else None), None, None
+    nf = fit_normal(values)
+    return nf.mu, nf.sigma, nf.band_ratio
 
 
 def _full_ratio(values: Sequence[float]) -> float | None:
@@ -120,11 +118,7 @@ def _power_fields(values: Sequence[float]) -> dict:
     apart from 1 as a float.
     """
     lt1 = [v for v in values if v != 1.0]
-    mean, sd = _mean_sd(lt1)
-    band = None
-    if len(lt1) >= 2:
-        nf = fit_normal(lt1)
-        mean, sd, band = nf.mu, nf.sigma, nf.band_ratio
+    mean, sd, band = _moments(lt1)
     return {
         "r_spi_1": _full_ratio(values),
         "spi_lt1_mean": mean,
@@ -152,37 +146,17 @@ def _batch_powers(rows: Sequence[tuple[float, ...] | None]) -> list[float | None
     return [None if x is None else next(values) for x in rows]
 
 
-def _mode_powers(records: Sequence[FirmYearRecord]) -> dict[str, list[float | None]]:
-    """Top-holder power of every record in each mode, aligned with ``records``.
-
-    The modes run one batch after the other, so only one mode's rows are
-    alive at a time.
-    """
-    return {mode: _batch_powers([row(r) for r in records]) for mode, row in _MODE_ROWS.items()}
-
-
-def _check_top11(records: Iterable[FirmYearRecord]) -> None:
-    missing = next((r for r in records if r.meeting_share is None), None)
-    if missing is not None:
-        raise DataError(f"firm {missing.firm_id} year {missing.year}: top11 mode needs meeting_share")
-
-
 def _cell_stats(
     records: Sequence[FirmYearRecord], powers: Mapping[str, Sequence[float | None]], spi_mode: str
 ) -> YearStats:
     """Aggregates of one (group, year) cell from its records' precomputed
-    ``_mode_powers`` (aligned with ``records``)."""
+    powers in each mode (aligned with ``records``)."""
     top11 = [v for v in powers["top11"] if v is not None]
 
-    m_top1, m_top1_sd = _mean_sd([r.top1 for r in records])
-    m_top2_10, m_top2_10_sd = _mean_sd([r.top2_10 for r in records])
-
+    m_top1, m_top1_sd, _ = _moments([r.top1 for r in records])
+    m_top2_10, m_top2_10_sd, _ = _moments([r.top2_10 for r in records])
     ratios = [r.meeting_share / r.top_total for r in records if r.meeting_share is not None and r.top_total > 0]
-    ratio_mean, ratio_sd = _mean_sd(ratios)
-    band = None
-    if ratio_sd is not None:
-        lo, hi = ratio_mean - ratio_sd, ratio_mean + ratio_sd
-        band = sum(1 for v in ratios if lo <= v <= hi) / len(ratios)
+    ratio_mean, ratio_sd, band = _moments(ratios)
 
     return YearStats(
         year=records[0].year,
@@ -203,10 +177,30 @@ def _cell_stats(
     )
 
 
+def _group_stats(members: Sequence[FirmYearRecord], spi_mode: str) -> list[YearStats]:
+    """Per-year aggregates of one group's year-ordered records (each year
+    one contiguous run), with one power batch per mode. The modes run one
+    after the other, so only one mode's rows are alive at a time."""
+    if spi_mode == "top11":
+        missing = next((r for r in members if r.meeting_share is None), None)
+        if missing is not None:
+            raise DataError(f"firm {missing.firm_id} year {missing.year}: top11 mode needs meeting_share")
+    powers = {mode: _batch_powers([row(r) for r in members]) for mode, row in _MODE_ROWS.items()}
+    stats = []
+    at = 0
+    for _, cell in itertools.groupby(members, key=attrgetter("year")):
+        cell = list(cell)
+        end = at + len(cell)
+        stats.append(_cell_stats(cell, {mode: p[at:end] for mode, p in powers.items()}, spi_mode))
+        at = end
+    return stats
+
+
 def year_stats(records: Sequence[FirmYearRecord], spi_mode: str = "top10") -> YearStats:
     """Aggregate one group-year: power ratios, share means, meeting ratios.
 
-    All records must belong to the same (group, year). The leading
+    All records must belong to the same (group, year); this is the
+    one-cell case of the per-group path a report runs. The leading
     holder's power is computed exactly for every firm in one batch per
     mode (top9, top10, top11); firms below full power under the requested
     mode feed the normal-fit fields.
@@ -218,9 +212,7 @@ def year_stats(records: Sequence[FirmYearRecord], spi_mode: str = "top10") -> Ye
         raise ValueError("records span more than one (group, year) cell")
     if spi_mode not in SPI_MODES:
         raise ValueError(f"unknown spi mode {spi_mode!r}")
-    if spi_mode == "top11":
-        _check_top11(records)
-    return _cell_stats(records, _mode_powers(records), spi_mode)
+    return _group_stats(records, spi_mode)[0]
 
 
 def year_stats_from_draws(year: int, draws: Sequence[float]) -> YearStats:
@@ -448,28 +440,6 @@ def _check_default_grid(groups: Mapping[GroupKey, Sequence[FirmYearRecord]], con
             check_period_grid((4.0, 2.0 * (years[-1] - years[0])), config.grid_step)
 
 
-def _aggregate(
-    groups: Mapping[GroupKey, Sequence[FirmYearRecord]], config: PipelineConfig
-) -> dict[GroupKey, list[YearStats]]:
-    """Per-year aggregates of every group, with one power batch per mode
-    per group. Each group's members must be year-ordered, so that every
-    cell is one contiguous run of them."""
-    out: dict[GroupKey, list[YearStats]] = {}
-    for group, members in groups.items():
-        if config.spi_mode == "top11":
-            _check_top11(members)
-        powers = _mode_powers(members)
-        stats = []
-        at = 0
-        for _, cell in itertools.groupby(members, key=attrgetter("year")):
-            cell = list(cell)
-            end = at + len(cell)
-            stats.append(_cell_stats(cell, {mode: p[at:end] for mode, p in powers.items()}, config.spi_mode))
-            at = end
-        out[group] = stats
-    return out
-
-
 def run_pipeline(
     source: Sequence[FirmYearRecord] | SynthConfig,
     config: PipelineConfig | None = None,
@@ -512,7 +482,8 @@ def run_pipeline(
         raise DataError("no records survive the sampling filter")
     groups = group_records(records)
     _check_default_grid(groups, config)
-    return build_report(_aggregate(groups, config), config, provenance)
+    stats = {group: _group_stats(members, config.spi_mode) for group, members in groups.items()}
+    return build_report(stats, config, provenance)
 
 
 # report emission ------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -76,6 +77,27 @@ class TestEvolve:
         assert values[0] == pytest.approx(7 / 12)
         assert values[2] == pytest.approx(7 / 12, abs=1e-12)
 
+    @pytest.mark.parametrize("bounds", [
+        ["--t-step", "0"], ["--t-step", "-1"], ["--t-step", "nan"], ["--t-step", "inf"],
+        ["--t-max", "inf"], ["--t-max", "1e7", "--t-step", "1"],
+    ])
+    def test_wave_grid_without_end_exits_promptly(self, bounds):
+        # the row loop used to run (and grow its row list) until killed; the
+        # address-space cap turns such a run into a failure, not a full machine
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "controlpower.cli", "evolve", "wave", *bounds],
+            capture_output=True,
+            text=True,
+            timeout=20,
+            preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert "--t-" in proc.stderr
+
 
 class TestFit:
     def test_fit_json(self, tmp_path, capsys):
@@ -96,6 +118,14 @@ class TestFit:
         assert payload["a0"] == pytest.approx(0.553, abs=1e-3)
         assert payload["degenerate"] is False
         assert payload["max"] > payload["min"]
+
+    def test_rows_in_any_t_order(self, tmp_path, capsys):
+        shuffled, ordered = tmp_path / "shuffled.csv", tmp_path / "ordered.csv"
+        shuffled.write_text("t,y\n2,1\n0,2\n1,3\n3,4\n4,2\n5,1\n")
+        ordered.write_text("t,y\n0,2\n1,3\n2,1\n3,4\n4,2\n5,1\n")
+        results = [run_cli("fit", "--input", str(path), capsys=capsys) for path in (shuffled, ordered)]
+        assert results[0][0] == 0
+        assert results[0] == results[1]
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli("fit", "--input", "/nonexistent.csv", capsys=capsys)

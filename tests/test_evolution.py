@@ -26,6 +26,7 @@ from controlpower.evolution import (
     wave_extrema,
 )
 
+FIRST_FIVE = (Fraction(1, 2), Fraction(2, 3), Fraction(3, 5), Fraction(5, 8), Fraction(8, 13))
 FITTED_WAVE = WaveParams(0.553, 0.060, -0.083, 17.357)
 
 
@@ -57,13 +58,10 @@ class TestFibIterate:
 
 class TestRatioSequence:
     def test_first_five_states(self):
-        assert ratio_sequence(5) == [
-            Fraction(1, 2),
-            Fraction(2, 3),
-            Fraction(3, 5),
-            Fraction(5, 8),
-            Fraction(8, 13),
-        ]
+        assert ratio_sequence(5) == list(FIRST_FIVE)
+
+    def test_ladder_states_are_the_first_five(self):
+        assert LADDER_STATES == FIRST_FIVE
 
     def test_fifth_state_near_golden_limit(self):
         assert float(ratio_sequence(5)[-1]) / 0.618 == pytest.approx(0.9958, abs=5e-4)

@@ -90,6 +90,14 @@ class TestYearStats:
         assert stats.meeting_ratio_mean == pytest.approx((0.9 + 0.8) / 2)
         assert stats.band_count_ratio == 1.0
 
+    def test_meeting_band_keeps_edge_values(self):
+        # ratios 0.207, 0.307, 0.407: the SD rounds to 0.09999999999999999, so
+        # an unguarded band drops an end value and gives 2/3
+        recs = [record(f"f{i}", (0.4, 0.3, 0.3), meeting_share=m) for i, m in enumerate((0.207, 0.307, 0.407))]
+        stats = year_stats(recs)
+        assert stats.meeting_ratio_sd < 0.1
+        assert stats.band_count_ratio == 1.0
+
     def test_rejects_mixed_cells(self):
         with pytest.raises(ValueError):
             year_stats([record("f1", (0.3,)), record("f2", (0.3,), year=2002)])
@@ -150,6 +158,35 @@ class TestYearStats:
         stats = year_stats(recs)
         for v in (stats.r_spi_1_top9, stats.r_spi_1_top10, stats.r_spi_1_top11):
             assert 0.0 <= v <= 1.0
+
+
+def reference_mean_sd(values):
+    """Sample mean and n-1 SD as the cell summaries have always computed them."""
+    n = len(values)
+    if n == 0:
+        return None, None
+    mean = math.fsum(values) / n
+    if n == 1:
+        return mean, None
+    return mean, math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (n - 1))
+
+
+def test_cell_means_and_sds_unchanged():
+    rng = random.Random(8)
+    # one- and two-firm cells first, then random sizes; the blank rate varies
+    # per cell so that some cells have zero or one meeting ratio
+    for n_firms in [1, 1, 2, 2] + [rng.randint(1, 60) for _ in range(16)]:
+        blank = rng.random()
+        recs = []
+        for i in range(n_firms):
+            units = sorted((rng.randint(1, 1000) for _ in range(rng.randint(1, 10))), reverse=True)
+            meeting = None if rng.random() < blank else round(rng.uniform(0.0, 1.0), 4)
+            recs.append(record(f"f{i}", [u / 10_000 for u in units], meeting_share=meeting))
+        stats = year_stats(recs)
+        ratios = [r.meeting_share / r.top_total for r in recs if r.meeting_share is not None]
+        assert (stats.m_top1, stats.m_top1_sd) == reference_mean_sd([r.top1 for r in recs])
+        assert (stats.m_top2_10, stats.m_top2_10_sd) == reference_mean_sd([r.top2_10 for r in recs])
+        assert (stats.meeting_ratio_mean, stats.meeting_ratio_sd) == reference_mean_sd(ratios)
 
 
 class TestYearStatsFromDraws:
@@ -527,7 +564,8 @@ class TestReportEmission:
         paths = emit_report(report, "plot-data", str(tmp_path))
         assert paths
         for path in paths:
-            lines = open(path).read().splitlines()
+            with open(path) as handle:
+                lines = handle.read().splitlines()
             assert lines[0] == "t,observed,fitted"
             assert len(lines) - 1 == len(report.groups[MAIN_PRIVATE].fitted_years)
 
