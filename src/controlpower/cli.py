@@ -159,9 +159,9 @@ def _read_pairs(path: str, key) -> list[tuple]:
     """(key(first cell), float(second cell)) of each row of a two-column CSV.
 
     Rows whose first cell does not parse (blank, header, comment) are
-    skipped; a row whose first cell parses but whose second cell is
-    missing or not a number, or whose key an earlier row already had, is
-    a DataError naming the file and line.
+    skipped. Any other row is a DataError naming the file and line if its
+    key repeats an earlier row's, its second cell is missing or not a
+    number, or either number is not finite.
     """
     pairs = []
     seen = set()
@@ -176,9 +176,12 @@ def _read_pairs(path: str, key) -> list[tuple]:
                 raise DataError(f"{path} line {reader.line_num}: {row[0]!r} repeats an earlier row")
             seen.add(first)
             try:
-                pairs.append((first, float(row[1])))
+                pair = (first, float(row[1]))
             except (IndexError, ValueError):
                 raise DataError(f"{path} line {reader.line_num}: no number after {row[0]!r}") from None
+            if not all(map(math.isfinite, pair)):
+                raise DataError(f"{path} line {reader.line_num}: {row[0]!r}, {row[1]!r} must be finite numbers")
+            pairs.append(pair)
     return pairs
 
 

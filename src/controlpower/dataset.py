@@ -19,7 +19,7 @@ import io
 import logging
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -100,9 +100,10 @@ class FirmYearRecord:
         return math.fsum(self.shares)
 
 
-def _parse_row(row: Mapping[str, str]) -> FirmYearRecord:
-    year = int(row["year"])
-    raw = [row[f"s{i}"].strip() for i in range(1, MAX_HOLDERS + 1)]
+def _parse_row(row: Sequence[str], index: Sequence[int]) -> FirmYearRecord:
+    cells = [row[i].strip() for i in index]  # in CSV_COLUMNS order
+    firm_id, year, board, ownership, *raw, meeting_cell, meetings_cell = cells
+    year = int(year)
     values: list[float] = []
     seen_blank = False
     for i, cell in enumerate(raw, start=1):
@@ -123,13 +124,11 @@ def _parse_row(row: Mapping[str, str]) -> FirmYearRecord:
         if b - a > SORT_TOL:
             raise DataError("shares out of descending order beyond tolerance")
     values.sort(reverse=True)
-    meeting_cell = row["meeting_share"].strip()
-    meetings_cell = row["n_meetings"].strip()
     return FirmYearRecord(
-        firm_id=row["firm_id"].strip(),
+        firm_id=firm_id,
         year=year,
-        board=row["board"].strip(),
-        ownership=row["ownership"].strip(),
+        board=board,
+        ownership=ownership,
         shares=tuple(values),
         meeting_share=float(meeting_cell) if meeting_cell else None,
         n_meetings=int(meetings_cell) if meetings_cell else None,
@@ -150,22 +149,28 @@ def ingest_csv(source, *, strict: bool = True) -> list[FirmYearRecord]:
 
 
 def _ingest_handle(handle, *, strict: bool) -> list[FirmYearRecord]:
-    reader = csv.DictReader(handle)
-    if reader.fieldnames is None:
+    reader = csv.reader(handle)
+    header = next(reader, None)
+    if header is None:
         raise DataError("empty file, no header row")
-    missing = [c for c in CSV_COLUMNS if c not in reader.fieldnames]
+    columns = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
+    missing = [c for c in CSV_COLUMNS if c not in columns]
     if missing:
         raise DataError(f"missing required columns: {', '.join(missing)}")
+    index = [columns[c] for c in CSV_COLUMNS]
     records: list[FirmYearRecord] = []
     problems: list[str] = []
     for row in reader:
-        line = reader.line_num
+        if not row:
+            continue  # blank line
         try:
-            records.append(_parse_row(row))
+            if len(row) < len(header):
+                raise DataError(f"{len(row)} cells, the header has {len(header)}")
+            records.append(_parse_row(row, index))
         except DataError as exc:
-            problems.append(f"row {line}: {exc}")
-        except (TypeError, ValueError) as exc:
-            problems.append(f"row {line}: unparseable value ({exc})")
+            problems.append(f"row {reader.line_num}: {exc}")
+        except ValueError as exc:
+            problems.append(f"row {reader.line_num}: unparseable value ({exc})")
     if problems:
         if strict:
             raise DataError("; ".join(problems))

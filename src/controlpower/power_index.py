@@ -20,6 +20,11 @@ every player of one game. Permutation enumeration and pure-Python subset
 enumeration are kept as independent test oracles; all three agree bit
 for bit.
 
+Counts are exact integers. Weights are float64 while 2 * total <= 2^53
+(any 10^6 grid), else Python ints. One player's pivot sum is at most
+sum_k C(n-1,k) k!(n-1-k)! = n!, so it is a float64 (BLAS) product for
+float64 weights and n! <= 2^53 (n <= 18), else an int64 one (20! < 2^63).
+
 A batch is counted in chunks of games of at most ``_MAX_ELEMENTS``
 (games x coalitions) elements, so that every intermediate of one chunk
 stays in a core's L2 cache. Measured on all three modes of one
@@ -184,16 +189,16 @@ def _subsets(m: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
 def _pivot_numerators(weights: np.ndarray) -> np.ndarray:
     """n!-scaled power of player 0 in each row's game, as int64.
 
-    ``weights`` holds one game of n integer weights per row, as float64
-    when every 2 * total is at most 2^53 (all sums then stay exact
-    integers) and as Python ints (object) otherwise. Player 0 pivots on
-    every coalition S of the others with T - 2*w_0 < 2*w(S) <= T, each
-    worth |S|!(n-1-|S|)!. A dictator (2*w_0 > T) is settled in closed
-    form; only the other rows are counted.
+    ``weights`` holds one game of n integer weights per row, float64 or
+    object (see the module docstring). Player 0 pivots on every coalition
+    S of the others with T - 2*w_0 < 2*w(S) <= T, each worth
+    |S|!(n-1-|S|)!. A dictator (2*w_0 > T) is settled in closed form; only
+    the other rows are counted.
     """
     n = weights.shape[1]
+    twice_w = 2 * weights
     totals = weights.sum(axis=1)
-    floors = totals - 2 * weights[:, 0]
+    floors = totals - twice_w[:, 0]
     dictator = floors < 0
     nums = np.where(dictator, math.factorial(n), 0).astype(np.int64)
     contested = np.flatnonzero(~dictator)
@@ -203,17 +208,19 @@ def _pivot_numerators(weights: np.ndarray) -> np.ndarray:
     lo = min(m, _BLOCK_PLAYERS)
     bits_lo, size_lo = _subsets(lo, weights.dtype)
     bits_hi, size_hi = _subsets(m - lo, weights.dtype)
+    exact_float = weights.dtype == np.float64 and math.factorial(n) <= _FLOAT_EXACT
+    count_type = np.float64 if exact_float else np.int64
     # coalition c = hi * 2^lo + lo_mask, matching the reshape below
-    coeffs = np.array(_pivot_coeffs(n), dtype=np.int64)[(size_hi[:, None] + size_lo).ravel()]
+    coeffs = np.array(_pivot_coeffs(n), dtype=count_type)[(size_hi[:, None] + size_lo).ravel()]
     step = max(1, _MAX_ELEMENTS >> m)
     for at in range(0, contested.size, step):
         rows = contested[at : at + step]
-        w = weights[rows]
-        acc_hi = w[:, 1 + lo :] @ bits_hi
-        acc_lo = w[:, 1 : 1 + lo] @ bits_lo
-        twice = 2 * (acc_hi[:, :, None] + acc_lo[:, None, :]).reshape(len(rows), -1)
+        w = twice_w[rows]
+        twice = w[:, 1 : 1 + lo] @ bits_lo
+        if m > lo:
+            twice = ((w[:, 1 + lo :] @ bits_hi)[:, :, None] + twice[:, None, :]).reshape(len(rows), -1)
         pivot = (twice <= totals[rows, None]) & (twice > floors[rows, None])
-        nums[rows] = pivot @ coeffs
+        nums[rows] = pivot.astype(count_type) @ coeffs
     return nums
 
 

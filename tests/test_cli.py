@@ -158,6 +158,16 @@ class TestFit:
         assert out == ""
         assert f"{path} line 5: '1.0' repeats an earlier row" in err
 
+    @pytest.mark.parametrize("row", ["2,nan", "2,inf", "nan,3"])
+    def test_non_finite_row_is_data_error(self, row, tmp_path, capsys):
+        path = tmp_path / "series.csv"
+        path.write_text(f"t,y\n0,1\n1,2\n{row}\n3,1\n4,2\n5,1\n")
+        code, out, err = run_cli("fit", "--input", str(path), capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert f"{path} line 4" in err and "finite" in err
+        assert "Traceback" not in err and "DLASCL" not in err
+
     def test_header_only_is_empty_series(self, tmp_path, capsys):
         path = tmp_path / "series.csv"
         path.write_text("t,y\n# no rows\n\n")
@@ -327,6 +337,28 @@ class TestPipeline:
         assert code == 2
         assert out == ""
         assert f"{macro} line 3" in err
+        assert "Traceback" not in err
+
+    def test_non_finite_macro_value_is_data_error(self, tmp_path, capsys):
+        macro = tmp_path / "index.csv"
+        macro.write_text("year,value\n1996,100\n1997,nan\n")
+        code, out, err = run_cli(
+            "pipeline", "--synth", "outcomes", "--seed", "1", "--macro", f"idx={macro}", capsys=capsys
+        )
+        assert code == 2
+        assert out == ""
+        assert f"{macro} line 3" in err and "finite" in err
+
+    def test_short_registry_row_is_data_error(self, tmp_path, capsys):
+        registry = tmp_path / "registry.csv"
+        registry.write_text(
+            "firm_id,year,board,ownership,s1,s2,s3,s4,s5,s6,s7,s8,s9,s10,meeting_share,n_meetings\n"
+            "f1,1996,main,private,0.3,0.2\n"
+        )
+        code, out, err = run_cli("pipeline", "--input", str(registry), capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert "row 2: 6 cells" in err
         assert "Traceback" not in err
 
     def test_repeated_macro_year_is_data_error(self, tmp_path, capsys):

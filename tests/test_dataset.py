@@ -124,6 +124,64 @@ class TestIngest:
         with pytest.raises(DataError, match="row 3"):
             ingest_csv(source)
 
+    def test_short_row_is_data_error(self):
+        with pytest.raises(DataError, match="row 3: 6 cells, the header has 16"):
+            ingest_csv(csv_of("f1,1996,main,private,0.3,0.2,,,,,,,,,,", "f2,1996,main,private,0.3,0.2"))
+
+    def test_non_strict_skips_short_rows(self, caplog):
+        source = csv_of("f1,1996,main,private,0.3,0.2", "f2,1996,main,private,0.3,0.2,,,,,,,,,,")
+        with caplog.at_level("WARNING", logger="controlpower.dataset"):
+            rows = ingest_csv(source, strict=False)
+        assert [r.firm_id for r in rows] == ["f2"]
+        assert "row 2: 6 cells" in caplog.text
+
+    def test_cells_beyond_the_header_are_ignored(self):
+        rows = ingest_csv(csv_of("f1,2001,main,private,0.30,0.10,,,,,,,,,0.5,2,extra,cells"))
+        assert rows == [make_record(shares=(0.30, 0.10), meeting_share=0.5, n_meetings=2)]
+
+
+class TestColumnMapping:
+    """Columns are found by header name, not position."""
+
+    ROWS = [
+        "f1,2001,main,private,0.30,0.10,0.05,,,,,,,,0.42,3",
+        "f2,2002,sme_gem,state,0.45,0.2,,,,,,,,,,",
+    ]
+
+    def canonical(self):
+        return ingest_csv(csv_of(*self.ROWS))
+
+    @staticmethod
+    def relaid(columns, rows):
+        # rows of the canonical layout, with each output column taken from
+        # the canonical column index (or the literal text) in ``columns``
+        cells = [row.split(",") for row in rows]
+        header = [HEADER.split(",")[c] if isinstance(c, int) else c for c in columns]
+        body = [",".join(r[c] if isinstance(c, int) else "x" for c in columns) for r in cells]
+        return io.StringIO("\n".join([",".join(header), *body]) + "\n")
+
+    def test_reordered_columns(self):
+        order = list(range(16))[::-1]
+        assert ingest_csv(self.relaid(order, self.ROWS)) == self.canonical()
+
+    def test_unknown_column(self):
+        columns = list(range(4)) + ["comment"] + list(range(4, 16))
+        assert ingest_csv(self.relaid(columns, self.ROWS)) == self.canonical()
+
+    def test_repeated_column_last_wins(self):
+        source = io.StringIO(
+            HEADER + ",s1,year\n" + "".join(row + f",{s1},{year}\n" for row, s1, year in
+                                         zip(self.ROWS, ("0.30", "0.45"), ("2001", "2002")))
+        )
+        assert ingest_csv(source) == self.canonical()
+        shadowed = io.StringIO(HEADER + ",year\n" + self.ROWS[0] + ",1999\n")
+        assert ingest_csv(shadowed)[0].year == 1999
+
+    def test_blank_line_between_rows(self):
+        assert ingest_csv(csv_of(self.ROWS[0], "", self.ROWS[1])) == self.canonical()
+        with pytest.raises(DataError, match="row 4: "):
+            ingest_csv(csv_of(self.ROWS[0], "", "f3,2001,main,private,abc,,,,,,,,,,,"))
+
 
 class TestRoundTrip:
     def test_emit_then_ingest_is_identity(self):

@@ -286,6 +286,37 @@ class TestEngine:
         monkeypatch.setattr(power_index, "_MAX_ELEMENTS", max_elements)
         assert results() == expected
 
+    @pytest.mark.parametrize("max_elements", [power_index._MAX_ELEMENTS, 1])
+    def test_float_and_int_counts_exact_at_12_to_20_players(self, max_elements, monkeypatch):
+        # 12-18 players count pivots in float64, 19-20 in int64; both must
+        # match a pure-Python count over make_game's grid units
+        def leader_numerator(row):
+            units = make_game(row).int_weights
+            total, floor = sum(units), sum(units) - 2 * units[0]
+            acc, size = [0], [0]
+            for w in units[1:]:
+                acc += [a + w for a in acc]
+                size += [k + 1 for k in size]
+            fact = [math.factorial(k) for k in range(len(units))]
+            return sum(fact[k] * fact[-1 - k] for a, k in zip(acc, size) if floor < 2 * a <= total)
+
+        rng = random.Random(67)
+        rows = []
+        for n in range(12, MAX_PLAYERS + 1):
+            rows += [[rng.uniform(0.0, 1.0) for _ in range(n)] for _ in range(2)]
+            # two sides of 500 units each out of 1000: on the 10^6 grid the side
+            # without player 0 ties at exactly half, and so does player 0's side
+            k = rng.randint(2, n - 2)
+            sides = [sorted(rng.sample(range(1, 500), parts - 1)) for parts in (k, n - k)]
+            row = [b - a for cuts in sides for a, b in zip([0] + cuts, cuts + [500])]
+            rng.shuffle(row)
+            assert make_game(row).int_weights == tuple(1000 * w for w in row)
+            rows.append(row)
+        monkeypatch.setattr(power_index, "_MAX_ELEMENTS", max_elements)
+        pairs = top_holder_numerators(rows)
+        assert pairs == [(leader_numerator(row), math.factorial(len(row))) for row in rows]
+        assert sum(0 < num < n_fact for num, n_fact in pairs) >= 20
+
 
 class TestAxioms:
     def test_efficiency_exact(self):
