@@ -107,7 +107,7 @@ def _cmd_spi(args) -> int:
     if args.shares:
         share_lists.append(_parse_floats(args.shares))
     if args.input:
-        with open(args.input, encoding="utf-8") as handle:
+        with open(args.input, encoding="utf-8-sig") as handle:
             for line in handle:
                 line = line.strip()
                 if line and not line.startswith("#"):
@@ -165,7 +165,7 @@ def _read_pairs(path: str, key) -> list[tuple]:
     """
     pairs = []
     seen = set()
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         for row in reader:
             try:

@@ -2,7 +2,7 @@
 sampling filter, natural-experiment grouping, and seeded synthetic
 generators calibrated to yearly moment targets.
 
-CSV schema (UTF-8, comma separator, '.' decimal):
+CSV schema (UTF-8, an optional byte-order mark, comma separator, '.' decimal):
 
     firm_id,year,board,ownership,s1,...,s10,meeting_share,n_meetings
 
@@ -15,7 +15,6 @@ blank.
 from __future__ import annotations
 
 import csv
-import io
 import logging
 import math
 from dataclasses import dataclass
@@ -144,7 +143,7 @@ def ingest_csv(source, *, strict: bool = True) -> list[FirmYearRecord]:
     """
     if hasattr(source, "read"):
         return _ingest_handle(source, strict=strict)
-    with open(source, newline="", encoding="utf-8") as handle:
+    with open(source, newline="", encoding="utf-8-sig") as handle:
         return _ingest_handle(handle, strict=strict)
 
 
@@ -204,12 +203,6 @@ def emit_csv(records: Iterable[FirmYearRecord], dest) -> None:
     finally:
         if own:
             handle.close()
-
-
-def records_to_csv_bytes(records: Iterable[FirmYearRecord]) -> bytes:
-    buf = io.StringIO()
-    emit_csv(records, buf)
-    return buf.getvalue().encode("utf-8")
 
 
 def apply_sample_filter(records: Iterable[FirmYearRecord]) -> list[FirmYearRecord]:

@@ -16,6 +16,7 @@ import itertools
 import json
 import math
 import os
+import struct
 from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field
 from operator import attrgetter
@@ -29,7 +30,6 @@ from .dataset import (
     SynthConfig,
     apply_sample_filter,
     group_records,
-    records_to_csv_bytes,
     synth_outcomes,
     synth_registry,
 )
@@ -155,7 +155,7 @@ def _cell_stats(
 
     m_top1, m_top1_sd, _ = _moments([r.top1 for r in records])
     m_top2_10, m_top2_10_sd, _ = _moments([r.top2_10 for r in records])
-    ratios = [r.meeting_share / r.top_total for r in records if r.meeting_share is not None and r.top_total > 0]
+    ratios = [r.meeting_share / total for r in records if r.meeting_share is not None and (total := r.top_total) > 0]
     ratio_mean, ratio_sd, band = _moments(ratios)
 
     return YearStats(
@@ -440,6 +440,32 @@ def _check_default_grid(groups: Mapping[GroupKey, Sequence[FirmYearRecord]], con
             check_period_grid((4.0, 2.0 * (years[-1] - years[0])), config.grid_step)
 
 
+_DIGEST_FIELDS = attrgetter("firm_id", "board", "ownership", "year", "n_meetings", "shares", "meeting_share")
+
+
+def _records_digest(records: Iterable[FirmYearRecord]) -> str:
+    """SHA-256 hex digest of the records' own fields, in the given order.
+
+    Per record: the byte lengths of five texts (firm_id, board and
+    ownership as UTF-8, year and n_meetings as decimal text, an empty text
+    marking a missing n_meetings) and the share count, then the shares, a
+    meeting-share presence flag and the meeting share as little-endian
+    float64, then the texts. The fixed-width lengths make the encoding
+    injective; the float bits identify each value exactly, as its repr
+    would, so ``0.3040`` and ``0.304`` in a CSV give the same digest.
+    """
+    digest = hashlib.sha256()
+    for firm_id, board, ownership, year, n_meetings, shares, meeting in map(_DIGEST_FIELDS, records):
+        texts = (firm_id.encode(), board.encode(), ownership.encode(), b"%d" % year,
+                 b"" if n_meetings is None else b"%d" % n_meetings)
+        digest.update(struct.pack(
+            f"<6Q{len(shares)}d?d", *map(len, texts), len(shares), *shares,
+            meeting is not None, 0.0 if meeting is None else meeting,
+        ))
+        digest.update(b"".join(texts))
+    return digest.hexdigest()
+
+
 def run_pipeline(
     source: Sequence[FirmYearRecord] | SynthConfig,
     config: PipelineConfig | None = None,
@@ -474,7 +500,7 @@ def run_pipeline(
     else:
         records = _sorted_records(source)
         provenance = {
-            "input_digest": hashlib.sha256(records_to_csv_bytes(records)).hexdigest(),
+            "input_digest": _records_digest(records),
             "seed": None,
         }
     records = apply_sample_filter(records)
