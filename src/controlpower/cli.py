@@ -225,11 +225,7 @@ def _cmd_synth(args) -> int:
             top1=top1,
             top2_10=top2_10,
         )
-        records = synth_registry(config)
-        if args.output:
-            emit_csv(records, args.output)
-        else:
-            emit_csv(records, sys.stdout)
+        emit_csv(synth_registry(config), args.output or sys.stdout)
         return 0
     # outcomes
     pdf = ControlPowerPdf(wave=ideal_wave(args.h), mu=args.mu, sigma=args.sigma)

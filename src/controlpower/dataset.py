@@ -178,10 +178,6 @@ def _ingest_handle(handle, *, strict: bool) -> list[FirmYearRecord]:
     return records
 
 
-def _format_number(value: float) -> str:
-    return repr(float(value))
-
-
 def emit_csv(records: Iterable[FirmYearRecord], dest) -> None:
     """Write records in the registry schema; inverse of ingest_csv."""
     own = not hasattr(dest, "write")
@@ -190,13 +186,13 @@ def emit_csv(records: Iterable[FirmYearRecord], dest) -> None:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            shares = [_format_number(s) for s in rec.shares]
+            shares = [repr(float(s)) for s in rec.shares]
             shares += [""] * (MAX_HOLDERS - len(shares))
             writer.writerow(
                 [rec.firm_id, rec.year, rec.board, rec.ownership]
                 + shares
                 + [
-                    "" if rec.meeting_share is None else _format_number(rec.meeting_share),
+                    "" if rec.meeting_share is None else repr(float(rec.meeting_share)),
                     "" if rec.n_meetings is None else rec.n_meetings,
                 ]
             )

@@ -440,28 +440,20 @@ def _check_default_grid(groups: Mapping[GroupKey, Sequence[FirmYearRecord]], con
             check_period_grid((4.0, 2.0 * (years[-1] - years[0])), config.grid_step)
 
 
-_DIGEST_FIELDS = attrgetter("firm_id", "board", "ownership", "year", "n_meetings", "shares", "meeting_share")
-
-
 def _records_digest(records: Iterable[FirmYearRecord]) -> str:
-    """SHA-256 hex digest of the records' own fields, in the given order.
-
-    Per record: the byte lengths of five texts (firm_id, board and
-    ownership as UTF-8, year and n_meetings as decimal text, an empty text
-    marking a missing n_meetings) and the share count, then the shares, a
-    meeting-share presence flag and the meeting share as little-endian
-    float64, then the texts. The fixed-width lengths make the encoding
-    injective; the float bits identify each value exactly, as its repr
-    would, so ``0.3040`` and ``0.304`` in a CSV give the same digest.
-    """
+    """SHA-256 over each record's fields, in order: the byte lengths of five
+    texts (firm_id, board, ownership, then year and n_meetings in decimal,
+    empty for None) and the share count, the shares, a meeting-share flag
+    and the meeting share as little-endian float64, then the texts. The
+    fixed-width lengths make it injective; float bits tell values apart
+    exactly, as their repr would."""
     digest = hashlib.sha256()
-    for firm_id, board, ownership, year, n_meetings, shares, meeting in map(_DIGEST_FIELDS, records):
+    fields = attrgetter("firm_id", "board", "ownership", "year", "n_meetings", "shares", "meeting_share")
+    for firm_id, board, ownership, year, n_meetings, shares, meeting in map(fields, records):
         texts = (firm_id.encode(), board.encode(), ownership.encode(), b"%d" % year,
                  b"" if n_meetings is None else b"%d" % n_meetings)
-        digest.update(struct.pack(
-            f"<6Q{len(shares)}d?d", *map(len, texts), len(shares), *shares,
-            meeting is not None, 0.0 if meeting is None else meeting,
-        ))
+        digest.update(struct.pack(f"<6Q{len(shares)}d?d", *map(len, texts), len(shares), *shares,
+                                  meeting is not None, 0.0 if meeting is None else meeting))
         digest.update(b"".join(texts))
     return digest.hexdigest()
 
@@ -499,10 +491,7 @@ def run_pipeline(
         records = _sorted_records(synth_registry(source))
     else:
         records = _sorted_records(source)
-        provenance = {
-            "input_digest": _records_digest(records),
-            "seed": None,
-        }
+        provenance = {"input_digest": _records_digest(records), "seed": None}
     records = apply_sample_filter(records)
     if not records:
         raise DataError("no records survive the sampling filter")

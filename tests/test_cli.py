@@ -28,6 +28,13 @@ class TestSpi:
         assert code == 0
         assert out.splitlines() == ["0.3333, 0.3333, 0.3333", "1, 0"]
 
+    def test_input_file_with_byte_order_mark(self, tmp_path, capsys):
+        path = tmp_path / "games.txt"
+        path.write_bytes(b"\xef\xbb\xbf2,1,1\n")
+        code, out, err = run_cli("spi", "--input", str(path), capsys=capsys)
+        assert code == 0, err
+        assert out.strip() == "0.6667, 0.1667, 0.1667"
+
     def test_requires_some_input(self, capsys):
         code, _, err = run_cli("spi", capsys=capsys)
         assert code == 1
@@ -126,6 +133,15 @@ class TestFit:
         results = [run_cli("fit", "--input", str(path), capsys=capsys) for path in (shuffled, ordered)]
         assert results[0][0] == 0
         assert results[0] == results[1]
+
+    def test_byte_order_mark_keeps_the_first_row(self, tmp_path, capsys):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        rows = b"0,2\n1,3\n2,1\n3,4\n4,2\n5,1\n"
+        plain.write_bytes(rows)
+        marked.write_bytes(b"\xef\xbb\xbf" + rows)
+        results = [run_cli("fit", "--input", str(path), capsys=capsys) for path in (plain, marked)]
+        assert results[0][0] == 0
+        assert results[1] == results[0]
 
     def test_missing_file(self, capsys):
         code, _, err = run_cli("fit", "--input", "/nonexistent.csv", capsys=capsys)
@@ -271,6 +287,16 @@ class TestPipeline:
         assert report["provenance"]["min_sample"] == 40
         years = report["groups"]["main/private"]["years"]
         assert len(years) == 12
+
+    def test_registry_with_byte_order_mark(self, tmp_path, capsys):
+        plain = Path(__file__).parent / "data" / "golden_registry.csv"
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        for path, out in ((plain, "plain"), (marked, "marked")):
+            code, _, err = run_cli("pipeline", "--input", str(path), "--min-sample", "5",
+                                   "--output", str(tmp_path / out), capsys=capsys)
+            assert code == 0, err
+        assert (tmp_path / "marked" / "report.json").read_bytes() == (tmp_path / "plain" / "report.json").read_bytes()
 
     def test_usage_error_exit_code(self, capsys):
         assert run_cli("pipeline", capsys=capsys)[0] == 1

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import math
 import random
@@ -15,6 +16,7 @@ from controlpower.dataset import (
     MomentTarget,
     SynthConfig,
     apply_sample_filter,
+    ingest_csv,
     synth_registry,
 )
 from controlpower.evolution import ControlPowerPdf, ideal_wave, wave_eval
@@ -373,6 +375,71 @@ def per_cell_stats(records, spi_mode):
     for rec in sorted(apply_sample_filter(records), key=lambda r: (r.group, r.year, r.firm_id)):
         cells.setdefault(rec.group, {}).setdefault(rec.year, []).append(rec)
     return {g: tuple(year_stats(cell, spi_mode) for cell in by_year.values()) for g, by_year in cells.items()}
+
+
+class TestInputDigest:
+    """provenance["input_digest"] of a record set: one SHA-256 over the sorted
+    records' fields, so it ignores row order and how a share was printed."""
+
+    BASE = (
+        FirmYearRecord("f1", 2001, "main", "private", (0.3, 0.2, 0.1), 0.55, 3),
+        FirmYearRecord("f2", 2001, "main", "private", (0.25, 0.25)),
+        FirmYearRecord("f3", 2002, "sme_gem", "state", (0.4,), 0.35, 0),
+    )
+
+    @staticmethod
+    def digest(records):
+        return run_pipeline(list(records), PipelineConfig(min_sample=1)).provenance["input_digest"]
+
+    def test_pinned_value(self):
+        # a refactor that moves this value changes every registry report's provenance
+        assert self.digest(self.BASE) == "db4a6e7d82b4bf3cdf6660d1ac08a7689a98f17937983e134053252db4892d2e"
+
+    def test_row_order_does_not_matter(self):
+        records = apply_sample_filter(synth_registry(registry_config(firms_per_year=5)))
+        shuffled = records[:]
+        random.Random(7).shuffle(shuffled)
+        assert shuffled != records
+        assert self.digest(shuffled) == self.digest(records)
+
+    def test_trailing_zeros_do_not_matter(self):
+        header = "firm_id,year,board,ownership,s1,s2,s3,s4,s5,s6,s7,s8,s9,s10,meeting_share,n_meetings"
+        texts = [
+            f"{header}\nf1,2001,main,private,{s1},0.2,,,,,,,,,{m},2\n"
+            for s1, m in (("0.3040", "0.5000"), ("0.304", "0.5"))
+        ]
+        assert texts[0] != texts[1]
+        first, second = (ingest_csv(io.StringIO(t)) for t in texts)
+        assert self.digest(first) == self.digest(second)
+
+    @pytest.mark.parametrize("change", [
+        {"firm_id": "f4"},
+        {"year": 2002},
+        {"board": "sme_gem"},
+        {"ownership": "state"},
+        {"shares": (0.3, 0.2, 0.15)},
+    ])
+    def test_each_field_of_a_record_counts(self, change):
+        changed = (dataclasses.replace(self.BASE[0], **change),) + self.BASE[1:]
+        assert self.digest(changed) != self.digest(self.BASE)
+
+    @pytest.mark.parametrize("change", [{"meeting_share": 0.0}, {"n_meetings": 0}])
+    def test_none_differs_from_zero(self, change):
+        changed = self.BASE[:1] + (dataclasses.replace(self.BASE[1], **change),) + self.BASE[2:]
+        assert self.digest(changed) != self.digest(self.BASE)
+
+    def test_field_boundaries_count(self):
+        # year 2001 with no meeting count and year 200 with 1 meeting join to
+        # the same text; the length prefixes keep the records apart
+        a = dataclasses.replace(self.BASE[1], year=2001, n_meetings=None)
+        b = dataclasses.replace(self.BASE[1], year=200, n_meetings=1)
+        assert f"{a.year}{a.n_meetings or ''}" == f"{b.year}{b.n_meetings}"
+        assert self.digest([a]) != self.digest([b])
+
+    def test_year_beyond_int64(self):
+        far = dataclasses.replace(self.BASE[0], year=10**20)
+        farther = dataclasses.replace(self.BASE[0], year=10**20 + 1)
+        assert self.digest([far]) != self.digest([farther])
 
 
 class TestBatchedPowers:
