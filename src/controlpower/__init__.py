@@ -15,11 +15,9 @@ from .power_index import (  # noqa: E402,F401
 from .evolution import (  # noqa: E402,F401
     ControlPowerPdf,
     EvolutionClock,
-    FibVector,
     OscillationModel,
     WaveParams,
     collapse_walk,
-    fib_iterate,
     ideal_wave,
     operations_wave,
     oscillation_curves,

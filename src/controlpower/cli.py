@@ -22,8 +22,8 @@ from .dataset import (
     GroupKey,
     MomentTarget,
     SynthConfig,
+    _ingest_table,
     emit_csv,
-    ingest_csv,
     synth_outcomes,
     synth_registry,
 )
@@ -103,21 +103,25 @@ def _emit_series(rows, output, header=("step_or_t", "value")):
 
 
 def _cmd_spi(args) -> int:
-    share_lists = []
+    # every game is built before any profile is printed, so a bad line
+    # stops the command with no partial output
+    games = []
     if args.shares:
-        share_lists.append(_parse_floats(args.shares))
+        games.append(make_game(_parse_floats(args.shares)))
     if args.input:
         with open(args.input, encoding="utf-8-sig") as handle:
-            for line in handle:
+            for number, line in enumerate(handle, start=1):
                 line = line.strip()
                 if line and not line.startswith("#"):
-                    share_lists.append(_parse_floats(line))
-    if not share_lists:
+                    try:
+                        games.append(make_game(_parse_floats(line)))
+                    except ValueError as exc:
+                        raise DataError(f"{args.input} line {number}: {exc}") from None
+    if not games:
         print("spi: provide --shares or --input", file=sys.stderr)
         return USAGE_ERROR
-    for shares in share_lists:
-        profile = spi_dp(make_game(shares))
-        print(", ".join(_fmt(v) for v in profile.spi))
+    for game in games:
+        print(", ".join(_fmt(v) for v in spi_dp(game).spi))
     return 0
 
 
@@ -300,7 +304,7 @@ def _cmd_pipeline(args) -> int:
             print(f"pipeline: unknown synth mode {args.synth!r}", file=sys.stderr)
             return USAGE_ERROR
     elif args.input:
-        source = ingest_csv(args.input)
+        source = _ingest_table(args.input)
     else:
         print("pipeline: provide --input or --synth", file=sys.stderr)
         return USAGE_ERROR

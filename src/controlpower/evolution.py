@@ -15,11 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
-MAX_FIB_ITER = 90
 UNIFORM_LAW = (0.25, 0.25, 0.25, 0.25)
 GOLDEN_LIMIT = (math.sqrt(5.0) - 1.0) / 2.0
 # Least normal mass in (0, 1) a ControlPowerPdf may have; below it the
@@ -28,30 +27,13 @@ GOLDEN_LIMIT = (math.sqrt(5.0) - 1.0) / 2.0
 MIN_TRUNCATION_MASS = 1e-3
 
 
-class FibVector(NamedTuple):
-    """State of the two-component growth iteration: (F(n+1), F(n))."""
-
-    current: int
-    previous: int
-
-
-def fib_iterate(n: int) -> FibVector:
-    """Apply the growth matrix [[1,1],[1,0]] n times to the seed (1, 1)."""
-    if n < 0:
-        raise ValueError("iteration count must be non-negative")
-    if n > MAX_FIB_ITER:
-        raise ValueError(f"iteration count above {MAX_FIB_ITER} is out of contract")
-    cur, prev = 1, 1
-    for _ in range(n):
-        cur, prev = cur + prev, cur
-    return FibVector(cur, prev)
-
-
 def ratio_sequence(k: int) -> list[Fraction]:
     """First k states of the probability ladder, as exact rationals.
 
-    State j is previous/current of the j-th iteration vector, so the
-    sequence runs 1/2, 2/3, 3/5, 5/8, 8/13, ... toward (sqrt(5)-1)/2.
+    The states are F(j)/F(j+1) of consecutive Fibonacci numbers for
+    j = 2, 3, ..., made by the growth iteration (cur, prev) ->
+    (cur + prev, cur) from (1, 1), so the sequence runs 1/2, 2/3, 3/5,
+    5/8, 8/13, ... toward (sqrt(5)-1)/2.
     """
     if k < 1:
         raise ValueError("need at least one state")

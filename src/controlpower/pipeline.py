@@ -12,24 +12,25 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import itertools
 import json
 import math
 import os
 import struct
-from collections import Counter
 from dataclasses import asdict, astuple, dataclass, field
-from operator import attrgetter
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
+import numpy as np
+
 from .dataset import (
+    BOARDS,
+    OWNERSHIPS,
+    TOP1_FILTER_LIMIT,
     DataError,
     FirmYearRecord,
     GroupKey,
     SynthConfig,
-    apply_sample_filter,
-    group_records,
+    _Table,
     synth_outcomes,
     synth_registry,
 )
@@ -45,7 +46,7 @@ from .fitting import (
     fourier_extrema,
     pearson,
 )
-from .power_index import top_holder_numerators
+from .power_index import _row_fsums, top_holder_numerators
 
 SPI_MODES = ("top9", "top10", "top11")
 SERIES_NAMES = ("r_spi_1", "m_top1", "m_top2_10")
@@ -106,18 +107,18 @@ def _moments(values: Sequence[float]) -> tuple[float | None, float | None, float
     return nf.mu, nf.sigma, nf.band_ratio
 
 
-def _full_ratio(values: Sequence[float]) -> float | None:
-    return sum(1 for v in values if v == 1.0) / len(values) if values else None
+def _full_ratio(values: np.ndarray) -> float | None:
+    return int(np.count_nonzero(values == 1.0)) / len(values) if len(values) else None
 
 
-def _power_fields(values: Sequence[float]) -> dict:
+def _power_fields(values: np.ndarray) -> dict:
     """Full-power ratio and the below-full summary of float power values.
 
     Comparing with 1.0 is exact: pipeline games have at most 11 players,
     so a power below 1 is at most 1 - 1/11! (about 1 - 2.5e-8) and stays
     apart from 1 as a float.
     """
-    lt1 = [v for v in values if v != 1.0]
+    lt1 = values[values != 1.0].tolist()
     mean, sd, band = _moments(lt1)
     return {
         "r_spi_1": _full_ratio(values),
@@ -128,71 +129,59 @@ def _power_fields(values: Sequence[float]) -> dict:
     }
 
 
-# the game of one record in each mode, None where the mode has none: top11
-# adds the meeting attendance beyond the top 10, clipped at zero
-_MODE_ROWS = {
-    "top9": lambda r: r.shares[:9],
-    "top10": lambda r: r.shares,
-    "top11": lambda r: (
-        None if r.meeting_share is None else r.shares + (max(r.meeting_share - r.top_total, 0.0),)
-    ),
-}
+def _powers(shares: np.ndarray) -> np.ndarray:
+    """Float top-holder power of every row's game, in one batch."""
+    # numerators and n! (n <= 11) are exact in float64, so this division is
+    # the correctly rounded float of the exact power
+    return top_holder_numerators(shares) / math.factorial(shares.shape[1])
 
 
-def _batch_powers(rows: Sequence[tuple[float, ...] | None]) -> list[float | None]:
-    """Float top-holder power of every row's game in one batch; None stays None."""
-    # int true division is correctly rounded: the float of the exact power
-    values = iter([num / n_fact for num, n_fact in top_holder_numerators([x for x in rows if x is not None])])
-    return [None if x is None else next(values) for x in rows]
-
-
-def _cell_stats(
-    records: Sequence[FirmYearRecord], powers: Mapping[str, Sequence[float | None]], spi_mode: str
-) -> YearStats:
-    """Aggregates of one (group, year) cell from its records' precomputed
-    powers in each mode (aligned with ``records``)."""
-    top11 = [v for v in powers["top11"] if v is not None]
-
-    m_top1, m_top1_sd, _ = _moments([r.top1 for r in records])
-    m_top2_10, m_top2_10_sd, _ = _moments([r.top2_10 for r in records])
-    ratios = [r.meeting_share / total for r in records if r.meeting_share is not None and (total := r.top_total) > 0]
-    ratio_mean, ratio_sd, band = _moments(ratios)
-
-    return YearStats(
-        year=records[0].year,
-        n_sample=len(records),
-        m_top1=m_top1,
-        m_top1_sd=m_top1_sd,
-        m_top2_10=m_top2_10,
-        m_top2_10_sd=m_top2_10_sd,
-        meeting_ratio_mean=ratio_mean,
-        meeting_ratio_sd=ratio_sd,
-        band_count_ratio=band,
-        n_meeting=len(ratios),
-        r_spi_1_top9=_full_ratio(powers["top9"]),
-        r_spi_1_top10=_full_ratio(powers["top10"]),
-        r_spi_1_top11=_full_ratio(top11),
-        n_top11=len(top11),
-        **_power_fields(top11 if spi_mode == "top11" else powers[spi_mode]),
-    )
-
-
-def _group_stats(members: Sequence[FirmYearRecord], spi_mode: str) -> list[YearStats]:
-    """Per-year aggregates of one group's year-ordered records (each year
-    one contiguous run), with one power batch per mode. The modes run one
-    after the other, so only one mode's rows are alive at a time."""
-    if spi_mode == "top11":
-        missing = next((r for r in members if r.meeting_share is None), None)
-        if missing is not None:
-            raise DataError(f"firm {missing.firm_id} year {missing.year}: top11 mode needs meeting_share")
-    powers = {mode: _batch_powers([row(r) for r in members]) for mode, row in _MODE_ROWS.items()}
+def _group_stats(rows: _Table, spi_mode: str) -> list[YearStats]:
+    """Per-year aggregates of one group's year-ordered rows (each year one
+    contiguous run), with one power batch per mode: top9 is the first nine
+    share columns, top10 the block and top11 the block plus the meeting
+    attendance beyond it, clipped at zero, for rows with a meeting share.
+    The zero padding of absent holders adds null players, which leave the
+    leading holder's power exactly as it is."""
+    has = rows.has_meeting
+    if spi_mode == "top11" and not has.all():
+        first = int(np.argmin(has))
+        raise DataError(f"firm {rows.firm_id[first]} year {rows.year[first]}: top11 mode needs meeting_share")
+    shares = rows.shares
+    top9, top10 = _powers(shares[:, :9]), _powers(shares)
+    top11 = np.full(len(has), np.nan)
+    top11[has] = _powers(np.column_stack((shares[has], np.maximum(rows.meeting[has] - rows.total[has], 0.0))))
+    mode = {"top9": top9, "top10": top10, "top11": top11}[spi_mode]
+    top1 = shares[:, 0].tolist()
+    top2_10 = _row_fsums(shares[:, 1:])
+    ratio = rows.meeting / rows.total
+    years = rows.year.tolist()
+    cuts = [0, *(np.flatnonzero(rows.year[1:] != rows.year[:-1]) + 1).tolist(), len(years)]
     stats = []
-    at = 0
-    for _, cell in itertools.groupby(members, key=attrgetter("year")):
-        cell = list(cell)
-        end = at + len(cell)
-        stats.append(_cell_stats(cell, {mode: p[at:end] for mode, p in powers.items()}, spi_mode))
-        at = end
+    for a, b in zip(cuts, cuts[1:]):
+        met = has[a:b]
+        cell11 = top11[a:b][met]
+        m_top1, m_top1_sd, _ = _moments(top1[a:b])
+        m_top2_10, m_top2_10_sd, _ = _moments(top2_10[a:b])
+        ratios = ratio[a:b][met].tolist()
+        ratio_mean, ratio_sd, band = _moments(ratios)
+        stats.append(YearStats(
+            year=years[a],
+            n_sample=b - a,
+            m_top1=m_top1,
+            m_top1_sd=m_top1_sd,
+            m_top2_10=m_top2_10,
+            m_top2_10_sd=m_top2_10_sd,
+            meeting_ratio_mean=ratio_mean,
+            meeting_ratio_sd=ratio_sd,
+            band_count_ratio=band,
+            n_meeting=len(ratios),
+            r_spi_1_top9=_full_ratio(top9[a:b]),
+            r_spi_1_top10=_full_ratio(top10[a:b]),
+            r_spi_1_top11=_full_ratio(cell11),
+            n_top11=len(cell11),
+            **_power_fields(cell11 if spi_mode == "top11" else mode[a:b]),
+        ))
     return stats
 
 
@@ -212,13 +201,13 @@ def year_stats(records: Sequence[FirmYearRecord], spi_mode: str = "top10") -> Ye
         raise ValueError("records span more than one (group, year) cell")
     if spi_mode not in SPI_MODES:
         raise ValueError(f"unknown spi mode {spi_mode!r}")
-    return _group_stats(records, spi_mode)[0]
+    return _group_stats(_Table.from_records(records), spi_mode)[0]
 
 
 def year_stats_from_draws(year: int, draws: Sequence[float]) -> YearStats:
     """Aggregate a year of raw power draws (no registry, no share data)."""
-    values = [float(v) for v in draws]
-    if not values:
+    values = np.array([float(v) for v in draws], dtype=float)
+    if not len(values):
         raise ValueError("no draws for this year")
     return YearStats(year=year, n_sample=len(values), **_power_fields(values))
 
@@ -419,42 +408,64 @@ def build_report(
     return Report(version=__version__, provenance=prov, groups=groups)
 
 
-def _sorted_records(records: Iterable[FirmYearRecord]) -> list[FirmYearRecord]:
-    return sorted(records, key=lambda r: (r.year, r.board, r.ownership, r.firm_id, r.shares))
+def _sort_order(table: _Table) -> np.ndarray:
+    """The row order of a stable sort by (year, board, ownership, firm_id,
+    shares). The zero padding sorts a shorter share list before a longer
+    one it begins, as tuples do, because every share is above 0. firm_id
+    is ranked as Python str objects, since numpy str arrays drop trailing
+    NULs."""
+    firm = np.unique(np.array(table.firm_id, dtype=object), return_inverse=True)[1]
+    keys = (firm, table.ownership, table.board, table.year)
+    order = np.lexsort(keys)  # by its last key first
+    # the share columns only order rows that repeat all four keys
+    repeats = np.ones(max(len(order) - 1, 0), dtype=bool)
+    for key in keys:
+        repeats &= key[order][1:] == key[order][:-1]
+    return np.lexsort((*table.shares.T[::-1], *keys)) if repeats.any() else order
 
 
-def _check_default_grid(groups: Mapping[GroupKey, Sequence[FirmYearRecord]], config: PipelineConfig) -> None:
+def _check_default_grid(table: _Table, groups: Mapping[GroupKey, np.ndarray], config: PipelineConfig) -> None:
     """Raise the error the first fit would raise for an oversized default
     period grid, before any power work.
 
     The default range [4, 2 * span] needs the span of a group's qualifying
-    years, which is known once the records are grouped; only groups with
+    years, which is known once the rows are grouped; only groups with
     enough qualifying years to be fitted count.
     """
     if config.period_range is not None:
         return  # PipelineConfig checked it
-    for members in groups.values():
-        sizes = Counter(r.year for r in members)
-        years = sorted(year for year, n in sizes.items() if n >= config.min_sample)
-        if len(years) >= MIN_FIT_YEARS:
-            check_period_grid((4.0, 2.0 * (years[-1] - years[0])), config.grid_step)
+    for index in groups.values():
+        years, sizes = np.unique(table.year[index], return_counts=True)
+        fitted = years[sizes >= config.min_sample].tolist()
+        if len(fitted) >= MIN_FIT_YEARS:
+            check_period_grid((4.0, 2.0 * (fitted[-1] - fitted[0])), config.grid_step)
 
 
-def _records_digest(records: Iterable[FirmYearRecord]) -> str:
-    """SHA-256 over each record's fields, in order: the byte lengths of five
+_DIGEST_ROWS = 4096  # rows turned into Python values at a time
+
+
+def _records_digest(table: _Table, order: np.ndarray) -> str:
+    """SHA-256 over each row's fields, in ``order``: the byte lengths of five
     texts (firm_id, board, ownership, then year and n_meetings in decimal,
     empty for None) and the share count, the shares, a meeting-share flag
     and the meeting share as little-endian float64, then the texts. The
     fixed-width lengths make it injective; float bits tell values apart
     exactly, as their repr would."""
     digest = hashlib.sha256()
-    fields = attrgetter("firm_id", "board", "ownership", "year", "n_meetings", "shares", "meeting_share")
-    for firm_id, board, ownership, year, n_meetings, shares, meeting in map(fields, records):
-        texts = (firm_id.encode(), board.encode(), ownership.encode(), b"%d" % year,
-                 b"" if n_meetings is None else b"%d" % n_meetings)
-        digest.update(struct.pack(f"<6Q{len(shares)}d?d", *map(len, texts), len(shares), *shares,
-                                  meeting is not None, 0.0 if meeting is None else meeting))
-        digest.update(b"".join(texts))
+    boards = [b.encode() for b in BOARDS]
+    ownerships = [o.encode() for o in OWNERSHIPS]
+    for at in range(0, len(order), _DIGEST_ROWS):
+        index = order[at : at + _DIGEST_ROWS]
+        rows = index.tolist()
+        for firm_id, board, ownership, year, n_meetings, n, shares, has, meeting in zip(
+            [table.firm_id[i] for i in rows], table.board[index].tolist(), table.ownership[index].tolist(),
+            table.year[index].tolist(), [table.n_meetings[i] for i in rows], table.count[index].tolist(),
+            table.shares[index].tolist(), table.has_meeting[index].tolist(), table.meeting[index].tolist(),
+        ):
+            texts = (firm_id.encode(), boards[board], ownerships[ownership], b"%d" % year,
+                     b"" if n_meetings is None else b"%d" % n_meetings)
+            digest.update(struct.pack(f"<6Q{n}d?d", *map(len, texts), n, *shares[:n], has, meeting))
+            digest.update(b"".join(texts))
     return digest.hexdigest()
 
 
@@ -488,16 +499,23 @@ def run_pipeline(
             draws = synth_outcomes(source)
             stats = [year_stats_from_draws(year, draws[year]) for year in sorted(draws)]
             return build_report({source.group: stats}, config, provenance)
-        records = _sorted_records(synth_registry(source))
+        table = _Table.from_records(synth_registry(source))
     else:
-        records = _sorted_records(source)
-        provenance = {"input_digest": _records_digest(records), "seed": None}
-    records = apply_sample_filter(records)
-    if not records:
+        # the CLI passes the table it read; records are tabled here
+        table = source if isinstance(source, _Table) else _Table.from_records(source)
+    order = _sort_order(table)
+    if not isinstance(source, SynthConfig):
+        provenance = {"input_digest": _records_digest(table, order), "seed": None}
+    kept = order[table.shares[order, 0] < TOP1_FILTER_LIMIT]
+    if not kept.size:
         raise DataError("no records survive the sampling filter")
-    groups = group_records(records)
-    _check_default_grid(groups, config)
-    stats = {group: _group_stats(members, config.spi_mode) for group, members in groups.items()}
+    codes = table.board[kept] * len(OWNERSHIPS) + table.ownership[kept]
+    groups = {
+        GroupKey(BOARDS[code // len(OWNERSHIPS)], OWNERSHIPS[code % len(OWNERSHIPS)]): kept[codes == code]
+        for code in np.unique(codes).tolist()
+    }
+    _check_default_grid(table, groups, config)
+    stats = {group: _group_stats(table.take(index), config.spi_mode) for group, index in groups.items()}
     return build_report(stats, config, provenance)
 
 

@@ -9,7 +9,7 @@ All voting decisions are made in exact integer arithmetic. At construction
 the given weights are converted to proportions of their own total and
 placed on a fixed integer grid (``grid`` units per unit of total weight,
 rounded half to even). Power values are exact: ``fractions.Fraction``, or
-(numerator, n!) int pairs from ``top_holder_numerators``.
+int64 numerators over n! from ``top_holder_numerators``.
 
 One counting engine serves the library: a batched numpy kernel that sums,
 for a whole batch of games at once, the pivot weights k!(n-1-k)! of one
@@ -240,35 +240,39 @@ def spi_dp(game: WeightedVotingGame) -> PowerProfile:
     return PowerProfile(tuple(Fraction(int(v), n_fact) for v in nums))
 
 
-def top_holder_numerators(share_rows: Sequence[Sequence[float]]) -> list[tuple[int, int]]:
-    """n!-scaled power of player 0 in ``make_game(row)`` for every row, as
-    (numerator, n!) int pairs, in one batch.
+_FSUM_ROWS = 4096  # rows turned into Python floats at a time
 
-    Rows may differ in length; each length is one kernel batch. The grid
-    weights are make_game's bit for bit (fsum total, rounded half to even).
-    ``num / n_fact`` (correctly rounded int division) is the float of the
-    exact power, with no ``Fraction`` built. Raises ValueError on any row
-    make_game would reject.
+
+def _row_fsums(shares: np.ndarray) -> list[float]:
+    """``math.fsum`` of every row of a 2-D array, a few thousand rows at a
+    time, so that few Python floats are alive at once."""
+    return [total for at in range(0, len(shares), _FSUM_ROWS)
+            for total in map(math.fsum, zip(*shares[at : at + _FSUM_ROWS].T.tolist()))]
+
+
+def top_holder_numerators(shares: np.ndarray) -> np.ndarray:
+    """n!-scaled power of player 0 in ``make_game(row)`` for every row of the
+    (games x n) float array ``shares``, as int64, in one batch.
+
+    A zero weight is a null player: it changes neither the total nor any
+    grid unit, so zero-padding rows to one length leaves every power as it
+    is. The grid weights are make_game's bit for bit (fsum total, rounded
+    half to even). ``num / n!`` (correctly rounded int division, or float64
+    division for n <= 18) is the float of the exact power, with no
+    ``Fraction`` built. Raises ValueError on any row make_game would reject.
     """
-    by_size: dict[int, list[int]] = {}
-    for i, row in enumerate(share_rows):
-        by_size.setdefault(len(row), []).append(i)
-    out: list[tuple[int, int]] = [(0, 1)] * len(share_rows)
-    for n, index in by_size.items():
-        if not 1 <= n <= MAX_PLAYERS:
-            raise ValueError(f"a game needs 1 to {MAX_PLAYERS} players, got {n}")
-        rows = [share_rows[i] for i in index]
-        shares = np.array(rows, dtype=float)
-        if not np.isfinite(shares).all():
-            raise ValueError("weights must be finite")
-        if (shares < 0).any():
-            raise ValueError("weights must be non-negative")
-        totals = np.array([math.fsum(row) for row in rows])
-        if not (totals > 0).all():
-            raise ValueError("total weight must be positive")
-        # grid units are exact float64 integers: 2 * total is about 2 * 10**6
-        weights = np.rint(shares / totals[:, None] * DEFAULT_GRID)
-        n_fact = math.factorial(n)
-        for i, num in zip(index, _pivot_numerators(weights).tolist()):
-            out[i] = (num, n_fact)
-    return out
+    shares = np.asarray(shares, dtype=float)
+    if shares.ndim != 2:
+        raise ValueError("share rows must form a 2-D array")
+    n = shares.shape[1]
+    if not 1 <= n <= MAX_PLAYERS:
+        raise ValueError(f"a game needs 1 to {MAX_PLAYERS} players, got {n}")
+    if not np.isfinite(shares).all():
+        raise ValueError("weights must be finite")
+    if (shares < 0).any():
+        raise ValueError("weights must be non-negative")
+    totals = np.array(_row_fsums(shares), dtype=float)
+    if not (totals > 0).all():
+        raise ValueError("total weight must be positive")
+    # grid units are exact float64 integers: 2 * total is about 2 * 10**6
+    return _pivot_numerators(np.rint(shares / totals[:, None] * DEFAULT_GRID))

@@ -1,4 +1,5 @@
 import json
+import random
 import resource
 import subprocess
 import sys
@@ -6,7 +7,11 @@ from pathlib import Path
 
 import pytest
 
+from controlpower import dataset
 from controlpower.cli import main
+from controlpower.pipeline import PipelineConfig, run_pipeline
+
+GOLDEN_REGISTRY = Path(__file__).parent / "data" / "golden_registry.csv"
 
 
 def run_cli(*argv, capsys=None):
@@ -43,6 +48,18 @@ class TestSpi:
     def test_bad_shares_is_data_error(self, capsys):
         code, _, err = run_cli("spi", "--shares", "0,0", capsys=capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("line, problem", [
+        ("0,0", "total weight must be positive"),
+        ("0.5,abc", "could not convert string to float: 'abc'"),
+    ])
+    def test_bad_input_line_stops_before_any_profile(self, line, problem, tmp_path, capsys):
+        path = tmp_path / "games.txt"
+        path.write_text(f"1,1\n# a comment\n{line}\n3,1\n")
+        code, out, err = run_cli("spi", "--input", str(path), capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"controlpower: {path} line 3: {problem}\n"
 
 
 class TestEvolve:
@@ -412,17 +429,59 @@ class TestPipeline:
         assert "trial periods" in err
 
     def test_bad_grid_stops_before_ingest(self, monkeypatch, capsys):
-        def fail(*args, **kwargs):
-            raise AssertionError("input was read before the grid was checked")
+        reads = []
 
-        monkeypatch.setattr("controlpower.cli.ingest_csv", fail)
+        def reading(*args, **kwargs):
+            reads.append(args)
+            return read(*args, **kwargs)
+
+        # the function the CLI reads a registry with: a good run calls it once
+        read = dataset._ingest_table
+        monkeypatch.setattr("controlpower.cli._ingest_table", reading)
+        code, _, err = run_cli("pipeline", "--input", str(GOLDEN_REGISTRY), "--min-sample", "5", capsys=capsys)
+        assert code == 0, err
+        assert len(reads) == 1
         code, out, err = run_cli(
-            "pipeline", "--input", str(Path(__file__).parent / "data" / "golden_registry.csv"),
+            "pipeline", "--input", str(GOLDEN_REGISTRY),
             "--period-range", "4,50", "--grid-step", "1e-9", capsys=capsys,
         )
         assert code == 2
         assert out == ""
         assert "trial periods" in err
+        assert len(reads) == 1, "input was read before the grid was checked"
+
+    def test_mutated_registries_match_the_record_path(self, tmp_path, capsys):
+        # 500 seeded byte mutations of the golden registry: the CLI, which
+        # reads the CSV into a column table, and run_pipeline over
+        # ingest_csv's records give the same report bytes or the same error
+        # text. A coarse grid keeps the fits cheap; both paths use it.
+        golden = GOLDEN_REGISTRY.read_bytes()
+        rng = random.Random(20261018)
+        alphabet = b"0123456789.,-\n\r\" e_x"
+        path = tmp_path / "mutated.csv"
+        outcomes = {0: 0, 2: 0}
+        for _ in range(500):
+            data = bytearray(golden)
+            at = rng.randrange(len(data))
+            byte = rng.choice(alphabet) if rng.random() < 0.8 else rng.randrange(256)
+            edit = rng.randrange(3)
+            if edit == 0:
+                data[at] = byte
+            elif edit == 1:
+                data.insert(at, byte)
+            else:
+                del data[at]
+            path.write_bytes(bytes(data))
+            code, out, err = run_cli("pipeline", "--input", str(path), "--min-sample", "5",
+                                     "--grid-step", "0.5", capsys=capsys)
+            try:
+                report = run_pipeline(dataset.ingest_csv(str(path)), PipelineConfig(min_sample=5, grid_step=0.5))
+            except (OSError, ValueError) as exc:
+                assert (code, out, err) == (2, "", f"controlpower: {exc}\n")
+            else:
+                assert (code, out, err) == (0, report.to_json(), "")
+            outcomes[code] += 1
+        assert min(outcomes.values()) >= 100, outcomes
 
     def test_json_to_stdout(self, capsys):
         code, out, _ = run_cli("pipeline", "--synth", "outcomes", "--seed", "1", capsys=capsys)

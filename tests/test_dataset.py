@@ -1,8 +1,11 @@
 import io
+import logging
 
 import numpy as np
 import pytest
 
+from controlpower import dataset
+from controlpower.cli import main
 from controlpower.dataset import (
     DataError,
     FirmYearRecord,
@@ -137,6 +140,86 @@ class TestIngest:
     def test_cells_beyond_the_header_are_ignored(self):
         rows = ingest_csv(csv_of("f1,2001,main,private,0.30,0.10,,,,,,,,,0.5,2,extra,cells"))
         assert rows == [make_record(shares=(0.30, 0.10), meeting_share=0.5, n_meetings=2)]
+
+
+ROW = "f1,2001,{board},{ownership},{s1},{s2},,,,,,,,,{meeting},{n_meetings}"
+VALID = dict(board="main", ownership="private", s1="0.3", s2="0.2", meeting="0.5", n_meetings="2")
+
+
+class TestOneRuleSet:
+    """Each row rule gives one message, whether a FirmYearRecord breaks it
+    or a CSV row does (through ingest_csv and through the CLI's table)."""
+
+    # (CSV cells that break exactly one rule, the record fields that do, message)
+    CASES = [
+        ({"board": "otc"}, {"board": "otc"}, "unknown board 'otc'"),
+        ({"ownership": "public"}, {"ownership": "public"}, "unknown ownership 'public'"),
+        ({"s2": "-0.1"}, {"shares": (0.3, -0.1)}, "share -0.1 outside (0, 1]; absent holders are omitted"),
+        ({"s2": "nan"}, {"shares": (0.3, float("nan"))}, "share nan outside (0, 1]; absent holders are omitted"),
+        ({"s1": "inf"}, {"shares": (float("inf"), 0.2)}, "share inf outside (0, 1]; absent holders are omitted"),
+        ({"s1": "0.6", "s2": "0.45"}, {"shares": (0.6, 0.45)}, "shares sum above total equity"),
+        ({"meeting": "1.5"}, {"meeting_share": 1.5}, "meeting share 1.5 outside [0, 1]"),
+        ({"meeting": "nan"}, {"meeting_share": float("nan")}, "meeting share nan outside [0, 1]"),
+        ({"n_meetings": "-1"}, {"n_meetings": -1}, "meeting count must be non-negative"),
+    ]
+
+    @pytest.mark.parametrize("cells, fields, message", CASES)
+    def test_same_message_everywhere(self, cells, fields, message, tmp_path, capsys):
+        with pytest.raises(DataError) as record:
+            FirmYearRecord(**{**dict(firm_id="f1", year=2001, board="main", ownership="private",
+                                     shares=(0.3, 0.2), meeting_share=0.5, n_meetings=2), **fields})
+        assert str(record.value) == message
+        path = tmp_path / "registry.csv"
+        path.write_text("\n".join([HEADER, ROW.format(**VALID), ROW.format(**{**VALID, **cells})]) + "\n")
+        with pytest.raises(DataError) as ingested:
+            ingest_csv(str(path))
+        assert str(ingested.value) == f"row 3: {message}"
+        assert main(["pipeline", "--input", str(path), "--min-sample", "1"]) == 2
+        assert capsys.readouterr().err == f"controlpower: row 3: {message}\n"
+
+    @pytest.mark.parametrize("fields, message", [
+        ({"shares": ()}, "need 1..10 shares, got 0"),
+        ({"shares": (0.05,) * 11}, "need 1..10 shares, got 11"),
+        ({"shares": (0.1, 0.3)}, "shares must be non-increasing"),
+    ])
+    def test_rules_a_csv_row_cannot_break(self, fields, message):
+        # ingest sorts the shares and reads at most ten, so only a record
+        # can break these two
+        with pytest.raises(DataError, match=f"^{message}$"):
+            make_record(**fields)
+
+    def test_skipped_rows_log_the_same_lines(self, caplog):
+        rows = [ROW.format(**{**VALID, **cells}) for cells, _, _ in self.CASES] + [ROW.format(**VALID)]
+        with caplog.at_level(logging.WARNING, logger="controlpower.dataset"):
+            kept = ingest_csv(csv_of(*rows), strict=False)
+        assert len(kept) == 1
+        assert [r.getMessage() for r in caplog.records] == [
+            f"skipping row {line}: {message}" for line, (_, _, message) in enumerate(self.CASES, start=2)
+        ]
+
+
+class TestRowNumbers:
+    def test_quoted_multi_line_cell(self):
+        # a quoted firm_id spans lines 2-3; line_num counts physical lines
+        source = csv_of('"f\n1",2001,main,private,0.3,0.2,,,,,,,,,,', "f2,2001,otc,private,0.3,,,,,,,,,,,")
+        with pytest.raises(DataError, match=r"^row 4: unknown board 'otc'$"):
+            ingest_csv(source)
+        rows = ingest_csv(csv_of('"f\n1",2001,main,private,0.3,0.2,,,,,,,,,,'))
+        assert rows[0].firm_id == "f\n1"
+        with pytest.raises(DataError, match=r"^row 3: unknown board 'otc'$"):
+            ingest_csv(csv_of('"f\n1",2001,otc,private,0.3,,,,,,,,,,,'))
+
+    def test_rows_beyond_one_chunk(self, monkeypatch):
+        # problems keep their file order and row numbers across chunks
+        monkeypatch.setattr(dataset, "_CHUNK_ROWS", 3)
+        good = "f{},2001,main,private,0.3,0.2,,,,,,,,,,"
+        rows = [good.format(i) if i % 4 else f"f{i},2001,main,private,abc,,,,,,,,,,," for i in range(1, 11)]
+        with pytest.raises(DataError) as exc:
+            ingest_csv(csv_of(*rows))
+        assert str(exc.value) == "; ".join(
+            f"row {i + 1}: unparseable value (could not convert string to float: 'abc')" for i in (4, 8))
+        assert [r.firm_id for r in ingest_csv(csv_of(*rows), strict=False)] == [
+            f"f{i}" for i in range(1, 11) if i % 4]
 
 
 class TestColumnMapping:

@@ -14,7 +14,6 @@ from controlpower.evolution import (
     OscillationModel,
     WaveParams,
     collapse_walk,
-    fib_iterate,
     ideal_wave,
     operations_wave,
     oscillation_curves,
@@ -30,38 +29,20 @@ FIRST_FIVE = (Fraction(1, 2), Fraction(2, 3), Fraction(3, 5), Fraction(5, 8), Fr
 FITTED_WAVE = WaveParams(0.553, 0.060, -0.083, 17.357)
 
 
-class TestFibIterate:
-    def test_zero_iterations(self):
-        assert fib_iterate(0) == (1, 1)
-
-    def test_one_iteration(self):
-        # one multiply by hand: (1+1, 1) = (2, 1)
-        assert fib_iterate(1) == (2, 1)
-
-    def test_four_iterations(self):
-        assert fib_iterate(4) == (8, 5)
-
-    def test_recurrence(self):
-        for n in range(30):
-            cur = fib_iterate(n)
-            nxt = fib_iterate(n + 1)
-            assert nxt.current == cur.current + cur.previous
-            assert nxt.previous == cur.current
-
-    def test_range_contract(self):
-        with pytest.raises(ValueError):
-            fib_iterate(-1)
-        with pytest.raises(ValueError):
-            fib_iterate(91)
-        assert fib_iterate(90).current > 0
-
-
 class TestRatioSequence:
     def test_first_five_states(self):
         assert ratio_sequence(5) == list(FIRST_FIVE)
 
     def test_ladder_states_are_the_first_five(self):
         assert LADDER_STATES == FIRST_FIVE
+
+    def test_fibonacci_recurrence(self):
+        # state p/q is followed by q/(p + q), from 1/2; consecutive Fibonacci
+        # numbers are coprime, so the fractions stay unreduced
+        seq = ratio_sequence(60)
+        assert (seq[0].numerator, seq[0].denominator) == (1, 2)
+        for a, b in zip(seq, seq[1:]):
+            assert (b.numerator, b.denominator) == (a.denominator, a.numerator + a.denominator)
 
     def test_fifth_state_near_golden_limit(self):
         assert float(ratio_sequence(5)[-1]) / 0.618 == pytest.approx(0.9958, abs=5e-4)

@@ -15,6 +15,7 @@ from controlpower.dataset import (
     GroupKey,
     MomentTarget,
     SynthConfig,
+    _Table,
     apply_sample_filter,
     ingest_csv,
     synth_registry,
@@ -435,6 +436,27 @@ class TestInputDigest:
         b = dataclasses.replace(self.BASE[1], year=200, n_meetings=1)
         assert f"{a.year}{a.n_meetings or ''}" == f"{b.year}{b.n_meetings}"
         assert self.digest([a]) != self.digest([b])
+
+    def test_repeated_firm_years_in_any_order(self):
+        # rows that repeat (year, board, ownership, firm_id) are ordered by
+        # their shares, a list before a longer one it begins
+        rows = [dataclasses.replace(self.BASE[0], shares=shares)
+                for shares in ((0.3, 0.2), (0.3, 0.2, 0.1), (0.25,), (0.3, 0.2, 0.05))]
+        digests = {self.digest(rows[k:] + rows[:k]) for k in range(len(rows))}
+        assert digests == {self.digest(rows[::-1])} and len(digests) == 1
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_sort_order_is_the_record_sort(self, seed):
+        rng = random.Random(seed)
+        records = [
+            FirmYearRecord(rng.choice(["f1", "f2", "f10", "f1\x00"]), rng.choice([2001, 2002]), rng.choice(BOARDS),
+                           rng.choice(OWNERSHIPS), rng.choice([(0.3,), (0.3, 0.2), (0.3, 0.2, 0.1), (0.25, 0.2)]),
+                           rng.choice([None, 0.4]))
+            for _ in range(300)
+        ]
+        expected = sorted(range(len(records)), key=lambda i: (
+            records[i].year, records[i].board, records[i].ownership, records[i].firm_id, records[i].shares))
+        assert pipeline._sort_order(_Table.from_records(records)).tolist() == expected
 
     def test_year_beyond_int64(self):
         far = dataclasses.replace(self.BASE[0], year=10**20)

@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from controlpower import power_index
@@ -20,9 +21,23 @@ from controlpower.power_index import (
 THIRD = Fraction(1, 3)
 
 
+def numerator_pairs(rows):
+    """(numerator, n!) of player 0 in make_game(row) for every row, with one
+    top_holder_numerators batch per row length."""
+    out = [None] * len(rows)
+    by_length = {}
+    for i, row in enumerate(rows):
+        by_length.setdefault(len(row), []).append(i)
+    for n, index in by_length.items():
+        nums = top_holder_numerators(np.array([rows[i] for i in index], dtype=float).reshape(len(index), n))
+        for i, num in zip(index, nums.tolist()):
+            out[i] = (num, math.factorial(n))
+    return out
+
+
 def top_holder_powers(rows):
     """Exact power of player 0 in make_game(row) for every row."""
-    return [Fraction(num, n_fact) for num, n_fact in top_holder_numerators(rows)]
+    return [Fraction(num, n_fact) for num, n_fact in numerator_pairs(rows)]
 
 
 def random_game(rng, n_max=9, allow_zero=True, integer=False):
@@ -230,6 +245,36 @@ class TestEngine:
             if row[-1] == 0.0:
                 assert p == q
 
+    @pytest.mark.parametrize("width", [9, 10, 11])
+    def test_zero_padding_leaves_the_power_unchanged(self, width):
+        # a zero weight is a null player: rows padded with zeros to one width
+        # give the exact power of the unpadded row, ties at half included
+        rng = random.Random(71 + width)
+        rows = [[0.25, 0.25], [0.3, 0.2, 0.1], [0.2, 0.2, 0.1, 0.1], [0.4, 0.2, 0.2], [0.5], [0.1] * 4]
+        rows += [sorted((round(rng.uniform(0.01, 0.3), rng.randint(2, 4)) for _ in range(rng.randint(1, width))),
+                        reverse=True) for _ in range(200)]
+        if width == 11:
+            # top11 rows: ten padded holders, then a meeting residual clipped at 0
+            top10 = [r[:10] for r in rows]
+            residual = [max(round(rng.uniform(0.2, 1.0), 4) - math.fsum(r), 0.0) for r in top10]
+            rows = [r + [0.0] * (10 - len(r)) + [x] for r, x in zip(top10, residual)]
+            assert sum(x == 0.0 for x in residual) >= 20 and sum(x > 0.0 for x in residual) >= 20
+            unpadded = [[w for w in r[:10] if w > 0] + [r[10]] for r in rows]
+        else:
+            unpadded = rows
+            rows = [r + [0.0] * (width - len(r)) for r in rows]
+        exact = [spi_subset(make_game(r)).exact[0] for r in unpadded]
+        if width < 11:  # the first rows tie at exactly half the total
+            assert exact[0] == Fraction(1, 2) and exact[3] == Fraction(2, 3)
+        nums = top_holder_numerators(np.array(rows)).tolist()
+        assert [Fraction(num, math.factorial(width)) for num in nums] == exact
+
+    def test_rows_must_form_a_2d_array(self):
+        with pytest.raises(ValueError, match="2-D"):
+            top_holder_numerators(np.array([0.3, 0.2]))
+        with pytest.raises(ValueError):
+            top_holder_numerators([[0.3, 0.2], [0.5]])
+
     def test_numerators_divide_to_the_exact_float(self):
         # int true division is correctly rounded, so num / n! is the float
         # of the exact power, also where n! exceeds 2^53 (19 and 20 players)
@@ -237,13 +282,13 @@ class TestEngine:
         rows = [[round(rng.uniform(0.01, 1.0), rng.randint(2, 4)) for _ in range(n)]
                 for n in list(range(1, 12)) * 6 + [19, 20, 20]]
         rng.shuffle(rows)
-        pairs = top_holder_numerators(rows)
+        pairs = numerator_pairs(rows)
         assert [n_fact for _, n_fact in pairs] == [math.factorial(len(row)) for row in rows]
         exact = top_holder_powers(rows)
         assert [Fraction(num, n_fact) for num, n_fact in pairs] == exact
         assert [num / n_fact for num, n_fact in pairs] == [float(v) for v in exact]
         assert any(0 < v < 1 for row, v in zip(rows, exact) if len(row) >= 19)
-        assert top_holder_numerators([]) == []
+        assert top_holder_numerators(np.empty((0, 3))).shape == (0,)
 
     def test_max_players_game_is_fast_and_exact(self):
         rng = random.Random(53)
@@ -280,7 +325,7 @@ class TestEngine:
         games = float_games + object_games + [twenty]
 
         def results():
-            return top_holder_numerators(mixed), [spi_dp(g).exact for g in games]
+            return numerator_pairs(mixed), [spi_dp(g).exact for g in games]
 
         expected = results()
         monkeypatch.setattr(power_index, "_MAX_ELEMENTS", max_elements)
@@ -313,7 +358,7 @@ class TestEngine:
             assert make_game(row).int_weights == tuple(1000 * w for w in row)
             rows.append(row)
         monkeypatch.setattr(power_index, "_MAX_ELEMENTS", max_elements)
-        pairs = top_holder_numerators(rows)
+        pairs = numerator_pairs(rows)
         assert pairs == [(leader_numerator(row), math.factorial(len(row))) for row in rows]
         assert sum(0 < num < n_fact for num, n_fact in pairs) >= 20
 
