@@ -151,6 +151,7 @@ def _group_stats(rows: _Table, spi_mode: str) -> list[YearStats]:
     top9, top10 = _powers(shares[:, :9]), _powers(shares)
     top11 = np.full(len(has), np.nan)
     top11[has] = _powers(np.column_stack((shares[has], np.maximum(rows.meeting[has] - rows.total[has], 0.0))))
+    # in top11 mode every row has a meeting share, so no top11 power is nan
     mode = {"top9": top9, "top10": top10, "top11": top11}[spi_mode]
     top1 = shares[:, 0].tolist()
     top2_10 = _row_fsums(shares[:, 1:])
@@ -180,7 +181,7 @@ def _group_stats(rows: _Table, spi_mode: str) -> list[YearStats]:
             r_spi_1_top10=_full_ratio(top10[a:b]),
             r_spi_1_top11=_full_ratio(cell11),
             n_top11=len(cell11),
-            **_power_fields(cell11 if spi_mode == "top11" else mode[a:b]),
+            **_power_fields(mode[a:b]),
         ))
     return stats
 
