@@ -14,12 +14,10 @@ from .power_index import (  # noqa: E402,F401
 )
 from .evolution import (  # noqa: E402,F401
     ControlPowerPdf,
-    EvolutionClock,
     OscillationModel,
     WaveParams,
     collapse_walk,
     ideal_wave,
-    operations_wave,
     oscillation_curves,
     pdf_eval,
     pdf_sample,
@@ -46,9 +44,7 @@ from .dataset import (  # noqa: E402,F401
     GroupKey,
     MomentTarget,
     SynthConfig,
-    apply_sample_filter,
     emit_csv,
-    group_records,
     ingest_csv,
     synth_outcomes,
     synth_registry,
@@ -63,6 +59,5 @@ from .pipeline import (  # noqa: E402,F401
     build_report,
     emit_report,
     run_pipeline,
-    year_stats,
     year_stats_from_draws,
 )

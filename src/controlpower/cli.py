@@ -10,6 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -76,30 +77,25 @@ def _parse_years(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
-def _parse_range(text: str) -> tuple[float, float]:
+def _parse_pair(text: str, what: str, example: str) -> tuple[float, float]:
     values = _parse_floats(text)
     if len(values) != 2:
-        raise ValueError("period range needs two numbers, e.g. 4,50")
+        raise ValueError(f"{what} needs two numbers, e.g. {example}")
     return values[0], values[1]
 
 
 def _parse_group(text: str) -> GroupKey:
-    board, ownership = text.split("/", 1)
+    board, _, ownership = text.partition("/")
     if board not in BOARDS or ownership not in OWNERSHIPS:
         raise ValueError(f"group must be one of {BOARDS} / {OWNERSHIPS}")
     return GroupKey(board, ownership)
 
 
 def _emit_series(rows, output, header=("step_or_t", "value")):
-    if output:
-        with open(output, "w", newline="", encoding="utf-8") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows(rows)
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(v) for v in row))
+    with open(output, "w", newline="", encoding="utf-8") if output else contextlib.nullcontext(sys.stdout) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def _cmd_spi(args) -> int:
@@ -192,7 +188,7 @@ def _read_pairs(path: str, key) -> list[tuple]:
 def _cmd_fit(args) -> int:
     # _read_pairs rejects a repeated t, so sorting by t is unambiguous
     series = TimeSeries.from_pairs(sorted(_read_pairs(args.input, float)))
-    period_range = _parse_range(args.period_range) if args.period_range else None
+    period_range = _parse_pair(args.period_range, "period range", "4,50") if args.period_range else None
     fit = fit_fourier1(series, period_range, grid_step=args.grid_step)
     payload = {
         "a0": fit.a0,
@@ -219,15 +215,13 @@ def _cmd_fit(args) -> int:
 def _cmd_synth(args) -> int:
     years = _parse_years(args.years)
     if args.what == "registry":
-        top1 = MomentTarget(*_parse_floats(args.top1))
-        top2_10 = MomentTarget(*_parse_floats(args.top2_10))
         config = SynthConfig(
             years=years,
             firms_per_year=args.firms_per_year,
             seed=args.seed,
             group=_parse_group(args.group),
-            top1=top1,
-            top2_10=top2_10,
+            top1=MomentTarget(*_parse_pair(args.top1, "--top1", "0.278,0.106")),
+            top2_10=MomentTarget(*_parse_pair(args.top2_10, "--top2-10", "0.293,0.127")),
         )
         emit_csv(synth_registry(config), args.output or sys.stdout)
         return 0
@@ -281,7 +275,7 @@ def _cmd_pipeline(args) -> int:
         spi_mode=args.spi_mode,
         min_sample=args.min_sample,
         h=args.h,
-        period_range=_parse_range(args.period_range) if args.period_range else None,
+        period_range=_parse_pair(args.period_range, "period range", "4,50") if args.period_range else None,
         grid_step=args.grid_step,
         workers=args.workers,
         macros=macros,
@@ -290,9 +284,7 @@ def _cmd_pipeline(args) -> int:
         if args.seed is None:
             print("pipeline: --seed is required with --synth", file=sys.stderr)
             return USAGE_ERROR
-        if args.synth == "default" or args.synth == "registry":
-            source = _default_synth(args.seed)
-        elif args.synth == "outcomes":
+        if args.synth == "outcomes":
             pdf = ControlPowerPdf(wave=ideal_wave(args.h))
             source = SynthConfig(
                 years=DEFAULT_SYNTH_YEARS,
@@ -301,13 +293,9 @@ def _cmd_pipeline(args) -> int:
                 pdf=pdf,
             )
         else:
-            print(f"pipeline: unknown synth mode {args.synth!r}", file=sys.stderr)
-            return USAGE_ERROR
-    elif args.input:
-        source = _ingest_table(args.input)
+            source = _default_synth(args.seed)
     else:
-        print("pipeline: provide --input or --synth", file=sys.stderr)
-        return USAGE_ERROR
+        source = _ingest_table(args.input)
     report = run_pipeline(source, config)
     if args.output:
         for fmt in formats:
@@ -376,8 +364,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_synth)
 
     p = sub.add_parser("pipeline", help="full procedure plus report emission")
-    p.add_argument("--input", help="registry CSV")
-    p.add_argument("--synth", help="default | registry | outcomes")
+    sources = p.add_mutually_exclusive_group(required=True)
+    sources.add_argument("--input", help="registry CSV")
+    sources.add_argument("--synth", choices=("default", "registry", "outcomes"))
     p.add_argument("--seed", type=int)
     p.add_argument("--output", help="report directory; stdout JSON when omitted")
     p.add_argument("--format", default="json",

@@ -1,5 +1,5 @@
-"""Firm-year shareholder registries: validation, CSV ingest/emit,
-sampling filter, natural-experiment grouping, and seeded synthetic
+"""Firm-year shareholder registries: validation, CSV ingest/emit, the
+column table the pipeline filters and groups, and seeded synthetic
 generators calibrated to yearly moment targets.
 
 CSV schema (UTF-8, an optional byte-order mark, comma separator, '.' decimal):
@@ -25,6 +25,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .evolution import ControlPowerPdf, pdf_sample
+from .power_index import _row_fsums
 
 log = logging.getLogger(__name__)
 
@@ -98,14 +99,10 @@ class FirmYearRecord:
             raise DataError(_OWNERSHIP.message.format(ownership=self.ownership))
         if _COUNT.test(len(shares)):
             raise DataError(_COUNT.message.format(count=len(shares)))
-        rises = any(map(_RISE.test, shares, shares[1:]))
-        # non-increasing shares without nan lie between the first and the last,
-        # so those two stand for all; other lists are tested share by share
-        if rises or any(map(math.isnan, shares)) or _SHARE.test(shares[0]) or _SHARE.test(shares[-1]):
-            for s in shares:
-                if _SHARE.test(s):
-                    raise DataError(_SHARE.message.format(share=s))
-        if rises:
+        for s in shares:
+            if _SHARE.test(s):
+                raise DataError(_SHARE.message.format(share=s))
+        if any(map(_RISE.test, shares, shares[1:])):
             raise DataError(_RISE.message)
         if _TOTAL.test(math.fsum(shares)):
             raise DataError(_TOTAL.message)
@@ -121,22 +118,6 @@ class FirmYearRecord:
         record = object.__new__(cls)
         vars(record).update(fields)
         return record
-
-    @property
-    def group(self) -> GroupKey:
-        return GroupKey(self.board, self.ownership)
-
-    @property
-    def top1(self) -> float:
-        return self.shares[0]
-
-    @property
-    def top2_10(self) -> float:
-        return math.fsum(self.shares[1:])
-
-    @property
-    def top_total(self) -> float:
-        return math.fsum(self.shares)
 
 
 def _int_column(values: Sequence[int]) -> np.ndarray:
@@ -187,14 +168,15 @@ class _Table(NamedTuple):
         """The table of records, which passed the rules when they were built."""
         records = list(records)
         pad = [(0.0,) * (MAX_HOLDERS - n) for n in range(MAX_HOLDERS + 1)]
+        shares = np.array([r.shares + pad[len(r.shares)] for r in records], dtype=float).reshape(-1, MAX_HOLDERS)
         return cls(
             year=_int_column([r.year for r in records]),
             board=np.array([_BOARD_CODES[r.board] for r in records], dtype=np.int64),
             ownership=np.array([_OWNERSHIP_CODES[r.ownership] for r in records], dtype=np.int64),
             firm_id=[r.firm_id for r in records],
-            shares=np.array([r.shares + pad[len(r.shares)] for r in records], dtype=float).reshape(-1, MAX_HOLDERS),
+            shares=shares,
             count=np.array([len(r.shares) for r in records], dtype=np.int64),
-            total=np.array([math.fsum(r.shares) for r in records], dtype=float),
+            total=np.array(_row_fsums(shares), dtype=float),
             meeting=np.array([0.0 if r.meeting_share is None else r.meeting_share for r in records], dtype=float),
             has_meeting=np.array([r.meeting_share is not None for r in records], dtype=bool),
             n_meetings=[r.n_meetings for r in records],
@@ -347,7 +329,7 @@ def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int
     flag(bad.any(axis=1), lambda i: _SHARE.message.format(share=values[i, np.argmax(bad[i])].item()))
     flag((_RISE.test(values[:, :-1], values[:, 1:]) & pairs).any(axis=1), lambda i: _RISE.message)
     # a row with a bad share is rejected already; zeroing it keeps fsum finite
-    total = np.array(list(map(math.fsum, zip(*np.where(bad.any(axis=1)[:, None], 0.0, values).T.tolist()))))
+    total = np.array(_row_fsums(np.where(bad.any(axis=1)[:, None], 0.0, values)), dtype=float)
     flag(_TOTAL.test(total), lambda i: _TOTAL.message)
     has_meeting = np.array([m is not None for m in meeting], dtype=bool)
     meeting = np.array([0.0 if m is None else m for m in meeting], dtype=float)
@@ -386,23 +368,6 @@ def emit_csv(records: Iterable[FirmYearRecord], dest) -> None:
     finally:
         if own:
             handle.close()
-
-
-def apply_sample_filter(records: Iterable[FirmYearRecord]) -> list[FirmYearRecord]:
-    """Keep firms whose leading holder stays below half the equity.
-
-    At or above 50% that holder's power is 1 by construction, so such
-    firm-years carry no information about the contested regime.
-    """
-    return [r for r in records if r.top1 < TOP1_FILTER_LIMIT]
-
-
-def group_records(records: Iterable[FirmYearRecord]) -> dict[GroupKey, list[FirmYearRecord]]:
-    """Partition into the four (board, ownership) natural-experiment cells."""
-    out: dict[GroupKey, list[FirmYearRecord]] = {}
-    for rec in records:
-        out.setdefault(rec.group, []).append(rec)
-    return {key: out[key] for key in sorted(out)}
 
 
 class MomentTarget(NamedTuple):

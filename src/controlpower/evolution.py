@@ -134,35 +134,6 @@ def wave_extrema(params: WaveParams):
     return params.a0 + amp, params.a0 - amp
 
 
-@dataclass(frozen=True)
-class EvolutionClock:
-    """Conversion between operation count l and calendar time t = h*l."""
-
-    h: float
-    l: int = 0
-
-    def __post_init__(self):
-        if not self.h > 0:
-            raise ValueError("h must be positive")
-        if self.l < 0:
-            raise ValueError("operation count must be non-negative")
-
-    @property
-    def t(self) -> float:
-        return self.h * self.l
-
-
-def operations_wave(params: WaveParams, h: float) -> WaveParams:
-    """Reparameterize a wave from calendar time to operation count.
-
-    The same oscillation seen on the operation axis l = t/h has period
-    T/h; coefficients are unchanged.
-    """
-    if not h > 0:
-        raise ValueError("h must be positive")
-    return WaveParams(params.a0, params.a1, params.b1, params.period / h)
-
-
 def wave_equation_residual(
     params: WaveParams,
     h: float,

@@ -98,14 +98,6 @@ class FourierFit:
             return None
         return WaveParams(self.a0, self.a1, self.b1, self.period)
 
-    @property
-    def amplitude(self) -> float:
-        return math.hypot(self.a1, self.b1)
-
-    @property
-    def phase(self) -> float:
-        return math.atan2(self.b1, self.a1)
-
 
 def _coeffs_and_sse(t: np.ndarray, y: np.ndarray, period: float):
     theta = 2.0 * math.pi * t / period

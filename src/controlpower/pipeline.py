@@ -186,25 +186,6 @@ def _group_stats(rows: _Table, spi_mode: str) -> list[YearStats]:
     return stats
 
 
-def year_stats(records: Sequence[FirmYearRecord], spi_mode: str = "top10") -> YearStats:
-    """Aggregate one group-year: power ratios, share means, meeting ratios.
-
-    All records must belong to the same (group, year); this is the
-    one-cell case of the per-group path a report runs. The leading
-    holder's power is computed exactly for every firm in one batch per
-    mode (top9, top10, top11); firms below full power under the requested
-    mode feed the normal-fit fields.
-    """
-    if not records:
-        raise ValueError("no records for this group-year")
-    keys = {(r.group, r.year) for r in records}
-    if len(keys) != 1:
-        raise ValueError("records span more than one (group, year) cell")
-    if spi_mode not in SPI_MODES:
-        raise ValueError(f"unknown spi mode {spi_mode!r}")
-    return _group_stats(_Table.from_records(records), spi_mode)[0]
-
-
 def year_stats_from_draws(year: int, draws: Sequence[float]) -> YearStats:
     """Aggregate a year of raw power draws (no registry, no share data)."""
     values = np.array([float(v) for v in draws], dtype=float)
@@ -335,7 +316,7 @@ def build_group_report(
     phase_ok = None
     fr = fits.get("r_spi_1")
     if f210 and fr and not f210.degenerate and not fr.degenerate:
-        phase = _wrap_angle(f210.phase - fr.phase)
+        phase = _wrap_angle(f210.params.phase - fr.params.phase)
         gap = min(abs(phase - PHASE_DIFF_EXPECTED), 2.0 * math.pi - abs(phase - PHASE_DIFF_EXPECTED))
         phase_ok = gap <= PHASE_DIFF_TOL
     diagnostics = Diagnostics(
@@ -507,6 +488,8 @@ def run_pipeline(
     order = _sort_order(table)
     if not isinstance(source, SynthConfig):
         provenance = {"input_digest": _records_digest(table, order), "seed": None}
+    # at or above half the equity the leading holder's power is 1 by
+    # construction, so such firm-years say nothing of the contested regime
     kept = order[table.shares[order, 0] < TOP1_FILTER_LIMIT]
     if not kept.size:
         raise DataError("no records survive the sampling filter")

@@ -232,6 +232,22 @@ class TestSynth:
         code, _, _ = run_cli("synth", "registry", capsys=capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("value", ["0.3", "0.3,0.1,0.2"])
+    @pytest.mark.parametrize("option, example", [("--top1", "0.278,0.106"), ("--top2-10", "0.293,0.127")])
+    def test_moment_target_needs_a_pair(self, option, example, value, capsys):
+        code, out, err = run_cli("synth", "registry", "--seed", "1", option, value, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"controlpower: {option} needs two numbers, e.g. {example}\n"
+
+    @pytest.mark.parametrize("what", ["registry", "outcomes"])
+    @pytest.mark.parametrize("group", ["main", "otc/private"])
+    def test_bad_group_names_the_choices(self, what, group, capsys):
+        code, out, err = run_cli("synth", what, "--seed", "1", "--group", group, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert "group must be one of" in err
+
     def test_outcomes_without_normal_mass_exits_promptly(self):
         # no mass in (0, 1): the sampler used to loop until killed
         proc = subprocess.run(
@@ -318,6 +334,29 @@ class TestPipeline:
     def test_usage_error_exit_code(self, capsys):
         assert run_cli("pipeline", capsys=capsys)[0] == 1
         assert run_cli("nonsense", capsys=capsys)[0] == 1
+
+    def test_input_and_synth_are_exclusive(self, tmp_path, monkeypatch, capsys):
+        def fail(*args, **kwargs):
+            raise AssertionError("a registry was read although two sources were given")
+
+        monkeypatch.setattr("controlpower.cli._ingest_table", fail)
+        code, out, err = run_cli("pipeline", "--synth", "default", "--seed", "1",
+                                 "--input", str(tmp_path / "x.csv"), capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert "not allowed with" in err
+
+    def test_unknown_synth_mode_is_usage_error(self, capsys):
+        code, out, err = run_cli("pipeline", "--synth", "nonsense", "--seed", "1", capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert "invalid choice" in err
+
+    def test_period_range_needs_a_pair(self, capsys):
+        code, out, err = run_cli("pipeline", "--synth", "outcomes", "--seed", "1", "--period-range", "4",
+                                 capsys=capsys)
+        assert code == 2
+        assert err == "controlpower: period range needs two numbers, e.g. 4,50\n"
 
     def test_missing_input_file_is_data_error(self, capsys):
         code, _, _ = run_cli("pipeline", "--input", "/no/such/file.csv", capsys=capsys)

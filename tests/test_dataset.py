@@ -12,14 +12,13 @@ from controlpower.dataset import (
     GroupKey,
     MomentTarget,
     SynthConfig,
-    apply_sample_filter,
     emit_csv,
-    group_records,
     ingest_csv,
     synth_outcomes,
     synth_registry,
 )
 from controlpower.evolution import ControlPowerPdf, WaveParams, ideal_wave
+from controlpower.pipeline import PipelineConfig, run_pipeline
 
 HEADER = "firm_id,year,board,ownership,s1,s2,s3,s4,s5,s6,s7,s8,s9,s10,meeting_share,n_meetings"
 
@@ -45,9 +44,8 @@ def make_record(**overrides):
 class TestRecordValidation:
     def test_valid_record(self):
         rec = make_record()
-        assert rec.top1 == 0.30
-        assert rec.top2_10 == pytest.approx(0.15)
-        assert rec.group == GroupKey("main", "private")
+        assert rec.shares == (0.30, 0.10, 0.05)
+        assert (rec.board, rec.ownership) == ("main", "private")
 
     def test_rejects_unknown_board(self):
         with pytest.raises(DataError):
@@ -293,19 +291,17 @@ class TestRoundTrip:
 
 
 class TestSampleFilter:
+    """The pipeline keeps firms whose leading holder holds below half."""
+
     def test_boundary(self):
         kept = make_record(shares=(0.499,))
         dropped = make_record(firm_id="f2", shares=(0.500, 0.1))
-        assert apply_sample_filter([kept, dropped]) == [kept]
+        (year,) = run_pipeline([kept, dropped], PipelineConfig(min_sample=1)).groups[GroupKey("main", "private")].years
+        assert (year.n_sample, year.m_top1) == (1, 0.499)
 
     def test_empty_input(self):
-        assert apply_sample_filter([]) == []
-
-    def test_idempotent_and_order_preserving(self):
-        records = [make_record(firm_id=f"f{i}", shares=(0.1 + 0.04 * i,)) for i in range(9)]
-        once = apply_sample_filter(records)
-        assert apply_sample_filter(once) == once
-        assert [r.firm_id for r in once] == [r.firm_id for r in records if r.top1 < 0.5]
+        with pytest.raises(DataError, match="no records survive"):
+            run_pipeline([], PipelineConfig(min_sample=1))
 
 
 class TestGrouping:
@@ -314,22 +310,18 @@ class TestGrouping:
         for i, board in enumerate(("main", "sme_gem")):
             for j, ownership in enumerate(("private", "state")):
                 for k in range(3 + i + j):
-                    records.append(
-                        make_record(firm_id=f"{board}-{ownership}-{k}", board=board, ownership=ownership)
-                    )
-        groups = group_records(records)
+                    shares = (0.3,) if k else (0.6,)  # one firm per group above the filter limit
+                    records.append(make_record(firm_id=f"{board}-{ownership}-{k}", board=board,
+                                               ownership=ownership, shares=shares, year=2001 + k % 2))
+        groups = run_pipeline(records, PipelineConfig(min_sample=1)).groups
         assert len(groups) == 4
-        assert sum(len(v) for v in groups.values()) == len(records)
-        seen = set()
-        for key, members in groups.items():
-            for rec in members:
-                assert rec.group == key
-                assert rec.firm_id not in seen
-                seen.add(rec.firm_id)
+        for key, group in groups.items():
+            kept = [r for r in records if (r.board, r.ownership) == key and r.shares[0] < 0.5]
+            assert sum(ys.n_sample for ys in group.years) == len(kept)
 
     def test_single_cell_input(self):
         records = [make_record(firm_id=f"f{i}") for i in range(4)]
-        groups = group_records(records)
+        groups = run_pipeline(records, PipelineConfig(min_sample=1)).groups
         assert list(groups) == [GroupKey("main", "private")]
 
 
@@ -347,8 +339,8 @@ class TestSynthRegistry:
 
     def test_moments_match_targets(self):
         records = synth_registry(self.config())
-        top1 = np.array([r.top1 for r in records])
-        rest = np.array([r.top2_10 for r in records])
+        top1 = np.array([r.shares[0] for r in records])
+        rest = np.array([sum(r.shares[1:]) for r in records])
         assert top1.mean() == pytest.approx(0.278, abs=0.01)
         assert top1.std(ddof=1) == pytest.approx(0.106, abs=0.01)
         assert rest.mean() == pytest.approx(0.293, abs=0.01)
@@ -360,7 +352,7 @@ class TestSynthRegistry:
         assert len(records) == 75
         for year in config.years:
             assert sum(r.year == year for r in records) == 25
-        assert {r.group for r in records} == {config.group}
+        assert {(r.board, r.ownership) for r in records} == {config.group}
 
     def test_zero_sd_gives_identical_firms(self):
         config = self.config(

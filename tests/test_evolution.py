@@ -10,12 +10,10 @@ from controlpower.evolution import (
     LADDER_STATES,
     MIN_TRUNCATION_MASS,
     ControlPowerPdf,
-    EvolutionClock,
     OscillationModel,
     WaveParams,
     collapse_walk,
     ideal_wave,
-    operations_wave,
     oscillation_curves,
     pdf_eval,
     pdf_sample,
@@ -149,23 +147,6 @@ class TestWaveEval:
     def test_rejects_non_positive_period(self):
         with pytest.raises(ValueError):
             WaveParams(0.5, 0.1, 0.0, 0.0)
-
-
-class TestEvolutionClock:
-    def test_time_is_h_times_operations(self):
-        clock = EvolutionClock(h=1.5, l=11)
-        assert clock.t == 1.5 * 11
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EvolutionClock(h=0.0)
-        with pytest.raises(ValueError):
-            EvolutionClock(h=1.0, l=-1)
-
-    def test_operations_wave_period(self):
-        wave = operations_wave(FITTED_WAVE, 1.5)
-        assert wave.period == pytest.approx(17.357 / 1.5)
-        assert (wave.a0, wave.a1, wave.b1) == (0.553, 0.060, -0.083)
 
 
 class TestWaveEquationResidual:

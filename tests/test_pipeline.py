@@ -16,7 +16,6 @@ from controlpower.dataset import (
     MomentTarget,
     SynthConfig,
     _Table,
-    apply_sample_filter,
     ingest_csv,
     synth_registry,
 )
@@ -29,7 +28,6 @@ from controlpower.pipeline import (
     build_report,
     emit_report,
     run_pipeline,
-    year_stats,
     year_stats_from_draws,
 )
 from controlpower.power_index import make_game, spi_dp, top_holder_numerators
@@ -60,21 +58,28 @@ def registry_config(**overrides):
     return SynthConfig(**base)
 
 
+def cell_stats(records, spi_mode="top10"):
+    """The one year of the report on records of one (group, year) cell."""
+    (group,) = run_pipeline(records, PipelineConfig(min_sample=1, spi_mode=spi_mode)).groups.values()
+    (stats,) = group.years
+    return stats
+
+
 class TestYearStats:
     def test_dictator_firm(self):
-        stats = year_stats([record("f1", (0.40, 0.10, 0.10))])
+        stats = cell_stats([record("f1", (0.40, 0.10, 0.10))])
         assert stats.r_spi_1 == 1.0
         assert stats.n_spi_lt1 == 0
         assert stats.spi_lt1_mean is None
 
     def test_symmetric_firm(self):
-        stats = year_stats([record("f1", (0.20, 0.20, 0.20))])
+        stats = cell_stats([record("f1", (0.20, 0.20, 0.20))])
         assert stats.r_spi_1 == 0.0
         assert stats.spi_lt1_mean == pytest.approx(1 / 3)
         assert stats.spi_lt1_sd is None  # single firm below full power
 
     def test_share_means(self):
-        stats = year_stats([
+        stats = cell_stats([
             record("f1", (0.40, 0.10)),
             record("f2", (0.20, 0.15, 0.05)),
         ])
@@ -88,7 +93,7 @@ class TestYearStats:
             record("f2", (0.30, 0.10), meeting_share=0.32),
             record("f3", (0.30, 0.10)),  # no meeting data, excluded from ratios
         ]
-        stats = year_stats(recs)
+        stats = cell_stats(recs)
         assert stats.n_meeting == 2
         assert stats.meeting_ratio_mean == pytest.approx((0.9 + 0.8) / 2)
         assert stats.band_count_ratio == 1.0
@@ -97,19 +102,13 @@ class TestYearStats:
         # ratios 0.207, 0.307, 0.407: the SD rounds to 0.09999999999999999, so
         # an unguarded band drops an end value and gives 2/3
         recs = [record(f"f{i}", (0.4, 0.3, 0.3), meeting_share=m) for i, m in enumerate((0.207, 0.307, 0.407))]
-        stats = year_stats(recs)
+        stats = cell_stats(recs)
         assert stats.meeting_ratio_sd < 0.1
         assert stats.band_count_ratio == 1.0
 
-    def test_rejects_mixed_cells(self):
-        with pytest.raises(ValueError):
-            year_stats([record("f1", (0.3,)), record("f2", (0.3,), year=2002)])
-        with pytest.raises(ValueError):
-            year_stats([])
-
     def test_top11_requires_meeting_share(self):
         with pytest.raises(DataError):
-            year_stats([record("f1", (0.3, 0.1))], spi_mode="top11")
+            cell_stats([record("f1", (0.3, 0.1))], spi_mode="top11")
 
     def test_dictatorship_equivalence_property(self):
         # headline ratio must equal the brute-force dictator count
@@ -121,8 +120,8 @@ class TestYearStats:
             scale = min(1.0, (1.0 - top1) / (sum(rest) + 1e-12), 1.0)
             rest = [r * scale * 0.999 for r in rest]
             recs.append(record(f"f{i}", [top1] + rest))
-        recs = apply_sample_filter(recs)
-        stats = year_stats(recs)
+        stats = cell_stats(recs)
+        assert stats.n_sample == len(recs)  # every leading share is below the filter limit
         dictators = 0
         for r in recs:
             game = make_game(r.shares)
@@ -139,8 +138,7 @@ class TestYearStats:
             top1=MomentTarget(0.316, 0.114),
             top2_10=MomentTarget(0.250, 0.130),
         )
-        records = apply_sample_filter(synth_registry(config))
-        stats = year_stats(records)
+        stats = cell_stats(synth_registry(config))
         assert stats.r_spi_1 == pytest.approx(0.644, abs=0.10)
 
     def test_mode_top11_with_zero_residual_matches_top10(self):
@@ -152,13 +150,13 @@ class TestYearStats:
             if total > 0.99:
                 shares = [s / (total * 1.02) for s in shares]
             recs.append(record(f"f{i}", shares, meeting_share=min(1.0, sum(shares))))
-        top10 = year_stats(recs, spi_mode="top10")
-        top11 = year_stats(recs, spi_mode="top11")
+        top10 = cell_stats(recs, spi_mode="top10")
+        top11 = cell_stats(recs, spi_mode="top11")
         assert top11.r_spi_1 == top10.r_spi_1
 
     def test_variant_ordering_not_assumed_only_bounds(self):
         recs = [record(f"f{i}", (0.35, 0.2, 0.1), meeting_share=0.7) for i in range(3)]
-        stats = year_stats(recs)
+        stats = cell_stats(recs)
         for v in (stats.r_spi_1_top9, stats.r_spi_1_top10, stats.r_spi_1_top11):
             assert 0.0 <= v <= 1.0
 
@@ -185,10 +183,10 @@ def test_cell_means_and_sds_unchanged():
             units = sorted((rng.randint(1, 1000) for _ in range(rng.randint(1, 10))), reverse=True)
             meeting = None if rng.random() < blank else round(rng.uniform(0.0, 1.0), 4)
             recs.append(record(f"f{i}", [u / 10_000 for u in units], meeting_share=meeting))
-        stats = year_stats(recs)
-        ratios = [r.meeting_share / r.top_total for r in recs if r.meeting_share is not None]
-        assert (stats.m_top1, stats.m_top1_sd) == reference_mean_sd([r.top1 for r in recs])
-        assert (stats.m_top2_10, stats.m_top2_10_sd) == reference_mean_sd([r.top2_10 for r in recs])
+        stats = cell_stats(recs)
+        ratios = [r.meeting_share / math.fsum(r.shares) for r in recs if r.meeting_share is not None]
+        assert (stats.m_top1, stats.m_top1_sd) == reference_mean_sd([r.shares[0] for r in recs])
+        assert (stats.m_top2_10, stats.m_top2_10_sd) == reference_mean_sd([math.fsum(r.shares[1:]) for r in recs])
         assert (stats.meeting_ratio_mean, stats.meeting_ratio_sd) == reference_mean_sd(ratios)
 
 
@@ -216,7 +214,7 @@ class TestYearStatsFromDraws:
         assert powers[0] < 1.0 and powers[1] == 1.0
         assert 0 < sum(v == 1.0 for v in powers) < len(powers) - 2
 
-        from_records = year_stats(recs)
+        from_records = cell_stats(recs)
         from_draws = year_stats_from_draws(2001, powers)
         for name in ("r_spi_1", "spi_lt1_mean", "spi_lt1_sd", "spi_lt1_band", "n_spi_lt1"):
             assert getattr(from_records, name) == getattr(from_draws, name), name
@@ -254,7 +252,7 @@ class TestPipelineConfig:
 
 class TestRunPipeline:
     def test_row_order_invariance(self):
-        records = apply_sample_filter(synth_registry(registry_config()))
+        records = synth_registry(registry_config())
         config = PipelineConfig(min_sample=40)
         report_a = run_pipeline(records, config)
         shuffled = records[:]
@@ -370,12 +368,15 @@ def random_registry(seed, blank_meeting=0.15):
 
 
 def per_cell_stats(records, spi_mode):
-    """The aggregates of every (group, year) cell, one ``year_stats`` call
-    per cell in group, year and record order."""
+    """The aggregates of every (group, year) cell of the records below the
+    filter limit, one ``_group_stats`` call per cell in group, year and
+    record order."""
     cells = {}
-    for rec in sorted(apply_sample_filter(records), key=lambda r: (r.group, r.year, r.firm_id)):
-        cells.setdefault(rec.group, {}).setdefault(rec.year, []).append(rec)
-    return {g: tuple(year_stats(cell, spi_mode) for cell in by_year.values()) for g, by_year in cells.items()}
+    for rec in sorted(records, key=lambda r: (r.board, r.ownership, r.year, r.firm_id)):
+        if rec.shares[0] < 0.5:
+            cells.setdefault(GroupKey(rec.board, rec.ownership), {}).setdefault(rec.year, []).append(rec)
+    return {g: tuple(pipeline._group_stats(_Table.from_records(cell), spi_mode)[0] for cell in by_year.values())
+            for g, by_year in cells.items()}
 
 
 class TestInputDigest:
@@ -397,7 +398,7 @@ class TestInputDigest:
         assert self.digest(self.BASE) == "db4a6e7d82b4bf3cdf6660d1ac08a7689a98f17937983e134053252db4892d2e"
 
     def test_row_order_does_not_matter(self):
-        records = apply_sample_filter(synth_registry(registry_config(firms_per_year=5)))
+        records = synth_registry(registry_config(firms_per_year=5))
         shuffled = records[:]
         random.Random(7).shuffle(shuffled)
         assert shuffled != records
@@ -474,7 +475,7 @@ class TestBatchedPowers:
         if spi_mode == "top11":
             records = [r for r in records if r.meeting_share is not None]
         assert any(r.meeting_share is None for r in records) == (spi_mode != "top11")
-        assert any(2 * r.top1 == pytest.approx(math.fsum(r.shares)) for r in records)
+        assert any(2 * r.shares[0] == pytest.approx(math.fsum(r.shares)) for r in records)
         random.Random(seed).shuffle(records)
         report = run_pipeline(records, PipelineConfig(spi_mode=spi_mode, min_sample=1))
         expected = per_cell_stats(records, spi_mode)
@@ -483,12 +484,12 @@ class TestBatchedPowers:
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_top11_names_the_first_firm_without_meeting_share(self, seed):
-        records = apply_sample_filter(random_registry(seed, blank_meeting=0.0))
-        groups = sorted({r.group for r in records})
+        records = [r for r in random_registry(seed, blank_meeting=0.0) if r.shares[0] < 0.5]
+        groups = sorted({(r.board, r.ownership) for r in records})
         # the first group's last year comes before the last group's first
         # year, though the sorted records run the other way
-        late = max((r for r in records if r.group == groups[0]), key=lambda r: r.year)
-        early = min((r for r in records if r.group == groups[-1]), key=lambda r: r.year)
+        late = max((r for r in records if (r.board, r.ownership) == groups[0]), key=lambda r: r.year)
+        early = min((r for r in records if (r.board, r.ownership) == groups[-1]), key=lambda r: r.year)
         assert late.year > early.year
         blank = {late.firm_id, early.firm_id} | {r.firm_id for r in random.Random(seed).sample(records, 2)}
         records = [dataclasses.replace(r, meeting_share=None) if r.firm_id in blank else r for r in records]
