@@ -130,9 +130,6 @@ def _cmd_evolve(args) -> int:
             print(", ".join(_fmt(v) for v in values))
         return 0
     if args.what == "walk":
-        if args.seed is None:
-            print("evolve walk: --seed is required", file=sys.stderr)
-            return USAGE_ERROR
         law = tuple(_parse_floats(args.law)) if args.law else (0.25, 0.25, 0.25, 0.25)
         states = collapse_walk(args.operations, args.seed, law)
         _emit_series([(i, float(v)) for i, v in enumerate(states)], args.output)
@@ -321,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--output")
     q = sub_ev.add_parser("walk")
     q.add_argument("--operations", type=int, default=100)
-    q.add_argument("--seed", type=int)
+    q.add_argument("--seed", type=int, required=True)
     q.add_argument("--law", help="four comma-separated episode-length weights")
     q.add_argument("--output")
     q = sub_ev.add_parser("wave")
@@ -366,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pipeline", help="full procedure plus report emission")
     sources = p.add_mutually_exclusive_group(required=True)
     sources.add_argument("--input", help="registry CSV")
-    sources.add_argument("--synth", choices=("default", "registry", "outcomes"))
+    sources.add_argument("--synth", choices=("default", "outcomes"))
     p.add_argument("--seed", type=int)
     p.add_argument("--output", help="report directory; stdout JSON when omitted")
     p.add_argument("--format", default="json",

@@ -16,18 +16,15 @@ from __future__ import annotations
 
 import csv
 import itertools
-import logging
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .evolution import ControlPowerPdf, pdf_sample
 from .power_index import _row_fsums
-
-log = logging.getLogger(__name__)
 
 BOARDS = ("main", "sme_gem")
 OWNERSHIPS = ("private", "state")
@@ -183,22 +180,21 @@ class _Table(NamedTuple):
         )
 
 
-def ingest_csv(source, *, strict: bool = True) -> list[FirmYearRecord]:
+def ingest_csv(source) -> list[FirmYearRecord]:
     """Read and validate a registry CSV (path or open text handle).
 
-    Invalid rows are reported with their file line numbers. With
-    strict=True (default) any invalid row raises DataError listing every
-    problem; with strict=False bad rows are skipped and logged.
+    Any invalid row raises DataError listing every problem with its file
+    line number.
     """
-    return _ingest_table(source, strict=strict).records()
+    return _ingest_table(source).records()
 
 
-def _ingest_table(source, *, strict: bool = True) -> _Table:
+def _ingest_table(source) -> _Table:
     """``ingest_csv``'s rows as one column table."""
     if hasattr(source, "read"):
-        return _read_table(source, strict=strict)
+        return _read_table(source)
     with open(source, newline="", encoding="utf-8-sig") as handle:
-        return _read_table(handle, strict=strict)
+        return _read_table(handle)
 
 
 # Rows read, parsed and checked at a time, so only one chunk's cells are
@@ -208,7 +204,7 @@ def _ingest_table(source, *, strict: bool = True) -> _Table:
 _CHUNK_ROWS = 512
 
 
-def _read_table(handle, *, strict: bool) -> _Table:
+def _read_table(handle) -> _Table:
     reader = csv.reader(handle)
     header = next(reader, None)
     if header is None:
@@ -226,10 +222,7 @@ def _read_table(handle, *, strict: bool) -> _Table:
         parts.append(part)
         problems += [f"row {chunk[i][1]}: {message}" for i, message in sorted(bad.items())]
     if problems:
-        if strict:
-            raise DataError("; ".join(problems))
-        for p in problems:
-            log.warning("skipping %s", p)
+        raise DataError("; ".join(problems))
     return _Table(*(np.concatenate(c) if isinstance(c[0], np.ndarray) else list(itertools.chain(*c))
                     for c in zip(*parts)))
 
@@ -258,8 +251,8 @@ def _parse_cells(cells: Sequence[str], parse, blank=_REQUIRED) -> tuple[list, di
 
 
 def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int) -> tuple[_Table, dict[int, str]]:
-    """The valid rows of a chunk as a table, and the problem of each invalid
-    row by its position in the chunk.
+    """A chunk's rows as a table, and the problem of each invalid row by its
+    position in the chunk (the table is of use only when there is none).
 
     A row's problem is the first one met in the order its cells are read:
     the cell count, year, the share cells left to right (a value after a
@@ -335,16 +328,8 @@ def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int
     meeting = np.array([0.0 if m is None else m for m in meeting], dtype=float)
     flag(_MEETING.test(meeting) & has_meeting, lambda i: _MEETING.message.format(meeting_share=meeting[i].item()))
     flag(_N_MEETINGS.test(_int_column([m or 0 for m in n_meetings])), lambda i: _N_MEETINGS.message)
-
-    keep = [i for i in range(len(rows)) if i not in problems]
-
-    def kept(column):
-        if not problems:
-            return column
-        return column[keep] if isinstance(column, np.ndarray) else [column[i] for i in keep]
-
-    return _Table(_int_column(kept(year)), *map(kept, (board, ownership, firm_id, values, count, total, meeting,
-                                                       has_meeting, n_meetings))), problems
+    return _Table(_int_column(year), board, ownership, firm_id, values, count, total, meeting, has_meeting,
+                  n_meetings), problems
 
 
 def emit_csv(records: Iterable[FirmYearRecord], dest) -> None:
@@ -375,26 +360,27 @@ class MomentTarget(NamedTuple):
     sd: float
 
 
+_CLIP_TOP1 = (0.02, 0.75)  # bounds of every synthetic leading share
+_SPLIT_ALPHA = 8.0  # Dirichlet concentration of the co-holders' split
+_MEETING_RATIO = MomentTarget(0.87, 0.14)  # meeting share over the top-10 total
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Seeded generator settings for one (board, ownership) cohort.
 
-    ``top1`` and ``top2_10`` give yearly moment targets, either one pair
-    for all years or a per-year mapping. With ``pdf`` set the config is an
-    outcome generator (power draws per year) instead of a registry
-    generator.
+    ``top1`` and ``top2_10`` give the moment targets of every year. With
+    ``pdf`` set the config is an outcome generator (power draws per year)
+    instead of a registry generator.
     """
 
     years: tuple[int, ...]
     firms_per_year: int
     seed: int
     group: GroupKey = GroupKey("main", "private")
-    top1: MomentTarget | Mapping[int, MomentTarget] | None = None
-    top2_10: MomentTarget | Mapping[int, MomentTarget] | None = None
+    top1: MomentTarget | None = None
+    top2_10: MomentTarget | None = None
     pdf: ControlPowerPdf | None = None
-    clip_top1: tuple[float, float] = (0.02, 0.75)
-    split_alpha: float = 8.0
-    meeting_ratio: MomentTarget | None = MomentTarget(0.87, 0.14)
 
     def __post_init__(self):
         if not self.years:
@@ -404,36 +390,20 @@ class SynthConfig:
         if self.pdf is None:
             if self.top1 is None or self.top2_10 is None:
                 raise ValueError("registry mode needs top1 and top2_10 targets")
-            lo, hi = self.clip_top1
-            for year in self.years:
-                tgt = self.top1_target(year)
-                if not lo <= tgt.mean <= hi:
-                    raise ValueError(f"top1 mean {tgt.mean} for {year} outside clip range")
-                if tgt.sd < 0 or self.top2_10_target(year).sd < 0:
-                    raise ValueError("target standard deviations must be non-negative")
-            if self.split_alpha <= 0:
-                raise ValueError("split concentration must be positive")
-
-    def _target(self, target, year: int) -> MomentTarget:
-        if isinstance(target, MomentTarget):
-            return target
-        if isinstance(target, tuple) and len(target) == 2:
-            return MomentTarget(*target)
-        return MomentTarget(*target[year])
-
-    def top1_target(self, year: int) -> MomentTarget:
-        return self._target(self.top1, year)
-
-    def top2_10_target(self, year: int) -> MomentTarget:
-        return self._target(self.top2_10, year)
+            for name, (mean, sd) in (("top1", self.top1), ("top2_10", self.top2_10)):
+                if not (math.isfinite(mean) and math.isfinite(sd) and sd >= 0):
+                    raise ValueError(f"{name} target needs a finite mean and a finite, non-negative sd, "
+                                     f"got {mean!r}, {sd!r}")
+            lo, hi = _CLIP_TOP1
+            if not lo <= self.top1.mean <= hi:
+                raise ValueError(f"top1 mean {self.top1.mean} outside clip range")
 
     @property
     def mode(self) -> str:
         return "outcomes" if self.pdf is not None else "registry"
 
 
-def _split_shares(rng: np.random.Generator, total: float, top1: float,
-                  alpha: float, deterministic: bool) -> list[float]:
+def _split_shares(rng: np.random.Generator, total: float, top1: float, deterministic: bool) -> list[float]:
     """Split the co-holders' total across nine positions, each <= top1."""
     n = MAX_HOLDERS - 1
     if total <= 0.0:
@@ -441,7 +411,7 @@ def _split_shares(rng: np.random.Generator, total: float, top1: float,
     if deterministic:
         return [total / n] * n
     for _ in range(1000):
-        parts = rng.dirichlet([alpha] * n)
+        parts = rng.dirichlet([_SPLIT_ALPHA] * n)
         if parts.max() * total <= top1:
             return sorted((float(p) * total for p in parts), reverse=True)
     return [total / n] * n  # concentration too low for these targets
@@ -459,27 +429,20 @@ def synth_registry(config: SynthConfig) -> list[FirmYearRecord]:
     if config.mode != "registry":
         raise ValueError("config is an outcome generator, not a registry generator")
     rng = np.random.default_rng(config.seed)
-    lo1, hi1 = config.clip_top1
+    lo1, hi1 = _CLIP_TOP1
+    t1, t210, mr = config.top1, config.top2_10, _MEETING_RATIO
+    deterministic = t1.sd == 0.0 and t210.sd == 0.0
     tag = f"{config.group.board[0]}{config.group.ownership[0]}"
     records: list[FirmYearRecord] = []
     for year in config.years:
-        t1 = config.top1_target(year)
-        t210 = config.top2_10_target(year)
-        deterministic = t1.sd == 0.0 and t210.sd == 0.0
         for j in range(config.firms_per_year):
             top1 = float(np.clip(rng.normal(t1.mean, t1.sd) if t1.sd > 0 else t1.mean, lo1, hi1))
             # the margin keeps every split part strictly below top1 after rounding
             rest_cap = min(1.0 - top1 - SHARE_SUM_TOL, (MAX_HOLDERS - 1) * top1 * (1.0 - 1e-9))
             rest = rng.normal(t210.mean, t210.sd) if t210.sd > 0 else t210.mean
             rest = float(np.clip(rest, 0.0, rest_cap))
-            shares = [top1] + _split_shares(rng, rest, top1, config.split_alpha, deterministic)
-            meeting_share = None
-            n_meetings = None
-            if config.meeting_ratio is not None:
-                mr = config.meeting_ratio
-                ratio = rng.normal(mr.mean, mr.sd) if mr.sd > 0 else mr.mean
-                meeting_share = float(np.clip(ratio * math.fsum(shares), 0.0, 1.0))
-                n_meetings = int(rng.integers(1, 16))
+            shares = [top1] + _split_shares(rng, rest, top1, deterministic)
+            meeting_share = float(np.clip(rng.normal(mr.mean, mr.sd) * math.fsum(shares), 0.0, 1.0))
             records.append(
                 FirmYearRecord(
                     firm_id=f"{tag}-{year}-{j:04d}",
@@ -488,7 +451,7 @@ def synth_registry(config: SynthConfig) -> list[FirmYearRecord]:
                     ownership=config.group.ownership,
                     shares=tuple(shares),
                     meeting_share=meeting_share,
-                    n_meetings=n_meetings,
+                    n_meetings=int(rng.integers(1, 16)),
                 )
             )
     return records

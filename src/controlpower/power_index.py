@@ -7,7 +7,7 @@ can never both win, and the grand coalition always wins.
 
 All voting decisions are made in exact integer arithmetic. At construction
 the given weights are converted to proportions of their own total and
-placed on a fixed integer grid (``grid`` units per unit of total weight,
+placed on a fixed integer grid (``GRID`` units per unit of total weight,
 rounded half to even). Power values are exact: ``fractions.Fraction``, or
 int64 numerators over n! from ``top_holder_numerators``.
 
@@ -20,10 +20,11 @@ every player of one game. Permutation enumeration and pure-Python subset
 enumeration are kept as independent test oracles; all three agree bit
 for bit.
 
-Counts are exact integers. Weights are float64 while 2 * total <= 2^53
-(any 10^6 grid), else Python ints. One player's pivot sum is at most
+Counts are exact integers. Weights are float64, which holds them exactly
+while 2 * total <= 2^53 (any game on the grid); ``spi_dp`` refuses a
+directly built game above that. One player's pivot sum is at most
 sum_k C(n-1,k) k!(n-1-k)! = n!, so it is a float64 (BLAS) product for
-float64 weights and n! <= 2^53 (n <= 18), else an int64 one (20! < 2^63).
+n! <= 2^53 (n <= 18), else an int64 one (20! < 2^63).
 
 A batch is counted in chunks of games of at most ``_MAX_ELEMENTS``
 (games x coalitions) elements, so that every intermediate of one chunk
@@ -46,7 +47,7 @@ from typing import Sequence
 
 import numpy as np
 
-DEFAULT_GRID = 10**6
+GRID = 10**6
 MAX_PLAYERS = 20
 ORACLE_MAX_PLAYERS = 9
 
@@ -72,7 +73,6 @@ class WeightedVotingGame:
 
     weights: tuple[float, ...]
     int_weights: tuple[int, ...]
-    grid: int = DEFAULT_GRID
 
     @property
     def n(self) -> int:
@@ -95,19 +95,17 @@ class PowerProfile:
         return tuple(float(v) for v in self.exact)
 
 
-def make_game(shares: Sequence[float], *, grid: int = DEFAULT_GRID) -> WeightedVotingGame:
+def make_game(shares: Sequence[float]) -> WeightedVotingGame:
     """Build the strict-majority voting game on the given share weights.
 
     Raises ValueError on an empty list, any negative or non-finite share,
-    an all-zero total, more than MAX_PLAYERS players, or grid < 1.
+    an all-zero total, or more than MAX_PLAYERS players.
     """
     shares = tuple(float(s) for s in shares)
     if not shares:
         raise ValueError("a game needs at least one player")
     if len(shares) > MAX_PLAYERS:
         raise ValueError(f"at most {MAX_PLAYERS} players supported, got {len(shares)}")
-    if grid < 1:
-        raise ValueError("grid resolution must be a positive integer")
     for s in shares:
         if not math.isfinite(s):
             raise ValueError(f"weight {s!r} is not finite")
@@ -116,8 +114,8 @@ def make_game(shares: Sequence[float], *, grid: int = DEFAULT_GRID) -> WeightedV
     total = math.fsum(shares)
     if total <= 0:
         raise ValueError("total weight must be positive")
-    int_weights = tuple(round(s / total * grid) for s in shares)
-    return WeightedVotingGame(weights=shares, int_weights=int_weights, grid=grid)
+    int_weights = tuple(round(s / total * GRID) for s in shares)
+    return WeightedVotingGame(weights=shares, int_weights=int_weights)
 
 
 def _pivot_coeffs(n: int) -> list[int]:
@@ -179,21 +177,21 @@ def spi_subset(game: WeightedVotingGame) -> PowerProfile:
 
 
 @functools.cache
-def _subsets(m: int, dtype: np.dtype) -> tuple[np.ndarray, np.ndarray]:
+def _subsets(m: int) -> tuple[np.ndarray, np.ndarray]:
     """0/1 membership of m players (rows) in all 2^m coalitions (column c
-    is bitmask c) as ``dtype``, and each coalition's size."""
+    is bitmask c) as float64, and each coalition's size."""
     bits = (np.arange(1 << m)[None, :] >> np.arange(m)[:, None]) & 1
-    return bits.astype(dtype), bits.sum(axis=0)
+    return bits.astype(np.float64), bits.sum(axis=0)
 
 
 def _pivot_numerators(weights: np.ndarray) -> np.ndarray:
     """n!-scaled power of player 0 in each row's game, as int64.
 
-    ``weights`` holds one game of n integer weights per row, float64 or
-    object (see the module docstring). Player 0 pivots on every coalition
-    S of the others with T - 2*w_0 < 2*w(S) <= T, each worth
-    |S|!(n-1-|S|)!. A dictator (2*w_0 > T) is settled in closed form; only
-    the other rows are counted.
+    ``weights`` holds one game of n integer weights per row as float64,
+    with 2 * T <= 2^53 (see the module docstring). Player 0 pivots on
+    every coalition S of the others with T - 2*w_0 < 2*w(S) <= T, each
+    worth |S|!(n-1-|S|)!. A dictator (2*w_0 > T) is settled in closed
+    form; only the other rows are counted.
     """
     n = weights.shape[1]
     twice_w = 2 * weights
@@ -206,10 +204,9 @@ def _pivot_numerators(weights: np.ndarray) -> np.ndarray:
         return nums
     m = n - 1
     lo = min(m, _BLOCK_PLAYERS)
-    bits_lo, size_lo = _subsets(lo, weights.dtype)
-    bits_hi, size_hi = _subsets(m - lo, weights.dtype)
-    exact_float = weights.dtype == np.float64 and math.factorial(n) <= _FLOAT_EXACT
-    count_type = np.float64 if exact_float else np.int64
+    bits_lo, size_lo = _subsets(lo)
+    bits_hi, size_hi = _subsets(m - lo)
+    count_type = np.float64 if math.factorial(n) <= _FLOAT_EXACT else np.int64
     # coalition c = hi * 2^lo + lo_mask, matching the reshape below
     coeffs = np.array(_pivot_coeffs(n), dtype=count_type)[(size_hi[:, None] + size_lo).ravel()]
     step = max(1, _MAX_ELEMENTS >> m)
@@ -230,12 +227,14 @@ def spi_dp(game: WeightedVotingGame) -> PowerProfile:
     Row i of the batch is the game seen from player i (that player first,
     the others after), so the whole profile is one kernel call, cut into
     chunks of players for large games. The name is kept from the dynamic
-    program this engine replaced.
+    program this engine replaced. Raises ValueError on a game whose
+    2 * int_total exceeds 2^53, which float64 cannot count exactly.
     """
+    if 2 * game.int_total > _FLOAT_EXACT:
+        raise ValueError("twice the total integer weight exceeds 2^53")
     w = game.int_weights
     rows = [(w[i],) + w[:i] + w[i + 1 :] for i in range(game.n)]
-    dtype = np.float64 if 2 * game.int_total <= _FLOAT_EXACT else object
-    nums = _pivot_numerators(np.array(rows, dtype=dtype))
+    nums = _pivot_numerators(np.array(rows, dtype=np.float64))
     n_fact = math.factorial(game.n)
     return PowerProfile(tuple(Fraction(int(v), n_fact) for v in nums))
 
@@ -275,4 +274,4 @@ def top_holder_numerators(shares: np.ndarray) -> np.ndarray:
     if not (totals > 0).all():
         raise ValueError("total weight must be positive")
     # grid units are exact float64 integers: 2 * total is about 2 * 10**6
-    return _pivot_numerators(np.rint(shares / totals[:, None] * DEFAULT_GRID))
+    return _pivot_numerators(np.rint(shares / totals[:, None] * GRID))

@@ -82,6 +82,7 @@ class TestEvolve:
     def test_walk_needs_seed(self, capsys):
         code, _, err = run_cli("evolve", "walk", "--operations", "5", capsys=capsys)
         assert code == 1
+        assert "the following arguments are required: --seed" in err
 
     def test_walk_csv(self, capsys):
         code, out, _ = run_cli("evolve", "walk", "--operations", "4", "--seed", "3", capsys=capsys)
@@ -240,6 +241,21 @@ class TestSynth:
         assert out == ""
         assert err == f"controlpower: {option} needs two numbers, e.g. {example}\n"
 
+    @pytest.mark.parametrize("option, value, target", [
+        ("--top1", "0.3,nan", "top1"),
+        ("--top2-10", "0.3,inf", "top2_10"),
+        ("--top2-10", "inf,0.1", "top2_10"),
+        ("--top2-10", "nan,0.1", "top2_10"),
+    ])
+    def test_non_finite_target_writes_no_rows(self, option, value, target, tmp_path, capsys):
+        common = ["synth", "registry", "--seed", "1", "--years", "2000", option, value]
+        code, out, err = run_cli(*common, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"controlpower: {target} target needs a finite mean and a finite, non-negative sd")
+        assert run_cli(*common, "--output", str(tmp_path / "reg.csv"), capsys=capsys)[0] == 2
+        assert not (tmp_path / "reg.csv").exists()
+
     @pytest.mark.parametrize("what", ["registry", "outcomes"])
     @pytest.mark.parametrize("group", ["main", "otc/private"])
     def test_bad_group_names_the_choices(self, what, group, capsys):
@@ -351,6 +367,13 @@ class TestPipeline:
         assert code == 1
         assert out == ""
         assert "invalid choice" in err
+
+    def test_registry_is_not_a_synth_mode(self, capsys):
+        # it was a second name for "default"
+        code, out, err = run_cli("pipeline", "--synth", "registry", "--seed", "1", capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert "invalid choice: 'registry'" in err
 
     def test_period_range_needs_a_pair(self, capsys):
         code, out, err = run_cli("pipeline", "--synth", "outcomes", "--seed", "1", "--period-range", "4",

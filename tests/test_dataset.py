@@ -1,5 +1,4 @@
 import io
-import logging
 
 import numpy as np
 import pytest
@@ -107,14 +106,15 @@ class TestIngest:
         with pytest.raises(DataError, match="missing required columns"):
             ingest_csv(bad)
 
-    def test_non_strict_skips_bad_rows(self):
+    def test_bad_row_fails_the_file(self):
         source = csv_of(
             "f1,2001,main,private,0.30,0.10,,,,,,,,,,",
             "f2,2001,main,private,0.60,0.47,,,,,,,,,,",
             "f3,2001,sme_gem,state,0.25,,,,,,,,,,0.5,4",
         )
-        rows = ingest_csv(source, strict=False)
-        assert [r.firm_id for r in rows] == ["f1", "f3"]
+        with pytest.raises(DataError) as exc:
+            ingest_csv(source)
+        assert str(exc.value) == "row 3: shares sum above total equity"
 
     def test_diagnostics_carry_row_numbers(self):
         source = csv_of(
@@ -128,12 +128,11 @@ class TestIngest:
         with pytest.raises(DataError, match="row 3: 6 cells, the header has 16"):
             ingest_csv(csv_of("f1,1996,main,private,0.3,0.2,,,,,,,,,,", "f2,1996,main,private,0.3,0.2"))
 
-    def test_non_strict_skips_short_rows(self, caplog):
+    def test_short_row_fails_the_file(self):
         source = csv_of("f1,1996,main,private,0.3,0.2", "f2,1996,main,private,0.3,0.2,,,,,,,,,,")
-        with caplog.at_level("WARNING", logger="controlpower.dataset"):
-            rows = ingest_csv(source, strict=False)
-        assert [r.firm_id for r in rows] == ["f2"]
-        assert "row 2: 6 cells" in caplog.text
+        with pytest.raises(DataError) as exc:
+            ingest_csv(source)
+        assert str(exc.value) == "row 2: 6 cells, the header has 16"
 
     def test_cells_beyond_the_header_are_ignored(self):
         rows = ingest_csv(csv_of("f1,2001,main,private,0.30,0.10,,,,,,,,,0.5,2,extra,cells"))
@@ -186,14 +185,12 @@ class TestOneRuleSet:
         with pytest.raises(DataError, match=f"^{message}$"):
             make_record(**fields)
 
-    def test_skipped_rows_log_the_same_lines(self, caplog):
+    def test_bad_rows_list_the_same_lines(self):
         rows = [ROW.format(**{**VALID, **cells}) for cells, _, _ in self.CASES] + [ROW.format(**VALID)]
-        with caplog.at_level(logging.WARNING, logger="controlpower.dataset"):
-            kept = ingest_csv(csv_of(*rows), strict=False)
-        assert len(kept) == 1
-        assert [r.getMessage() for r in caplog.records] == [
-            f"skipping row {line}: {message}" for line, (_, _, message) in enumerate(self.CASES, start=2)
-        ]
+        with pytest.raises(DataError) as exc:
+            ingest_csv(csv_of(*rows))
+        assert str(exc.value) == "; ".join(
+            f"row {line}: {message}" for line, (_, _, message) in enumerate(self.CASES, start=2))
 
 
 class TestRowNumbers:
@@ -216,8 +213,9 @@ class TestRowNumbers:
             ingest_csv(csv_of(*rows))
         assert str(exc.value) == "; ".join(
             f"row {i + 1}: unparseable value (could not convert string to float: 'abc')" for i in (4, 8))
-        assert [r.firm_id for r in ingest_csv(csv_of(*rows), strict=False)] == [
-            f"f{i}" for i in range(1, 11) if i % 4]
+        # good rows keep their file order across chunks
+        good_rows = [good.format(i) for i in range(1, 11)]
+        assert [r.firm_id for r in ingest_csv(csv_of(*good_rows))] == [f"f{i}" for i in range(1, 11)]
 
 
 class TestColumnMapping:
@@ -359,7 +357,6 @@ class TestSynthRegistry:
             firms_per_year=20,
             top1=MomentTarget(0.3, 0.0),
             top2_10=MomentTarget(0.27, 0.0),
-            meeting_ratio=None,
         )
         records = synth_registry(config)
         assert len({r.shares for r in records}) == 1
@@ -372,6 +369,18 @@ class TestSynthRegistry:
     def test_rejects_infeasible_targets(self):
         with pytest.raises(ValueError, match="clip range"):
             self.config(top1=MomentTarget(0.9, 0.1))
+
+    @pytest.mark.parametrize("target, value", [
+        ("top1", MomentTarget(0.3, float("nan"))),
+        ("top1", MomentTarget(0.3, -0.1)),
+        ("top1", MomentTarget(float("inf"), 0.1)),
+        ("top2_10", MomentTarget(0.3, float("inf"))),
+        ("top2_10", MomentTarget(float("inf"), 0.1)),
+        ("top2_10", MomentTarget(float("nan"), 0.1)),
+    ])
+    def test_rejects_non_finite_targets(self, target, value):
+        with pytest.raises(ValueError, match=f"^{target} target needs a finite mean"):
+            self.config(**{target: value})
 
     def test_outcome_config_cannot_generate_registry(self):
         config = SynthConfig(

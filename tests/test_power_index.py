@@ -8,6 +8,7 @@ import pytest
 
 from controlpower import power_index
 from controlpower.power_index import (
+    GRID,
     MAX_PLAYERS,
     ORACLE_MAX_PLAYERS,
     WeightedVotingGame,
@@ -59,11 +60,11 @@ class TestMakeGame:
         assert game.n == 3
         assert game.weights == (0.30, 0.10, 0.05)
         assert game.int_weights == (666667, 222222, 111111)
-        assert game.int_total == game.grid
+        assert game.int_total == GRID
 
     def test_single_player_is_dictator(self):
         game = make_game([0.51])
-        assert game.int_weights == (game.grid,)
+        assert game.int_weights == (GRID,)
         assert spi_dp(game).exact == (Fraction(1),)
 
     def test_ten_player_top_heavy_total(self):
@@ -91,10 +92,6 @@ class TestMakeGame:
     def test_rejects_too_many_players(self):
         with pytest.raises(ValueError):
             make_game([1.0] * (MAX_PLAYERS + 1))
-
-    def test_rejects_zero_grid(self):
-        with pytest.raises(ValueError):
-            make_game([1.0, 2.0], grid=0)
 
 
 class TestPermutationOracle:
@@ -203,7 +200,7 @@ class TestEngine:
 
     def test_planted_exact_half_coalitions(self):
         # integer weights whose total splits exactly in two: the half
-        # coalition loses, so the grid (a multiple of the total) keeps the tie
+        # coalition loses, so units at twice each weight keep the tie
         rng = random.Random(43)
         ties = 0
         for _ in range(150):
@@ -214,8 +211,7 @@ class TestEngine:
             if rest[-1] < 0:
                 continue
             row = sorted(half + rest, reverse=True)
-            game = make_game(row, grid=2 * sum(row))
-            assert game.int_weights == tuple(2 * w for w in row)
+            game = WeightedVotingGame(weights=tuple(row), int_weights=tuple(2 * w for w in row))
             assert spi_dp(game).exact == _oracle(game)
             ties += 1
         assert ties >= 50
@@ -299,18 +295,14 @@ class TestEngine:
         assert sum(profile.exact) == 1
         assert top_holder_powers([game.weights]) == [profile.exact[0]]
 
-    def test_huge_grid_stays_exact(self):
-        # weights this large are not exact in float64 and would overflow
-        # int64 at 10**19: the engine must count them as Python integers
-        rng = random.Random(59)
-        for grid in (10**18, 10**19, 10**40):
-            for _ in range(5):
-                game = make_game([rng.uniform(0.0, 1.0) for _ in range(rng.randint(2, 9))], grid=grid)
-                assert spi_dp(game).exact == spi_subset(game).exact
-        tie = WeightedVotingGame(weights=(2.0, 1.0, 1.0), int_weights=(2 * 10**19, 10**19, 10**19), grid=4 * 10**19)
-        assert spi_dp(tie).exact == (Fraction(2, 3), Fraction(1, 6), Fraction(1, 6))
-        assert spi_dp(make_game([0.9, 0.1, 0.05], grid=10**19)).exact == (1, 0, 0)
-
+    def test_oversized_game_is_refused(self):
+        # float64 counts exactly while 2 * total <= 2^53; a directly built
+        # game above that is refused, not rounded
+        edge = WeightedVotingGame(weights=(2.0, 1.0, 1.0), int_weights=(2**51, 2**50, 2**50))
+        assert spi_dp(edge).exact == (Fraction(2, 3), Fraction(1, 6), Fraction(1, 6))
+        for units in ((2**51, 2**50, 2**50 + 1), (10**19, 5 * 10**18, 5 * 10**18)):
+            with pytest.raises(ValueError, match="exceeds 2\\^53"):
+                spi_dp(WeightedVotingGame(weights=(2.0, 1.0, 1.0), int_weights=units))
 
     @pytest.mark.parametrize("max_elements", [1, 3 << 9])  # one game per chunk; 3 at 10 players
     def test_chunk_size_does_not_change_numerators(self, max_elements, monkeypatch):
@@ -319,10 +311,8 @@ class TestEngine:
                  for n in list(range(1, 12)) * 5]
         rng.shuffle(mixed)
         float_games = [make_game([rng.uniform(0.0, 1.0) for _ in range(n)]) for n in (2, 7, 10, 11)]
-        object_games = [make_game([rng.uniform(0.0, 1.0) for _ in range(n)], grid=grid)
-                        for n, grid in ((3, 10**18), (9, 10**19), (11, 10**40))]
         twenty = make_game([rng.uniform(0.0, 1.0) for _ in range(MAX_PLAYERS)])
-        games = float_games + object_games + [twenty]
+        games = float_games + [twenty]
 
         def results():
             return numerator_pairs(mixed), [spi_dp(g).exact for g in games]
