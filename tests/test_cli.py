@@ -12,6 +12,11 @@ from controlpower.cli import main
 from controlpower.pipeline import PipelineConfig, run_pipeline
 
 GOLDEN_REGISTRY = Path(__file__).parent / "data" / "golden_registry.csv"
+# 42 share lists of 1-20 players at 2-6 decimals, with planted exact-half
+# coalitions, comments and blank lines, and the bytes `spi --input` prints
+# for them
+GOLDEN_SPI = Path(__file__).parent / "data" / "golden_spi.txt"
+GOLDEN_SPI_OUT = Path(__file__).parent / "data" / "golden_spi.out"
 
 
 def run_cli(*argv, capsys=None):
@@ -39,6 +44,11 @@ class TestSpi:
         code, out, err = run_cli("spi", "--input", str(path), capsys=capsys)
         assert code == 0, err
         assert out.strip() == "0.6667, 0.1667, 0.1667"
+
+    def test_golden_input_prints_the_golden_bytes(self, capsys):
+        code, out, err = run_cli("spi", "--input", str(GOLDEN_SPI), capsys=capsys)
+        assert code == 0, err
+        assert out.encode() == GOLDEN_SPI_OUT.read_bytes()
 
     def test_requires_some_input(self, capsys):
         code, _, err = run_cli("spi", capsys=capsys)
