@@ -7,6 +7,7 @@ from .power_index import (  # noqa: E402,F401
     PowerProfile,
     WeightedVotingGame,
     make_game,
+    profile_numerators,
     spi_dp,
     spi_permutation_oracle,
     spi_subset,

@@ -44,7 +44,7 @@ from .pipeline import (
     emit_report,
     run_pipeline,
 )
-from .power_index import make_game, spi_dp
+from .power_index import make_game, profile_numerators
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -52,6 +52,7 @@ DATA_ERROR = 2
 DEFAULT_SYNTH_YEARS = tuple(range(1996, 2022))
 DEFAULT_TOP1 = MomentTarget(0.278, 0.106)
 DEFAULT_TOP2_10 = MomentTarget(0.293, 0.127)
+_SPI_GAMES = 1 << 12  # games per profile_numerators call; their numerators wait to be printed
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,6 +106,7 @@ def _cmd_spi(args) -> int:
     if args.shares:
         games.append(make_game(_parse_floats(args.shares)))
     if args.input:
+        given = len(games)
         with open(args.input, encoding="utf-8-sig") as handle:
             for number, line in enumerate(handle, start=1):
                 line = line.strip()
@@ -113,11 +115,17 @@ def _cmd_spi(args) -> int:
                         games.append(make_game(_parse_floats(line)))
                     except ValueError as exc:
                         raise DataError(f"{args.input} line {number}: {exc}") from None
+        if len(games) == given:
+            raise DataError(f"{args.input} has no share lists")
     if not games:
         print("spi: provide --shares or --input", file=sys.stderr)
         return USAGE_ERROR
-    for game in games:
-        print(", ".join(_fmt(v) for v in spi_dp(game).spi))
+    # v / n! is correctly rounded, as float(Fraction(v, n!)) is
+    for at in range(0, len(games), _SPI_GAMES):
+        batch = games[at : at + _SPI_GAMES]
+        for game, nums in zip(batch, profile_numerators(batch)):
+            n_fact = math.factorial(game.n)
+            print(", ".join(_fmt(v / n_fact) for v in nums))
     return 0
 
 

@@ -124,6 +124,14 @@ def check_period_grid(period_range: tuple[float, float] | None, grid_step: float
         )
 
 
+def _check_period_floor(lo: float, t: Sequence[float]) -> None:
+    """Reject a lowest trial period below twice the smallest step of the
+    increasing times ``t``, where periods alias and near-singular fits win."""
+    floor = 2.0 * float(np.diff(t).min())
+    if lo < floor:
+        raise ValueError(f"period range starts at {lo}, below {floor}, twice the smallest time step")
+
+
 def _period_grid(lo: float, hi: float, grid_step: float) -> np.ndarray:
     """Trial periods lo, lo + step, ... up to hi, with hi appended when the
     steps miss it; the range must pass ``check_period_grid``."""
@@ -182,18 +190,19 @@ def fit_fourier1(
     T is scanned over ``period_range`` (default [4, 2 * span]) in steps of
     ``grid_step`` and refined by golden section around the best grid point;
     on equal error (to 1e-12 of the total sum of squares, so aliases tie)
-    the smaller period wins. Needs at least 4 points, and at most
-    MAX_GRID_PERIODS trial periods. A constant series is reported as
-    degenerate, not an error.
+    the smaller period wins. Needs at least 4 points, at most MAX_GRID_PERIODS
+    trial periods and a lowest period of at least twice the smallest time
+    step. A constant series is reported as degenerate, not an error.
     """
     if len(series) < 4:
         raise ValueError("Fourier fitting needs at least 4 points")
     if period_range is None:
         period_range = (4.0, 2.0 * series.span)
     check_period_grid(period_range, grid_step)
+    lo, hi = float(period_range[0]), float(period_range[1])
+    _check_period_floor(lo, series.t)
     t = np.asarray(series.t, dtype=float)
     y = np.asarray(series.y, dtype=float)
-    lo, hi = float(period_range[0]), float(period_range[1])
     grid = _period_grid(lo, hi, grid_step)
 
     mean = float(y.mean())

@@ -37,6 +37,7 @@ from .dataset import (
 from .evolution import wave_eval
 from .fitting import (
     DEFAULT_GRID_STEP,
+    _check_period_floor,
     CorrelationResult,
     FourierFit,
     TimeSeries,
@@ -406,21 +407,18 @@ def _sort_order(table: _Table) -> np.ndarray:
     return np.lexsort((*table.shares.T[::-1], *keys)) if repeats.any() else order
 
 
-def _check_default_grid(table: _Table, groups: Mapping[GroupKey, np.ndarray], config: PipelineConfig) -> None:
-    """Raise the error the first fit would raise for an oversized default
-    period grid, before any power work.
-
-    The default range [4, 2 * span] needs the span of a group's qualifying
-    years, which is known once the rows are grouped; only groups with
-    enough qualifying years to be fitted count.
-    """
-    if config.period_range is not None:
-        return  # PipelineConfig checked it
+def _check_period_grids(table: _Table, groups: Mapping[GroupKey, np.ndarray], config: PipelineConfig) -> None:
+    """Raise the error the first fit would raise for its period range (an
+    oversized default grid, or a lower bound below twice the smallest step
+    between fitted years) before any power work; only groups with enough
+    qualifying years to be fitted count."""
     for index in groups.values():
         years, sizes = np.unique(table.year[index], return_counts=True)
         fitted = years[sizes >= config.min_sample].tolist()
         if len(fitted) >= MIN_FIT_YEARS:
-            check_period_grid((4.0, 2.0 * (fitted[-1] - fitted[0])), config.grid_step)
+            period_range = config.period_range or (4.0, 2.0 * (fitted[-1] - fitted[0]))
+            check_period_grid(period_range, config.grid_step)
+            _check_period_floor(float(period_range[0]), fitted)
 
 
 _DIGEST_ROWS = 4096  # rows turned into Python values at a time
@@ -498,7 +496,7 @@ def run_pipeline(
         GroupKey(BOARDS[code // len(OWNERSHIPS)], OWNERSHIPS[code % len(OWNERSHIPS)]): kept[codes == code]
         for code in np.unique(codes).tolist()
     }
-    _check_default_grid(table, groups, config)
+    _check_period_grids(table, groups, config)
     stats = {group: _group_stats(table.take(index), config.spi_mode) for group, index in groups.items()}
     return build_report(stats, config, provenance)
 

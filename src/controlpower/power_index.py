@@ -9,20 +9,20 @@ All voting decisions are made in exact integer arithmetic. At construction
 the given weights are converted to proportions of their own total and
 placed on a fixed integer grid (``GRID`` units per unit of total weight,
 rounded half to even). Power values are exact: ``fractions.Fraction``, or
-int64 numerators over n! from ``top_holder_numerators``.
+numerators over n! (int64 from ``top_holder_numerators``, else int).
 
 One counting engine serves the library: a batched numpy kernel that sums,
 for a whole batch of games at once, the pivot weights k!(n-1-k)! of one
 player over every coalition of the others (subset counting in the manner
 of Matsui & Matsui 2000 and Bilbao et al. 2000). ``top_holder_numerators``
-runs it over the leading holders of many share lists and ``spi_dp`` over
-every player of one game. Permutation enumeration and pure-Python subset
-enumeration are kept as independent test oracles; all three agree bit
-for bit.
+runs it over the leading holders of many share lists, ``profile_numerators``
+over every player of many games (one batch per player count; ``spi_dp`` is
+its one-game case). Permutation and pure-Python subset enumeration are
+kept as independent test oracles; all three agree bit for bit.
 
 Counts are exact integers. Weights are float64, which holds them exactly
-while 2 * total <= 2^53 (any game on the grid); ``spi_dp`` refuses a
-directly built game above that. One player's pivot sum is at most
+while 2 * total <= 2^53 (any game on the grid); ``profile_numerators``
+refuses a directly built game above that. One player's pivot sum is at most
 sum_k C(n-1,k) k!(n-1-k)! = n!, so it is a float64 (BLAS) product for
 n! <= 2^53 (n <= 18), else an int64 one (20! < 2^63).
 
@@ -61,6 +61,8 @@ _MAX_ELEMENTS = 1 << 14
 _BLOCK_PLAYERS = 10
 # Integers up to 2^53 are exact in float64 (and so is every sum of them).
 _FLOAT_EXACT = 2**53
+# Games whose rotated rows profile_numerators builds at once (3.2 MB at 20 players).
+_PROFILE_GAMES = 1 << 10
 
 
 @dataclass(frozen=True)
@@ -221,22 +223,34 @@ def _pivot_numerators(weights: np.ndarray) -> np.ndarray:
     return nums
 
 
-def spi_dp(game: WeightedVotingGame) -> PowerProfile:
-    """Every player's power from the batched counting engine.
-
-    Row i of the batch is the game seen from player i (that player first,
-    the others after), so the whole profile is one kernel call, cut into
-    chunks of players for large games. The name is kept from the dynamic
-    program this engine replaced. Raises ValueError on a game whose
-    2 * int_total exceeds 2^53, which float64 cannot count exactly.
-    """
-    if 2 * game.int_total > _FLOAT_EXACT:
+def profile_numerators(games: Sequence[WeightedVotingGame]) -> list[tuple[int, ...]]:
+    """n!-scaled power of every player of every game, as Python ints, in
+    input order. Row i of a game is the game seen from player i (that player
+    first, the others after); each player count is counted ``_PROFILE_GAMES``
+    games at a time, so the rows alive at once do not grow with the batch.
+    Raises ValueError, before counting any game, on a game whose
+    2 * int_total exceeds 2^53, which float64 cannot count exactly."""
+    if any(2 * game.int_total > _FLOAT_EXACT for game in games):
         raise ValueError("twice the total integer weight exceeds 2^53")
-    w = game.int_weights
-    rows = [(w[i],) + w[:i] + w[i + 1 :] for i in range(game.n)]
-    nums = _pivot_numerators(np.array(rows, dtype=np.float64))
+    sizes = np.fromiter((game.n for game in games), dtype=np.int64, count=len(games))
+    out: list = [None] * len(games)
+    for n in set(sizes.tolist()):
+        rotate = np.array([[i, *range(i), *range(i + 1, n)] for i in range(n)])
+        indices = np.flatnonzero(sizes == n).tolist()
+        for at in range(0, len(indices), _PROFILE_GAMES):
+            chunk = indices[at : at + _PROFILE_GAMES]
+            weights = np.array([games[k].int_weights for k in chunk], dtype=np.float64)
+            nums = _pivot_numerators(weights[:, rotate].reshape(-1, n)).reshape(len(chunk), n)
+            for k, row in zip(chunk, nums.tolist()):
+                out[k] = tuple(row)
+    return out
+
+
+def spi_dp(game: WeightedVotingGame) -> PowerProfile:
+    """Every player's power as exact fractions: ``profile_numerators`` of one
+    game. The name is kept from the dynamic program this engine replaced."""
     n_fact = math.factorial(game.n)
-    return PowerProfile(tuple(Fraction(int(v), n_fact) for v in nums))
+    return PowerProfile(tuple(Fraction(v, n_fact) for v in profile_numerators([game])[0]))
 
 
 _FSUM_ROWS = 4096  # rows turned into Python floats at a time

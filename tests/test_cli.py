@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import resource
 import subprocess
@@ -49,6 +50,24 @@ class TestSpi:
         code, out, err = run_cli("spi", "--input", str(GOLDEN_SPI), capsys=capsys)
         assert code == 0, err
         assert out.encode() == GOLDEN_SPI_OUT.read_bytes()
+
+    def test_shares_and_mixed_input_print_in_input_order(self, tmp_path, capsys):
+        path = tmp_path / "games.txt"
+        path.write_text("1,1,1\n# three then two then one\n60,40\n\n5\n2,1,1\n0.2,0.2,0.2,0.2,0.2\n")
+        code, out, err = run_cli("spi", "--shares", "3,1", "--input", str(path), capsys=capsys)
+        assert code == 0, err
+        assert out.splitlines() == [
+            "1, 0", "0.3333, 0.3333, 0.3333", "1, 0", "1", "0.6667, 0.1667, 0.1667", "0.2, 0.2, 0.2, 0.2, 0.2",
+        ]
+
+    @pytest.mark.parametrize("shares", [(), ("--shares", "2,1,1")])
+    def test_input_without_share_lists_is_data_error(self, shares, tmp_path, capsys):
+        path = tmp_path / "games.txt"
+        path.write_text("# only a comment\n\n   \n")
+        code, out, err = run_cli("spi", *shares, "--input", str(path), capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"controlpower: {path} has no share lists\n"
 
     def test_requires_some_input(self, capsys):
         code, _, err = run_cli("spi", capsys=capsys)
@@ -184,6 +203,16 @@ class TestFit:
         assert code == 2
         assert out == ""
         assert "trial periods" in err
+
+    def test_period_range_below_twice_the_time_step_is_data_error(self, tmp_path, capsys):
+        # y = 0.5 t + sin(2 pi t / 7.5), t = 0..25 once fitted T = 1.000001
+        # and printed a max of 4e8
+        path = tmp_path / "series.csv"
+        path.write_text("t,y\n" + "".join(f"{t},{0.5 * t + math.sin(2 * math.pi * t / 7.5)}\n" for t in range(26)))
+        code, out, err = run_cli("fit", "--input", str(path), "--period-range", "1,10", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "controlpower: period range starts at 1.0, below 2.0, twice the smallest time step\n"
 
     def test_short_row_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "series.csv"
@@ -499,6 +528,18 @@ class TestPipeline:
         assert code == 2
         assert out == ""
         assert "trial periods" in err
+
+    def test_period_range_below_twice_the_year_step_stops_before_any_power_batch(self, monkeypatch, capsys):
+        def fail(rows):
+            raise AssertionError("a power batch ran before the period range was checked")
+
+        monkeypatch.setattr("controlpower.pipeline.top_holder_numerators", fail)
+        code, out, err = run_cli(
+            "pipeline", "--input", str(GOLDEN_REGISTRY), "--min-sample", "5", "--period-range", "1,10", capsys=capsys,
+        )
+        assert code == 2
+        assert out == ""
+        assert err == "controlpower: period range starts at 1.0, below 2.0, twice the smallest time step\n"
 
     def test_bad_grid_stops_before_ingest(self, monkeypatch, capsys):
         reads = []

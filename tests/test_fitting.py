@@ -217,20 +217,47 @@ class TestPeriodScan:
     def test_near_singular_periods_do_not_win(self):
         # integer years from 1996, a rising trend: at T = 1 cos is exactly
         # 1 and at T = 2 sin is rounding noise, where a plain closed form
-        # divides by zero or fits the trend with the noise column
+        # divides by zero or fits the trend with the noise column. The fit
+        # refuses periods below 2, so the scan scores them directly.
         t = np.arange(1996.0, 2022.0)
         rng = np.random.default_rng(5)
         y = 0.5 + 0.004 * (t - 1996) + 0.05 * np.sin(2 * np.pi * t / 7.5) + rng.normal(0.0, 0.01, t.size)
-        series = TimeSeries(tuple(t), tuple(y))
-        fit = fit_fourier1(series, (1.0, 10.0))
-        assert fit_tuple(fit) == reference_fit(series, (1.0, 10.0))
-        assert 7.0 < fit.period < 8.0
+        grid = fitting._period_grid(1.0, 10.0, 0.05)
+        scan = fitting._scan_sse(t, y, grid)
+        ref = np.array([fitting._coeffs_and_sse(t, y, float(p))[1] for p in grid])
+        assert np.isfinite(scan).all()
+        np.testing.assert_allclose(scan, ref, rtol=1e-9, atol=0.0)
+        assert 7.0 < grid[np.argmin(scan)] < 8.0
 
     def test_aliased_periods_keep_the_smaller(self):
-        # on integer t, T = 6 and T = 1.2 (1/1.2 = 1 - 1/6) fit equally well
+        # on integer t, T = 6 and T = 1.2 (1/1.2 = 1 - 1/6) fit equally well:
+        # their scan errors tie within the fit's tolerance, so the first
+        # (smaller) period of a grid that holds both would win
         series = sample_series(WaveParams(0.5, 0.1, 0.05, 6.0), np.arange(16.0))
-        fit = fit_fourier1(series, (1.0, 7.0))
-        assert fit.period == pytest.approx(1.2, rel=1e-6)
+        t, y = np.asarray(series.t), np.asarray(series.y)
+        grid = fitting._period_grid(1.0, 7.0, 0.05)
+        scan = fitting._scan_sse(t, y, grid)
+        sst = float(((y - y.mean()) ** 2).sum())
+        best = np.flatnonzero(scan <= scan.min() + fitting._SCAN_TIE * sst)
+        assert grid[best[0]] == pytest.approx(1.2, rel=1e-9)
+        assert grid[best[-1]] == pytest.approx(6.0, rel=1e-9)
+
+    def test_rejects_periods_below_twice_the_smallest_step(self):
+        # y = 0.5 t + sin(2 pi t / 7.5) on t = 0..25 once fitted T = 1.000001
+        # with b1 = -67607 over [1, 10]
+        t = np.arange(26.0)
+        series = TimeSeries(tuple(t), tuple(0.5 * t + np.sin(2 * np.pi * t / 7.5)))
+        with pytest.raises(ValueError, match="period range starts at 1.0, below 2.0, twice the smallest time step"):
+            fit_fourier1(series, (1.0, 10.0))
+        assert 2.0 <= fit_fourier1(series, (2.0, 10.0)).period <= 10.0
+        # the smallest step counts, wherever it is
+        uneven = sample_series(GEN, [0.0, 3.0, 6.0, 7.5, 10.5, 13.5, 16.5])
+        with pytest.raises(ValueError, match="below 3.0"):
+            fit_fourier1(uneven, (2.9, 20.0))
+        assert fit_fourier1(uneven, (3.0, 20.0)).period >= 3.0
+        # the default range [4, 2 * span] too
+        with pytest.raises(ValueError, match="period range starts at 4.0, below 6.0"):
+            fit_fourier1(sample_series(GEN, np.arange(0.0, 30.0, 3.0)))
 
     def test_rejects_oversized_grid_before_scanning(self, monkeypatch):
         def no_scan(*args):

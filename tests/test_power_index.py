@@ -13,6 +13,7 @@ from controlpower.power_index import (
     ORACLE_MAX_PLAYERS,
     WeightedVotingGame,
     make_game,
+    profile_numerators,
     spi_dp,
     spi_permutation_oracle,
     spi_subset,
@@ -303,6 +304,41 @@ class TestEngine:
         for units in ((2**51, 2**50, 2**50 + 1), (10**19, 5 * 10**18, 5 * 10**18)):
             with pytest.raises(ValueError, match="exceeds 2\\^53"):
                 spi_dp(WeightedVotingGame(weights=(2.0, 1.0, 1.0), int_weights=units))
+
+    @pytest.mark.parametrize("profile_games", [power_index._PROFILE_GAMES, 2])
+    def test_profile_batch_matches_one_game_calls(self, profile_games, monkeypatch):
+        # a shuffled batch of 1-20 players: one subset block up to 11
+        # players, two from 12, int64 counts from 19; each planted game
+        # splits into two sides of equal integer weight, which both tie
+        rng = random.Random(71)
+        games = []
+        for n in list(range(1, MAX_PLAYERS + 1)) + list(range(1, 13)) * 2:
+            games.append(make_game([rng.uniform(0.0, 1.0) for _ in range(n)]))
+            if n >= 2:
+                k = rng.randint(1, n - 1)
+                sides = [sorted(rng.sample(range(1, 500), parts - 1)) for parts in (k, n - k)]
+                row = [b - a for cuts in sides for a, b in zip([0] + cuts, cuts + [500])]
+                rng.shuffle(row)
+                games.append(WeightedVotingGame(weights=tuple(row), int_weights=tuple(2 * w for w in row)))
+        rng.shuffle(games)
+        monkeypatch.setattr(power_index, "_PROFILE_GAMES", profile_games)
+        batch = profile_numerators(games)
+        assert batch == [profile_numerators([game])[0] for game in games]
+        assert all(type(v) is int for nums in batch for v in nums)
+        for game, nums in zip(games, batch):
+            assert sum(nums) == math.factorial(game.n)
+            if game.n <= 12:
+                assert tuple(Fraction(v, math.factorial(game.n)) for v in nums) == spi_subset(game).exact
+
+    def test_profile_batch_refuses_an_oversized_game_before_counting(self, monkeypatch):
+        def no_count(weights):
+            raise AssertionError("no game may be counted")
+
+        games = [make_game([3, 2, 1]), make_game([1] * 12)] * 3
+        games.insert(4, WeightedVotingGame(weights=(2.0, 1.0, 1.0), int_weights=(2**51, 2**50, 2**50 + 1)))
+        monkeypatch.setattr(power_index, "_pivot_numerators", no_count)
+        with pytest.raises(ValueError, match="exceeds 2\\^53"):
+            profile_numerators(games)
 
     @pytest.mark.parametrize("max_elements", [1, 3 << 9])  # one game per chunk; 3 at 10 players
     def test_chunk_size_does_not_change_numerators(self, max_elements, monkeypatch):
