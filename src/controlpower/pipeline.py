@@ -142,16 +142,29 @@ def _group_stats(rows: _Table, spi_mode: str) -> list[YearStats]:
     contiguous run), with one power batch per mode: top9 is the first nine
     share columns, top10 the block and top11 the block plus the meeting
     attendance beyond it, clipped at zero, for rows with a meeting share.
-    The zero padding of absent holders adds null players, which leave the
-    leading holder's power exactly as it is."""
+
+    A zero weight is a null player. It leaves the fsum total and every
+    other grid unit as they are, so a game plus one zero weight is the same
+    game plus a null player: its numerator over (n+1)! is n+1 times the
+    smaller game's over n!, the same rational, and ``num / n!`` is the
+    correctly rounded float of it. So the zero padding of absent holders
+    leaves the leading holder's power exactly as it is, and each distinct
+    game is counted once: top10 only where the tenth share is above zero,
+    top11 only where the residual is; the other rows take the smaller
+    mode's power bit for bit."""
     has = rows.has_meeting
     if spi_mode == "top11" and not has.all():
         first = int(np.argmin(has))
         raise DataError(f"firm {rows.firm_id[first]} year {rows.year[first]}: top11 mode needs meeting_share")
     shares = rows.shares
-    top9, top10 = _powers(shares[:, :9]), _powers(shares)
-    top11 = np.full(len(has), np.nan)
-    top11[has] = _powers(np.column_stack((shares[has], np.maximum(rows.meeting[has] - rows.total[has], 0.0))))
+    top9 = _powers(shares[:, :9])
+    top10 = top9.copy()
+    tenth = shares[:, 9] > 0
+    top10[tenth] = _powers(shares[tenth])
+    residual = np.maximum(rows.meeting - rows.total, 0.0)
+    top11 = np.where(has, top10, np.nan)
+    extra = has & (residual > 0)
+    top11[extra] = _powers(np.column_stack((shares[extra], residual[extra])))
     # in top11 mode every row has a meeting share, so no top11 power is nan
     mode = {"top9": top9, "top10": top10, "top11": top11}[spi_mode]
     top1 = shares[:, 0].tolist()
@@ -407,18 +420,15 @@ def _sort_order(table: _Table) -> np.ndarray:
     return np.lexsort((*table.shares.T[::-1], *keys)) if repeats.any() else order
 
 
-def _check_period_grids(table: _Table, groups: Mapping[GroupKey, np.ndarray], config: PipelineConfig) -> None:
-    """Raise the error the first fit would raise for its period range (an
-    oversized default grid, or a lower bound below twice the smallest step
-    between fitted years) before any power work; only groups with enough
-    qualifying years to be fitted count."""
-    for index in groups.values():
-        years, sizes = np.unique(table.year[index], return_counts=True)
-        fitted = years[sizes >= config.min_sample].tolist()
-        if len(fitted) >= MIN_FIT_YEARS:
-            period_range = config.period_range or (4.0, 2.0 * (fitted[-1] - fitted[0]))
-            check_period_grid(period_range, config.grid_step)
-            _check_period_floor(float(period_range[0]), fitted)
+def _check_period_grid(fitted: Sequence[int], config: PipelineConfig) -> None:
+    """Raise the error the first fit of a group with the increasing
+    ``fitted`` years would raise for its period range (an oversized default
+    grid, or a lower bound below twice the smallest step between fitted
+    years); a group with too few fitted years is never fitted."""
+    if len(fitted) >= MIN_FIT_YEARS:
+        period_range = config.period_range or (4.0, 2.0 * (fitted[-1] - fitted[0]))
+        check_period_grid(period_range, config.grid_step)
+        _check_period_floor(float(period_range[0]), fitted)
 
 
 _DIGEST_ROWS = 4096  # rows turned into Python values at a time
@@ -476,6 +486,10 @@ def run_pipeline(
             "seed": source.seed,
         }
         if source.mode == "outcomes":
+            # every year gets firms_per_year draws, so the fitted years are
+            # known before sampling
+            fitted = sorted(set(source.years)) if source.firms_per_year >= config.min_sample else []
+            _check_period_grid(fitted, config)
             draws = synth_outcomes(source)
             stats = [year_stats_from_draws(year, draws[year]) for year in sorted(draws)]
             return build_report({source.group: stats}, config, provenance)
@@ -496,7 +510,10 @@ def run_pipeline(
         GroupKey(BOARDS[code // len(OWNERSHIPS)], OWNERSHIPS[code % len(OWNERSHIPS)]): kept[codes == code]
         for code in np.unique(codes).tolist()
     }
-    _check_period_grids(table, groups, config)
+    # before any power work
+    for index in groups.values():
+        years, sizes = np.unique(table.year[index], return_counts=True)
+        _check_period_grid(years[sizes >= config.min_sample].tolist(), config)
     stats = {group: _group_stats(table.take(index), config.spi_mode) for group, index in groups.items()}
     return build_report(stats, config, provenance)
 

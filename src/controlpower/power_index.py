@@ -22,18 +22,27 @@ kept as independent test oracles; all three agree bit for bit.
 
 Counts are exact integers. Weights are float64, which holds them exactly
 while 2 * total <= 2^53 (any game on the grid); ``profile_numerators``
-refuses a directly built game above that. One player's pivot sum is at most
-sum_k C(n-1,k) k!(n-1-k)! = n!, so it is a float64 (BLAS) product for
-n! <= 2^53 (n <= 18), else an int64 one (20! < 2^63).
+refuses a directly built game above that. A batch whose 2 * T_max is
+below 2^24 (every grid game: 2 * T is about 2 * 10^6) sums the subsets in
+float32, where every partial sum is an integer of at most 2 * T and so
+exact in whatever order the BLAS adds. It counts the pivots against the
+weights k!(n-1-k)! divided by their gcd g: one player's pivot sum is then
+at most n!/g = lcm(1..n), which is below 2^24 up to n = 18 (12,252,240),
+and the int64 count is multiplied back by g. Other batches sum in float64
+and count in float64 while n! <= 2^53 (n <= 18), else in int64 (20! < 2^63).
 
-A batch is counted in chunks of games of at most ``_MAX_ELEMENTS``
-(games x coalitions) elements, so that every intermediate of one chunk
-stays in a core's L2 cache. Measured on all three modes of one
-2,547-firm registry group (2-vCPU Xeon, 2 MiB L2 per core, numpy 2.4,
-median of 25 runs), the chunk size 2^12 / 2^14 / 2^16 / 2^18 / 2^20
-took 45 / 36 / 36 / 40 / 56 ms, with a traced allocation peak of 1.0 /
-1.4 / 2.9 / 9.1 / 26 MiB: 2^14 is the smallest size on the fast plateau.
-The chunk size never changes a result.
+A batch is counted in chunks of games whose (games x coalitions)
+subset-sum intermediate holds at most ``_MAX_BYTES`` bytes, so that every
+intermediate of one chunk stays in a core's L2 cache; a float32 chunk
+holds twice the games of a float64 one. Measured on all three modes of
+one 2,547-firm registry group in float64 (2-vCPU Xeon, 2 MiB L2 per core,
+numpy 2.4, median of 25 runs), chunks of 2^15 / 2^17 / 2^19 / 2^21 / 2^23
+bytes took 45 / 36 / 36 / 40 / 56 ms, with a traced allocation peak of
+1.0 / 1.4 / 2.9 / 9.1 / 26 MiB: 2^17 is the smallest size on the fast
+plateau. In float32, the pipeline's per-group stage (all three modes)
+over the four groups of a 10,221-row registry took 40 / 38 / 36-39 /
+36-41 / 46-56 ms at 2^15 / 2^16 / 2^17 / 2^18 / 2^19 bytes (same
+machine, median of 9, three rounds), so 2^17 stays. The chunk size never changes a result.
 """
 
 from __future__ import annotations
@@ -51,16 +60,21 @@ GRID = 10**6
 MAX_PLAYERS = 20
 ORACLE_MAX_PLAYERS = 9
 
-# Largest number of elements in one (games x coalitions) intermediate of
-# the counting kernel; batches are cut along the game axis to stay below.
-# 2^14 float64 elements are 128 KiB, so a chunk's few intermediates stay
-# in L2; smaller chunks pay more per-chunk overhead, larger ones spill
-# (see the module docstring for the measured sweep).
-_MAX_ELEMENTS = 1 << 14
+# Largest size in bytes of one (games x coalitions) subset-sum intermediate
+# of the counting kernel; batches are cut along the game axis to stay
+# below. 128 KiB keeps a chunk's few intermediates in L2; smaller chunks
+# pay more per-chunk overhead, larger ones spill (see the module docstring
+# for the measured sweep).
+_MAX_BYTES = 1 << 17
 # Players enumerated by one cached subset matrix; larger games pair two.
 _BLOCK_PLAYERS = 10
-# Integers up to 2^53 are exact in float64 (and so is every sum of them).
+# Integers up to 2^53 are exact in float64 and up to 2^24 in float32, and
+# so is every sum of them that stays within that bound.
 _FLOAT_EXACT = 2**53
+_FLOAT32_EXACT = 2**24
+# Most players whose gcd-scaled pivot weights sum below 2^24: n!/g is
+# lcm(1..n), 12,252,240 at 18 players and 232,792,560 at 19.
+_FLOAT32_PLAYERS = 18
 # Games whose rotated rows profile_numerators builds at once (3.2 MB at 20 players).
 _PROFILE_GAMES = 1 << 10
 
@@ -179,11 +193,23 @@ def spi_subset(game: WeightedVotingGame) -> PowerProfile:
 
 
 @functools.cache
-def _subsets(m: int) -> tuple[np.ndarray, np.ndarray]:
+def _subsets(m: int, dtype: type) -> np.ndarray:
     """0/1 membership of m players (rows) in all 2^m coalitions (column c
-    is bitmask c) as float64, and each coalition's size."""
-    bits = (np.arange(1 << m)[None, :] >> np.arange(m)[:, None]) & 1
-    return bits.astype(np.float64), bits.sum(axis=0)
+    is bitmask c) as ``dtype``."""
+    return ((np.arange(1 << m)[None, :] >> np.arange(m)[:, None]) & 1).astype(dtype)
+
+
+@functools.cache
+def _coalition_coeffs(n: int, dtype: type) -> tuple[np.ndarray, int]:
+    """The pivot weight k!(n-1-k)! / g of every coalition c of the n - 1
+    players after player 0 (bit i of c is player i + 1, the kernel's column
+    order), as ``dtype``, and g, the gcd of the weights."""
+    coeffs = _pivot_coeffs(n)
+    g = math.gcd(*coeffs)
+    sizes = np.zeros(1, dtype=np.int64)
+    for _ in range(n - 1):
+        sizes = np.concatenate((sizes, sizes + 1))  # coalitions with the next player follow those without
+    return np.array([c // g for c in coeffs], dtype=dtype)[sizes], g
 
 
 def _pivot_numerators(weights: np.ndarray) -> np.ndarray:
@@ -193,25 +219,28 @@ def _pivot_numerators(weights: np.ndarray) -> np.ndarray:
     with 2 * T <= 2^53 (see the module docstring). Player 0 pivots on
     every coalition S of the others with T - 2*w_0 < 2*w(S) <= T, each
     worth |S|!(n-1-|S|)!. A dictator (2*w_0 > T) is settled in closed
-    form; only the other rows are counted.
+    form; only the other rows are counted, in float32 where the batch
+    allows it exactly.
     """
     n = weights.shape[1]
-    twice_w = 2 * weights
     totals = weights.sum(axis=1)
-    floors = totals - twice_w[:, 0]
+    floors = totals - 2 * weights[:, 0]
     dictator = floors < 0
     nums = np.where(dictator, math.factorial(n), 0).astype(np.int64)
     contested = np.flatnonzero(~dictator)
     if not contested.size:
         return nums
+    if n <= _FLOAT32_PLAYERS and 2 * totals[contested].max() < _FLOAT32_EXACT:
+        sum_type = count_type = np.float32
+    else:
+        sum_type = np.float64
+        count_type = np.float64 if math.factorial(n) <= _FLOAT_EXACT else np.int64
+    twice_w, totals, floors = (a.astype(sum_type, copy=False) for a in (2 * weights, totals, floors))
     m = n - 1
     lo = min(m, _BLOCK_PLAYERS)
-    bits_lo, size_lo = _subsets(lo)
-    bits_hi, size_hi = _subsets(m - lo)
-    count_type = np.float64 if math.factorial(n) <= _FLOAT_EXACT else np.int64
-    # coalition c = hi * 2^lo + lo_mask, matching the reshape below
-    coeffs = np.array(_pivot_coeffs(n), dtype=count_type)[(size_hi[:, None] + size_lo).ravel()]
-    step = max(1, _MAX_ELEMENTS >> m)
+    bits_lo, bits_hi = _subsets(lo, sum_type), _subsets(m - lo, sum_type)
+    coeffs, g = _coalition_coeffs(n, count_type)
+    step = max(1, _MAX_BYTES // (np.dtype(sum_type).itemsize << m))
     for at in range(0, contested.size, step):
         rows = contested[at : at + step]
         w = twice_w[rows]
@@ -219,7 +248,7 @@ def _pivot_numerators(weights: np.ndarray) -> np.ndarray:
         if m > lo:
             twice = ((w[:, 1 + lo :] @ bits_hi)[:, :, None] + twice[:, None, :]).reshape(len(rows), -1)
         pivot = (twice <= totals[rows, None]) & (twice > floors[rows, None])
-        nums[rows] = pivot.astype(count_type) @ coeffs
+        nums[rows] = (pivot.astype(count_type) @ coeffs).astype(np.int64) * g
     return nums
 
 

@@ -4,9 +4,11 @@ import json
 import math
 import random
 
+import numpy as np
 import pytest
 
 from controlpower import fitting, pipeline
+from controlpower.cli import DEFAULT_SYNTH_YEARS, main
 from controlpower.dataset import (
     BOARDS,
     OWNERSHIPS,
@@ -482,6 +484,61 @@ class TestBatchedPowers:
         assert len(expected) >= 2
         assert {g: r.years for g, r in report.groups.items()} == expected
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_smaller_mode_powers_equal_a_direct_count(self, seed):
+        # rows without a tenth holder take their top9 power for top10, and
+        # rows without a meeting residual their top10 power for top11; a
+        # direct count of every full block must give the same floats. One
+        # firm a year, so each cell shows its row's power in every mode:
+        # r_spi_1_top* is 1 or 0, and spi_lt1_mean is the mode's power below 1.
+        rng = random.Random(seed)
+        records = []
+        for year in range(1000, 1400):
+            n = rng.randint(2, 10)
+            kind = rng.random()
+            if kind < 0.15:  # a dictator: the leader outweighs all others
+                rest = sorted((rng.randint(1, 300) for _ in range(n - 1)), reverse=True)
+                units = [sum(rest) + rng.randint(1, 300)] + rest
+            elif kind < 0.3:  # the leader holds exactly half the total
+                rest = sorted((rng.randint(1, 400) for _ in range(n - 1)), reverse=True)
+                units = [sum(rest)] + rest
+            elif kind < 0.45:  # two sides of equal weight, the leader's side included
+                k = rng.randint(1, n - 1)
+                sides = [sorted(rng.sample(range(1, 2000), parts - 1)) for parts in (k, n - k)]
+                units = sorted((b - a for cuts in sides for a, b in zip([0] + cuts, cuts + [2000])), reverse=True)
+            else:
+                units = sorted((rng.randint(1, 950) for _ in range(n)), reverse=True)
+            shares = tuple(u / 10_000 for u in units)
+            total = math.fsum(shares)
+            # attendance below, at or just above the top-10 total, or well above it
+            meeting = rng.choice([None, round(rng.uniform(0.0, total), 4), round(total + rng.choice([0.0, 1e-4]), 4),
+                                  round(rng.uniform(total, 1.0), 4)])
+            records.append(FirmYearRecord(f"f{year}", year, "main", "private", shares, meeting))
+        table = _Table.from_records(records)
+        has = table.has_meeting
+        residual = np.maximum(table.meeting - table.total, 0.0)
+        assert (table.shares[:, 9] == 0).any() and (table.shares[:, 9] > 0).any()
+        assert (has & (residual == 0)).any() and (residual > 0).any() and not has.all()
+        shares = table.shares
+        top11 = np.full(len(records), np.nan)
+        top11[has] = top_holder_numerators(np.column_stack((shares[has], residual[has]))) / math.factorial(11)
+        direct = {
+            "top9": top_holder_numerators(shares[:, :9]) / math.factorial(9),
+            "top10": top_holder_numerators(shares) / math.factorial(10),
+            "top11": top11,
+        }
+        assert (direct["top9"] == 1).any() and (direct["top9"] == 0.5).any()
+        for spi_mode in SPI_MODES:
+            index = np.flatnonzero(has) if spi_mode == "top11" else np.arange(len(records))
+            stats = pipeline._group_stats(table.take(index), spi_mode)
+            assert [(ys.r_spi_1_top9, ys.r_spi_1_top10, ys.r_spi_1_top11, ys.r_spi_1, ys.spi_lt1_mean, ys.n_spi_lt1)
+                    for ys in stats] == [
+                (float(direct["top9"][i] == 1), float(direct["top10"][i] == 1),
+                 float(top11[i] == 1) if has[i] else None, float(power == 1),
+                 None if power == 1 else power, int(power != 1))
+                for i, power in zip(index.tolist(), direct[spi_mode][index].tolist())
+            ]
+
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_top11_names_the_first_firm_without_meeting_share(self, seed):
         records = [r for r in random_registry(seed, blank_meeting=0.0) if r.shares[0] < 0.5]
@@ -547,6 +604,43 @@ class TestDefaultGridFailsFast:
         self._no_power(monkeypatch)
         with pytest.raises(ValueError, match="trial periods"):
             run_pipeline(random_registry(6), PipelineConfig(period_range=(4.0, 50.0), grid_step=1e-9))
+
+
+    @staticmethod
+    def _outcomes(**overrides):
+        # the source `pipeline --synth outcomes` builds
+        return dataclasses.replace(SynthConfig(years=DEFAULT_SYNTH_YEARS, firms_per_year=500, seed=5,
+                                               pdf=ControlPowerPdf(wave=ideal_wave(1.5))), **overrides)
+
+    @pytest.mark.parametrize("flag, value, overrides", [
+        ("--period-range", "1,10", {"period_range": (1.0, 10.0)}),  # below the Nyquist floor
+        ("--grid-step", "1e-9", {"grid_step": 1e-9}),  # an oversized default grid
+    ])
+    def test_outcomes_range_before_any_draw(self, flag, value, overrides, tmp_path, monkeypatch, capsys):
+        source = self._outcomes()
+        config = PipelineConfig(**overrides)
+        draws = pipeline.synth_outcomes(source)
+        stats = [year_stats_from_draws(year, draws[year]) for year in sorted(draws)]
+        with pytest.raises(ValueError) as fit_error:
+            build_report({source.group: stats}, config)  # the error the first fit raises
+
+        def no_draws(config):
+            raise AssertionError("outcomes were drawn before the period range was checked")
+
+        monkeypatch.setattr(pipeline, "synth_outcomes", no_draws)
+        with pytest.raises(ValueError) as early:
+            run_pipeline(source, config)
+        assert str(early.value) == str(fit_error.value)
+        code = main(["pipeline", "--synth", "outcomes", "--seed", "5", flag, value, "--output", str(tmp_path)])
+        assert (code, capsys.readouterr().err) == (2, f"controlpower: {fit_error.value}\n")
+
+    def test_outcomes_without_a_fit_are_not_checked(self, monkeypatch):
+        # below min_sample or under MIN_FIT_YEARS years nothing is fitted, so the grid never matters
+        config = PipelineConfig(grid_step=1e-9)
+        with pytest.raises(DataError, match="minimum sample size"):
+            run_pipeline(self._outcomes(firms_per_year=config.min_sample - 1), config)
+        short = self._outcomes(years=DEFAULT_SYNTH_YEARS[: MIN_FIT_YEARS - 1])
+        assert not run_pipeline(short, config).groups[short.group].fits
 
 
 class TestPredictionDiagnostics:

@@ -340,8 +340,8 @@ class TestEngine:
         with pytest.raises(ValueError, match="exceeds 2\\^53"):
             profile_numerators(games)
 
-    @pytest.mark.parametrize("max_elements", [1, 3 << 9])  # one game per chunk; 3 at 10 players
-    def test_chunk_size_does_not_change_numerators(self, max_elements, monkeypatch):
+    @pytest.mark.parametrize("max_bytes", [1, 3 << 9])  # one game per chunk; 3 at 8 players in float32
+    def test_chunk_size_does_not_change_numerators(self, max_bytes, monkeypatch):
         rng = random.Random(61)
         mixed = [sorted((round(rng.uniform(0.0, 1.0), 4) for _ in range(n)), reverse=True)
                  for n in list(range(1, 12)) * 5]
@@ -354,12 +354,12 @@ class TestEngine:
             return numerator_pairs(mixed), [spi_dp(g).exact for g in games]
 
         expected = results()
-        monkeypatch.setattr(power_index, "_MAX_ELEMENTS", max_elements)
+        monkeypatch.setattr(power_index, "_MAX_BYTES", max_bytes)
         assert results() == expected
 
-    @pytest.mark.parametrize("max_elements", [power_index._MAX_ELEMENTS, 1])
-    def test_float_and_int_counts_exact_at_12_to_20_players(self, max_elements, monkeypatch):
-        # 12-18 players count pivots in float64, 19-20 in int64; both must
+    @pytest.mark.parametrize("max_bytes", [power_index._MAX_BYTES, 1])
+    def test_float_and_int_counts_exact_at_12_to_20_players(self, max_bytes, monkeypatch):
+        # 12-18 players count pivots in float32, 19-20 in int64; both must
         # match a pure-Python count over make_game's grid units
         def leader_numerator(row):
             units = make_game(row).int_weights
@@ -383,10 +383,81 @@ class TestEngine:
             rng.shuffle(row)
             assert make_game(row).int_weights == tuple(1000 * w for w in row)
             rows.append(row)
-        monkeypatch.setattr(power_index, "_MAX_ELEMENTS", max_elements)
+        monkeypatch.setattr(power_index, "_MAX_BYTES", max_bytes)
         pairs = numerator_pairs(rows)
         assert pairs == [(leader_numerator(row), math.factorial(len(row))) for row in rows]
         assert sum(0 < num < n_fact for num, n_fact in pairs) >= 20
+
+
+def integer_parts(rng, total, parts):
+    """``parts`` positive integers summing to ``total``, in random order."""
+    cuts = sorted(rng.sample(range(1, total), parts - 1))
+    return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+class TestFloat32Counts:
+    """A batch whose 2 * T_max is below 2^24 is summed and counted in float32;
+    every other batch in float64 or int64. Both must be exact, in whatever
+    order the BLAS adds."""
+
+    @pytest.fixture
+    def count_types(self, monkeypatch):
+        seen = []
+        coeffs = power_index._coalition_coeffs
+        monkeypatch.setattr(power_index, "_coalition_coeffs", lambda n, dtype: seen.append(dtype) or coeffs(n, dtype))
+        return seen
+
+    @staticmethod
+    def leader_powers(rows):
+        return [spi_subset(WeightedVotingGame(weights=tuple(map(float, row)), int_weights=tuple(row))).exact[0]
+                for row in rows]
+
+    def test_grid_games_of_2_to_18_players(self, count_types):
+        # every grid game has 2 * T near 2 * 10^6; the same games scaled by 16
+        # are the same games in float64, and subset enumeration is the oracle
+        rng = random.Random(79)
+        for n in range(2, 19):
+            rows = [make_game([rng.uniform(0.0, 1.0) for _ in range(n)]).int_weights for _ in range(2)]
+            k = rng.randint(1, n - 1)  # two sides of 500,000 units: both tie at half
+            rows.append(tuple(integer_parts(rng, GRID // 2, k) + integer_parts(rng, GRID // 2, n - k)))
+            weights = np.array(rows, dtype=float)
+            nums = power_index._pivot_numerators(weights).tolist()
+            assert power_index._pivot_numerators(16 * weights).tolist() == nums
+            assert count_types[-2:] == [np.float32, np.float64]
+            assert [Fraction(v, math.factorial(n)) for v in nums] == self.leader_powers(rows)
+
+    @pytest.mark.parametrize("twice_total, count_type", [(2**24 - 2, np.float32), (2**24, np.float64)])
+    def test_batches_at_the_float32_bound(self, twice_total, count_type, count_types):
+        # a contested row of total T (player 0 the smallest) sets the batch's
+        # type; planted rows of the largest even total up to T tie at half
+        rng = random.Random(twice_total)
+        total = twice_total // 2
+        half = total // 2
+        for n in range(3, 15):
+            rows = [sorted(integer_parts(rng, total, n))]
+            for _ in range(2):
+                k = rng.randint(1, n - 1)
+                rows.append(integer_parts(rng, half, k) + integer_parts(rng, half, n - k))
+            nums = power_index._pivot_numerators(np.array(rows, dtype=float)).tolist()
+            assert count_types[-1] is count_type
+            assert [Fraction(v, math.factorial(n)) for v in nums] == self.leader_powers(rows)
+
+    def test_profiles_of_games_above_2_to_the_23(self, count_types):
+        # directly built games whose int weights total above 2^23 count in
+        # float64, every player against subset enumeration
+        rng = random.Random(83)
+        games = []
+        for n in range(2, 13):
+            for total in (2**23 + 1, 2**23 + 2, 10**9, 2**40):
+                row = integer_parts(rng, total, n)
+                if total % 2 == 0 and n > 2:
+                    k = rng.randint(1, n - 1)
+                    row = integer_parts(rng, total // 2, k) + integer_parts(rng, total // 2, n - k)
+                games.append(WeightedVotingGame(weights=tuple(map(float, row)), int_weights=tuple(row)))
+        batch = profile_numerators(games)
+        assert set(count_types) == {np.float64}
+        for game, nums in zip(games, batch):
+            assert tuple(Fraction(v, math.factorial(game.n)) for v in nums) == spi_subset(game).exact
 
 
 class TestAxioms:
