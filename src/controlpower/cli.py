@@ -282,7 +282,6 @@ def _cmd_pipeline(args) -> int:
         h=args.h,
         period_range=_parse_pair(args.period_range, "period range", "4,50") if args.period_range else None,
         grid_step=args.grid_step,
-        workers=args.workers,
         macros=macros,
     )
     if args.synth:
@@ -381,7 +380,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--h", type=float, default=1.5)
     p.add_argument("--period-range", help="lo,hi in years")
     p.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
-    p.add_argument("--workers", type=int, default=1, help="accepted for compatibility, has no effect")
     p.add_argument("--macro", action="append", help="name=path of a year,value CSV; repeatable")
     p.set_defaults(func=_cmd_pipeline)
 

@@ -385,6 +385,9 @@ class SynthConfig:
     def __post_init__(self):
         if not self.years:
             raise ValueError("need at least one year")
+        ordered = sorted(self.years)
+        if repeated := [a for a, b in zip(ordered, ordered[1:]) if a == b]:
+            raise ValueError(f"year {repeated[0]} is given more than once")
         if self.firms_per_year < 1:
             raise ValueError("need at least one firm per year")
         if self.pdf is None:
@@ -403,58 +406,55 @@ class SynthConfig:
         return "outcomes" if self.pdf is not None else "registry"
 
 
-def _split_shares(rng: np.random.Generator, total: float, top1: float, deterministic: bool) -> list[float]:
-    """Split the co-holders' total across nine positions, each <= top1."""
-    n = MAX_HOLDERS - 1
-    if total <= 0.0:
-        return []
-    if deterministic:
-        return [total / n] * n
-    for _ in range(1000):
-        parts = rng.dirichlet([_SPLIT_ALPHA] * n)
-        if parts.max() * total <= top1:
-            return sorted((float(p) * total for p in parts), reverse=True)
-    return [total / n] * n  # concentration too low for these targets
-
-
 def synth_registry(config: SynthConfig) -> list[FirmYearRecord]:
-    """Generate a registry with the configured yearly moments.
+    """The records of ``_synth_table(config)``, a registry with the configured yearly moments."""
+    return _synth_table(config).records()
 
-    Per firm the leading share is a clipped normal draw; the co-holders'
-    total is drawn likewise, clipped to keep record invariants, and split
-    by a symmetric Dirichlet proportion (equal split when both target
-    standard deviations are zero, so degenerate configs produce identical
-    firms). Deterministic for a given config.
+
+def _synth_table(config: SynthConfig) -> _Table:
+    """The synthetic registry as one column table, deterministic for a given config.
+
+    Each year draws for all its firms at once, in this order: the leading
+    share ``top1`` (a clipped normal), the co-holders' total ``rest`` (a
+    normal clipped to [0, rest_cap]), a symmetric Dirichlet split over nine
+    co-holders, the meeting noise and the meeting count. With
+    ``p = rest*split``, the excess ``E = sum(max(p - top1, 0))`` and the
+    headroom ``r = max(top1 - p, 0)``, each part becomes
+    ``min(p, top1) + r*E/sum(r)``: one pass that keeps the sum and leaves
+    every part <= top1, since ``rest_cap <= 9*top1*(1 - 1e-9)`` makes
+    ``sum(r) - E = 9*top1 - rest`` positive. A split within top1 stays as
+    drawn. Zero target SDs give an equal split and identical firms;
+    ``rest = 0`` gives one holder.
     """
     if config.mode != "registry":
         raise ValueError("config is an outcome generator, not a registry generator")
     rng = np.random.default_rng(config.seed)
-    lo1, hi1 = _CLIP_TOP1
+    firms, n = config.firms_per_year, MAX_HOLDERS - 1
     t1, t210, mr = config.top1, config.top2_10, _MEETING_RATIO
-    deterministic = t1.sd == 0.0 and t210.sd == 0.0
-    tag = f"{config.group.board[0]}{config.group.ownership[0]}"
-    records: list[FirmYearRecord] = []
-    for year in config.years:
-        for j in range(config.firms_per_year):
-            top1 = float(np.clip(rng.normal(t1.mean, t1.sd) if t1.sd > 0 else t1.mean, lo1, hi1))
-            # the margin keeps every split part strictly below top1 after rounding
-            rest_cap = min(1.0 - top1 - SHARE_SUM_TOL, (MAX_HOLDERS - 1) * top1 * (1.0 - 1e-9))
-            rest = rng.normal(t210.mean, t210.sd) if t210.sd > 0 else t210.mean
-            rest = float(np.clip(rest, 0.0, rest_cap))
-            shares = [top1] + _split_shares(rng, rest, top1, deterministic)
-            meeting_share = float(np.clip(rng.normal(mr.mean, mr.sd) * math.fsum(shares), 0.0, 1.0))
-            records.append(
-                FirmYearRecord(
-                    firm_id=f"{tag}-{year}-{j:04d}",
-                    year=year,
-                    board=config.group.board,
-                    ownership=config.group.ownership,
-                    shares=tuple(shares),
-                    meeting_share=meeting_share,
-                    n_meetings=int(rng.integers(1, 16)),
-                )
-            )
-    return records
+    draws = [(rng.normal(t1.mean, t1.sd, firms), rng.normal(t210.mean, t210.sd, firms),
+              rng.dirichlet(np.full(n, _SPLIT_ALPHA), firms) if t1.sd or t210.sd else np.full((firms, n), 1.0 / n),
+              rng.normal(mr.mean, mr.sd, firms), rng.integers(1, 16, firms)) for _ in config.years]
+    top1, rest, split, noise, n_meetings = map(np.concatenate, zip(*draws))
+    top1 = np.clip(top1, *_CLIP_TOP1)
+    rest = np.clip(rest, 0.0, np.minimum(1.0 - top1 - SHARE_SUM_TOL, n * top1 * (1.0 - 1e-9)))
+    p, cap = rest[:, None] * split, top1[:, None]
+    room = np.maximum(cap - p, 0.0)
+    p = np.minimum(p, cap) + room * (np.maximum(p - cap, 0.0).sum(axis=1) / room.sum(axis=1))[:, None]
+    shares = np.hstack([cap, np.sort(p, axis=1)[:, ::-1]])
+    total = np.array(_row_fsums(shares), dtype=float)
+    board, ownership = config.group
+    return _Table(
+        year=_int_column([year for year in config.years for _ in range(firms)]),
+        board=np.full(len(top1), _BOARD_CODES[board]),
+        ownership=np.full(len(top1), _OWNERSHIP_CODES[ownership]),
+        firm_id=[f"{board[0]}{ownership[0]}-{year}-{j:04d}" for year in config.years for j in range(firms)],
+        shares=shares,
+        count=1 + np.count_nonzero(p, axis=1),
+        total=total,
+        meeting=np.clip(noise * total, 0.0, 1.0),
+        has_meeting=np.ones(len(top1), dtype=bool),
+        n_meetings=n_meetings.tolist(),
+    )
 
 
 def synth_outcomes(config: SynthConfig) -> dict[int, np.ndarray]:

@@ -31,8 +31,8 @@ from .dataset import (
     GroupKey,
     SynthConfig,
     _Table,
+    _synth_table,
     synth_outcomes,
-    synth_registry,
 )
 from .evolution import wave_eval
 from .fitting import (
@@ -477,9 +477,11 @@ def run_pipeline(
                 "firms_per_year": source.firms_per_year,
                 "seed": source.seed,
                 "group": list(source.group),
-                "mode": source.mode,
+                "targets": [source.top1, source.top2_10],
+                "pdf": None if source.pdf is None else asdict(source.pdf),
             },
             sort_keys=True,
+            default=str,  # exact wave coefficients are Fractions
         ).encode()
         provenance = {
             "input_digest": hashlib.sha256(digest_src).hexdigest(),
@@ -493,7 +495,7 @@ def run_pipeline(
             draws = synth_outcomes(source)
             stats = [year_stats_from_draws(year, draws[year]) for year in sorted(draws)]
             return build_report({source.group: stats}, config, provenance)
-        table = _Table.from_records(synth_registry(source))
+        table = _synth_table(source)
     else:
         # the CLI passes the table it read; records are tabled here
         table = source if isinstance(source, _Table) else _Table.from_records(source)

@@ -303,6 +303,15 @@ class TestSynth:
         assert out == ""
         assert "group must be one of" in err
 
+    @pytest.mark.parametrize("what, size", [("registry", "--firms-per-year"), ("outcomes", "--draws-per-year")])
+    def test_repeated_year_writes_no_rows(self, what, size, capsys):
+        # a repeated year would repeat the registry's firm ids and drop
+        # the outcome draws of all but its last mention
+        code, out, err = run_cli("synth", what, "--seed", "1", "--years", "2000,2000", size, "3", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "controlpower: year 2000 is given more than once\n"
+
     def test_outcomes_without_normal_mass_exits_promptly(self):
         # no mass in (0, 1): the sampler used to loop until killed
         proc = subprocess.run(
@@ -376,6 +385,18 @@ class TestPipeline:
         years = report["groups"]["main/private"]["years"]
         assert len(years) == 12
 
+    def test_default_synth_matches_its_registry_csv(self, tmp_path, capsys):
+        # the column table of --synth default and the records `synth registry`
+        # writes are one registry; only the provenance tells them apart
+        reg = tmp_path / "reg.csv"
+        assert run_cli("synth", "registry", "--seed", "3", "--output", str(reg), capsys=capsys)[0] == 0
+        reports = []
+        for source in (["--input", str(reg)], ["--synth", "default", "--seed", "3"]):
+            code, out, err = run_cli("pipeline", *source, capsys=capsys)
+            assert code == 0, err
+            reports.append(json.loads(out))
+        assert reports[0]["groups"] == reports[1]["groups"]
+
     def test_registry_with_byte_order_mark(self, tmp_path, capsys):
         plain = Path(__file__).parent / "data" / "golden_registry.csv"
         marked = tmp_path / "marked.csv"
@@ -400,6 +421,12 @@ class TestPipeline:
         assert code == 1
         assert out == ""
         assert "not allowed with" in err
+
+    def test_workers_is_not_an_option(self, capsys):
+        code, out, err = run_cli("pipeline", "--synth", "outcomes", "--seed", "1", "--workers", "2", capsys=capsys)
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --workers 2" in err
 
     def test_unknown_synth_mode_is_usage_error(self, capsys):
         code, out, err = run_cli("pipeline", "--synth", "nonsense", "--seed", "1", capsys=capsys)

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -369,6 +370,33 @@ class TestSynthRegistry:
     def test_rejects_infeasible_targets(self):
         with pytest.raises(ValueError, match="clip range"):
             self.config(top1=MomentTarget(0.9, 0.1))
+
+    def test_rejects_repeated_year(self):
+        with pytest.raises(ValueError, match="^year 2000 is given more than once$"):
+            self.config(years=(2001, 2000, 1999, 2000))
+
+    def test_split_at_rest_cap_stays_within_top1(self):
+        # a co-holders' total far above the cap is clipped to 9*top1*(1 - 1e-9)
+        # for every firm, where almost no Dirichlet split fits under top1 as drawn
+        config = self.config(top1=MomentTarget(0.05, 0.01), top2_10=MomentTarget(0.9, 0.0))
+        records = synth_registry(config)
+        top1 = np.array([r.shares[0] for r in records])
+        rest = np.array([math.fsum(r.shares[1:]) for r in records])
+        assert rest == pytest.approx(9 * top1 * (1 - 1e-9), rel=1e-12)
+        assert all(max(r.shares[1:]) <= r.shares[0] for r in records)
+        assert {len(r.shares) for r in records} == {10}
+
+    @pytest.mark.parametrize("overrides", [
+        *({"seed": seed} for seed in (1, 2, 3, 4)),
+        {"top1": MomentTarget(0.05, 0.01), "top2_10": MomentTarget(0.9, 0.0)},  # at rest_cap
+        {"top1": MomentTarget(0.02, 0.3), "top2_10": MomentTarget(2.0, 1.0)},  # at both clips
+        {"top1": MomentTarget(0.3, 0.0), "top2_10": MomentTarget(0.27, 0.0)},  # zero SD
+        {"top2_10": MomentTarget(-0.1, 0.2)},  # some firms with one holder
+    ])
+    def test_rows_pass_the_record_rules(self, overrides):
+        records = synth_registry(self.config(firms_per_year=300, years=(2000, 2001), **overrides))
+        # rebuilt through the checking constructor, which raises on a broken rule
+        assert [FirmYearRecord(**vars(r)) for r in records] == records
 
     @pytest.mark.parametrize("target, value", [
         ("top1", MomentTarget(0.3, float("nan"))),

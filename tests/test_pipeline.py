@@ -268,6 +268,31 @@ class TestRunPipeline:
         parallel = run_pipeline(source, PipelineConfig(min_sample=40, workers=4))
         assert base.to_json() == parallel.to_json()
 
+    def test_synthetic_registry_builds_no_records(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("a record was built")
+
+        monkeypatch.setattr(_Table, "from_records", classmethod(fail))
+        monkeypatch.setattr(FirmYearRecord, "__post_init__", fail)
+        monkeypatch.setattr(FirmYearRecord, "_checked", classmethod(fail))
+        report = run_pipeline(registry_config(), PipelineConfig(min_sample=40))
+        assert MAIN_PRIVATE in report.groups
+
+    @pytest.mark.parametrize("change", [
+        {"top1": MomentTarget(0.31, 0.10)},
+        {"top2_10": MomentTarget(0.27, 0.13)},
+        {"pdf": ControlPowerPdf(wave=ideal_wave(1.5), mu=0.47)},
+        {"pdf": ControlPowerPdf(wave=ideal_wave(1.5), sigma=0.17)},
+        {"pdf": ControlPowerPdf(wave=ideal_wave(1.6))},
+    ])
+    def test_synthetic_digest_covers_targets_and_pdf(self, change):
+        base = registry_config() if "pdf" not in change else registry_config(
+            top1=None, top2_10=None, firms_per_year=60, pdf=ControlPowerPdf(wave=ideal_wave(1.5)))
+        changed = dataclasses.replace(base, **change)
+        digests = {run_pipeline(c, PipelineConfig(min_sample=40, period_range=(4.0, 30.0))).provenance["input_digest"]
+                   for c in (base, changed)}
+        assert len(digests) == 2
+
     def test_threshold_drops_years_from_fits_only(self):
         stats = {
             MAIN_PRIVATE: [
