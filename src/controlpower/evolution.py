@@ -115,10 +115,10 @@ def ideal_wave(h: float) -> WaveParams:
     Mean 7/12, amplitude 1/12 (so minimum 1/2 and maximum 2/3), period
     12*h years for h years per evolution step. Phase puts the wave at its
     mean and rising at t = 0; only origin-invariant properties (extrema,
-    period) are contractual.
+    period) are contractual. Needs a positive h with 12*h finite.
     """
-    if not h > 0:
-        raise ValueError("h must be positive")
+    if not 0 < 12.0 * h < math.inf:
+        raise ValueError("h must be positive and 12*h finite")
     return WaveParams(a0=Fraction(7, 12), a1=Fraction(0), b1=Fraction(1, 12), period=12.0 * h)
 
 

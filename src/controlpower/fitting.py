@@ -3,13 +3,13 @@ normal fits with one-sigma band ratios, and Pearson correlation with
 two-sided significance.
 
 The period of the Fourier model is found by a grid scan of the
-least-squares error followed by golden-section refinement. The scan
-scores every trial period in one numpy pass: with y, cos and sin centred
-on their means, each period's 2x2 normal equations are solved in closed
-form (the floating-mean periodogram of Zechmeister & Kuerster 2009) and
-the error is summed from explicit residuals. Periods whose centred design
-is ill-conditioned, the golden-section refinement and the reported
-coefficients use an ordinary ``lstsq`` solve at the fixed period.
+least-squares error, refined by rescans of ever finer grids around the
+best period. Every scan scores its trial periods in one numpy pass: with
+y, cos and sin centred on their means, each period's 2x2 normal equations
+are solved in closed form (the floating-mean periodogram of Zechmeister &
+Kuerster 2009) and the error is summed from explicit residuals. Periods
+whose centred design is ill-conditioned and the reported coefficients use
+an ordinary ``lstsq`` solve at the fixed period.
 
 The p-value engine is a self-contained regularized incomplete beta
 evaluated by Lentz's continued fraction, so reported (r, n) pairs can be
@@ -42,7 +42,6 @@ _SCAN_MIN_EIGEN = 1e-8
 # smallest are equal: aliased periods (T and 1/(1 - 1/T) on integer t) tie
 # in exact arithmetic and differ only by rounding.
 _SCAN_TIE = 1e-12
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _BETA_EPS = 1e-12
 _BETA_MAX_ITER = 400
 
@@ -108,11 +107,14 @@ def _coeffs_and_sse(t: np.ndarray, y: np.ndarray, period: float):
 
 
 def check_period_grid(period_range: tuple[float, float] | None, grid_step: float) -> None:
-    """Reject a grid step that is not positive, a period range outside
-    0 < lo <= hi, or a grid of more than MAX_GRID_PERIODS trial periods,
-    without building the grid. With no range only the step is checked."""
+    """Reject a grid step that is not positive or is infinite, a period
+    range outside 0 < lo <= hi, or a grid of more than MAX_GRID_PERIODS
+    trial periods, without building the grid. With no range only the step
+    is checked."""
     if grid_step <= 0:
         raise ValueError("grid step must be positive")
+    if grid_step == math.inf:
+        raise ValueError("grid step must be finite")
     if period_range is None:
         return
     lo, hi = float(period_range[0]), float(period_range[1])
@@ -124,12 +126,18 @@ def check_period_grid(period_range: tuple[float, float] | None, grid_step: float
         )
 
 
-def _check_period_floor(lo: float, t: Sequence[float]) -> None:
-    """Reject a lowest trial period below twice the smallest step of the
-    increasing times ``t``, where periods alias and near-singular fits win."""
+def _period_bounds(t: Sequence[float], period_range: tuple[float, float] | None, grid_step: float):
+    """The checked (lo, hi) of a fit on the increasing times ``t``: by
+    default [4, 2 * span]. Rejects what ``check_period_grid`` rejects and a
+    lowest period below twice the smallest time step, where periods alias
+    and near-singular fits win."""
+    period_range = period_range or (4.0, 2.0 * (t[-1] - t[0]))
+    check_period_grid(period_range, grid_step)
+    lo, hi = float(period_range[0]), float(period_range[1])
     floor = 2.0 * float(np.diff(t).min())
     if lo < floor:
         raise ValueError(f"period range starts at {lo}, below {floor}, twice the smallest time step")
+    return lo, hi
 
 
 def _period_grid(lo: float, hi: float, grid_step: float) -> np.ndarray:
@@ -164,8 +172,9 @@ def _scan_sse(t: np.ndarray, y: np.ndarray, periods: np.ndarray) -> np.ndarray:
         cc = np.einsum("ij,ij->i", c, c)
         ss = np.einsum("ij,ij->i", s, s)
         cs = np.einsum("ij,ij->i", c, s)
-        cy = c @ yc
-        sy = s @ yc
+        # row by row, so a period's error does not depend on its chunk
+        cy = np.einsum("ij,j->i", c, yc)
+        sy = np.einsum("ij,j->i", s, yc)
         det = cc * ss - cs * cs
         sound = det > _SCAN_MIN_EIGEN * n * (cc + ss)
         det = np.where(sound, det, 1.0)
@@ -188,19 +197,18 @@ def fit_fourier1(
     """Least-squares fit of y = a0 + a1*cos(2*pi*t/T) + b1*sin(2*pi*t/T).
 
     T is scanned over ``period_range`` (default [4, 2 * span]) in steps of
-    ``grid_step`` and refined by golden section around the best grid point;
-    on equal error (to 1e-12 of the total sum of squares, so aliases tie)
-    the smaller period wins. Needs at least 4 points, at most MAX_GRID_PERIODS
-    trial periods and a lowest period of at least twice the smallest time
-    step. A constant series is reported as degenerate, not an error.
+    ``grid_step``; on equal error (to 1e-12 of the total sum of squares, so
+    aliases tie) the smaller period wins. Rescans of 21 periods around the
+    best one, each ten times finer, then refine it until the step is within
+    1e-11 of T; each holds the best period so far and keeps the least error,
+    so the error never rises. Needs at least 4 points, at most
+    MAX_GRID_PERIODS trial periods and a lowest period of at least twice the
+    smallest time step. A constant series is reported as degenerate, not an
+    error.
     """
     if len(series) < 4:
         raise ValueError("Fourier fitting needs at least 4 points")
-    if period_range is None:
-        period_range = (4.0, 2.0 * series.span)
-    check_period_grid(period_range, grid_step)
-    lo, hi = float(period_range[0]), float(period_range[1])
-    _check_period_floor(lo, series.t)
+    lo, hi = _period_bounds(series.t, period_range, grid_step)
     t = np.asarray(series.t, dtype=float)
     y = np.asarray(series.y, dtype=float)
     grid = _period_grid(lo, hi, grid_step)
@@ -212,38 +220,22 @@ def fit_fourier1(
 
     # the first (smallest) period among equal errors wins
     scan = _scan_sse(t, y, grid)
-    best_period = float(grid[np.argmax(scan <= scan.min() + _SCAN_TIE * sst)])
-    best_sse = _coeffs_and_sse(t, y, best_period)[1]
-
-    # golden-section refinement inside the bracketing grid cells
-    a = max(lo, best_period - grid_step)
-    b = min(hi, best_period + grid_step)
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc = _coeffs_and_sse(t, y, c)[1]
-    fd = _coeffs_and_sse(t, y, d)[1]
-    while b - a > 1e-11 * max(1.0, b):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = _coeffs_and_sse(t, y, c)[1]
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = _coeffs_and_sse(t, y, d)[1]
-    period = 0.5 * (a + b)
+    period = float(grid[np.argmax(scan <= scan.min() + _SCAN_TIE * sst)])
+    step = min(grid_step, hi - lo)
+    while 2.0 * step > 1e-11 * max(1.0, period):
+        # ten steps near the float limit overflow to inf; the clip takes them back
+        with np.errstate(over="ignore"):
+            trial = np.clip(period + step * np.arange(-10, 11), lo, hi)
+        period = float(trial[np.argmin(_scan_sse(t, y, trial))])
+        step /= 10.0
     coef, sse = _coeffs_and_sse(t, y, period)
-    if best_sse < sse:
-        # non-unimodal bracket; fall back to the raw grid winner
-        period = best_period
-        coef, sse = _coeffs_and_sse(t, y, period)
 
     a0, a1, b1 = (float(v) for v in coef)
     if math.hypot(a1, b1) < DEGENERATE_AMPLITUDE:
         return FourierFit(mean, 0.0, 0.0, None, sst, math.sqrt(sst / len(series)), 0.0, True)
     rmse = math.sqrt(sse / len(series))
     r_squared = 1.0 - sse / sst
-    return FourierFit(a0, a1, b1, float(period), sse, rmse, r_squared, False)
+    return FourierFit(a0, a1, b1, period, sse, rmse, r_squared, False)
 
 
 def fourier_extrema(fit: FourierFit) -> tuple[float, float]:

@@ -37,7 +37,7 @@ from .dataset import (
 from .evolution import wave_eval
 from .fitting import (
     DEFAULT_GRID_STEP,
-    _check_period_floor,
+    _period_bounds,
     CorrelationResult,
     FourierFit,
     TimeSeries,
@@ -229,8 +229,8 @@ class PipelineConfig:
             raise ValueError("minimum sample size must be positive")
         if self.workers < 1:
             raise ValueError("worker count must be positive")
-        if not self.h > 0:
-            raise ValueError("h must be positive")
+        if not 0 < self.h < math.inf:
+            raise ValueError("h must be positive and finite")
         # before any work; a default range needs a group's span, so run_pipeline
         # checks it once the records are grouped
         check_period_grid(self.period_range, self.grid_step)
@@ -426,9 +426,7 @@ def _check_period_grid(fitted: Sequence[int], config: PipelineConfig) -> None:
     grid, or a lower bound below twice the smallest step between fitted
     years); a group with too few fitted years is never fitted."""
     if len(fitted) >= MIN_FIT_YEARS:
-        period_range = config.period_range or (4.0, 2.0 * (fitted[-1] - fitted[0]))
-        check_period_grid(period_range, config.grid_step)
-        _check_period_floor(float(period_range[0]), fitted)
+        _period_bounds(fitted, config.period_range, config.grid_step)
 
 
 _DIGEST_ROWS = 4096  # rows turned into Python values at a time

@@ -204,6 +204,15 @@ class TestFit:
         assert out == ""
         assert "trial periods" in err
 
+    def test_infinite_grid_step_is_data_error(self, tmp_path, capsys):
+        # it once printed LAPACK lines on stdout and "SVD did not converge"
+        path = tmp_path / "series.csv"
+        path.write_text("".join(f"{t},{0.5 + 0.01 * (t % 5)}\n" for t in range(26)))
+        code, out, err = run_cli("fit", "--input", str(path), "--grid-step", "inf", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "controlpower: grid step must be finite\n"
+
     def test_period_range_below_twice_the_time_step_is_data_error(self, tmp_path, capsys):
         # y = 0.5 t + sin(2 pi t / 7.5), t = 0..25 once fitted T = 1.000001
         # and printed a max of 4e8
@@ -323,6 +332,16 @@ class TestSynth:
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert "mass" in proc.stderr
+
+    @pytest.mark.parametrize("argv", [
+        ["synth", "outcomes", "--seed", "1", "--years", "2000"],
+        ["evolve", "wave"],
+    ])
+    def test_infinite_h_has_no_wave(self, argv, capsys):
+        code, out, err = run_cli(*argv, "--h", "inf", capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == "controlpower: h must be positive and 12*h finite\n"
 
 
 class TestPipeline:
@@ -542,6 +561,22 @@ class TestPipeline:
         assert out == ""
         assert f"{macro} line 28: '1996' repeats an earlier row" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("option, error", [
+        (["--grid-step", "inf"], "grid step must be finite"),
+        (["--h", "inf"], "h must be positive and finite"),
+        (["--h", "nan"], "h must be positive and finite"),
+    ])
+    def test_non_finite_setting_stops_before_the_registry_is_drawn(self, option, error, monkeypatch, capsys):
+        # --h inf once wrote "h": Infinity into report.json, which is not JSON
+        def fail(config):
+            raise AssertionError("the registry was drawn before the settings were checked")
+
+        monkeypatch.setattr("controlpower.pipeline._synth_table", fail)
+        code, out, err = run_cli("pipeline", "--synth", "default", "--seed", "1", *option, capsys=capsys)
+        assert code == 2
+        assert out == ""
+        assert err == f"controlpower: {error}\n"
 
     def test_oversized_default_grid_stops_before_any_power_batch(self, monkeypatch, capsys):
         def fail(rows):

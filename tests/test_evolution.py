@@ -116,6 +116,12 @@ class TestIdealWave:
         with pytest.raises(ValueError):
             ideal_wave(0.0)
 
+    @pytest.mark.parametrize("h", [math.inf, math.nan, 1e308])
+    def test_rejects_h_without_a_finite_period(self, h):
+        # 1e308 is finite, but the period 12h is not
+        with pytest.raises(ValueError, match="12\\*h finite"):
+            ideal_wave(h)
+
 
 class TestWaveEval:
     def test_fitted_wave_at_origin(self):

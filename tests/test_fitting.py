@@ -121,7 +121,9 @@ class TestFourierFit:
 
 def reference_fit(series, period_range=None, grid_step=0.05):
     """The fit as one lstsq per grid period (the scan before vectorisation),
-    with the same refinement: (period, a0, a1, b1, sse)."""
+    refined by golden section on lstsq (the refinement before rescans),
+    falling back to the grid winner when that ends worse: (period, a0, a1,
+    b1, sse)."""
     coeffs_and_sse = fitting._coeffs_and_sse
     t = np.asarray(series.t, dtype=float)
     y = np.asarray(series.y, dtype=float)
@@ -196,13 +198,48 @@ class TestPeriodScan:
             assert np.isfinite(scan).all()
             assert (np.abs(scan - ref) <= np.maximum(1e-9 * ref, 1e-12 * sst)).all(), k
 
-    def test_default_range_matches_reference_loop_bit_for_bit(self):
+    def test_default_range_matches_reference_loop(self):
+        # the rescans score with the closed form, the reference with lstsq:
+        # the error may not be worse and the period moves by rounding only
         rng = np.random.default_rng(1996)
         for k in range(30):
             series = random_series(rng, integer_t=k % 3 != 0)
             if series.span < 2.0:
                 continue  # the default range [4, 2 * span] would be empty
-            assert fit_tuple(fit_fourier1(series)) == reference_fit(series), k
+            period, *_, sse = fit_tuple(fit_fourier1(series))
+            ref_period, *_, ref_sse = reference_fit(series)
+            y = np.asarray(series.y)
+            assert sse <= ref_sse + 1e-12 * float(((y - y.mean()) ** 2).sum()), k
+            assert period == pytest.approx(ref_period, rel=1e-6, abs=0.0), k
+
+    def test_trend_returns_the_upper_bound_exactly(self):
+        # a straight line is fitted best by the longest period, so the grid
+        # winner is the range's end and no rescan may move off it
+        t = np.arange(26.0)
+        series = TimeSeries(tuple(t), tuple(0.5 + 0.01 * t + 0.001 * np.sin(t)))
+        scan = fitting._scan_sse(t, np.asarray(series.y), fitting._period_grid(4.0, 50.0, 0.05))
+        assert np.argmin(scan) == scan.size - 1
+        assert fit_fourier1(series).period == 50.0
+        # the grid's last period, 4 + 666 * 0.05, rounds to above 37.3, and
+        # the fit must still stay inside the range
+        assert fit_fourier1(series, (4.0, 37.3)).period == 37.3
+
+    def test_huge_grid_step_rescans_a_bounded_number_of_times(self, monkeypatch):
+        calls = []
+
+        def counting(t, y, periods):
+            calls.append(periods.size)
+            return scan(t, y, periods)
+
+        scan = fitting._scan_sse
+        monkeypatch.setattr(fitting, "_scan_sse", counting)
+        series = sample_series(GEN, np.arange(26.0), noise_sd=0.02, seed=4)
+        fit = fit_fourier1(series, grid_step=1e300)
+        assert 4.0 <= fit.period <= 50.0
+        assert calls[0] == 2  # the grid is the range's two ends
+        assert len(calls) <= 16
+        # offsets of ten steps of 1e308 overflow and are clipped to the range
+        assert 4.0 <= fit_fourier1(series, (4.0, 1.7e308), grid_step=1e308).period <= 1.7e308
 
     def test_chunked_scan_gives_the_same_fit(self, monkeypatch):
         series = sample_series(GEN, np.arange(26.0), noise_sd=0.02, seed=4)
@@ -268,6 +305,17 @@ class TestPeriodScan:
         for period_range, step in [((4.0, 50.0), 1e-9), ((4.0, math.inf), 0.05), ((4.0, 50.0), math.nan)]:
             with pytest.raises(ValueError, match="trial periods"):
                 fit_fourier1(series, period_range, grid_step=step)
+
+    def test_rejects_infinite_grid_step(self, monkeypatch):
+        # an infinite step once gave the grid a NaN period and a LAPACK error
+        def no_scan(*args):
+            raise AssertionError("the scan must not run")
+
+        monkeypatch.setattr(fitting, "_scan_sse", no_scan)
+        series = sample_series(GEN, np.arange(26.0))
+        for period_range in (None, (4.0, 50.0)):
+            with pytest.raises(ValueError, match="grid step must be finite"):
+                fit_fourier1(series, period_range, grid_step=math.inf)
 
 
 class TestFourierExtrema:

@@ -237,7 +237,7 @@ class TestPipelineConfig:
     @pytest.mark.parametrize(
         "period_range, step",
         [(None, 0.0), (None, -1.0), ((4.0, 50.0), 0.0), ((10.0, 5.0), 0.05), ((0.0, 5.0), 0.05),
-         ((4.0, 50.0), 1e-9)],
+         ((4.0, 50.0), 1e-9), (None, math.inf), ((4.0, 50.0), math.inf)],
     )
     def test_rejects_bad_grid_without_building_it(self, period_range, step, monkeypatch):
         def no_grid(*args):
@@ -246,6 +246,11 @@ class TestPipelineConfig:
         monkeypatch.setattr(fitting, "_period_grid", no_grid)
         with pytest.raises(ValueError, match="grid step|period range|trial periods"):
             PipelineConfig(period_range=period_range, grid_step=step)
+
+    @pytest.mark.parametrize("h", [0.0, -1.0, math.inf, math.nan])
+    def test_rejects_h_that_is_not_finite_and_positive(self, h):
+        with pytest.raises(ValueError, match="h must be positive and finite"):
+            PipelineConfig(h=h)
 
     def test_default_range_checks_only_the_step(self):
         # the default range needs a group's span, so its size is checked at the fit
