@@ -56,7 +56,6 @@ from .pipeline import (  # noqa: E402,F401
     PipelineConfig,
     Report,
     YearStats,
-    build_group_report,
     build_report,
     emit_report,
     run_pipeline,

@@ -267,12 +267,17 @@ def _cmd_pipeline(args) -> int:
     if not args.output and formats != ["json"]:
         print("pipeline: stdout takes --format json only; give --output for other formats", file=sys.stderr)
         return USAGE_ERROR
-    macros = {}
-    for item in args.macro or []:
-        name, _, path = item.partition("=")
-        if not path:
+    named = [item.partition("=")[::2] for item in args.macro or []]
+    names = [name for name, _ in named]
+    for name, path in named:
+        if not name or not path:
             print("pipeline: --macro expects name=path", file=sys.stderr)
             return USAGE_ERROR
+        if names.count(name) > 1:
+            print(f"pipeline: --macro name {name!r} is given more than once", file=sys.stderr)
+            return USAGE_ERROR
+    macros = {}
+    for name, path in named:
         macros[name] = dict(_read_pairs(path, int))
         if not macros[name]:
             raise DataError(f"macro file {path} has no (year, value) rows")

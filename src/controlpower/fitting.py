@@ -150,18 +150,25 @@ def _period_grid(lo: float, hi: float, grid_step: float) -> np.ndarray:
 
 
 def _scan_sse(t: np.ndarray, y: np.ndarray, periods: np.ndarray) -> np.ndarray:
-    """Least-squares error of the three-coefficient fit at every period.
+    """Least-squares error of the three-coefficient fit at every period, for
+    one series y or for each row of a (series x points) block of series on
+    the same t; the result has y's shape with periods for points.
 
     Centring y, cos and sin on their means removes a0, so each period is a
     2x2 solve in closed form; the error is summed from explicit residuals,
-    never as y'y - b'A^-1 b, which cancels. Ill-conditioned periods (such
-    as T = 1 or 2 on integer t, where sin is rounding noise) are scored by
-    ``_coeffs_and_sse``, whose lstsq truncates the vanishing column.
+    never as y'y - b'A^-1 b, which cancels. The centred design of a chunk of
+    periods (cos, sin and their 2x2 normal matrix) is built once for all
+    series; each series then takes its own row-wise products, so its errors
+    are bit for bit those of a scan of it alone. Ill-conditioned periods
+    (such as T = 1 or 2 on integer t, where sin is rounding noise) are
+    scored by ``_coeffs_and_sse``, whose lstsq truncates the vanishing
+    column.
     """
     n = t.size
     wt = 2.0 * math.pi * t
-    yc = y - y.mean()
-    sse = np.empty(periods.size)
+    block = np.atleast_2d(y)
+    centred = [row - row.mean() for row in block]
+    sse = np.empty((len(block), periods.size))
     rows = max(1, _SCAN_ELEMENTS // n)
     for at in range(0, periods.size, rows):
         theta = wt / periods[at : at + rows, None]
@@ -172,20 +179,21 @@ def _scan_sse(t: np.ndarray, y: np.ndarray, periods: np.ndarray) -> np.ndarray:
         cc = np.einsum("ij,ij->i", c, c)
         ss = np.einsum("ij,ij->i", s, s)
         cs = np.einsum("ij,ij->i", c, s)
-        # row by row, so a period's error does not depend on its chunk
-        cy = np.einsum("ij,j->i", c, yc)
-        sy = np.einsum("ij,j->i", s, yc)
         det = cc * ss - cs * cs
         sound = det > _SCAN_MIN_EIGEN * n * (cc + ss)
         det = np.where(sound, det, 1.0)
-        a1 = (ss * cy - cs * sy) / det
-        b1 = (cc * sy - cs * cy) / det
-        resid = yc - a1[:, None] * c - b1[:, None] * s
-        chunk = np.einsum("ij,ij->i", resid, resid)
-        for i in np.flatnonzero(~sound):
-            chunk[i] = _coeffs_and_sse(t, y, float(periods[at + i]))[1]
-        sse[at : at + rows] = chunk
-    return sse
+        weak = np.flatnonzero(~sound).tolist()
+        for row, yc, out in zip(block, centred, sse[:, at : at + rows]):
+            # row by row, so a period's error depends on neither its chunk nor its batch
+            cy = np.einsum("ij,j->i", c, yc)
+            sy = np.einsum("ij,j->i", s, yc)
+            a1 = (ss * cy - cs * sy) / det
+            b1 = (cc * sy - cs * cy) / det
+            resid = yc - a1[:, None] * c - b1[:, None] * s
+            out[:] = np.einsum("ij,ij->i", resid, resid)
+            for i in weak:
+                out[i] = _coeffs_and_sse(t, row, float(periods[at + i]))[1]
+    return sse if y.ndim > 1 else sse[0]
 
 
 def fit_fourier1(
@@ -206,20 +214,55 @@ def fit_fourier1(
     smallest time step. A constant series is reported as degenerate, not an
     error.
     """
-    if len(series) < 4:
-        raise ValueError("Fourier fitting needs at least 4 points")
-    lo, hi = _period_bounds(series.t, period_range, grid_step)
-    t = np.asarray(series.t, dtype=float)
-    y = np.asarray(series.y, dtype=float)
-    grid = _period_grid(lo, hi, grid_step)
+    return fit_fourier1_batch([series], period_range, grid_step=grid_step)[0]
 
-    mean = float(y.mean())
-    sst = float(((y - mean) ** 2).sum())
-    if sst == 0.0:
-        return FourierFit(mean, 0.0, 0.0, None, 0.0, 0.0, 1.0, True)
 
+def fit_fourier1_batch(
+    series: Sequence[TimeSeries],
+    period_range: tuple[float, float] | None = None,
+    *,
+    grid_step: float = DEFAULT_GRID_STEP,
+) -> list[FourierFit]:
+    """``fit_fourier1`` of each series, in order, with one grid scan for all
+    series that share the same t; each series then refines its own period.
+    Every series is checked before any scan, so a bad one raises the error
+    its own fit would raise, and the first such series in order wins. Each
+    fit is bit for bit the fit of its series alone.
+    """
+    bounds = []
+    for one in series:
+        if len(one) < 4:
+            raise ValueError("Fourier fitting needs at least 4 points")
+        bounds.append(_period_bounds(one.t, period_range, grid_step))
+    fits: list[FourierFit | None] = [None] * len(series)
+    axes: dict[bytes, list[int]] = {}
+    for k, one in enumerate(series):
+        axes.setdefault(np.asarray(one.t, dtype=float).tobytes(), []).append(k)
+    for members in axes.values():
+        t = np.asarray(series[members[0]].t, dtype=float)
+        lo, hi = bounds[members[0]]
+        block = np.array([series[k].y for k in members], dtype=float)
+        means = [float(y.mean()) for y in block]
+        ssts = [float(((y - mean) ** 2).sum()) for y, mean in zip(block, means)]
+        live = [i for i, sst in enumerate(ssts) if sst != 0.0]
+        for i in range(len(members)):
+            if ssts[i] == 0.0:
+                fits[members[i]] = FourierFit(means[i], 0.0, 0.0, None, 0.0, 0.0, 1.0, True)
+        if not live:
+            continue
+        grid = _period_grid(lo, hi, grid_step)
+        for i, scan in zip(live, _scan_sse(t, block[live], grid)):
+            fits[members[i]] = _refined_fit(t, block[i], means[i], ssts[i], (lo, hi, grid_step), grid, scan)
+    return fits
+
+
+def _refined_fit(t: np.ndarray, y: np.ndarray, mean: float, sst: float, bounds: tuple[float, float, float],
+                 grid: np.ndarray, scan: np.ndarray) -> FourierFit:
+    """The fit of a non-constant series (mean, total sum of squares sst)
+    from its errors ``scan`` on ``grid``, refined by rescans within the
+    (lo, hi, grid_step) ``bounds``."""
+    lo, hi, grid_step = bounds
     # the first (smallest) period among equal errors wins
-    scan = _scan_sse(t, y, grid)
     period = float(grid[np.argmax(scan <= scan.min() + _SCAN_TIE * sst)])
     step = min(grid_step, hi - lo)
     while 2.0 * step > 1e-11 * max(1.0, period):
@@ -232,8 +275,8 @@ def fit_fourier1(
 
     a0, a1, b1 = (float(v) for v in coef)
     if math.hypot(a1, b1) < DEGENERATE_AMPLITUDE:
-        return FourierFit(mean, 0.0, 0.0, None, sst, math.sqrt(sst / len(series)), 0.0, True)
-    rmse = math.sqrt(sse / len(series))
+        return FourierFit(mean, 0.0, 0.0, None, sst, math.sqrt(sst / len(y)), 0.0, True)
+    rmse = math.sqrt(sse / len(y))
     r_squared = 1.0 - sse / sst
     return FourierFit(a0, a1, b1, period, sse, rmse, r_squared, False)
 
@@ -262,15 +305,17 @@ def fit_normal(samples: Sequence[float]) -> NormalFit:
     Band membership carries a 1e-12 relative guard so rounding of mu and
     sigma cannot eject samples that sit exactly on a band edge.
     """
-    values = [float(v) for v in samples]
+    values = np.asarray(samples, dtype=float)
     n = len(values)
     if n < 2:
         raise ValueError("need at least two samples")
-    mu = math.fsum(values) / n
-    sigma = math.sqrt(math.fsum((v - mu) ** 2 for v in values) / (n - 1))
+    mu = math.fsum(values.tolist()) / n
+    d = values - mu
+    # d * d is correctly rounded; Python's ** 2 goes through libm pow
+    sigma = math.sqrt(math.fsum((d * d).tolist()) / (n - 1))
     guard = 1e-12 * max(1.0, abs(mu) + sigma)
     lo, hi = mu - sigma - guard, mu + sigma + guard
-    band_ratio = sum(1 for v in values if lo <= v <= hi) / n
+    band_ratio = int(np.count_nonzero((lo <= values) & (values <= hi))) / n
     return NormalFit(mu, sigma, band_ratio, n)
 
 

@@ -15,7 +15,6 @@ import hashlib
 import json
 import math
 import os
-import struct
 from dataclasses import asdict, astuple, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
@@ -42,7 +41,7 @@ from .fitting import (
     FourierFit,
     TimeSeries,
     check_period_grid,
-    fit_fourier1,
+    fit_fourier1_batch,
     fit_normal,
     fourier_extrema,
     pearson,
@@ -202,7 +201,7 @@ def _group_stats(rows: _Table, spi_mode: str) -> list[YearStats]:
 
 def year_stats_from_draws(year: int, draws: Sequence[float]) -> YearStats:
     """Aggregate a year of raw power draws (no registry, no share data)."""
-    values = np.array([float(v) for v in draws], dtype=float)
+    values = np.asarray(draws, dtype=float)
     if not len(values):
         raise ValueError("no draws for this year")
     return YearStats(year=year, n_sample=len(values), **_power_fields(values))
@@ -290,35 +289,27 @@ def _series_points(years: Iterable[YearStats], name: str, origin: int) -> list[t
     return [(float(ys.year - origin), getattr(ys, name)) for ys in years if getattr(ys, name) is not None]
 
 
+def _qualifying(stats: Sequence[YearStats], config: PipelineConfig) -> list[YearStats]:
+    """The years with at least ``min_sample`` firms: only they enter the
+    fits, with t counted from the first of them, so that all series of a
+    group share one origin (phases stay comparable)."""
+    return [ys for ys in stats if ys.n_sample >= config.min_sample]
+
+
 def _wrap_angle(angle: float) -> float:
     return angle % (2.0 * math.pi)
 
 
-def build_group_report(
+def _group_report(
     group: GroupKey,
     stats: Sequence[YearStats],
+    fits: dict[str, FourierFit],
     config: PipelineConfig,
 ) -> GroupReport:
-    """Fit the yearly series of one group and derive the diagnostics.
-
-    Only years with at least ``min_sample`` firms enter the fits; the time
-    axis is measured from the first qualifying year so all series of the
-    group share one origin (phases stay comparable).
-    """
-    stats = tuple(sorted(stats, key=lambda ys: ys.year))
-    qualifying = [ys for ys in stats if ys.n_sample >= config.min_sample]
-    fitted_years = tuple(ys.year for ys in qualifying)
-    fits: dict[str, FourierFit] = {}
-    extrema: dict[str, tuple[float, float]] = {}
-    origin = fitted_years[0] if fitted_years else 0
-    for name in SERIES_NAMES:
-        points = _series_points(qualifying, name, origin)
-        if len(points) < MIN_FIT_YEARS:
-            continue
-        fit = fit_fourier1(TimeSeries.from_pairs(points), config.period_range, grid_step=config.grid_step)
-        fits[name] = fit
-        if not fit.degenerate:
-            extrema[name] = fourier_extrema(fit)
+    """The report of one group from its year-ordered aggregates and the fits
+    of its qualifying series, with the diagnostics and correlations."""
+    qualifying = _qualifying(stats, config)
+    extrema = {name: fourier_extrema(fit) for name, fit in fits.items() if not fit.degenerate}
 
     ratio = None
     ratio_ok = None
@@ -366,8 +357,8 @@ def build_group_report(
 
     return GroupReport(
         group=group,
-        years=stats,
-        fitted_years=fitted_years,
+        years=tuple(stats),
+        fitted_years=tuple(ys.year for ys in qualifying),
         fits=fits,
         extrema=extrema,
         diagnostics=diagnostics,
@@ -386,10 +377,22 @@ def build_report(
         for stats in stats_by_group.values()
     ):
         raise DataError(f"no group reaches the minimum sample size {config.min_sample} in any year")
-    groups = {
-        group: build_group_report(group, stats_by_group[group], config)
-        for group in sorted(stats_by_group)
-    }
+    stats = {group: sorted(stats_by_group[group], key=lambda ys: ys.year) for group in sorted(stats_by_group)}
+    # every qualifying series of every group in one batch, in group and
+    # series order, so that the first bad one raises its own fit's error
+    jobs = []
+    for group, years in stats.items():
+        qualifying = _qualifying(years, config)
+        origin = qualifying[0].year if qualifying else 0
+        for name in SERIES_NAMES:
+            points = _series_points(qualifying, name, origin)
+            if len(points) >= MIN_FIT_YEARS:
+                jobs.append((group, name, TimeSeries.from_pairs(points)))
+    fitted = fit_fourier1_batch([series for *_, series in jobs], config.period_range, grid_step=config.grid_step)
+    fits: dict[GroupKey, dict[str, FourierFit]] = {group: {} for group in stats}
+    for (group, name, _), fit in zip(jobs, fitted):
+        fits[group][name] = fit
+    groups = {group: _group_report(group, years, fits[group], config) for group, years in stats.items()}
     prov = {
         "input_digest": None,
         "seed": None,
@@ -429,32 +432,50 @@ def _check_period_grid(fitted: Sequence[int], config: PipelineConfig) -> None:
         _period_bounds(fitted, config.period_range, config.grid_step)
 
 
-_DIGEST_ROWS = 4096  # rows turned into Python values at a time
+_DIGEST_ROWS = 4096  # rows of the sort order taken from the columns at a time
+
+
+def _int_stream(values: Sequence[int]) -> np.ndarray:
+    """An integer column as digest bytes per row: int64 little-endian where
+    every value fits, else each value's decimal text after its byte length
+    as int64, since an object column's raw bytes are pointers. The choice is
+    made once for the whole column."""
+    try:
+        return np.asarray(values, dtype="<i8")
+    except OverflowError:
+        return np.array([len(text).to_bytes(8, "little") + text for text in (b"%d" % v for v in values)],
+                        dtype=object)
 
 
 def _records_digest(table: _Table, order: np.ndarray) -> str:
-    """SHA-256 over each row's fields, in ``order``: the byte lengths of five
-    texts (firm_id, board, ownership, then year and n_meetings in decimal,
-    empty for None) and the share count, the shares, a meeting-share flag
-    and the meeting share as little-endian float64, then the texts. The
-    fixed-width lengths make it injective; float bits tell values apart
-    exactly, as their repr would."""
-    digest = hashlib.sha256()
-    boards = [b.encode() for b in BOARDS]
-    ownerships = [o.encode() for o in OWNERSHIPS]
+    """SHA-256 over the row count and one SHA-256 per field stream, in this
+    order: year, board code, ownership code, holder count, the zero-padded
+    share block, the meeting-share flag, the meeting share, the n_meetings
+    flag, n_meetings (0 where None), the UTF-8 byte length of firm_id and
+    the joined firm_id bytes. Every stream holds its rows in ``order``:
+    integers as ``_int_stream`` encodes them, floats as little-endian
+    float64 and flags as one byte. Each row has a fixed width in every
+    stream but the last, whose widths the one before gives, so the digest
+    tells tables apart field by field; float bits tell values apart
+    exactly, as their repr would. The streams are fed ``_DIGEST_ROWS`` rows
+    at a time, which does not change them."""
+    n_meetings = table.n_meetings
+    columns = (
+        _int_stream(table.year), _int_stream(table.board), _int_stream(table.ownership), _int_stream(table.count),
+        np.asarray(table.shares, dtype="<f8"), table.has_meeting, np.asarray(table.meeting, dtype="<f8"),
+        np.array([v is not None for v in n_meetings], dtype=bool),
+        _int_stream([0 if v is None else v for v in n_meetings]),
+    )
+    streams = [hashlib.sha256() for _ in range(len(columns) + 2)]
     for at in range(0, len(order), _DIGEST_ROWS):
         index = order[at : at + _DIGEST_ROWS]
-        rows = index.tolist()
-        for firm_id, board, ownership, year, n_meetings, n, shares, has, meeting in zip(
-            [table.firm_id[i] for i in rows], table.board[index].tolist(), table.ownership[index].tolist(),
-            table.year[index].tolist(), [table.n_meetings[i] for i in rows], table.count[index].tolist(),
-            table.shares[index].tolist(), table.has_meeting[index].tolist(), table.meeting[index].tolist(),
-        ):
-            texts = (firm_id.encode(), boards[board], ownerships[ownership], b"%d" % year,
-                     b"" if n_meetings is None else b"%d" % n_meetings)
-            digest.update(struct.pack(f"<6Q{n}d?d", *map(len, texts), n, *shares[:n], has, meeting))
-            digest.update(b"".join(texts))
-    return digest.hexdigest()
+        for stream, column in zip(streams, columns):
+            part = column[index]
+            stream.update(b"".join(part) if part.dtype == object else part.tobytes())
+        firm_ids = [table.firm_id[i].encode() for i in index.tolist()]
+        streams[-2].update(np.array([len(b) for b in firm_ids], dtype="<i8").tobytes())
+        streams[-1].update(b"".join(firm_ids))
+    return hashlib.sha256(len(order).to_bytes(8, "little") + b"".join(s.digest() for s in streams)).hexdigest()
 
 
 def run_pipeline(

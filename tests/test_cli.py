@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from controlpower import dataset
+from controlpower import cli, dataset
 from controlpower.cli import main
 from controlpower.pipeline import PipelineConfig, run_pipeline
 
@@ -538,6 +538,24 @@ class TestPipeline:
         assert code == 2
         assert out == ""
         assert f"{macro} line 3" in err and "finite" in err
+
+    @pytest.mark.parametrize("names, message", [
+        (("idx", "idx"), "--macro name 'idx' is given more than once"),
+        (("", "idx"), "--macro expects name=path"),
+    ])
+    def test_bad_macro_name_is_usage_error_before_any_file(self, names, message, tmp_path, capsys, monkeypatch):
+        # a repeated name once kept only the last file, an empty one gave correlations keyed ""
+        macro = tmp_path / "index.csv"
+        macro.write_text("year,value\n" + "".join(f"{y},{y - 1900}\n" for y in range(1996, 2022)))
+
+        def no_read(path, key):
+            raise AssertionError("a macro file was read before its name was checked")
+
+        monkeypatch.setattr(cli, "_read_pairs", no_read)
+        flags = [arg for name in names for arg in ("--macro", f"{name}={macro}")]
+        code, out, err = run_cli("pipeline", "--synth", "outcomes", "--seed", "1", *flags, capsys=capsys)
+        assert (code, out) == (1, "")
+        assert message in err
 
     def test_short_registry_row_is_data_error(self, tmp_path, capsys):
         registry = tmp_path / "registry.csv"

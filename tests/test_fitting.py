@@ -318,6 +318,82 @@ class TestPeriodScan:
                 fit_fourier1(series, period_range, grid_step=math.inf)
 
 
+class TestBatchedScan:
+    """Series on one t share a scan; each keeps the errors and the fit it has alone."""
+
+    @staticmethod
+    def block(rng, t, rows):
+        """Rows of trend plus wave plus noise on the times t."""
+        rel = t - t[0]
+        return np.array([
+            0.5 + rng.uniform(-0.02, 0.02) * rel
+            + rng.uniform(0.0, 0.2) * np.cos(2 * np.pi * rel / rng.uniform(3.0, 25.0) + rng.uniform(0.0, 6.3))
+            + rng.normal(0.0, 0.05, t.size)
+            for _ in range(rows)
+        ])
+
+    @pytest.mark.parametrize("lo", [1.0, 2.0, 4.0])  # T = 1 and 2 are ill-conditioned on integer t
+    def test_batch_equals_each_one_series_scan(self, lo):
+        rng = np.random.default_rng(int(lo))
+        t = np.arange(1996.0, 2022.0)
+        ys = self.block(rng, t, 5)
+        ys[2] = 0.4  # a constant series inside the batch
+        grid = fitting._period_grid(lo, 50.0, 0.05)
+        batch = fitting._scan_sse(t, ys, grid)
+        assert batch.shape == (5, grid.size)
+        for y, scan in zip(ys, batch):
+            assert np.array_equal(scan, fitting._scan_sse(t, y, grid))
+
+    def test_batch_across_scan_chunks(self, monkeypatch):
+        rng = np.random.default_rng(11)
+        t = np.arange(26.0)
+        ys = self.block(rng, t, 4)
+        grid = fitting._period_grid(4.0, 50.0, 0.05)
+        monkeypatch.setattr(fitting, "_SCAN_ELEMENTS", 7 * t.size + 3)  # 7 periods a chunk
+        assert grid.size > 100 * 7
+        batch = fitting._scan_sse(t, ys, grid)
+        for y, scan in zip(ys, batch):
+            assert np.array_equal(scan, fitting._scan_sse(t, y, grid))
+
+    def test_batched_fits_equal_single_fits(self, monkeypatch):
+        rng = np.random.default_rng(18)
+        series = [random_series(rng, integer_t=k % 2 == 0) for k in range(12)]
+        series = [s for s in series if s.span >= 2.0 and len(s) >= 4]
+        t = np.arange(26.0)
+        series += [TimeSeries(tuple(t), tuple(y)) for y in self.block(rng, t, 3)]
+        series.insert(3, TimeSeries(tuple(t), (0.25,) * t.size))  # constant, on a shared t
+        scans = []
+        scan = fitting._scan_sse
+
+        def counting(t, y, periods):
+            scans.append(np.ndim(y))
+            return scan(t, y, periods)
+
+        monkeypatch.setattr(fitting, "_scan_sse", counting)
+        batch = fitting.fit_fourier1_batch(series)
+        grid_scans = scans.count(2)
+        scans.clear()
+        alone = [fit_fourier1(s) for s in series]
+        assert batch == alone
+        assert batch[3].degenerate
+        # one grid scan per distinct t with a non-constant series
+        assert grid_scans == len({s.t for s in series if len(set(s.y)) > 1})
+
+    def test_first_bad_series_raises_its_own_error(self, monkeypatch):
+        def no_scan(*args):
+            raise AssertionError("the scan must not run")
+
+        good = sample_series(GEN, np.arange(26.0))
+        coarse = sample_series(GEN, np.arange(0.0, 30.0, 3.0))  # default range below its Nyquist floor
+        with pytest.raises(ValueError) as alone:
+            fit_fourier1(coarse)
+        monkeypatch.setattr(fitting, "_scan_sse", no_scan)
+        with pytest.raises(ValueError) as batched:
+            fitting.fit_fourier1_batch([good, coarse, TimeSeries((0.0, 1.0, 2.0), (1.0, 2.0, 3.0))])
+        assert str(batched.value) == str(alone.value)
+        assert fitting.fit_fourier1_batch([]) == []
+
+
 class TestFourierExtrema:
     def test_ideal_wave_by_construction(self):
         hi, lo = wave_extrema(ideal_wave(1.5))

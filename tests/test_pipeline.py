@@ -1,8 +1,10 @@
 import dataclasses
+import hashlib
 import io
 import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from controlpower.dataset import (
     MomentTarget,
     SynthConfig,
     _Table,
+    _ingest_table,
     ingest_csv,
     synth_registry,
 )
@@ -35,6 +38,8 @@ from controlpower.pipeline import (
 from controlpower.power_index import make_game, spi_dp, top_holder_numerators
 
 MAIN_PRIVATE = GroupKey("main", "private")
+# 36 firm-years in two groups whose years and some n_meetings exceed int64
+BEYOND_INT64 = Path(__file__).parent / "data" / "beyond_int64_registry.csv"
 
 
 def record(firm_id, shares, year=2001, board="main", ownership="private", meeting_share=None):
@@ -495,6 +500,58 @@ class TestInputDigest:
         far = dataclasses.replace(self.BASE[0], year=10**20)
         farther = dataclasses.replace(self.BASE[0], year=10**20 + 1)
         assert self.digest([far]) != self.digest([farther])
+
+    def test_beyond_int64_registry_is_pinned(self):
+        # year and n_meetings sit in object columns, which are hashed as
+        # length-prefixed decimal text, never as their pointer bytes
+        table = _ingest_table(BEYOND_INT64)
+        assert table.year.dtype == object and max(m or 0 for m in table.n_meetings) > 2**63
+        digest = "eed67edcee35b66e765474d1e048c60d8ec26583fcfd9364ef87407c59b2a198"
+        assert run_pipeline(table, PipelineConfig(min_sample=1)).provenance["input_digest"] == digest
+        assert self.digest(ingest_csv(str(BEYOND_INT64))) == digest
+
+    def test_firm_id_boundaries_count(self):
+        # "ab" + "c" and "a" + "bc" join to the same bytes; their lengths differ
+        first = [dataclasses.replace(self.BASE[1], firm_id=f) for f in ("ab", "c")]
+        second = [dataclasses.replace(self.BASE[1], firm_id=f) for f in ("a", "bc")]
+        assert self.digest(first) != self.digest(second)
+
+    @staticmethod
+    def documented_digest(records):
+        """The digest as the docstring of ``_records_digest`` describes it,
+        built row by row from the sorted records."""
+        rows = sorted(records, key=lambda r: (r.year, BOARDS.index(r.board), OWNERSHIPS.index(r.ownership),
+                                              r.firm_id, r.shares))
+        streams = [
+            [r.year.to_bytes(8, "little", signed=True) for r in rows],
+            [BOARDS.index(r.board).to_bytes(8, "little") for r in rows],
+            [OWNERSHIPS.index(r.ownership).to_bytes(8, "little") for r in rows],
+            [len(r.shares).to_bytes(8, "little") for r in rows],
+            [np.array(r.shares + (0.0,) * (10 - len(r.shares)), dtype="<f8").tobytes() for r in rows],
+            [bytes([r.meeting_share is not None]) for r in rows],
+            [np.array([r.meeting_share or 0.0], dtype="<f8").tobytes() for r in rows],
+            [bytes([r.n_meetings is not None]) for r in rows],
+            [(r.n_meetings or 0).to_bytes(8, "little") for r in rows],
+            [len(r.firm_id.encode()).to_bytes(8, "little") for r in rows],
+            [r.firm_id.encode() for r in rows],
+        ]
+        inner = b"".join(hashlib.sha256(b"".join(s)).digest() for s in streams)
+        return hashlib.sha256(len(rows).to_bytes(8, "little") + inner).hexdigest()
+
+    def test_matches_the_documented_streams(self):
+        # non-ASCII ids are counted in bytes: "ü" is one character and two bytes
+        records = self.BASE + (dataclasses.replace(self.BASE[0], firm_id="fü-株"),
+                               dataclasses.replace(self.BASE[1], firm_id="ü"))
+        assert self.digest(records) == self.documented_digest(records)
+        assert self.digest(self.BASE) == self.documented_digest(self.BASE)
+
+    def test_chunk_size_does_not_matter(self, monkeypatch):
+        records = synth_registry(registry_config(firms_per_year=5))
+        table = _ingest_table(BEYOND_INT64)
+        whole = self.digest(records), run_pipeline(table, PipelineConfig(min_sample=1)).provenance["input_digest"]
+        monkeypatch.setattr(pipeline, "_DIGEST_ROWS", 1)
+        assert (self.digest(records),
+                run_pipeline(table, PipelineConfig(min_sample=1)).provenance["input_digest"]) == whole
 
 
 class TestBatchedPowers:
