@@ -432,7 +432,7 @@ class TestInputDigest:
 
     def test_pinned_value(self):
         # a refactor that moves this value changes every registry report's provenance
-        assert self.digest(self.BASE) == "db4a6e7d82b4bf3cdf6660d1ac08a7689a98f17937983e134053252db4892d2e"
+        assert self.digest(self.BASE) == "4483d83f24f2656c58005ba62151c07235c1d3cc6bd8cd04b751c15941f42793"
 
     def test_row_order_does_not_matter(self):
         records = synth_registry(registry_config(firms_per_year=5))
