@@ -241,27 +241,21 @@ def fit_fourier1_batch(
     for members in axes.values():
         t = np.asarray(series[members[0]].t, dtype=float)
         lo, hi = bounds[members[0]]
-        block = np.array([series[k].y for k in members], dtype=float)
-        means = [float(y.mean()) for y in block]
-        ssts = [float(((y - mean) ** 2).sum()) for y, mean in zip(block, means)]
-        live = [i for i, sst in enumerate(ssts) if sst != 0.0]
-        for i in range(len(members)):
-            if ssts[i] == 0.0:
-                fits[members[i]] = FourierFit(means[i], 0.0, 0.0, None, 0.0, 0.0, 1.0, True)
-        if not live:
-            continue
         grid = _period_grid(lo, hi, grid_step)
-        for i, scan in zip(live, _scan_sse(t, block[live], grid)):
-            fits[members[i]] = _refined_fit(t, block[i], means[i], ssts[i], (lo, hi, grid_step), grid, scan)
+        block = np.array([series[k].y for k in members], dtype=float)
+        for k, y, scan in zip(members, block, _scan_sse(t, block, grid)):
+            fits[k] = _refined_fit(t, y, grid, scan, lo, hi, grid_step)
     return fits
 
 
-def _refined_fit(t: np.ndarray, y: np.ndarray, mean: float, sst: float, bounds: tuple[float, float, float],
-                 grid: np.ndarray, scan: np.ndarray) -> FourierFit:
-    """The fit of a non-constant series (mean, total sum of squares sst)
-    from its errors ``scan`` on ``grid``, refined by rescans within the
-    (lo, hi, grid_step) ``bounds``."""
-    lo, hi, grid_step = bounds
+def _refined_fit(t: np.ndarray, y: np.ndarray, grid: np.ndarray, scan: np.ndarray,
+                 lo: float, hi: float, grid_step: float) -> FourierFit:
+    """The fit of y from its errors ``scan`` on ``grid``, refined by rescans within [lo, hi]."""
+    mean = float(y.mean())
+    sst = float(((y - mean) ** 2).sum())
+    if sst == 0.0:
+        return FourierFit(mean, 0.0, 0.0, None, 0.0, 0.0, 1.0, True)
+
     # the first (smallest) period among equal errors wins
     period = float(grid[np.argmax(scan <= scan.min() + _SCAN_TIE * sst)])
     step = min(grid_step, hi - lo)

@@ -451,14 +451,13 @@ def _records_digest(table: _Table, order: np.ndarray) -> str:
     """SHA-256 over the row count and one SHA-256 per field stream, in this
     order: year, board code, ownership code, holder count, the zero-padded
     share block, the meeting-share flag, the meeting share, the n_meetings
-    flag, n_meetings (0 where None), the UTF-8 byte length of firm_id and
-    the joined firm_id bytes. Every stream holds its rows in ``order``:
+    flag, n_meetings (0 where None), the UTF-8 byte length of each firm_id
+    and the joined firm_id bytes. Each stream holds the rows in ``order``:
     integers as ``_int_stream`` encodes them, floats as little-endian
-    float64 and flags as one byte. Each row has a fixed width in every
-    stream but the last, whose widths the one before gives, so the digest
-    tells tables apart field by field; float bits tell values apart
-    exactly, as their repr would. The streams are fed ``_DIGEST_ROWS`` rows
-    at a time, which does not change them."""
+    float64, flags as one byte. Every row's part of a stream has a fixed or
+    a stated length, so no two tables share all streams; float bits tell
+    values apart exactly, as their repr would. The streams are fed
+    ``_DIGEST_ROWS`` rows at a time, which does not change them."""
     n_meetings = table.n_meetings
     columns = (
         _int_stream(table.year), _int_stream(table.board), _int_stream(table.ownership), _int_stream(table.count),
