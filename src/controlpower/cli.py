@@ -166,27 +166,34 @@ def _read_pairs(path: str, key) -> list[tuple]:
     Rows whose first cell does not parse (blank, header, comment) are
     skipped. Any other row is a DataError naming the file and line if its
     key repeats an earlier row's, its second cell is missing or not a
-    number, or either number is not finite.
+    number, or either number is not finite; so is a row the CSV reader
+    cannot split, such as an unclosed quote.
     """
     pairs = []
     seen = set()
     with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
-        for row in reader:
-            try:
-                first = key(row[0])
-            except (IndexError, ValueError):
-                continue
-            if first in seen:
-                raise DataError(f"{path} line {reader.line_num}: {row[0]!r} repeats an earlier row")
-            seen.add(first)
-            try:
-                pair = (first, float(row[1]))
-            except (IndexError, ValueError):
-                raise DataError(f"{path} line {reader.line_num}: no number after {row[0]!r}") from None
-            if not all(map(math.isfinite, pair)):
-                raise DataError(f"{path} line {reader.line_num}: {row[0]!r}, {row[1]!r} must be finite numbers")
-            pairs.append(pair)
+        line = 0  # the last line of the last row read
+        try:
+            for row in reader:
+                line = reader.line_num
+                try:
+                    first = key(row[0])
+                except (IndexError, ValueError):
+                    continue
+                if first in seen:
+                    raise DataError(f"{path} line {line}: {row[0]!r} repeats an earlier row")
+                seen.add(first)
+                try:
+                    pair = (first, float(row[1]))
+                except (IndexError, ValueError):
+                    raise DataError(f"{path} line {line}: no number after {row[0]!r}") from None
+                if not all(map(math.isfinite, pair)):
+                    raise DataError(f"{path} line {line}: {row[0]!r}, {row[1]!r} must be finite numbers")
+                pairs.append(pair)
+        except csv.Error as exc:
+            # the row that cannot be split starts after the last one read
+            raise DataError(f"{path} line {line + 1}: {exc}") from None
     return pairs
 
 

@@ -192,9 +192,9 @@ def ingest_csv(source) -> list[FirmYearRecord]:
 def _ingest_table(source) -> _Table:
     """``ingest_csv``'s rows as one column table."""
     if hasattr(source, "read"):
-        return _read_table(source)
+        return _read_table(source, getattr(source, "name", "input"))
     with open(source, newline="", encoding="utf-8-sig") as handle:
-        return _read_table(handle)
+        return _read_table(handle, source)
 
 
 # Rows read, parsed and checked at a time, so only one chunk's cells are
@@ -204,23 +204,45 @@ def _ingest_table(source) -> _Table:
 _CHUNK_ROWS = 512
 
 
-def _read_table(handle) -> _Table:
+def _read_table(handle, name: str) -> _Table:
+    """The registry of an open CSV handle; ``name`` names it in the error of
+    a row the CSV reader cannot split, which stops the read."""
     reader = csv.reader(handle)
-    header = next(reader, None)
+    try:
+        header = next(reader, None)
+    except csv.Error as exc:
+        raise DataError(f"{name} line 1: {exc}") from None
     if header is None:
         raise DataError("empty file, no header row")
-    columns = {name: i for i, name in enumerate(header)}  # a repeated name: the last wins
+    columns = {column: i for i, column in enumerate(header)}  # a repeated name: the last wins
     missing = [c for c in CSV_COLUMNS if c not in columns]
     if missing:
         raise DataError(f"missing required columns: {', '.join(missing)}")
     index = [columns[c] for c in CSV_COLUMNS]
-    rows = ((row, reader.line_num) for row in reader if row)  # blank lines skipped
     parts = [_Table.from_records([])]  # typed columns even for a file without rows
     problems: list[str] = []
-    while chunk := list(itertools.islice(rows, _CHUNK_ROWS)):
-        part, bad = _parse_chunk([row for row, _ in chunk], index, len(header))
-        parts.append(part)
-        problems += [f"row {chunk[i][1]}: {message}" for i, message in sorted(bad.items())]
+    line = reader.line_num
+    while True:
+        rows, lines, unsplit = [], [], None
+        try:
+            for row in reader:
+                line = reader.line_num
+                if row:  # blank lines are skipped, however many
+                    rows.append(row)
+                    lines.append(line)
+                    if len(rows) == _CHUNK_ROWS:
+                        break
+        except csv.Error as exc:
+            # the record that cannot be split starts after the last one read
+            unsplit = f"{name} line {line + 1}: {exc}"
+        if rows:
+            part, bad = _parse_chunk(rows, index, len(header))
+            parts.append(part)
+            problems += [f"row {lines[i]}: {message}" for i, message in sorted(bad.items())]
+        if unsplit:
+            problems.append(unsplit)
+        if unsplit or len(rows) < _CHUNK_ROWS:  # the reader stopped
+            break
     if problems:
         raise DataError("; ".join(problems))
     return _Table(*(np.concatenate(c) if isinstance(c[0], np.ndarray) else list(itertools.chain(*c))
@@ -235,7 +257,7 @@ def _parse_cells(cells: Sequence[str], parse, blank=_REQUIRED) -> tuple[list, di
     text of each cell ``parse`` rejects, by position (its value is then
     ``blank``, or 0 where blanks are parsed)."""
     try:
-        if blank is _REQUIRED:
+        if blank is _REQUIRED or all(cells):
             return list(map(parse, cells)), {}
         return [parse(c) if c else blank for c in cells], {}
     except ValueError:
@@ -248,6 +270,15 @@ def _parse_cells(cells: Sequence[str], parse, blank=_REQUIRED) -> tuple[list, di
             values.append(0 if blank is _REQUIRED else blank)
             errors[i] = str(exc)
     return values, errors
+
+
+def _stripped(cells: Sequence[str]) -> Sequence[str]:
+    """The cells stripped of surrounding whitespace: as they are when no cell
+    holds any (one whitespace split of their join tells, faster than a strip
+    of each cell)."""
+    if len("".join(cells).split()) == 1:
+        return cells
+    return list(map(str.strip, cells))
 
 
 def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int) -> tuple[_Table, dict[int, str]]:
@@ -272,16 +303,19 @@ def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int
         flag(errors, lambda i: f"unparseable value ({errors[i]})")
         return values
 
-    short = np.array([len(row) < width for row in rows])
-    flag(short, lambda i: f"{len(rows[i])} cells, the header has {width}")
-    columns = list(zip(*([""] * width if s else row for row, s in zip(rows, short.tolist()))))
-    firm_id, years, boards, ownerships, *share_cells, meeting_cells, count_cells = (
-        list(map(str.strip, columns[i])) for i in index)
+    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
+    short = lengths < width
+    if short.any():  # a short row is read as blanks, and rejected
+        flag(short, lambda i: f"{lengths[i]} cells, the header has {width}")
+        rows = [[""] * width if s else row for row, s in zip(rows, short.tolist())]
+    columns = list(zip(*rows))
+    firm_id, years, boards, ownerships, *share_cells, meeting_cells, count_cells = map(_stripped, (
+        columns[i] for i in index))
     year = parsed(years, int)
 
     shares = [_parse_cells(col, float, 0.0) for col in share_cells]
     values = np.array([col for col, _ in shares], dtype=float).T
-    given = np.array([[c != "" for c in col] for col in share_cells], dtype=bool).T
+    given = np.array([list(map(bool, col)) for col in share_cells], dtype=bool).T
     rejected = np.zeros_like(given)
     for j, (_, errors) in enumerate(shares):
         rejected[list(errors), j] = True
@@ -307,15 +341,15 @@ def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int
     with np.errstate(invalid="ignore", over="ignore"):
         flag(((values[:, 1:] - values[:, :-1] > SORT_TOL) & pairs).any(axis=1),
              lambda i: "shares out of descending order beyond tolerance")
-    meeting = parsed(meeting_cells, float, None)
+    meeting = parsed(meeting_cells, float, 0.0)  # 0 where blank, as the table holds it
     n_meetings = parsed(count_cells, int, None)
     # rows out of descending order within SORT_TOL are sorted as a list is
     for i in np.flatnonzero(((values[:, 1:] > values[:, :-1]) & pairs).any(axis=1)).tolist():
         values[i, : count[i]] = sorted(values[i, : count[i]].tolist(), reverse=True)
 
-    board = np.array([_BOARD_CODES.get(b, -1) for b in boards], dtype=np.int64)
+    board = np.fromiter(map(_BOARD_CODES.get, boards, itertools.repeat(-1)), np.int64, len(boards))
     flag(_BOARD.test(board), lambda i: _BOARD.message.format(board=boards[i]))
-    ownership = np.array([_OWNERSHIP_CODES.get(o, -1) for o in ownerships], dtype=np.int64)
+    ownership = np.fromiter(map(_OWNERSHIP_CODES.get, ownerships, itertools.repeat(-1)), np.int64, len(ownerships))
     flag(_OWNERSHIP.test(ownership), lambda i: _OWNERSHIP.message.format(ownership=ownerships[i]))
     flag(_COUNT.test(count), lambda i: _COUNT.message.format(count=int(count[i])))
     bad = _SHARE.test(values) & held
@@ -324,8 +358,8 @@ def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int
     # a row with a bad share is rejected already; zeroing it keeps fsum finite
     total = np.array(_row_fsums(np.where(bad.any(axis=1)[:, None], 0.0, values)), dtype=float)
     flag(_TOTAL.test(total), lambda i: _TOTAL.message)
-    has_meeting = np.array([m is not None for m in meeting], dtype=bool)
-    meeting = np.array([0.0 if m is None else m for m in meeting], dtype=float)
+    has_meeting = np.fromiter(map(bool, meeting_cells), bool, len(meeting_cells))
+    meeting = np.array(meeting, dtype=float)
     flag(_MEETING.test(meeting) & has_meeting, lambda i: _MEETING.message.format(meeting_share=meeting[i].item()))
     flag(_N_MEETINGS.test(_int_column([m or 0 for m in n_meetings])), lambda i: _N_MEETINGS.message)
     return _Table(_int_column(year), board, ownership, firm_id, values, count, total, meeting, has_meeting,

@@ -152,26 +152,33 @@ def _period_grid(lo: float, hi: float, grid_step: float) -> np.ndarray:
 def _scan_sse(t: np.ndarray, y: np.ndarray, periods: np.ndarray) -> np.ndarray:
     """Least-squares error of the three-coefficient fit at every period, for
     one series y or for each row of a (series x points) block of series on
-    the same t; the result has y's shape with periods for points.
+    the same t. ``periods`` is one list of periods for every series, and the
+    result has y's shape with periods for points; or it is a (series x
+    periods) block with one row of periods per series, which is also the
+    result's shape.
 
     Centring y, cos and sin on their means removes a0, so each period is a
     2x2 solve in closed form; the error is summed from explicit residuals,
-    never as y'y - b'A^-1 b, which cancels. The centred design of a chunk of
-    periods (cos, sin and their 2x2 normal matrix) is built once for all
-    series; each series then takes its own row-wise products, so its errors
-    are bit for bit those of a scan of it alone. Ill-conditioned periods
-    (such as T = 1 or 2 on integer t, where sin is rounding noise) are
-    scored by ``_coeffs_and_sse``, whose lstsq truncates the vanishing
-    column.
+    never as y'y - b'A^-1 b, which cancels. A chunk of design rows (cos,
+    sin and their 2x2 normal matrix, one row per period) is built at once;
+    with shared periods each series then takes its own row-wise products
+    with it, with a row of periods per series each design row meets its own
+    series. Either way a period's error is bit for bit that of a scan of its
+    series alone. Ill-conditioned periods (such as T = 1 or 2 on integer t,
+    where sin is rounding noise) are scored by ``_coeffs_and_sse``, whose
+    lstsq truncates the vanishing column.
     """
     n = t.size
     wt = 2.0 * math.pi * t
     block = np.atleast_2d(y)
-    centred = [row - row.mean() for row in block]
-    sse = np.empty((len(block), periods.size))
+    centred = np.array([row - row.mean() for row in block])
+    own = periods.ndim > 1
+    flat = periods.reshape(-1)
+    series = np.repeat(np.arange(len(block)), periods.shape[-1]) if own else None  # of each design row
+    sse = np.empty(flat.size if own else (len(block), flat.size))
     rows = max(1, _SCAN_ELEMENTS // n)
-    for at in range(0, periods.size, rows):
-        theta = wt / periods[at : at + rows, None]
+    for at in range(0, flat.size, rows):
+        theta = wt / flat[at : at + rows, None]
         c = np.cos(theta)
         s = np.sin(theta)
         c -= c.mean(axis=1, keepdims=True)
@@ -182,17 +189,27 @@ def _scan_sse(t: np.ndarray, y: np.ndarray, periods: np.ndarray) -> np.ndarray:
         det = cc * ss - cs * cs
         sound = det > _SCAN_MIN_EIGEN * n * (cc + ss)
         det = np.where(sound, det, 1.0)
-        weak = np.flatnonzero(~sound).tolist()
-        for row, yc, out in zip(block, centred, sse[:, at : at + rows]):
-            # row by row, so a period's error depends on neither its chunk nor its batch
-            cy = np.einsum("ij,j->i", c, yc)
-            sy = np.einsum("ij,j->i", s, yc)
+        if own:  # each design row with its own series
+            jobs, spec = [(centred[series[at : at + rows]], sse[at : at + rows])], "ij,ij->i"
+        else:  # each series with every design row
+            jobs, spec = zip(centred, sse[:, at : at + rows]), "ij,j->i"
+        for yc, out in jobs:
+            # row-wise products, so a period's error depends on neither its chunk nor its batch
+            cy = np.einsum(spec, c, yc)
+            sy = np.einsum(spec, s, yc)
             a1 = (ss * cy - cs * sy) / det
             b1 = (cc * sy - cs * cy) / det
             resid = yc - a1[:, None] * c - b1[:, None] * s
             out[:] = np.einsum("ij,ij->i", resid, resid)
-            for i in weak:
-                out[i] = _coeffs_and_sse(t, row, float(periods[at + i]))[1]
+        for i in np.flatnonzero(~sound).tolist():
+            period = float(flat[at + i])
+            if own:
+                sse[at + i] = _coeffs_and_sse(t, block[series[at + i]], period)[1]
+            else:
+                for row, out in zip(block, sse[:, at : at + rows]):
+                    out[i] = _coeffs_and_sse(t, row, period)[1]
+    if own:
+        return sse.reshape(periods.shape)
     return sse if y.ndim > 1 else sse[0]
 
 
@@ -243,30 +260,50 @@ def fit_fourier1_batch(
         lo, hi = bounds[members[0]]
         grid = _period_grid(lo, hi, grid_step)
         block = np.array([series[k].y for k in members], dtype=float)
-        for k, y, scan in zip(members, block, _scan_sse(t, block, grid)):
-            fits[k] = _refined_fit(t, y, grid, scan, lo, hi, grid_step)
+        live, winners = [], []  # the rows of non-constant series and their grid winners
+        for j, (y, scan) in enumerate(zip(block, _scan_sse(t, block, grid))):
+            mean = float(y.mean())
+            sst = float(((y - mean) ** 2).sum())
+            if sst == 0.0:
+                fits[members[j]] = FourierFit(mean, 0.0, 0.0, None, 0.0, 0.0, 1.0, True)
+                continue
+            live.append(j)
+            # the first (smallest) period among equal errors wins
+            winners.append(float(grid[np.argmax(scan <= scan.min() + _SCAN_TIE * sst)]))
+        periods = _refined_periods(t, block[live], np.array(winners), lo, hi, min(grid_step, hi - lo))
+        for j, period in zip(live, periods):
+            fits[members[j]] = _fit_at(t, block[j], period)
     return fits
 
 
-def _refined_fit(t: np.ndarray, y: np.ndarray, grid: np.ndarray, scan: np.ndarray,
-                 lo: float, hi: float, grid_step: float) -> FourierFit:
-    """The fit of y from its errors ``scan`` on ``grid``, refined by rescans within [lo, hi]."""
-    mean = float(y.mean())
-    sst = float(((y - mean) ** 2).sum())
-    if sst == 0.0:
-        return FourierFit(mean, 0.0, 0.0, None, 0.0, 0.0, 1.0, True)
-
-    # the first (smallest) period among equal errors wins
-    period = float(grid[np.argmax(scan <= scan.min() + _SCAN_TIE * sst)])
-    step = min(grid_step, hi - lo)
-    while 2.0 * step > 1e-11 * max(1.0, period):
+def _refined_periods(t: np.ndarray, block: np.ndarray, periods: np.ndarray,
+                     lo: float, hi: float, step: float) -> list[float]:
+    """The grid winners ``periods`` of the series ``block`` refined within
+    [lo, hi] by rescans of 21 periods around each, ``step`` apart and ten
+    times finer each time, until ``2 * step`` is within 1e-11 of the
+    period. Each level rescans every series that has not stopped in one
+    block. The series share the step, since they share lo, hi and the grid
+    step, and each stops by its own period; a series' periods and errors
+    are bit for bit those of its rescans alone."""
+    live = np.arange(len(block))
+    offsets = np.arange(-10, 11)
+    # step stays a Python float, whose 2.0 * step overflows to inf without the
+    # warning a numpy value gives
+    while (live := live[2.0 * step > 1e-11 * np.maximum(1.0, periods[live])]).size:
         # ten steps near the float limit overflow to inf; the clip takes them back
         with np.errstate(over="ignore"):
-            trial = np.clip(period + step * np.arange(-10, 11), lo, hi)
-        period = float(trial[np.argmin(_scan_sse(t, y, trial))])
+            trial = np.clip(periods[live, None] + step * offsets, lo, hi)
+        best = np.argmin(_scan_sse(t, block[live], trial), axis=1)
+        periods[live] = trial[np.arange(live.size), best]
         step /= 10.0
-    coef, sse = _coeffs_and_sse(t, y, period)
+    return periods.tolist()
 
+
+def _fit_at(t: np.ndarray, y: np.ndarray, period: float) -> FourierFit:
+    """The fit of the non-constant series y at its refined period."""
+    mean = float(y.mean())
+    sst = float(((y - mean) ** 2).sum())
+    coef, sse = _coeffs_and_sse(t, y, period)
     a0, a1, b1 = (float(v) for v in coef)
     if math.hypot(a1, b1) < DEGENERATE_AMPLITUDE:
         return FourierFit(mean, 0.0, 0.0, None, sst, math.sqrt(sst / len(y)), 0.0, True)
@@ -303,14 +340,44 @@ def fit_normal(samples: Sequence[float]) -> NormalFit:
     n = len(values)
     if n < 2:
         raise ValueError("need at least two samples")
-    mu = math.fsum(values.tolist()) / n
-    d = values - mu
+    return NormalFit(*_segment_moments(values, [0, n])[0], n)
+
+
+def _cut_counts(mask: np.ndarray, cuts: Sequence[int]) -> list[int]:
+    """The running count of True entries of ``mask`` at each cut. Its
+    consecutive differences are the segments' counts, and it cuts
+    ``values[mask]`` into the same segments as ``cuts`` cut ``values``."""
+    return np.concatenate(([0], np.cumsum(mask))).take(cuts).tolist()
+
+
+def _segment_moments(values: np.ndarray, cuts: Sequence[int]) -> list[tuple]:
+    """``fit_normal``'s (mu, sigma, band_ratio) of every segment
+    ``values[a:b]`` between consecutive ``cuts``, in one pass over the
+    column: a segment of one value gives (value, None, None), an empty one
+    (None, None, None). The mean is the segment's ``math.fsum`` over n and
+    sigma the square root of the fsum of its squared deviations over n - 1;
+    the deviations and the band test run on the whole column at once."""
+    listed = values.tolist()
+    bounds = list(zip(cuts[:-1], cuts[1:]))
+    sizes = [b - a for a, b in bounds]
+    mus = [math.fsum(listed[a:b]) / (b - a) if b > a else 0.0 for a, b in bounds]
+    d = values - np.repeat(mus, sizes)
     # d * d is correctly rounded; Python's ** 2 goes through libm pow
-    sigma = math.sqrt(math.fsum((d * d).tolist()) / (n - 1))
-    guard = 1e-12 * max(1.0, abs(mu) + sigma)
-    lo, hi = mu - sigma - guard, mu + sigma + guard
-    band_ratio = int(np.count_nonzero((lo <= values) & (values <= hi))) / n
-    return NormalFit(mu, sigma, band_ratio, n)
+    squares = (d * d).tolist()
+    sigmas = [math.sqrt(math.fsum(squares[a:b]) / (b - a - 1)) if b - a > 1 else 0.0 for a, b in bounds]
+    lo, hi = [], []
+    for mu, sigma in zip(mus, sigmas):
+        guard = 1e-12 * max(1.0, abs(mu) + sigma)
+        lo.append(mu - sigma - guard)
+        hi.append(mu + sigma + guard)
+    inside = _cut_counts((np.repeat(lo, sizes) <= values) & (values <= np.repeat(hi, sizes)), cuts)
+    moments = []
+    for k, (n, mu, sigma) in enumerate(zip(sizes, mus, sigmas)):
+        if n > 1:
+            moments.append((mu, sigma, (inside[k + 1] - inside[k]) / n))
+        else:
+            moments.append((mu if n else None, None, None))
+    return moments
 
 
 @dataclass(frozen=True)

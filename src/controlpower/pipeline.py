@@ -41,8 +41,9 @@ from .fitting import (
     FourierFit,
     TimeSeries,
     check_period_grid,
+    _cut_counts,
+    _segment_moments,
     fit_fourier1_batch,
-    fit_normal,
     fourier_extrema,
     pearson,
 )
@@ -98,35 +99,27 @@ class YearStats:
             raise ValueError("meeting ratio cannot be negative")
 
 
-def _moments(values: Sequence[float]) -> tuple[float | None, float | None, float | None]:
-    """Mean, n-1 SD and band ratio by ``fit_normal``'s rule; None where
-    there are too few values to define one."""
-    if len(values) < 2:
-        return (values[0] if values else None), None, None
-    nf = fit_normal(values)
-    return nf.mu, nf.sigma, nf.band_ratio
-
-
-def _full_ratio(values: np.ndarray) -> float | None:
-    return int(np.count_nonzero(values == 1.0)) / len(values) if len(values) else None
-
-
-def _power_fields(values: np.ndarray) -> dict:
-    """Full-power ratio and the below-full summary of float power values.
+def _power_fields(values: np.ndarray, cuts: Sequence[int]) -> list[dict]:
+    """Full-power ratio and the below-full summary of the float power values
+    of each segment between consecutive ``cuts``.
 
     Comparing with 1.0 is exact: pipeline games have at most 11 players,
     so a power below 1 is at most 1 - 1/11! (about 1 - 2.5e-8) and stays
     apart from 1 as a float.
     """
-    lt1 = values[values != 1.0].tolist()
-    mean, sd, band = _moments(lt1)
-    return {
-        "r_spi_1": _full_ratio(values),
-        "spi_lt1_mean": mean,
-        "spi_lt1_sd": sd,
-        "spi_lt1_band": band,
-        "n_spi_lt1": len(lt1),
-    }
+    full = _cut_counts(values == 1.0, cuts)
+    below = values != 1.0
+    at = _cut_counts(below, cuts)  # the segments' cuts in values[below]
+    return [
+        {
+            "r_spi_1": (full[k + 1] - full[k]) / (b - a) if b > a else None,
+            "spi_lt1_mean": mean,
+            "spi_lt1_sd": sd,
+            "spi_lt1_band": band,
+            "n_spi_lt1": at[k + 1] - at[k],
+        }
+        for k, (a, b, (mean, sd, band)) in enumerate(zip(cuts, cuts[1:], _segment_moments(values[below], at)))
+    ]
 
 
 def _powers(shares: np.ndarray) -> np.ndarray:
@@ -166,45 +159,53 @@ def _group_stats(rows: _Table, spi_mode: str) -> list[YearStats]:
     top11[extra] = _powers(np.column_stack((shares[extra], residual[extra])))
     # in top11 mode every row has a meeting share, so no top11 power is nan
     mode = {"top9": top9, "top10": top10, "top11": top11}[spi_mode]
-    top1 = shares[:, 0].tolist()
-    top2_10 = _row_fsums(shares[:, 1:])
-    ratio = rows.meeting / rows.total
     years = rows.year.tolist()
     cuts = [0, *(np.flatnonzero(rows.year[1:] != rows.year[:-1]) + 1).tolist(), len(years)]
+    # each statistic of every year cell in one pass over its column
+    top1 = _segment_moments(shares[:, 0], cuts)
+    top2_10 = _segment_moments(np.array(_row_fsums(shares[:, 1:])), cuts)
+    met = _cut_counts(has, cuts)
+    ratios = _segment_moments((rows.meeting / rows.total)[has], met)
+    full9, full10, full11 = (_cut_counts(powers == 1.0, cuts) for powers in (top9, top10, top11))
+    power = _power_fields(mode, cuts)
     stats = []
-    for a, b in zip(cuts, cuts[1:]):
-        met = has[a:b]
-        cell11 = top11[a:b][met]
-        m_top1, m_top1_sd, _ = _moments(top1[a:b])
-        m_top2_10, m_top2_10_sd, _ = _moments(top2_10[a:b])
-        ratios = ratio[a:b][met].tolist()
-        ratio_mean, ratio_sd, band = _moments(ratios)
+    for k, (a, b) in enumerate(zip(cuts, cuts[1:])):
+        n_met = met[k + 1] - met[k]
         stats.append(YearStats(
             year=years[a],
             n_sample=b - a,
-            m_top1=m_top1,
-            m_top1_sd=m_top1_sd,
-            m_top2_10=m_top2_10,
-            m_top2_10_sd=m_top2_10_sd,
-            meeting_ratio_mean=ratio_mean,
-            meeting_ratio_sd=ratio_sd,
-            band_count_ratio=band,
-            n_meeting=len(ratios),
-            r_spi_1_top9=_full_ratio(top9[a:b]),
-            r_spi_1_top10=_full_ratio(top10[a:b]),
-            r_spi_1_top11=_full_ratio(cell11),
-            n_top11=len(cell11),
-            **_power_fields(mode[a:b]),
+            m_top1=top1[k][0],
+            m_top1_sd=top1[k][1],
+            m_top2_10=top2_10[k][0],
+            m_top2_10_sd=top2_10[k][1],
+            meeting_ratio_mean=ratios[k][0],
+            meeting_ratio_sd=ratios[k][1],
+            band_count_ratio=ratios[k][2],
+            n_meeting=n_met,
+            r_spi_1_top9=(full9[k + 1] - full9[k]) / (b - a),
+            r_spi_1_top10=(full10[k + 1] - full10[k]) / (b - a),
+            r_spi_1_top11=(full11[k + 1] - full11[k]) / n_met if n_met else None,
+            n_top11=n_met,
+            **power[k],
         ))
     return stats
 
 
 def year_stats_from_draws(year: int, draws: Sequence[float]) -> YearStats:
     """Aggregate a year of raw power draws (no registry, no share data)."""
-    values = np.asarray(draws, dtype=float)
-    if not len(values):
+    return _draws_stats({year: draws})[0]
+
+
+def _draws_stats(draws: Mapping[int, Sequence[float]]) -> list[YearStats]:
+    """``year_stats_from_draws`` of every year's draws, in year order, in
+    one pass over all of them."""
+    years = sorted(draws)
+    columns = [np.asarray(draws[year], dtype=float) for year in years]
+    if not all(map(len, columns)):
         raise ValueError("no draws for this year")
-    return YearStats(year=year, n_sample=len(values), **_power_fields(values))
+    cuts = np.cumsum([0, *map(len, columns)]).tolist()
+    fields = _power_fields(np.concatenate(columns), cuts)
+    return [YearStats(year=year, n_sample=b - a, **cell) for year, a, b, cell in zip(years, cuts, cuts[1:], fields)]
 
 
 @dataclass(frozen=True)
@@ -271,13 +272,30 @@ class Report:
             "version": self.version,
             "provenance": dict(self.provenance),
             "groups": {
-                _group_label(k): {f: v for f, v in asdict(g).items() if f != "group"}
+                _group_label(k): {f: _plain(v) for f, v in vars(g).items() if f != "group"}
                 for k, g in self.groups.items()
             },
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+
+
+_LEAVES = frozenset({bool, int, float, str, type(None)})
+
+
+def _plain(value):
+    """``value`` as ``dataclasses.asdict`` gives it to JSON, dataclasses as
+    dicts of their fields and tuples as lists, without copying its leaves."""
+    if type(value) in _LEAVES:
+        return value
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if hasattr(value, "__dataclass_fields__"):
+        return {k: _plain(v) for k, v in vars(value).items()}
+    return value
 
 
 def _group_label(group: GroupKey) -> str:
@@ -511,8 +529,7 @@ def run_pipeline(
             fitted = sorted(set(source.years)) if source.firms_per_year >= config.min_sample else []
             _check_period_grid(fitted, config)
             draws = synth_outcomes(source)
-            stats = [year_stats_from_draws(year, draws[year]) for year in sorted(draws)]
-            return build_report({source.group: stats}, config, provenance)
+            return build_report({source.group: _draws_stats(draws)}, config, provenance)
         table = _synth_table(source)
     else:
         # the CLI passes the table it read; records are tabled here

@@ -250,6 +250,14 @@ class TestFit:
         assert f"{path} line 4" in err and "finite" in err
         assert "Traceback" not in err and "DLASCL" not in err
 
+    def test_unclosed_quote_is_data_error(self, tmp_path, capsys):
+        # the quote runs past the CSV reader's field limit of 131,072 characters
+        path = tmp_path / "series.csv"
+        path.write_text('t,y\n0,1\n1,2\n"2,' + "x" * 140_000 + "\n3,4\n")
+        code, out, err = run_cli("fit", "--input", str(path), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"controlpower: {path} line 4: field larger than field limit (131072)\n"
+
     def test_header_only_is_empty_series(self, tmp_path, capsys):
         path = tmp_path / "series.csv"
         path.write_text("t,y\n# no rows\n\n")
@@ -556,6 +564,27 @@ class TestPipeline:
         code, out, err = run_cli("pipeline", "--synth", "outcomes", "--seed", "1", *flags, capsys=capsys)
         assert (code, out) == (1, "")
         assert message in err
+
+    def test_unclosed_quote_in_macro_is_data_error(self, tmp_path, capsys):
+        macro = tmp_path / "index.csv"
+        macro.write_text('year,value\n1996,100\n"1997,' + "x" * 140_000 + "\n1998,102\n")
+        code, out, err = run_cli(
+            "pipeline", "--input", str(GOLDEN_REGISTRY), "--macro", f"idx={macro}", capsys=capsys
+        )
+        assert (code, out) == (2, "")
+        assert err == f"controlpower: {macro} line 3: field larger than field limit (131072)\n"
+
+    def test_unclosed_quote_in_registry_is_data_error(self, tmp_path, capsys):
+        # one quote at the start of a data row of a registry large enough
+        # that the quoted field passes the CSV reader's field limit
+        lines = GOLDEN_REGISTRY.read_text().splitlines()
+        body = lines[1:] * 30
+        body[40] = '"' + body[40]
+        registry = tmp_path / "registry.csv"
+        registry.write_text("\n".join([lines[0], *body]) + "\n")
+        code, out, err = run_cli("pipeline", "--input", str(registry), capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"controlpower: {registry} line 42: field larger than field limit (131072)\n"
 
     def test_short_registry_row_is_data_error(self, tmp_path, capsys):
         registry = tmp_path / "registry.csv"

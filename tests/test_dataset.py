@@ -219,6 +219,71 @@ class TestRowNumbers:
         assert [r.firm_id for r in ingest_csv(csv_of(*good_rows))] == [f"f{i}" for i in range(1, 11)]
 
 
+class TestChunkedRead:
+    """One table and the same errors, whatever the blank lines, short rows,
+    chunk boundaries and line endings of the file."""
+
+    @staticmethod
+    def rows(count):
+        return [f"f{i},{1996 + i % 26},{'main' if i % 3 else 'sme_gem'},{'private' if i % 2 else 'state'},"
+                f"0.{300 + i % 97},0.2,0.1,,,,,,,,{'' if i % 5 else '0.7'},{'' if i % 7 else i % 4}"
+                for i in range(count)]
+
+    @staticmethod
+    def read(tmp_path, name, lines, newline="\n"):
+        path = tmp_path / name
+        path.write_bytes((newline.join([HEADER, *lines]) + newline).encode())
+        return dataset._ingest_table(str(path))
+
+    @staticmethod
+    def assert_same_table(a, b):
+        for x, y in zip(a, b, strict=True):
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+            else:
+                assert x == y
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_blank_run_longer_than_a_chunk(self, newline, tmp_path):
+        # 1,024 rows are two full chunks; 600 blank lines must not end the read
+        rows = self.rows(1024)
+        plain = self.read(tmp_path, "plain.csv", rows)
+        assert len(plain.firm_id) == 1024
+        blanks = rows[:300] + [""] * 600 + rows[300:]
+        self.assert_same_table(self.read(tmp_path, "blanks.csv", blanks, newline), plain)
+        self.assert_same_table(self.read(tmp_path, "tail.csv", rows + [""] * 600, newline), plain)
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_short_row_inside_a_chunk(self, newline, tmp_path):
+        rows = self.rows(1100)
+        rows[700] = "f700,2001,main,private,0.3,0.2"
+        rows[701] = "f701,2001,main,private,abc,,,,,,,,,,,"
+        rows[1050] = "f1050,2001,otc,private,0.3,,,,,,,,,,,"
+        expected = "; ".join([
+            "row {}: 6 cells, the header has 16",
+            "row {}: unparseable value (could not convert string to float: 'abc')",
+            "row {}: unknown board 'otc'",
+        ])
+        with pytest.raises(DataError) as plain:
+            self.read(tmp_path, "plain.csv", rows, newline)
+        assert str(plain.value) == expected.format(702, 703, 1052)
+        with pytest.raises(DataError) as spaced:
+            self.read(tmp_path, "blanks.csv", rows[:300] + [""] * 600 + rows[300:], newline)
+        assert str(spaced.value) == expected.format(1302, 1303, 1652)
+
+    def test_unsplittable_row_names_file_and_line(self, tmp_path):
+        # an unclosed quote takes the rest of the file into one field, past
+        # the CSV reader's field limit; earlier problems are listed first
+        rows = self.rows(4000)
+        rows[2] = "f2,2001,otc,private,0.3,,,,,,,,,,,"
+        rows[10] = '"' + rows[10]
+        path = tmp_path / "quote.csv"
+        path.write_text("\n".join([HEADER, *rows]) + "\n")
+        with pytest.raises(DataError) as exc:
+            dataset._ingest_table(str(path))
+        assert str(exc.value) == f"row 4: unknown board 'otc'; {path} line 12: field larger than field limit (131072)"
+
+
 class TestColumnMapping:
     """Columns are found by header name, not position."""
 

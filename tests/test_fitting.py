@@ -366,12 +366,12 @@ class TestBatchedScan:
         scan = fitting._scan_sse
 
         def counting(t, y, periods):
-            scans.append(np.ndim(y))
+            scans.append(np.ndim(periods))  # a rescan has a row of periods per series
             return scan(t, y, periods)
 
         monkeypatch.setattr(fitting, "_scan_sse", counting)
         batch = fitting.fit_fourier1_batch(series)
-        grid_scans = scans.count(2)
+        grid_scans = scans.count(1)
         scans.clear()
         alone = [fit_fourier1(s) for s in series]
         assert batch == alone
@@ -392,6 +392,94 @@ class TestBatchedScan:
             fitting.fit_fourier1_batch([good, coarse, TimeSeries((0.0, 1.0, 2.0), (1.0, 2.0, 3.0))])
         assert str(batched.value) == str(alone.value)
         assert fitting.fit_fourier1_batch([]) == []
+
+
+class TestBatchedRescans:
+    """Every live series of a t-group is rescanned in one block per level;
+    each keeps the periods, the stop and the fit it has alone."""
+
+    @staticmethod
+    def alone_refinement(t, y, lo, hi, grid_step):
+        """The refined period of y by one-series rescans, as fit_fourier1
+        refined before rescans were batched."""
+        grid = fitting._period_grid(lo, hi, grid_step)
+        scan = fitting._scan_sse(t, y, grid)
+        sst = float(((y - y.mean()) ** 2).sum())
+        period = float(grid[np.argmax(scan <= scan.min() + fitting._SCAN_TIE * sst)])
+        step = min(grid_step, hi - lo)
+        levels = 0
+        while 2.0 * step > 1e-11 * max(1.0, period):
+            trial = np.clip(period + step * np.arange(-10, 11), lo, hi)
+            period = float(trial[np.argmin(fitting._scan_sse(t, y, trial))])
+            step /= 10.0
+            levels += 1
+        return period, levels
+
+    @staticmethod
+    def twelve():
+        """Twelve series on t = 0..25: waves of periods below and above 10,
+        which stop one rescan level apart, a constant, and a trend with a
+        period-2 swing whose rescans reach T = 2, where sin(pi t) is
+        rounding noise."""
+        t = np.arange(26.0)
+        rng = np.random.default_rng(19)
+        ys = [0.5 + 0.1 * np.sin(2 * np.pi * t / period + rng.uniform(0.0, 6.3)) + rng.normal(0.0, 0.02, t.size)
+              for period in (4.5, 6.0, 7.7, 9.2, 12.0, 17.357, 23.0, 31.0, 44.0)]
+        ys.append(np.full(t.size, 0.25))
+        ys.append(0.4 + 0.003 * t + 0.05 * (-1.0) ** t + rng.normal(0.0, 0.001, t.size))
+        ys.append(0.4 + 0.05 * (-1.0) ** t)
+        return t, [TimeSeries(tuple(t), tuple(y)) for y in ys]
+
+    def test_alone_and_in_batches_of_1_2_and_12(self, monkeypatch):
+        t, series = self.twelve()
+        period_range = (2.0, 50.0)
+        alone = [fit_fourier1(s, period_range) for s in series]
+        rows, weak = [], []
+        scan, solve = fitting._scan_sse, fitting._coeffs_and_sse
+
+        def counting_scan(t, y, periods):
+            rows.append(len(periods) if np.ndim(periods) > 1 else 0)  # 0 for a grid scan
+            return scan(t, y, periods)
+
+        def counting_solve(t, y, period):
+            if rows and rows[-1]:
+                weak.append(period)
+            return solve(t, y, period)
+
+        monkeypatch.setattr(fitting, "_scan_sse", counting_scan)
+        monkeypatch.setattr(fitting, "_coeffs_and_sse", counting_solve)
+        assert fitting.fit_fourier1_batch(series, period_range) == alone
+        # one grid scan, then one block per level over the series still live
+        assert rows[0] == 0 and all(rows[1:])
+        assert rows[1] == len(series) - 1  # the constant series is not refined
+        assert rows[-1] < rows[1]  # series stop at different levels
+        assert 2.0 in weak  # a rescan scored T = 2 through lstsq
+        for size in (1, 2):
+            batched = [fit for at in range(0, len(series), size)
+                       for fit in fitting.fit_fourier1_batch(series[at : at + size], period_range)]
+            assert batched == alone
+        assert fitting.fit_fourier1_batch(series[::-1], period_range) == alone[::-1]
+
+    def test_batched_periods_equal_one_series_rescans(self):
+        t, series = self.twelve()
+        fits = fitting.fit_fourier1_batch(series, (2.0, 50.0))
+        levels = set()
+        for one, fit in zip(series, fits):
+            y = np.asarray(one.y)
+            if fit.period is None:
+                continue
+            period, n = self.alone_refinement(t, y, 2.0, 50.0, fitting.DEFAULT_GRID_STEP)
+            assert fit.period == period
+            levels.add(n)
+        assert len(levels) > 1
+
+    def test_rescans_with_a_huge_step_stay_quiet(self):
+        # 2 * step overflows for a step near the float limit; with the step a
+        # Python float that gives inf and no warning (warnings are errors here)
+        t, series = self.twelve()
+        fits = fitting.fit_fourier1_batch(series[:3], (4.0, 1.7e308), grid_step=1e308)
+        assert fits == [fit_fourier1(s, (4.0, 1.7e308), grid_step=1e308) for s in series[:3]]
+        assert all(4.0 <= fit.period <= 1.7e308 for fit in fits)
 
 
 class TestFourierExtrema:
@@ -437,6 +525,59 @@ class TestFitNormal:
         assert nf.mu == pytest.approx(0.466, abs=0.01)
         assert nf.sigma == pytest.approx(0.165, abs=0.01)
         assert nf.band_ratio == pytest.approx(0.6827, abs=0.02)
+
+
+def reference_normal(values):
+    """fit_normal's (mu, sigma, band_ratio) as it was computed for one sample."""
+    values = np.asarray(values, dtype=float)
+    n = len(values)
+    mu = math.fsum(values.tolist()) / n
+    d = values - mu
+    sigma = math.sqrt(math.fsum((d * d).tolist()) / (n - 1))
+    guard = 1e-12 * max(1.0, abs(mu) + sigma)
+    lo, hi = mu - sigma - guard, mu + sigma + guard
+    return mu, sigma, int(np.count_nonzero((lo <= values) & (values <= hi))) / n
+
+
+class TestSegmentMoments:
+    """The moments pass over a column equals fit_normal on each segment."""
+
+    @staticmethod
+    def segments(seed):
+        rng = np.random.default_rng(seed)
+        segments = [rng.uniform(0.0, 1.0, size).round(int(rng.integers(2, 6))) for size in rng.integers(0, 40, 12)]
+        segments += [np.array([]), np.array([0.25]), np.array([0.1, 0.7]), np.full(7, 0.375)]
+        # values exactly on a band edge: mu 0.5, sigma 0.2 and mu 2, sigma 1
+        segments += [np.array([0.3, 0.5, 0.7]), np.array([1.0, 2.0, 3.0]), np.array([0.4, 0.3, 0.3])]
+        order = rng.permutation(len(segments))
+        return [segments[k] for k in order]
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_each_segment_equals_fit_normal(self, seed):
+        segments = self.segments(seed)
+        values = np.concatenate(segments)
+        cuts = np.cumsum([0] + [len(seg) for seg in segments]).tolist()
+        moments = fitting._segment_moments(values, cuts)
+        assert len(moments) == len(segments)
+        for seg, got in zip(segments, moments):
+            if len(seg) >= 2:
+                nf = fit_normal(seg)
+                assert got == (nf.mu, nf.sigma, nf.band_ratio) == reference_normal(seg)
+            elif len(seg) == 1:
+                assert got == (seg[0], None, None)
+            else:
+                assert got == (None, None, None)
+
+    def test_band_edges_and_constants(self):
+        values = np.array([0.3, 0.5, 0.7, 1.0, 2.0, 3.0, 0.375, 0.375, 0.375])
+        moments = fitting._segment_moments(values, [0, 3, 6, 9])
+        assert [band for *_, band in moments] == [1.0, 1.0, 1.0]
+        assert moments[2] == (0.375, 0.0, 1.0)
+
+    def test_counts_at_cuts(self):
+        mask = np.array([True, False, True, True, False, True])
+        assert fitting._cut_counts(mask, [0, 2, 2, 5, 6]) == [0, 1, 1, 3, 4]
+        assert fitting._cut_counts(np.zeros(0, dtype=bool), [0, 0]) == [0, 0]
 
 
 class TestPearson:

@@ -775,6 +775,20 @@ class TestReportEmission:
             years = parsed["groups"][f"{group.board}/{group.ownership}"]["years"]
             assert tuple(YearStats(**y) for y in years) == g.years
 
+    def test_to_dict_is_asdict_without_copies(self, report):
+        # the field walk gives what dataclasses.asdict gave, leaf for leaf
+        macro = {year: float(year - 1990) for year in DEFAULT_SYNTH_YEARS}
+        with_correlations = run_pipeline(registry_config(), PipelineConfig(min_sample=40, macros={"m": macro}))
+        for rep in (report, with_correlations):
+            expected = {
+                "version": rep.version,
+                "provenance": dict(rep.provenance),
+                "groups": {f"{k.board}/{k.ownership}": {f: v for f, v in dataclasses.asdict(g).items() if f != "group"}
+                           for k, g in rep.groups.items()},
+            }
+            assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
+        assert with_correlations.to_dict()["groups"]["main/private"]["correlations"]["m"]
+
     def test_csv_tables(self, report, tmp_path):
         paths = emit_report(report, "csv-tables", str(tmp_path))
         names = {p.rsplit("/", 1)[-1] for p in paths}
