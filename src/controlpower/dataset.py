@@ -274,9 +274,11 @@ def _parse_cells(cells: Sequence[str], parse, blank=_REQUIRED) -> tuple[list, di
 
 def _stripped(cells: Sequence[str]) -> Sequence[str]:
     """The cells stripped of surrounding whitespace: as they are when no cell
-    holds any (one whitespace split of their join tells, faster than a strip
-    of each cell)."""
-    if len("".join(cells).split()) == 1:
+    holds any, which one whitespace split of their join tells faster than a
+    strip of each cell (the split drops whitespace at the join's ends too,
+    so it must give back the whole join)."""
+    joined = "".join(cells)
+    if joined.split() == [joined]:
         return cells
     return list(map(str.strip, cells))
 

@@ -271,6 +271,18 @@ class TestChunkedRead:
             self.read(tmp_path, "blanks.csv", rows[:300] + [""] * 600 + rows[300:], newline)
         assert str(spaced.value) == expected.format(1302, 1303, 1652)
 
+    def test_whitespace_is_stripped_wherever_it_is(self, tmp_path):
+        # whitespace at either end of a column's first or last cell, and a
+        # whitespace-only cell among numbers, as in a cell of its own
+        rows = self.rows(600)
+        spaced = list(rows)
+        spaced[0] = " " + rows[0]
+        spaced[511] = rows[511].replace(",main,", ",main\t,").replace(",sme_gem,", ",sme_gem\t,")
+        spaced[200] = rows[200].replace(",0.1,,", ",0.1, \t,", 1)
+        spaced[599] = rows[599] + " "
+        assert spaced[200] != rows[200] and spaced[511] != rows[511]
+        self.assert_same_table(self.read(tmp_path, "spaced.csv", spaced), self.read(tmp_path, "plain.csv", rows))
+
     def test_unsplittable_row_names_file_and_line(self, tmp_path):
         # an unclosed quote takes the rest of the file into one field, past
         # the CSV reader's field limit; earlier problems are listed first
