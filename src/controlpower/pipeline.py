@@ -101,7 +101,7 @@ class YearStats:
 
 def _power_fields(values: np.ndarray, cuts: Sequence[int]) -> list[dict]:
     """Full-power ratio and the below-full summary of the float power values
-    of each segment between consecutive ``cuts``.
+    of each (non-empty) segment between consecutive ``cuts``.
 
     Comparing with 1.0 is exact: pipeline games have at most 11 players,
     so a power below 1 is at most 1 - 1/11! (about 1 - 2.5e-8) and stays
@@ -112,7 +112,7 @@ def _power_fields(values: np.ndarray, cuts: Sequence[int]) -> list[dict]:
     at = _cut_counts(below, cuts)  # the segments' cuts in values[below]
     return [
         {
-            "r_spi_1": (full[k + 1] - full[k]) / (b - a) if b > a else None,
+            "r_spi_1": (full[k + 1] - full[k]) / (b - a),
             "spi_lt1_mean": mean,
             "spi_lt1_sd": sd,
             "spi_lt1_band": band,
