@@ -241,8 +241,9 @@ def fit_fourier1_batch(
     grid_step: float = DEFAULT_GRID_STEP,
 ) -> list[FourierFit]:
     """``fit_fourier1`` of each series, in order, with one grid scan for all
-    series that share the same t; each series then refines its own period.
-    Every series is checked before any scan, so a bad one raises the error
+    series that share the same t and one rescan of all of them per
+    refinement level, in which each series refines its own period. Every
+    series is checked before any scan, so a bad one raises the error
     its own fit would raise, and the first such series in order wins. Each
     fit is bit for bit the fit of its series alone.
     """
