@@ -14,6 +14,7 @@ import contextlib
 import csv
 import json
 import math
+import re
 import sys
 
 from .dataset import (
@@ -23,7 +24,11 @@ from .dataset import (
     GroupKey,
     MomentTarget,
     SynthConfig,
+    _MAX_DECIMALS,
+    _PLAIN,
+    _all_plain,
     _ingest_table,
+    _stripped,
     emit_csv,
     synth_outcomes,
     synth_registry,
@@ -44,7 +49,7 @@ from .pipeline import (
     emit_report,
     run_pipeline,
 )
-from .power_index import make_game, profile_numerators
+from .power_index import MAX_PLAYERS, WeightedVotingGame, make_game, profile_numerators
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
@@ -69,6 +74,28 @@ def _fmt(value: float) -> str:
 
 def _parse_floats(text: str) -> list[float]:
     return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+
+
+def _spi_game(text: str) -> WeightedVotingGame:
+    """The game of one share list: cells split at ',' or ';', blank ones
+    skipped, each a plain decimal (the registry's grammar). It is counted on
+    the cells' exact units at 10^d, d the most places any cell needs, when d
+    is at most 12 and the weights total below 2^50 / 10^d; otherwise, and
+    for the errors it raises, on make_game's grid. Below 2^51 each unit is
+    the exact rounding of its cell's float times 10^d, since the float is
+    within 2^-53 of the cell, relative."""
+    cells, joined = _stripped(text.replace(";", ",").split(","))
+    if not all(cells):
+        cells = list(filter(None, cells))
+    weights = list(map(float, cells))  # a cell float refuses raises its own error
+    if not _all_plain(joined):
+        raise ValueError(f"not a plain decimal number: {next(c for c in cells if not re.fullmatch(_PLAIN, c))!r}")
+    places = max([len(cell.partition(".")[2].rstrip("0")) for cell in cells], default=0)
+    # inf past the float range, so such a list takes make_game's error
+    if places <= _MAX_DECIMALS and 1 <= len(cells) <= MAX_PLAYERS and 0 < sum(weights) * 10**places < 2**50:
+        units = map(round, map(float(10**places).__mul__, weights))
+        return WeightedVotingGame(weights=tuple(weights), int_weights=tuple(units))
+    return make_game(weights)
 
 
 def _parse_years(text: str) -> tuple[int, ...]:
@@ -104,7 +131,7 @@ def _cmd_spi(args) -> int:
     # stops the command with no partial output
     games = []
     if args.shares:
-        games.append(make_game(_parse_floats(args.shares)))
+        games.append(_spi_game(args.shares))
     if args.input:
         given = len(games)
         with open(args.input, encoding="utf-8-sig") as handle:
@@ -112,7 +139,7 @@ def _cmd_spi(args) -> int:
                 line = line.strip()
                 if line and not line.startswith("#"):
                     try:
-                        games.append(make_game(_parse_floats(line)))
+                        games.append(_spi_game(line))
                     except ValueError as exc:
                         raise DataError(f"{args.input} line {number}: {exc}") from None
         if len(games) == given:

@@ -9,7 +9,15 @@ CSV schema (UTF-8, an optional byte-order mark, comma separator, '.' decimal):
 board is main or sme_gem, ownership is private or state, s1..s10 are the
 top shareholders' equity fractions in descending order (blank or zero
 means the holder does not exist), meeting_share and n_meetings may be
-blank.
+blank. Every number is plain ASCII: ``[0-9]+(\\.[0-9]+)?`` for a share or
+meeting_share, digits alone for year and n_meetings (no sign, exponent,
+underscore, inner space, nan or inf), and surrounding whitespace is
+stripped.
+
+A row whose share and meeting_share cells are decimals of at most 12
+places is held as exact integer units at 10^d, d the most places any of
+its cells needs (``_decimal_units``), and its games are counted on them;
+other rows are counted on the 10^-6 grid of their floats.
 """
 
 from __future__ import annotations
@@ -18,6 +26,7 @@ import csv
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -72,6 +81,11 @@ _N_MEETINGS = _Rule(lambda n: n < 0, "meeting count must be non-negative")
 # codes sort like the names, since both tuples are in alphabetical order
 _BOARD_CODES = {name: i for i, name in enumerate(BOARDS)}
 _OWNERSHIP_CODES = {name: i for i, name in enumerate(OWNERSHIPS)}
+# the one grammar of a number cell; a cell that also parses as an int has no
+# '.'. Only the slow paths match it, so it is compiled there, on first use.
+_PLAIN = r"[0-9]+(?:\.[0-9]+)?"
+_MAX_DECIMALS = 12  # most places of exact units: 2 * total stays far below 2^53
+_POW10 = np.array([10**d for d in range(_MAX_DECIMALS + 1)], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -125,14 +139,46 @@ def _int_column(values: Sequence[int]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
+def _decimal_units(shares: np.ndarray, meeting: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's exact decimal units and scale: the (N x 11) int64 block of
+    ``v * 10**d`` for its ten shares and meeting share (0 where blank), d
+    being the fewest places that hold every one of them, and d; or zero
+    units and -1 for a row that needs more than 12 places.
+
+    Values lie in [0, 1]. d is the smallest d <= 12 with rint(v * 10^d) /
+    10^d == v for every cell v of the row. For a float v of a decimal of at
+    most d places, the product is within 2e-4 of that decimal's units, so
+    rint recovers them and the division rounds them back to v; for any
+    other float the test fails, since decimals of 12 places or fewer lie
+    10^-12 apart or more, too far to share a float. So a cell written with
+    at most 12 places gives its written value, and a table of records,
+    which hold floats only, gets the units its CSV gets.
+    """
+    cells = np.column_stack((shares, meeting))
+    scale = np.full(len(cells), -1)
+    trial = np.empty_like(cells)  # one buffer for every trial: allocation costs more than the arithmetic
+    for d, p in enumerate(_POW10.tolist()):
+        np.divide(np.rint(np.multiply(cells, p, out=trial), out=trial), p, out=trial)
+        scale[(scale < 0) & (trial == cells).all(axis=1)] = d
+        if (scale >= 0).all():
+            break
+    np.multiply(cells, _POW10[np.maximum(scale, 0)][:, None], out=trial)
+    units = np.rint(trial, out=trial).astype(np.int64)
+    units[scale < 0] = 0
+    return units, scale
+
+
 class _Table(NamedTuple):
     """A registry as columns, one row per firm-year, in row order.
 
     ``shares`` is an (N x MAX_HOLDERS) float64 block, descending, with 0
-    for absent holders; ``count`` is each row's holder count and ``total``
-    the ``math.fsum`` of its shares. ``board`` and ``ownership`` index
-    BOARDS and OWNERSHIPS; ``meeting`` is 0 where ``has_meeting`` is
-    False. ``firm_id`` and ``n_meetings`` (None where blank) are lists.
+    for absent holders; ``count`` is each row's holder count. ``board`` and
+    ``ownership`` index BOARDS and OWNERSHIPS; ``meeting`` is 0 where
+    ``has_meeting`` is False. ``firm_id`` and ``n_meetings`` (None where
+    blank) are lists. ``units`` and ``scale`` are ``_decimal_units`` of the
+    shares and meeting shares: the rows' exact integer units at 10^scale,
+    ten shares then the meeting share, with scale -1 (and zero units) for a
+    row whose games are counted on the grid of its floats instead.
     """
 
     year: np.ndarray
@@ -141,10 +187,11 @@ class _Table(NamedTuple):
     firm_id: list
     shares: np.ndarray
     count: np.ndarray
-    total: np.ndarray
     meeting: np.ndarray
     has_meeting: np.ndarray
     n_meetings: list
+    units: np.ndarray
+    scale: np.ndarray
 
     def take(self, index: np.ndarray) -> _Table:
         """The rows at ``index``, in that order."""
@@ -156,8 +203,8 @@ class _Table(NamedTuple):
             FirmYearRecord._checked(firm_id=firm_id, year=year, board=BOARDS[board], ownership=OWNERSHIPS[ownership],
                                     shares=tuple(shares[:n]), meeting_share=meeting if has else None,
                                     n_meetings=n_meetings)
-            for year, board, ownership, firm_id, shares, n, _, meeting, has, n_meetings in zip(
-                *(c.tolist() if isinstance(c, np.ndarray) else c for c in self))
+            for year, board, ownership, firm_id, shares, n, meeting, has, n_meetings in zip(
+                *(c.tolist() if isinstance(c, np.ndarray) else c for c in self[:-2]))  # units and scale follow
         ]
 
     @classmethod
@@ -166,6 +213,8 @@ class _Table(NamedTuple):
         records = list(records)
         pad = [(0.0,) * (MAX_HOLDERS - n) for n in range(MAX_HOLDERS + 1)]
         shares = np.array([r.shares + pad[len(r.shares)] for r in records], dtype=float).reshape(-1, MAX_HOLDERS)
+        meeting = np.array([0.0 if r.meeting_share is None else r.meeting_share for r in records], dtype=float)
+        units, scale = _decimal_units(shares, meeting)
         return cls(
             year=_int_column([r.year for r in records]),
             board=np.array([_BOARD_CODES[r.board] for r in records], dtype=np.int64),
@@ -173,10 +222,11 @@ class _Table(NamedTuple):
             firm_id=[r.firm_id for r in records],
             shares=shares,
             count=np.array([len(r.shares) for r in records], dtype=np.int64),
-            total=np.array(_row_fsums(shares), dtype=float),
-            meeting=np.array([0.0 if r.meeting_share is None else r.meeting_share for r in records], dtype=float),
+            meeting=meeting,
             has_meeting=np.array([r.meeting_share is not None for r in records], dtype=bool),
             n_meetings=[r.n_meetings for r in records],
+            units=units,
+            scale=scale,
         )
 
 
@@ -250,37 +300,63 @@ def _read_table(handle, name: str) -> _Table:
 
 
 _REQUIRED = object()  # blank cells are parsed too, and so rejected
+# an ASCII byte as it shapes a number: digits as '0', '.' and ',' as
+# themselves, any other byte as 'x'
+_SHAPE = bytes(48 if 48 <= b <= 57 else b if b in b".," else 120 for b in range(256))
 
 
-def _parse_cells(cells: Sequence[str], parse, blank=_REQUIRED) -> tuple[list, dict[int, str]]:
-    """``parse`` of every cell, or ``blank`` for an empty one, and the error
-    text of each cell ``parse`` rejects, by position (its value is then
-    ``blank``, or 0 where blanks are parsed)."""
-    try:
-        if blank is _REQUIRED or all(cells):
-            return list(map(parse, cells)), {}
-        return [parse(c) if c else blank for c in cells], {}
-    except ValueError:
-        pass
+def _all_plain(joined: str) -> bool:
+    """Whether every cell of a comma join of cells that a parse accepts is
+    blank or matches ``_PLAIN``: ASCII digits and dots only, with a digit
+    on each side of every dot (each "0.0" of the shape holds one dot, so
+    the counts agree only then). A cell with two dots or a comma may pass
+    here, but no parse accepts it. Three passes over the join in C."""
+    if not joined.isascii():
+        return False
+    shape = joined.encode().translate(_SHAPE)
+    return b"x" not in shape and shape.count(b".") == shape.count(b"0.0")
+
+
+def _parse_cells(cells: Sequence[str], plain: bool, parse, blank=_REQUIRED) -> tuple[list, dict[int, str]]:
+    """``parse`` (int or float) of every cell, or ``blank`` for an empty one,
+    and the error text of each cell that does not parse or is not plain
+    (``_PLAIN``), by position; its value is then ``blank``, or 0 where
+    blanks are parsed. ``plain`` says every cell is known to be plain."""
+    if plain:
+        try:
+            if blank is _REQUIRED or all(cells):
+                return list(map(parse, cells)), {}
+            return [parse(c) if c else blank for c in cells], {}
+        except ValueError:
+            pass
     values, errors = [], {}
     for i, c in enumerate(cells):
+        if not c and blank is not _REQUIRED:
+            values.append(blank)
+            continue
         try:
-            values.append(parse(c) if c or blank is _REQUIRED else blank)
+            value = parse(c)
         except ValueError as exc:
-            values.append(0 if blank is _REQUIRED else blank)
             errors[i] = str(exc)
+        else:
+            if re.fullmatch(_PLAIN, c):
+                values.append(value)
+                continue
+            errors[i] = f"not a plain decimal number: {c!r}"
+        values.append(0 if blank is _REQUIRED else blank)
     return values, errors
 
 
-def _stripped(cells: Sequence[str]) -> Sequence[str]:
-    """The cells stripped of surrounding whitespace: as they are when no cell
-    holds any, which one whitespace split of their join tells faster than a
-    strip of each cell (the split drops whitespace at the join's ends too,
-    so it must give back the whole join)."""
-    joined = "".join(cells)
+def _stripped(cells: Sequence[str]) -> tuple[Sequence[str], str]:
+    """The cells stripped of surrounding whitespace, and their comma join:
+    as they are when no cell holds any, which one whitespace split of the
+    join tells faster than a strip of each cell (the split drops whitespace
+    at the join's ends too, so it must give back the whole join)."""
+    joined = ",".join(cells)
     if joined.split() == [joined]:
-        return cells
-    return list(map(str.strip, cells))
+        return cells, joined
+    cells = list(map(str.strip, cells))
+    return cells, ",".join(cells)
 
 
 def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int) -> tuple[_Table, dict[int, str]]:
@@ -289,9 +365,10 @@ def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int
 
     A row's problem is the first one met in the order its cells are read:
     the cell count, year, the share cells left to right (a value after a
-    blank, or one that does not parse), the share list (none disclosed,
-    all zero, out of order beyond SORT_TOL), meeting_share, n_meetings,
-    then the row rules. Each check runs on whole columns.
+    blank, or one that does not parse or is not plain), the share list
+    (none disclosed, all zero, out of order beyond SORT_TOL),
+    meeting_share, n_meetings, then the row rules. Each check runs on whole
+    columns.
     """
     problems: dict[int, str] = {}
 
@@ -300,8 +377,8 @@ def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int
             if i not in problems:
                 problems[i] = message(i)
 
-    def parsed(cells, parse, blank=_REQUIRED) -> list:
-        values, errors = _parse_cells(cells, parse, blank)
+    def parsed(column, parse, blank=_REQUIRED) -> list:
+        values, errors = _parse_cells(*column, parse, blank)
         flag(errors, lambda i: f"unparseable value ({errors[i]})")
         return values
 
@@ -311,16 +388,26 @@ def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int
         flag(short, lambda i: f"{lengths[i]} cells, the header has {width}")
         rows = [[""] * width if s else row for row, s in zip(rows, short.tolist())]
     columns = list(zip(*rows))
-    firm_id, years, boards, ownerships, *share_cells, meeting_cells, count_cells = map(_stripped, (
-        columns[i] for i in index))
+    firm_id, years, boards, ownerships, *share_cells, meeting_cells, count_cells = (columns[i] for i in index)
+    firm_id, boards, ownerships = (_stripped(cells)[0] for cells in (firm_id, boards, ownerships))
+    # number cells: (cells, whether all are plain); nearly always every cell
+    # of the chunk is, which also rules out whitespace to strip
+    numbers = [years, *share_cells, meeting_cells, count_cells]
+    if _all_plain(",".join(map(",".join, numbers))):
+        numbers = [(cells, True) for cells in numbers]
+    else:
+        numbers = [(cells, _all_plain(joined)) for cells, joined in map(_stripped, numbers)]
+    years, *share_cells, meeting_cells, count_cells = numbers
     year = parsed(years, int)
 
-    shares = [_parse_cells(col, float, 0.0) for col in share_cells]
+    # a blank share is nan, which no plain cell parses to
+    shares = [_parse_cells(*col, float, math.nan) for col in share_cells]
     values = np.array([col for col, _ in shares], dtype=float).T
-    given = np.array([list(map(bool, col)) for col in share_cells], dtype=bool).T
-    rejected = np.zeros_like(given)
+    rejected = np.zeros(values.shape, dtype=bool)
     for j, (_, errors) in enumerate(shares):
         rejected[list(errors), j] = True
+    given = ~np.isnan(values) | rejected
+    values[~given] = 0.0
     after_blank = np.zeros_like(given)
     after_blank[:, 1:] = np.logical_or.accumulate(~given, axis=1)[:, :-1]
     cell_bad = given & (after_blank | rejected)
@@ -333,7 +420,7 @@ def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int
 
     flag(cell_bad.any(axis=1), share_cell_problem)
     flag(~given.any(axis=1), lambda i: "no shares disclosed")
-    # zero cells at the tail mean the holder does not exist (nan is nonzero)
+    # zero cells at the tail mean the holder does not exist
     nonzero = values != 0.0
     count = np.where(nonzero.any(axis=1), MAX_HOLDERS - np.argmax(nonzero[:, ::-1], axis=1), 0)
     flag(count == 0, lambda i: "all disclosed shares are zero")
@@ -343,7 +430,9 @@ def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int
     with np.errstate(invalid="ignore", over="ignore"):
         flag(((values[:, 1:] - values[:, :-1] > SORT_TOL) & pairs).any(axis=1),
              lambda i: "shares out of descending order beyond tolerance")
-    meeting = parsed(meeting_cells, float, 0.0)  # 0 where blank, as the table holds it
+    meeting = np.array(parsed(meeting_cells, float, math.nan), dtype=float)
+    has_meeting = ~np.isnan(meeting)
+    meeting[~has_meeting] = 0.0  # as the table holds it
     n_meetings = parsed(count_cells, int, None)
     # rows out of descending order within SORT_TOL are sorted as a list is
     for i in np.flatnonzero(((values[:, 1:] > values[:, :-1]) & pairs).any(axis=1)).tolist():
@@ -357,15 +446,19 @@ def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int
     bad = _SHARE.test(values) & held
     flag(bad.any(axis=1), lambda i: _SHARE.message.format(share=values[i, np.argmax(bad[i])].item()))
     flag((_RISE.test(values[:, :-1], values[:, 1:]) & pairs).any(axis=1), lambda i: _RISE.message)
-    # a row with a bad share is rejected already; zeroing it keeps fsum finite
-    total = np.array(_row_fsums(np.where(bad.any(axis=1)[:, None], 0.0, values)), dtype=float)
+    # a row with a bad share is rejected already, as is one with a bad
+    # meeting share; zeroing them keeps the units finite
+    clean = np.where(bad.any(axis=1)[:, None], 0.0, values)
+    units, scale = _decimal_units(clean, np.where(_MEETING.test(meeting), 0.0, meeting))
+    # the exact decimal total, correctly rounded, or the fsum of a row without units
+    total = units[:, :MAX_HOLDERS].sum(axis=1) / _POW10[np.maximum(scale, 0)]
+    grid = np.flatnonzero(scale < 0)
+    total[grid] = _row_fsums(clean[grid])
     flag(_TOTAL.test(total), lambda i: _TOTAL.message)
-    has_meeting = np.fromiter(map(bool, meeting_cells), bool, len(meeting_cells))
-    meeting = np.array(meeting, dtype=float)
     flag(_MEETING.test(meeting) & has_meeting, lambda i: _MEETING.message.format(meeting_share=meeting[i].item()))
     flag(_N_MEETINGS.test(_int_column([m or 0 for m in n_meetings])), lambda i: _N_MEETINGS.message)
-    return _Table(_int_column(year), board, ownership, firm_id, values, count, total, meeting, has_meeting,
-                  n_meetings), problems
+    return _Table(_int_column(year), board, ownership, firm_id, values, count, meeting, has_meeting, n_meetings,
+                  units, scale), problems
 
 
 def emit_csv(records: Iterable[FirmYearRecord], dest) -> None:
@@ -477,7 +570,8 @@ def _synth_table(config: SynthConfig) -> _Table:
     room = np.maximum(cap - p, 0.0)
     p = np.minimum(p, cap) + room * (np.maximum(p - cap, 0.0).sum(axis=1) / room.sum(axis=1))[:, None]
     shares = np.hstack([cap, np.sort(p, axis=1)[:, ::-1]])
-    total = np.array(_row_fsums(shares), dtype=float)
+    meeting = np.clip(noise * np.array(_row_fsums(shares), dtype=float), 0.0, 1.0)
+    units, scale = _decimal_units(shares, meeting)
     board, ownership = config.group
     return _Table(
         year=_int_column([year for year in config.years for _ in range(firms)]),
@@ -486,10 +580,11 @@ def _synth_table(config: SynthConfig) -> _Table:
         firm_id=[f"{board[0]}{ownership[0]}-{year}-{j:04d}" for year in config.years for j in range(firms)],
         shares=shares,
         count=1 + np.count_nonzero(p, axis=1),
-        total=total,
-        meeting=np.clip(noise * total, 0.0, 1.0),
+        meeting=meeting,
         has_meeting=np.ones(len(top1), dtype=bool),
         n_meetings=n_meetings.tolist(),
+        units=units,
+        scale=scale,
     )
 
 

@@ -23,12 +23,14 @@ import numpy as np
 
 from .dataset import (
     BOARDS,
+    MAX_HOLDERS,
     OWNERSHIPS,
     TOP1_FILTER_LIMIT,
     DataError,
     FirmYearRecord,
     GroupKey,
     SynthConfig,
+    _POW10,
     _Table,
     _synth_table,
     synth_outcomes,
@@ -47,7 +49,7 @@ from .fitting import (
     fourier_extrema,
     pearson,
 )
-from .power_index import _row_fsums, top_holder_numerators
+from .power_index import _grid_weights, _row_fsums, top_holder_numerators
 
 SPI_MODES = ("top9", "top10", "top11")
 SERIES_NAMES = ("r_spi_1", "m_top1", "m_top2_10")
@@ -122,50 +124,77 @@ def _power_fields(values: np.ndarray, cuts: Sequence[int]) -> list[dict]:
     ]
 
 
-def _powers(shares: np.ndarray) -> np.ndarray:
-    """Float top-holder power of every row's game, in one batch."""
-    # numerators and n! (n <= 11) are exact in float64, so this division is
-    # the correctly rounded float of the exact power
-    return top_holder_numerators(shares) / math.factorial(shares.shape[1])
-
-
 def _group_stats(rows: _Table, spi_mode: str) -> list[YearStats]:
     """Per-year aggregates of one group's year-ordered rows (each year one
     contiguous run), with one power batch per mode: top9 is the first nine
-    share columns, top10 the block and top11 the block plus the meeting
-    attendance beyond it, clipped at zero, for rows with a meeting share.
+    holders, top10 all ten and top11 the ten plus the meeting attendance
+    beyond them, clipped at zero, for rows with a meeting share.
 
-    A zero weight is a null player. It leaves the fsum total and every
-    other grid unit as they are, so a game plus one zero weight is the same
-    game plus a null player: its numerator over (n+1)! is n+1 times the
-    smaller game's over n!, the same rational, and ``num / n!`` is the
-    correctly rounded float of it. So the zero padding of absent holders
-    leaves the leading holder's power exactly as it is, and each distinct
-    game is counted once: top10 only where the tenth share is above zero,
-    top11 only where the residual is; the other rows take the smaller
-    mode's power bit for bit."""
+    A row with decimal units is counted on them: its total, co-holder
+    total, meeting ratio and residual are exact integer sums, and the
+    floats taken from them (co-holder total over 10^scale, meeting over
+    total) are correctly rounded. A row without them keeps the float path:
+    ``math.fsum`` totals, and each game's grid weights (``_grid_weights``).
+
+    A zero weight is a null player. It leaves the total and every other
+    weight as they are (also on the grid), so a game plus one zero weight
+    is the same game plus a null player: its numerator over (n+1)! is n+1
+    times the smaller game's over n!, the same rational, and ``num / n!``
+    is the correctly rounded float of it. So the zero padding of absent
+    holders leaves the leading holder's power exactly as it is, and each
+    distinct game is counted once: top10 only where the tenth share is
+    above zero, top11 only where the residual is; the other rows take the
+    smaller mode's power bit for bit."""
     has = rows.has_meeting
     if spi_mode == "top11" and not has.all():
         first = int(np.argmin(has))
         raise DataError(f"firm {rows.firm_id[first]} year {rows.year[first]}: top11 mode needs meeting_share")
-    shares = rows.shares
-    top9 = _powers(shares[:, :9])
+    shares, exact = rows.shares, rows.scale >= 0
+    games = rows.units.copy()  # the ten holders, then the residual
+    total = games[:, :MAX_HOLDERS].sum(axis=1)
+    attended = games[:, MAX_HOLDERS].copy()
+    games[:, MAX_HOLDERS] = np.maximum(attended - total, 0)
+    top2_10 = (total - games[:, 0]) / _POW10[np.maximum(rows.scale, 0)]
+    ratios = np.divide(attended, total, out=np.zeros(len(total)), where=exact & has)
+    extra = has & (games[:, MAX_HOLDERS] > 0)
+    grid = np.flatnonzero(~exact)
+    if grid.size:
+        floats = shares[grid]
+        float_total = np.array(_row_fsums(floats), dtype=float)
+        top2_10[grid] = _row_fsums(floats[:, 1:])
+        ratios[grid] = rows.meeting[grid] / float_total
+        floats = np.column_stack((floats, np.maximum(rows.meeting[grid] - float_total, 0.0)))
+        extra[grid] = has[grid] & (floats[:, MAX_HOLDERS] > 0)
+
+    def mode_powers(index: np.ndarray, width: int) -> np.ndarray:
+        """Float top-holder power of the rows at ``index`` in their game of
+        the first ``width`` players, in one batch."""
+        weights = games[index, :width]
+        gridded = ~exact[index]
+        if gridded.any():
+            weights = weights.astype(float)
+            weights[gridded] = _grid_weights(floats[np.searchsorted(grid, index[gridded]), :width])
+        # numerators and n! (n <= 11) are exact in float64, so this division
+        # is the correctly rounded float of the exact power
+        return top_holder_numerators(weights) / math.factorial(width)
+
+    everyone = np.arange(len(total))
+    top9 = mode_powers(everyone, 9)
     top10 = top9.copy()
-    tenth = shares[:, 9] > 0
-    top10[tenth] = _powers(shares[tenth])
-    residual = np.maximum(rows.meeting - rows.total, 0.0)
+    tenth = np.flatnonzero(shares[:, 9] > 0)
+    top10[tenth] = mode_powers(tenth, MAX_HOLDERS)
     top11 = np.where(has, top10, np.nan)
-    extra = has & (residual > 0)
-    top11[extra] = _powers(np.column_stack((shares[extra], residual[extra])))
+    extra = np.flatnonzero(extra)
+    top11[extra] = mode_powers(extra, MAX_HOLDERS + 1)
     # in top11 mode every row has a meeting share, so no top11 power is nan
     mode = {"top9": top9, "top10": top10, "top11": top11}[spi_mode]
     years = rows.year.tolist()
     cuts = [0, *(np.flatnonzero(rows.year[1:] != rows.year[:-1]) + 1).tolist(), len(years)]
     # each statistic of every year cell in one pass over its column
     top1 = _segment_moments(shares[:, 0], cuts)
-    top2_10 = _segment_moments(np.array(_row_fsums(shares[:, 1:])), cuts)
+    top2_10 = _segment_moments(top2_10, cuts)
     met = _cut_counts(has, cuts)
-    ratios = _segment_moments((rows.meeting / rows.total)[has], met)
+    ratios = _segment_moments(ratios[has], met)
     full9, full10, full11 = (_cut_counts(powers == 1.0, cuts) for powers in (top9, top10, top11))
     power = _power_fields(mode, cuts)
     stats = []

@@ -5,11 +5,16 @@ wins iff its combined weight strictly exceeds half the total weight of all
 players in the game. Exactly half loses, so a coalition and its complement
 can never both win, and the grand coalition always wins.
 
-All voting decisions are made in exact integer arithmetic. At construction
-the given weights are converted to proportions of their own total and
-placed on a fixed integer grid (``GRID`` units per unit of total weight,
-rounded half to even). Power values are exact: ``fractions.Fraction``, or
-numerators over n! (int64 from ``top_holder_numerators``, else int).
+All voting decisions are made in exact integer arithmetic on a game's
+integer weights. ``make_game`` places float weights on a fixed integer
+grid: proportions of their own total (a ``math.fsum``), ``GRID`` units per
+unit of total weight, rounded half to even. A registry row whose cells are
+decimals of at most 12 places is counted on those decimals' exact units
+instead (``top_holder_numerators`` takes integer weights; see the
+``dataset`` module), so its ties are decided exactly; only rows without
+such units go through the grid (``_grid_weights``). Power values are
+exact: ``fractions.Fraction``, or numerators over n! (int64 from
+``top_holder_numerators``, else int).
 
 One counting engine serves the library: a batched numpy kernel that sums,
 for a whole batch of games at once, the pivot weights k!(n-1-k)! of one
@@ -21,11 +26,12 @@ its one-game case). Permutation and pure-Python subset enumeration are
 kept as independent test oracles; all three agree bit for bit.
 
 Counts are exact integers. Weights are float64, which holds them exactly
-while 2 * total <= 2^53 (any game on the grid); ``profile_numerators``
-refuses a directly built game above that. A batch whose 2 * T_max is
-below 2^24 (every grid game: 2 * T is about 2 * 10^6) sums the subsets in
-float32, where every partial sum is an integer of at most 2 * T and so
-exact in whatever order the BLAS adds. It counts the pivots against the
+while 2 * total <= 2^53 (any game on the grid, and any registry row at up
+to 12 decimals); ``profile_numerators`` and ``top_holder_numerators``
+refuse a game above that. A batch whose 2 * T_max is below 2^24 (every
+grid game: 2 * T is about 2 * 10^6; registry rows up to 6 decimals) sums
+the subsets in float32, where every partial sum is an integer of at most
+2 * T and so exact in whatever order the BLAS adds. It counts the pivots against the
 weights k!(n-1-k)! divided by their gcd g: one player's pivot sum is then
 at most n!/g = lcm(1..n), which is below 2^24 up to n = 18 (12,252,240),
 and the int64 count is multiplied back by g. Other batches sum in float64
@@ -83,8 +89,9 @@ _PROFILE_GAMES = 1 << 10
 class WeightedVotingGame:
     """Players with non-negative weights under the strict-majority rule.
 
-    ``weights`` are the raw shares as given; ``int_weights`` are the grid
-    units actually used for every win/lose decision.
+    ``weights`` are the raw shares as given; ``int_weights`` are the
+    integers every win/lose decision uses: make_game's grid units, or the
+    exact units of decimal shares.
     """
 
     weights: tuple[float, ...]
@@ -292,29 +299,49 @@ def _row_fsums(shares: np.ndarray) -> list[float]:
             for total in map(math.fsum, zip(*shares[at : at + _FSUM_ROWS].T.tolist()))]
 
 
-def top_holder_numerators(shares: np.ndarray) -> np.ndarray:
-    """n!-scaled power of player 0 in ``make_game(row)`` for every row of the
-    (games x n) float array ``shares``, as int64, in one batch.
-
+def _grid_weights(shares: np.ndarray) -> np.ndarray:
+    """make_game's grid weights of every row of the (games x n) float array
+    ``shares``, bit for bit (fsum total, rounded half to even), as float64.
     A zero weight is a null player: it changes neither the total nor any
-    grid unit, so zero-padding rows to one length leaves every power as it
-    is. The grid weights are make_game's bit for bit (fsum total, rounded
-    half to even). ``num / n!`` (correctly rounded int division, or float64
-    division for n <= 18) is the float of the exact power, with no
-    ``Fraction`` built. Raises ValueError on any row make_game would reject.
-    """
+    grid unit. Raises ValueError on any row make_game would reject."""
     shares = np.asarray(shares, dtype=float)
-    if shares.ndim != 2:
-        raise ValueError("share rows must form a 2-D array")
-    n = shares.shape[1]
-    if not 1 <= n <= MAX_PLAYERS:
-        raise ValueError(f"a game needs 1 to {MAX_PLAYERS} players, got {n}")
     if not np.isfinite(shares).all():
         raise ValueError("weights must be finite")
     if (shares < 0).any():
         raise ValueError("weights must be non-negative")
-    totals = np.array(_row_fsums(shares), dtype=float)
+    totals = np.array(_row_fsums(shares), dtype=float).reshape(len(shares), 1)
     if not (totals > 0).all():
         raise ValueError("total weight must be positive")
     # grid units are exact float64 integers: 2 * total is about 2 * 10**6
-    return _pivot_numerators(np.rint(shares / totals[:, None] * GRID))
+    return np.rint(shares / totals * GRID)
+
+
+def top_holder_numerators(weights: np.ndarray) -> np.ndarray:
+    """n!-scaled power of player 0 in the game of every row of the (games x
+    n) array ``weights`` of non-negative integers (int or integral float),
+    as int64, in one batch.
+
+    A zero weight is a null player, so zero-padding rows to one length
+    leaves every power as it is. ``num / n!`` (correctly rounded int
+    division, or float64 division for n <= 18) is the float of the exact
+    power, with no ``Fraction`` built. Raises ValueError on a weight that is
+    negative or not an integer, a row of zero total, or one whose twice
+    total exceeds 2^53, which float64 cannot count exactly.
+    """
+    weights = np.asarray(weights)
+    if weights.ndim != 2:
+        raise ValueError("weight rows must form a 2-D array")
+    n = weights.shape[1]
+    if not 1 <= n <= MAX_PLAYERS:
+        raise ValueError(f"a game needs 1 to {MAX_PLAYERS} players, got {n}")
+    weights = np.asarray(weights, dtype=np.float64)  # exact for integers up to 2^53
+    if not (np.isfinite(weights) & (weights == np.rint(weights))).all():
+        raise ValueError("weights must be integers")
+    if (weights < 0).any():
+        raise ValueError("weights must be non-negative")
+    totals = weights.sum(axis=1)
+    if not (totals > 0).all():
+        raise ValueError("total weight must be positive")
+    if (2 * totals > _FLOAT_EXACT).any():
+        raise ValueError("twice the total integer weight exceeds 2^53")
+    return _pivot_numerators(weights)

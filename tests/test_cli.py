@@ -1,11 +1,16 @@
+import csv
 import json
 import math
 import random
+import re
 import resource
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from controlpower import cli, dataset
@@ -18,6 +23,128 @@ GOLDEN_REGISTRY = Path(__file__).parent / "data" / "golden_registry.csv"
 # for them
 GOLDEN_SPI = Path(__file__).parent / "data" / "golden_spi.txt"
 GOLDEN_SPI_OUT = Path(__file__).parent / "data" / "golden_spi.out"
+# ten holders at 4 decimals whose leader's power is 5/28 exactly; the 10^-6
+# grid rounds a coalition at exactly half the total onto the winning side
+# and gives 113/630
+TIE_UNITS = (2885, 2380, 2008, 1949, 1863, 1764, 1382, 1090, 1044, 883)
+
+
+# A slow registry reader, cell by cell, after the documented rules alone; the
+# mutation fuzz holds the column-table reader to it.
+PLAIN = re.compile(r"[0-9]+(\.[0-9]+)?")
+
+
+def _number(text, parse):
+    """parse (int or float) of a plain number cell, else ValueError with the reader's text."""
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        raise ValueError(f"unparseable value ({exc})") from None
+    if not PLAIN.fullmatch(text):
+        raise ValueError(f"unparseable value (not a plain decimal number: {text!r})")
+    return value
+
+
+def _exact(text):
+    """The decimal a cell reads as: as written at up to 12 places, else the
+    float's shortest decimal."""
+    value = Decimal(text)
+    return value if -value.normalize().as_tuple().exponent <= 12 else Decimal(repr(float(text)))
+
+
+def _reference_row(row, index, width):
+    """One row's (firm_id, year, board, ownership, shares, meeting_share,
+    n_meetings, units, scale), or ValueError naming its first problem."""
+    if len(row) < width:
+        raise ValueError(f"{len(row)} cells, the header has {width}")
+    firm_id, year, board, ownership, *cells, meeting, n_meetings = (row[i].strip() for i in index)
+    year = _number(year, int)
+    for j, cell in enumerate(cells):
+        if cell and not all(cells[:j]):
+            raise ValueError(f"share column s{j + 1} follows a blank column")
+        if cell:
+            _number(cell, float)
+    if not any(cells):
+        raise ValueError("no shares disclosed")
+    values = [float(c) if c else 0.0 for c in cells]
+    count = max((j + 1 for j, v in enumerate(values) if v != 0.0), default=0)
+    if not count:
+        raise ValueError("all disclosed shares are zero")
+    held = list(zip(values[:count], cells[:count]))
+    if any(b - a > dataset.SORT_TOL for (a, _), (b, _) in zip(held, held[1:])):
+        raise ValueError("shares out of descending order beyond tolerance")
+    meeting_share = _number(meeting, float) if meeting else None
+    n_meetings = _number(n_meetings, int) if n_meetings else None
+    held.sort(key=lambda pair: pair[0], reverse=True)  # stable, as a sorted float list
+    if board not in dataset.BOARDS:
+        raise ValueError(f"unknown board {board!r}")
+    if ownership not in dataset.OWNERSHIPS:
+        raise ValueError(f"unknown ownership {ownership!r}")
+    for v, _ in held:
+        if not 0.0 < v <= 1.0:
+            raise ValueError(f"share {v!r} outside (0, 1]; absent holders are omitted")
+    decimals = [_exact(text) for _, text in held] + ([_exact(meeting)] if meeting else [])
+    scale = max(-min(d.normalize().as_tuple().exponent, 0) for d in decimals)
+    units = [int(d * 10**scale) for d in decimals[:count]]
+    total = float(Fraction(sum(units), 10**scale)) if scale <= 12 else math.fsum(v for v, _ in held)
+    if total > 1.0 + dataset.SHARE_SUM_TOL:
+        raise ValueError("shares sum above total equity")
+    if meeting and not 0.0 <= meeting_share <= 1.0:
+        raise ValueError(f"meeting share {meeting_share!r} outside [0, 1]")
+    if n_meetings is not None and n_meetings < 0:
+        raise ValueError("meeting count must be non-negative")
+    units += [0] * (10 - count) + [int(decimals[-1] * 10**scale) if meeting else 0]
+    if scale > 12:
+        units, scale = [0] * 11, -1
+    shares = tuple(v for v, _ in held)
+    return firm_id, year, board, ownership, shares, meeting_share, n_meetings, units, scale
+
+
+def reference_registry(path):
+    """Every row of the registry at ``path`` as ``_reference_row`` gives it,
+    or the DataError listing each bad row's first problem in file order,
+    then a row the CSV reader cannot split."""
+    with open(path, newline="", encoding="utf-8-sig") as handle:
+        reader = csv.reader(handle)
+        try:
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise dataset.DataError(f"{path} line 1: {exc}") from None
+        if header is None:
+            raise dataset.DataError("empty file, no header row")
+        columns = {column: i for i, column in enumerate(header)}
+        missing = [c for c in dataset.CSV_COLUMNS if c not in columns]
+        if missing:
+            raise dataset.DataError(f"missing required columns: {', '.join(missing)}")
+        index = [columns[c] for c in dataset.CSV_COLUMNS]
+        rows, problems, line = [], [], reader.line_num
+        try:
+            for row in reader:
+                line = reader.line_num
+                if row:
+                    try:
+                        rows.append(_reference_row(row, index, len(header)))
+                    except ValueError as exc:
+                        problems.append(f"row {line}: {exc}")
+        except csv.Error as exc:
+            problems.append(f"{path} line {line + 1}: {exc}")
+    if problems:
+        raise dataset.DataError("; ".join(problems))
+    return rows
+
+
+def table_registry(path):
+    """``dataset._ingest_table(path)``'s rows in ``_reference_row``'s form."""
+    table = dataset._ingest_table(path)
+    return [(r.firm_id, r.year, r.board, r.ownership, r.shares, r.meeting_share, r.n_meetings, units, scale)
+            for r, units, scale in zip(table.records(), table.units.tolist(), table.scale.tolist())]
+
+
+def read_outcome(read, path):
+    try:
+        return read(path)
+    except ValueError as exc:
+        return f"{type(exc).__name__}: {exc}"
 
 
 def run_cli(*argv, capsys=None):
@@ -78,9 +205,32 @@ class TestSpi:
         code, _, err = run_cli("spi", "--shares", "0,0", capsys=capsys)
         assert code == 2
 
+    def test_ties_are_decided_on_exact_decimals(self, capsys):
+        # on the 10^-6 grid both weights round to one half; the decimals do not
+        code, out, err = run_cli("spi", "--shares", "0.5000004,0.4999996", capsys=capsys)
+        assert (code, out, err) == (0, "1, 0\n", "")
+        code, out, _ = run_cli("spi", "--shares", ",".join(f"0.{u:04d}" for u in TIE_UNITS), capsys=capsys)
+        assert code == 0 and out.split(", ")[0] == format(5 / 28, ".4g")
+
+    def test_cells_past_exact_units_take_the_grid(self, capsys):
+        # 400 digits read as inf, and 400 places are past 12: make_game decides both
+        code, out, err = run_cli("spi", "--shares", "1" + "0" * 400 + ",1", capsys=capsys)
+        assert (code, out, err) == (2, "", "controlpower: weight inf is not finite\n")
+        assert run_cli("spi", "--shares", "0." + "1" * 400 + ",0.5", capsys=capsys) == (0, "0, 1\n", "")
+
+    @pytest.mark.parametrize("cell", ["0.3_4", "1e-3", "nan", "inf", "-0.2", "+0.2", ".5", "5.", "\u0660.\u0665"])
+    def test_lax_cell_is_data_error(self, cell, tmp_path, capsys):
+        code, out, err = run_cli("spi", "--shares", f"0.4,{cell}", capsys=capsys)
+        assert (code, out, err) == (2, "", f"controlpower: not a plain decimal number: {cell!r}\n")
+        path = tmp_path / "games.txt"
+        path.write_text(f"0.4,0.2\n0.4;{cell}\n", encoding="utf-8")
+        code, out, err = run_cli("spi", "--input", str(path), capsys=capsys)
+        assert (code, out, err) == (2, "", f"controlpower: {path} line 2: not a plain decimal number: {cell!r}\n")
+
     @pytest.mark.parametrize("line, problem", [
         ("0,0", "total weight must be positive"),
         ("0.5,abc", "could not convert string to float: 'abc'"),
+        (" ; ,", "a game needs at least one player"),
     ])
     def test_bad_input_line_stops_before_any_profile(self, line, problem, tmp_path, capsys):
         path = tmp_path / "games.txt"
@@ -676,12 +826,16 @@ class TestPipeline:
         # 500 seeded byte mutations of the golden registry: the CLI, which
         # reads the CSV into a column table, and run_pipeline over
         # ingest_csv's records give the same report bytes or the same error
-        # text. A coarse grid keeps the fits cheap; both paths use it.
+        # text. A coarse grid keeps the fits cheap; both paths use it. Both
+        # read through _ingest_table, so it must also match the slow
+        # cell-by-cell reader: the same rows, units and scales, or the same
+        # error text.
         golden = GOLDEN_REGISTRY.read_bytes()
         rng = random.Random(20261018)
         alphabet = b"0123456789.,-\n\r\" e_x"
         path = tmp_path / "mutated.csv"
         outcomes = {0: 0, 2: 0}
+        lax = 0  # mutations a cell grammar laxer than the plain one would let through
         for _ in range(500):
             data = bytearray(golden)
             at = rng.randrange(len(data))
@@ -694,6 +848,8 @@ class TestPipeline:
             else:
                 del data[at]
             path.write_bytes(bytes(data))
+            reference = read_outcome(reference_registry, str(path))
+            assert read_outcome(table_registry, str(path)) == reference
             code, out, err = run_cli("pipeline", "--input", str(path), "--min-sample", "5",
                                      "--grid-step", "0.5", capsys=capsys)
             try:
@@ -703,7 +859,53 @@ class TestPipeline:
             else:
                 assert (code, out, err) == (0, report.to_json(), "")
             outcomes[code] += 1
+            lax += "not a plain" in str(reference)
         assert min(outcomes.values()) >= 100, outcomes
+        assert lax >= 20
+
+    def test_ties_are_decided_on_exact_decimals(self, tmp_path, capsys):
+        # the units sum past 10^4, so the shares are written at 5 places
+        path = tmp_path / "tie.csv"
+        shares = ",".join(f"0.{u:05d}" for u in TIE_UNITS)
+        path.write_text(f"{','.join(dataset.CSV_COLUMNS)}\nf1,2001,main,private,{shares},,\n")
+        code, out, err = run_cli("pipeline", "--input", str(path), "--min-sample", "1", capsys=capsys)
+        assert code == 0, err
+        (cell,) = json.loads(out)["groups"]["main/private"]["years"]
+        assert (cell["r_spi_1"], cell["spi_lt1_mean"]) == (0.0, 5 / 28)
+
+    @pytest.mark.parametrize("line, cell, lax", [
+        (2, "0.34", "0.3_4"),
+        (3, "2001", "2_001"),
+        (2, "0.13", "\u0660.\u0665"),
+        (2, "0.13", "1e-3"),
+        (2, "0.7436", "nan"),
+        (3, "3", "+3"),
+    ])
+    def test_lax_cell_is_data_error_naming_the_row(self, line, cell, lax, tmp_path, capsys):
+        lines = GOLDEN_REGISTRY.read_text().splitlines()
+        cells = lines[line - 1].split(",")
+        cells[cells.index(cell)] = lax
+        lines[line - 1] = ",".join(cells)
+        path = tmp_path / "lax.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, out, err = run_cli("pipeline", "--input", str(path), "--min-sample", "5", capsys=capsys)
+        assert (code, out) == (2, "")
+        assert err == f"controlpower: row {line}: unparseable value (not a plain decimal number: {lax!r})\n"
+
+    def test_trailing_zeros_leave_the_report_as_it_is(self, tmp_path, capsys):
+        # every share and meeting cell of the golden registry padded to 6
+        # places: the same values, so the same units, scales and report
+        lines = GOLDEN_REGISTRY.read_text().splitlines()
+        padded = [lines[0]] + [",".join(c.ljust(8, "0") if "." in c else c for c in line.split(","))
+                               for line in lines[1:]]
+        assert all(len(c.split(".")[1]) == 6 for line in padded[1:] for c in line.split(",") if "." in c)
+        path = tmp_path / "padded.csv"
+        path.write_text("\n".join(padded) + "\n")
+        plain, zeros = dataset._ingest_table(str(GOLDEN_REGISTRY)), dataset._ingest_table(str(path))
+        assert np.array_equal(plain.units, zeros.units) and np.array_equal(plain.scale, zeros.scale)
+        reports = [run_cli("pipeline", "--input", str(p), "--min-sample", "5", capsys=capsys)
+                   for p in (GOLDEN_REGISTRY, path)]
+        assert reports[0] == reports[1] and reports[0][0] == 0
 
     def test_json_to_stdout(self, capsys):
         code, out, _ = run_cli("pipeline", "--synth", "outcomes", "--seed", "1", capsys=capsys)

@@ -1,5 +1,8 @@
 import io
 import math
+import random
+import re
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -20,6 +23,8 @@ from controlpower.dataset import (
 from controlpower.evolution import ControlPowerPdf, WaveParams, ideal_wave
 from controlpower.pipeline import PipelineConfig, run_pipeline
 
+# the grammar of a share or meeting_share cell; year and n_meetings take its digits-only case
+PLAIN = re.compile(r"[0-9]+(\.[0-9]+)?")
 HEADER = "firm_id,year,board,ownership,s1,s2,s3,s4,s5,s6,s7,s8,s9,s10,meeting_share,n_meetings"
 
 
@@ -146,20 +151,31 @@ VALID = dict(board="main", ownership="private", s1="0.3", s2="0.2", meeting="0.5
 
 class TestOneRuleSet:
     """Each row rule gives one message, whether a FirmYearRecord breaks it
-    or a CSV row does (through ingest_csv and through the CLI's table)."""
+    or a CSV row does (through ingest_csv and through the CLI's table). A
+    number cell that is not plain (a sign, nan) never reaches the rules: the
+    CSV row gives that cell's own message instead."""
 
-    # (CSV cells that break exactly one rule, the record fields that do, message)
+    # (CSV cells that break exactly one rule, the record fields that do, message);
+    # 400 digits are a plain number that reads as inf
     CASES = [
         ({"board": "otc"}, {"board": "otc"}, "unknown board 'otc'"),
         ({"ownership": "public"}, {"ownership": "public"}, "unknown ownership 'public'"),
         ({"s2": "-0.1"}, {"shares": (0.3, -0.1)}, "share -0.1 outside (0, 1]; absent holders are omitted"),
         ({"s2": "nan"}, {"shares": (0.3, float("nan"))}, "share nan outside (0, 1]; absent holders are omitted"),
-        ({"s1": "inf"}, {"shares": (float("inf"), 0.2)}, "share inf outside (0, 1]; absent holders are omitted"),
+        ({"s1": "1" + "0" * 400}, {"shares": (float("inf"), 0.2)},
+         "share inf outside (0, 1]; absent holders are omitted"),
         ({"s1": "0.6", "s2": "0.45"}, {"shares": (0.6, 0.45)}, "shares sum above total equity"),
         ({"meeting": "1.5"}, {"meeting_share": 1.5}, "meeting share 1.5 outside [0, 1]"),
         ({"meeting": "nan"}, {"meeting_share": float("nan")}, "meeting share nan outside [0, 1]"),
         ({"n_meetings": "-1"}, {"n_meetings": -1}, "meeting count must be non-negative"),
     ]
+
+    @staticmethod
+    def csv_message(cells, message):
+        """The message of a CSV row with these cells: the first number cell
+        that is not plain names itself, else the rule's message stands."""
+        lax = [v for k, v in cells.items() if k not in ("board", "ownership") and not PLAIN.fullmatch(v)]
+        return f"unparseable value (not a plain decimal number: {lax[0]!r})" if lax else message
 
     @pytest.mark.parametrize("cells, fields, message", CASES)
     def test_same_message_everywhere(self, cells, fields, message, tmp_path, capsys):
@@ -167,6 +183,7 @@ class TestOneRuleSet:
             FirmYearRecord(**{**dict(firm_id="f1", year=2001, board="main", ownership="private",
                                      shares=(0.3, 0.2), meeting_share=0.5, n_meetings=2), **fields})
         assert str(record.value) == message
+        message = self.csv_message(cells, message)
         path = tmp_path / "registry.csv"
         path.write_text("\n".join([HEADER, ROW.format(**VALID), ROW.format(**{**VALID, **cells})]) + "\n")
         with pytest.raises(DataError) as ingested:
@@ -191,7 +208,8 @@ class TestOneRuleSet:
         with pytest.raises(DataError) as exc:
             ingest_csv(csv_of(*rows))
         assert str(exc.value) == "; ".join(
-            f"row {line}: {message}" for line, (_, _, message) in enumerate(self.CASES, start=2))
+            f"row {line}: {self.csv_message(cells, message)}"
+            for line, (cells, _, message) in enumerate(self.CASES, start=2))
 
 
 class TestRowNumbers:
@@ -294,6 +312,58 @@ class TestChunkedRead:
         with pytest.raises(DataError) as exc:
             dataset._ingest_table(str(path))
         assert str(exc.value) == f"row 4: unknown board 'otc'; {path} line 12: field larger than field limit (131072)"
+
+
+class TestDecimalUnits:
+    """Share and meeting_share cells of at most 12 places reach the table as
+    exact integer units at 10^scale, scale the fewest places that hold every
+    cell of the row; a row needing more keeps scale -1 and the float grid."""
+
+    @staticmethod
+    def decimal(rng, units, places):
+        """``units`` / 10^places written with its places, some trailing
+        zeros and sometimes leading zeros."""
+        pad = rng.choice([0, 0, 1, 3])
+        whole, fraction = divmod(units, 10**places)
+        text = "0" * rng.choice([0, 0, 1]) + str(whole)
+        return text + ("." + f"{fraction:0{places}d}" + "0" * pad if places or pad else "")
+
+    def test_units_are_the_written_decimals(self):
+        rng = random.Random(97)
+        lines, expected = [], []
+        for i in range(600):
+            places = rng.randint(0, 12)
+            scale = 10**places
+            count = rng.randint(1, 10) if places else 1
+            parts = sorted((rng.randint(1, scale // count) for _ in range(count)), reverse=True)
+            meeting = rng.choice([None, rng.randint(0, scale)])
+            cells = [self.decimal(rng, u, places) for u in parts]
+            cells += [""] * (10 - count) + ["" if meeting is None else self.decimal(rng, meeting, places)]
+            lines.append(f"f{i},2001,main,private,{','.join(cells)},3")
+            values = [Decimal(c) for c in cells if c]
+            least = max(max(0, -v.normalize().as_tuple().exponent) for v in values)
+            units = [int(Decimal(u) / scale * 10**least) for u in parts] + [0] * (10 - count)
+            expected.append((units + [0 if meeting is None else int(Decimal(meeting) / scale * 10**least)], least))
+        table = dataset._ingest_table(csv_of(*lines))
+        assert list(zip(table.units.tolist(), table.scale.tolist())) == expected
+        assert {scale for _, scale in expected} == set(range(13))
+        # records hold floats only, and give the same units and scales
+        again = dataset._Table.from_records(table.records())
+        assert np.array_equal(again.units, table.units) and np.array_equal(again.scale, table.scale)
+
+    def test_share_total_is_the_exact_decimal_sum(self):
+        # 1 + 1e-9 is the most a row's shares may sum to
+        assert dataset._ingest_table(csv_of("f1,2001,main,private,0.500000001,0.5,,,,,,,,,,")).scale.tolist() == [9]
+        with pytest.raises(DataError, match="^row 2: shares sum above total equity$"):
+            dataset._ingest_table(csv_of("f1,2001,main,private,0.500000002,0.5,,,,,,,,,,"))
+
+    def test_more_than_12_places_keep_the_grid(self):
+        table = dataset._ingest_table(csv_of(
+            "f1,2001,main,private,0.3,0.1000000000001,,,,,,,,,,",
+            "f2,2001,main,private,0.3,0.1000000000000,,,,,,,,,0.5000000000000000000001,",
+        ))
+        assert table.scale.tolist() == [-1, 1]
+        assert table.units.tolist() == [[0] * 11, [3, 1] + [0] * 8 + [5]]
 
 
 class TestColumnMapping:

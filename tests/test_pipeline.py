@@ -19,6 +19,7 @@ from controlpower.dataset import (
     GroupKey,
     MomentTarget,
     SynthConfig,
+    _POW10,
     _Table,
     _ingest_table,
     ingest_csv,
@@ -185,15 +186,19 @@ def test_cell_means_and_sds_unchanged():
     # per cell so that some cells have zero or one meeting ratio
     for n_firms in [1, 1, 2, 2] + [rng.randint(1, 60) for _ in range(16)]:
         blank = rng.random()
-        recs = []
+        recs, co_holders, ratios = [], [], []
         for i in range(n_firms):
             units = sorted((rng.randint(1, 1000) for _ in range(rng.randint(1, 10))), reverse=True)
             meeting = None if rng.random() < blank else round(rng.uniform(0.0, 1.0), 4)
             recs.append(record(f"f{i}", [u / 10_000 for u in units], meeting_share=meeting))
+            # the co-holders' total and the meeting ratio are the correctly
+            # rounded floats of the exact decimals (int true division)
+            co_holders.append(sum(units[1:]) / 10_000)
+            if meeting is not None:
+                ratios.append(round(meeting * 10_000) / sum(units))
         stats = cell_stats(recs)
-        ratios = [r.meeting_share / math.fsum(r.shares) for r in recs if r.meeting_share is not None]
         assert (stats.m_top1, stats.m_top1_sd) == reference_mean_sd([r.shares[0] for r in recs])
-        assert (stats.m_top2_10, stats.m_top2_10_sd) == reference_mean_sd([math.fsum(r.shares[1:]) for r in recs])
+        assert (stats.m_top2_10, stats.m_top2_10_sd) == reference_mean_sd(co_holders)
         assert (stats.meeting_ratio_mean, stats.meeting_ratio_sd) == reference_mean_sd(ratios)
 
 
@@ -575,11 +580,12 @@ class TestBatchedPowers:
     def test_smaller_mode_powers_equal_a_direct_count(self, seed):
         # rows without a tenth holder take their top9 power for top10, and
         # rows without a meeting residual their top10 power for top11; a
-        # direct count of every full block must give the same floats. One
+        # direct count of every full block of the rows' own integer units
+        # (shares at 4 decimals) must give the same floats. One
         # firm a year, so each cell shows its row's power in every mode:
         # r_spi_1_top* is 1 or 0, and spi_lt1_mean is the mode's power below 1.
         rng = random.Random(seed)
-        records = []
+        records, rows, attended = [], [], []
         for year in range(1000, 1400):
             n = rng.randint(2, 10)
             kind = rng.random()
@@ -601,17 +607,21 @@ class TestBatchedPowers:
             meeting = rng.choice([None, round(rng.uniform(0.0, total), 4), round(total + rng.choice([0.0, 1e-4]), 4),
                                   round(rng.uniform(total, 1.0), 4)])
             records.append(FirmYearRecord(f"f{year}", year, "main", "private", shares, meeting))
+            rows.append(units + [0] * (10 - n))
+            attended.append(0 if meeting is None else round(meeting * 10_000))
         table = _Table.from_records(records)
         has = table.has_meeting
-        residual = np.maximum(table.meeting - table.total, 0.0)
-        assert (table.shares[:, 9] == 0).any() and (table.shares[:, 9] > 0).any()
+        units = np.array(rows)
+        # the table holds the same units, at 10^scale <= 10^4
+        assert (table.units * _POW10[4 - table.scale][:, None] == np.column_stack((units, attended))).all()
+        residual = np.maximum(np.array(attended) - units.sum(axis=1), 0)
+        assert (units[:, 9] == 0).any() and (units[:, 9] > 0).any()
         assert (has & (residual == 0)).any() and (residual > 0).any() and not has.all()
-        shares = table.shares
         top11 = np.full(len(records), np.nan)
-        top11[has] = top_holder_numerators(np.column_stack((shares[has], residual[has]))) / math.factorial(11)
+        top11[has] = top_holder_numerators(np.column_stack((units[has], residual[has]))) / math.factorial(11)
         direct = {
-            "top9": top_holder_numerators(shares[:, :9]) / math.factorial(9),
-            "top10": top_holder_numerators(shares) / math.factorial(10),
+            "top9": top_holder_numerators(units[:, :9]) / math.factorial(9),
+            "top10": top_holder_numerators(units) / math.factorial(10),
             "top11": top11,
         }
         assert (direct["top9"] == 1).any() and (direct["top9"] == 0.5).any()

@@ -25,13 +25,14 @@ THIRD = Fraction(1, 3)
 
 def numerator_pairs(rows):
     """(numerator, n!) of player 0 in make_game(row) for every row, with one
-    top_holder_numerators batch per row length."""
+    top_holder_numerators batch of the rows' grid weights per row length."""
     out = [None] * len(rows)
     by_length = {}
     for i, row in enumerate(rows):
         by_length.setdefault(len(row), []).append(i)
     for n, index in by_length.items():
-        nums = top_holder_numerators(np.array([rows[i] for i in index], dtype=float).reshape(len(index), n))
+        shares = np.array([rows[i] for i in index], dtype=float).reshape(len(index), n)
+        nums = top_holder_numerators(power_index._grid_weights(shares))
         for i, num in zip(index, nums.tolist()):
             out[i] = (num, math.factorial(n))
     return out
@@ -263,7 +264,7 @@ class TestEngine:
         exact = [spi_subset(make_game(r)).exact[0] for r in unpadded]
         if width < 11:  # the first rows tie at exactly half the total
             assert exact[0] == Fraction(1, 2) and exact[3] == Fraction(2, 3)
-        nums = top_holder_numerators(np.array(rows)).tolist()
+        nums = top_holder_numerators(power_index._grid_weights(np.array(rows))).tolist()
         assert [Fraction(num, math.factorial(width)) for num in nums] == exact
 
     def test_rows_must_form_a_2d_array(self):
@@ -393,6 +394,59 @@ def integer_parts(rng, total, parts):
     """``parts`` positive integers summing to ``total``, in random order."""
     cuts = sorted(rng.sample(range(1, total), parts - 1))
     return [b - a for a, b in zip([0] + cuts, cuts + [total])]
+
+
+class TestIntegerWeights:
+    """top_holder_numerators counts integer weights as given, the way a
+    registry row's exact decimal units reach it: ties at exactly half the
+    total are decided exactly, at any scale up to 2 * T = 2^53."""
+
+    def test_matches_the_subset_oracle_with_planted_ties(self):
+        rng = random.Random(89)
+        by_size, ties = {}, 0
+        for _ in range(400):
+            n = rng.randint(1, 11)
+            top = 10 ** rng.randint(1, 12)  # units of 1 to 12 decimals
+            units = [rng.randint(0, top) for _ in range(n)]
+            if n >= 2 and rng.random() < 0.6:
+                # a coalition S (the leader's side or not) weighs exactly half
+                side = set(rng.sample(range(n), rng.randint(1, n - 1)))
+                gap = sum(units[i] for i in side) - sum(u for i, u in enumerate(units) if i not in side)
+                units[rng.choice([i for i in range(n) if (i in side) == (gap < 0)])] += abs(gap)
+            if not any(units):
+                units[0] = 1
+            ties += any(2 * sum(units[i] for i in range(n) if mask >> i & 1) == sum(units)
+                        for mask in range(1, 1 << n))
+            by_size.setdefault(n, []).append(units)
+        assert ties >= 150
+        for n, rows in by_size.items():
+            expected = [spi_subset(WeightedVotingGame(tuple(map(float, r)), tuple(r))).exact[0] * math.factorial(n)
+                        for r in rows]
+            for block in (np.array(rows, dtype=np.int64), np.array(rows, dtype=float)):
+                assert top_holder_numerators(block).tolist() == expected
+
+    def test_decimal_units_decide_ties_the_grid_misses(self):
+        # 2885 + 2380 + ... at 4 decimals: the grid rounds a coalition at
+        # exactly half onto the winning side (113/630); the units give 5/28
+        units = [2885, 2380, 2008, 1949, 1863, 1764, 1382, 1090, 1044, 883]
+        exact = spi_subset(WeightedVotingGame(tuple(map(float, units)), tuple(units))).exact[0]
+        assert exact == Fraction(5, 28)
+        assert top_holder_numerators(np.array([units])).tolist() == [exact * math.factorial(10)]
+        assert top_holder_powers([[u / 10_000 for u in units]]) == [Fraction(113, 630)]
+        # 0.5000004 against 0.4999996: the leader holds more than half
+        assert top_holder_numerators(np.array([[5_000_004, 4_999_996]])).tolist() == [2]
+        assert top_holder_powers([[0.5000004, 0.4999996]]) == [Fraction(1, 2)]
+
+    @pytest.mark.parametrize("rows, problem", [
+        ([[0.5, 1.0]], "integers"),
+        ([[np.nan, 1.0]], "integers"),
+        ([[-1, 2]], "non-negative"),
+        ([[0, 0]], "positive"),
+        ([[2**52, 1]], "2\\^53"),
+    ])
+    def test_refuses_weights_it_cannot_count_exactly(self, rows, problem):
+        with pytest.raises(ValueError, match=problem):
+            top_holder_numerators(np.array(rows))
 
 
 class TestFloat32Counts:
