@@ -58,6 +58,7 @@ DEFAULT_SYNTH_YEARS = tuple(range(1996, 2022))
 DEFAULT_TOP1 = MomentTarget(0.278, 0.106)
 DEFAULT_TOP2_10 = MomentTarget(0.293, 0.127)
 _SPI_GAMES = 1 << 12  # games per profile_numerators call; their numerators wait to be printed
+_SIGNED = "-?" + _PLAIN  # the registry's plain decimal, with a sign where a value may be negative
 
 
 class _Parser(argparse.ArgumentParser):
@@ -72,8 +73,16 @@ def _fmt(value: float) -> str:
     return format(float(value), ".4g")
 
 
-def _parse_floats(text: str) -> list[float]:
-    return [float(tok) for tok in text.replace(";", ",").split(",") if tok.strip()]
+def _parse_floats(text: str, option: str) -> list[float]:
+    """The numbers of an option's list, split at ',' or ';', blank items
+    skipped: plain decimals, as registry cells are, or nan and +-inf, which
+    each value's own range check names."""
+    values = []
+    for cell in filter(str.strip, text.replace(";", ",").split(",")):
+        values.append(float(cell))
+        if math.isfinite(values[-1]) and not re.fullmatch(_PLAIN, cell.strip()):
+            raise ValueError(f"{option}: not a plain decimal number: {cell!r}")
+    return values
 
 
 def _spi_game(text: str) -> WeightedVotingGame:
@@ -106,7 +115,7 @@ def _parse_years(text: str) -> tuple[int, ...]:
 
 
 def _parse_pair(text: str, what: str, example: str) -> tuple[float, float]:
-    values = _parse_floats(text)
+    values = _parse_floats(text, what)
     if len(values) != 2:
         raise ValueError(f"{what} needs two numbers, e.g. {example}")
     return values[0], values[1]
@@ -165,7 +174,7 @@ def _cmd_evolve(args) -> int:
             print(", ".join(_fmt(v) for v in values))
         return 0
     if args.what == "walk":
-        law = tuple(_parse_floats(args.law)) if args.law else (0.25, 0.25, 0.25, 0.25)
+        law = tuple(_parse_floats(args.law, "--law")) if args.law else (0.25, 0.25, 0.25, 0.25)
         states = collapse_walk(args.operations, args.seed, law)
         _emit_series([(i, float(v)) for i, v in enumerate(states)], args.output)
         return 0
@@ -187,14 +196,15 @@ def _cmd_evolve(args) -> int:
     return 0
 
 
-def _read_pairs(path: str, key) -> list[tuple]:
+def _read_pairs(path: str, key, grammar: str) -> list[tuple]:
     """(key(first cell), float(second cell)) of each row of a two-column CSV.
 
-    Rows whose first cell does not parse (blank, header, comment) are
+    Rows whose first cell ``key`` cannot read (blank, header, comment) are
     skipped. Any other row is a DataError naming the file and line if its
     key repeats an earlier row's, its second cell is missing or not a
-    number, or either number is not finite; so is a row the CSV reader
-    cannot split, such as an unclosed quote.
+    number, either number is not finite, or a cell is not written in its
+    grammar: ``grammar`` for the first, ``_SIGNED`` for the second; so is a
+    row the CSV reader cannot split, such as an unclosed quote.
     """
     pairs = []
     seen = set()
@@ -217,6 +227,9 @@ def _read_pairs(path: str, key) -> list[tuple]:
                     raise DataError(f"{path} line {line}: no number after {row[0]!r}") from None
                 if not all(map(math.isfinite, pair)):
                     raise DataError(f"{path} line {line}: {row[0]!r}, {row[1]!r} must be finite numbers")
+                for cell, form in zip(row, (grammar, _SIGNED)):
+                    if not re.fullmatch(form, cell.strip()):
+                        raise DataError(f"{path} line {line}: not a plain decimal number: {cell!r}")
                 pairs.append(pair)
         except csv.Error as exc:
             # the row that cannot be split starts after the last one read
@@ -226,7 +239,7 @@ def _read_pairs(path: str, key) -> list[tuple]:
 
 def _cmd_fit(args) -> int:
     # _read_pairs rejects a repeated t, so sorting by t is unambiguous
-    series = TimeSeries.from_pairs(sorted(_read_pairs(args.input, float)))
+    series = TimeSeries.from_pairs(sorted(_read_pairs(args.input, float, _SIGNED)))
     period_range = _parse_pair(args.period_range, "period range", "4,50") if args.period_range else None
     fit = fit_fourier1(series, period_range, grid_step=args.grid_step)
     payload = {
@@ -312,7 +325,7 @@ def _cmd_pipeline(args) -> int:
             return USAGE_ERROR
     macros = {}
     for name, path in named:
-        macros[name] = dict(_read_pairs(path, int))
+        macros[name] = dict(_read_pairs(path, int, "[0-9]+"))
         if not macros[name]:
             raise DataError(f"macro file {path} has no (year, value) rows")
     config = PipelineConfig(

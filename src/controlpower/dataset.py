@@ -14,15 +14,16 @@ meeting_share, digits alone for year and n_meetings (no sign, exponent,
 underscore, inner space, nan or inf), and surrounding whitespace is
 stripped.
 
-A row whose share and meeting_share cells are decimals of at most 12
-places is held as exact integer units at 10^d, d the most places any of
-its cells needs (``_decimal_units``), and its games are counted on them;
-other rows are counted on the 10^-6 grid of their floats.
+Every share and meeting_share must read as a decimal of at most 12
+places; a row is held as exact integer units at 10^d, d the most places
+any of its cells needs (``_decimal_units``), and its games are counted on
+them. A value that no such decimal reads as is a data error.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import math
 import operator
@@ -33,7 +34,6 @@ from typing import Callable, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .evolution import ControlPowerPdf, pdf_sample
-from .power_index import _row_fsums
 
 BOARDS = ("main", "sme_gem")
 OWNERSHIPS = ("private", "state")
@@ -66,8 +66,9 @@ class _Rule(NamedTuple):
 # The rules every registry row meets, in checking order. Each test uses
 # only operators that act alike on one Python value and on a numpy column,
 # so FirmYearRecord checks its own fields and the column table whole
-# columns with the same tests. _SHARE tests each share and _RISE each
-# consecutive pair; the meeting rules hold where a value is given.
+# columns with the same tests. _SHARE and _UNITS test each share and _RISE
+# each consecutive pair; the meeting rules, _UNITS again among them, hold
+# where a meeting share is given.
 _BOARD = _Rule(lambda code: code < 0, "unknown board {board!r}")
 _OWNERSHIP = _Rule(lambda code: code < 0, "unknown ownership {ownership!r}")
 _COUNT = _Rule(lambda n: (n < 1) | (n > MAX_HOLDERS), f"need 1..{MAX_HOLDERS} shares, got {{count}}")
@@ -77,6 +78,11 @@ _SHARE = _Rule(lambda s: (s != s) | (s <= 0.0) | (s > 1.0),
 _RISE = _Rule(operator.lt, "shares must be non-increasing")  # flags a share below the next
 _TOTAL = _Rule(lambda total: total > 1.0 + SHARE_SUM_TOL, "shares sum above total equity")
 _MEETING = _Rule(lambda m: (m != m) | (m < 0.0) | (m > 1.0), "meeting share {meeting_share!r} outside [0, 1]")
+_MAX_DECIMALS = 12  # most places of exact units: 2 * total stays far below 2^53
+# a share or meeting share in [0, 1] that is not the float of a decimal of
+# at most 12 places: rint(v * 10^12) / 10^12 is such a float (see _decimal_units)
+_UNITS = _Rule(lambda v: np.rint(v * 10.0**_MAX_DECIMALS) / 10.0**_MAX_DECIMALS != v,
+               f"{{value!r}} is not a decimal of at most {_MAX_DECIMALS} places")
 _N_MEETINGS = _Rule(lambda n: n < 0, "meeting count must be non-negative")
 # codes sort like the names, since both tuples are in alphabetical order
 _BOARD_CODES = {name: i for i, name in enumerate(BOARDS)}
@@ -84,7 +90,6 @@ _OWNERSHIP_CODES = {name: i for i, name in enumerate(OWNERSHIPS)}
 # the one grammar of a number cell; a cell that also parses as an int has no
 # '.'. Only the slow paths match it, so it is compiled there, on first use.
 _PLAIN = r"[0-9]+(?:\.[0-9]+)?"
-_MAX_DECIMALS = 12  # most places of exact units: 2 * total stays far below 2^53
 _POW10 = np.array([10**d for d in range(_MAX_DECIMALS + 1)], dtype=np.int64)
 
 
@@ -92,7 +97,8 @@ _POW10 = np.array([10**d for d in range(_MAX_DECIMALS + 1)], dtype=np.int64)
 class FirmYearRecord:
     """One firm-year registry row. Shares are the disclosed top holders'
     equity fractions, descending; absent holders are omitted rather than
-    stored as zeros, so records have one canonical form."""
+    stored as zeros, so records have one canonical form. Each share and
+    the meeting share must read as a decimal of at most 12 places."""
 
     firm_id: str
     year: int
@@ -115,10 +121,16 @@ class FirmYearRecord:
                 raise DataError(_SHARE.message.format(share=s))
         if any(map(_RISE.test, shares, shares[1:])):
             raise DataError(_RISE.message)
-        if _TOTAL.test(math.fsum(shares)):
+        for s in shares:
+            if _UNITS.test(s):
+                raise DataError(_UNITS.message.format(value=float(s)))
+        # the exact decimal total, correctly rounded, as a table row's
+        if _TOTAL.test(sum(round(s * 10**_MAX_DECIMALS) for s in shares) / 10**_MAX_DECIMALS):
             raise DataError(_TOTAL.message)
         if meeting is not None and _MEETING.test(meeting):
             raise DataError(_MEETING.message.format(meeting_share=meeting))
+        if meeting is not None and _UNITS.test(meeting):
+            raise DataError(_UNITS.message.format(value=float(meeting)))
         if self.n_meetings is not None and _N_MEETINGS.test(self.n_meetings):
             raise DataError(_N_MEETINGS.message)
 
@@ -139,11 +151,11 @@ def _int_column(values: Sequence[int]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _decimal_units(shares: np.ndarray, meeting: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's exact decimal units and scale: the (N x 11) int64 block of
-    ``v * 10**d`` for its ten shares and meeting share (0 where blank), d
-    being the fewest places that hold every one of them, and d; or zero
-    units and -1 for a row that needs more than 12 places.
+def _decimal_units(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's exact decimal units and scale: the int64 block of ``v *
+    10**d`` for the (N x 11) float block ``cells`` of ten shares and the
+    meeting share (0 where absent or blank), d being the fewest places that
+    hold every cell of the row, and d. Every cell must pass ``_UNITS``.
 
     Values lie in [0, 1]. d is the smallest d <= 12 with rint(v * 10^d) /
     10^d == v for every cell v of the row. For a float v of a decimal of at
@@ -152,42 +164,36 @@ def _decimal_units(shares: np.ndarray, meeting: np.ndarray) -> tuple[np.ndarray,
     other float the test fails, since decimals of 12 places or fewer lie
     10^-12 apart or more, too far to share a float. So a cell written with
     at most 12 places gives its written value, and a table of records,
-    which hold floats only, gets the units its CSV gets.
+    which hold floats only, gets the units its CSV gets; and ``units /
+    10**scale`` (the correctly rounded quotient) is each cell's float again.
     """
-    cells = np.column_stack((shares, meeting))
-    scale = np.full(len(cells), -1)
+    scale = np.full(len(cells), _MAX_DECIMALS, dtype=np.int8)  # a row at 12 is still open below it
     trial = np.empty_like(cells)  # one buffer for every trial: allocation costs more than the arithmetic
-    for d, p in enumerate(_POW10.tolist()):
+    for d, p in enumerate(_POW10[:-1].tolist()):
         np.divide(np.rint(np.multiply(cells, p, out=trial), out=trial), p, out=trial)
-        scale[(scale < 0) & (trial == cells).all(axis=1)] = d
-        if (scale >= 0).all():
+        scale[(scale == _MAX_DECIMALS) & (trial == cells).all(axis=1)] = d
+        if (scale < _MAX_DECIMALS).all():
             break
-    np.multiply(cells, _POW10[np.maximum(scale, 0)][:, None], out=trial)
-    units = np.rint(trial, out=trial).astype(np.int64)
-    units[scale < 0] = 0
-    return units, scale
+    np.multiply(cells, _POW10[scale][:, None], out=trial)
+    return np.rint(trial, out=trial).astype(np.int64), scale
 
 
 class _Table(NamedTuple):
     """A registry as columns, one row per firm-year, in row order.
 
-    ``shares`` is an (N x MAX_HOLDERS) float64 block, descending, with 0
-    for absent holders; ``count`` is each row's holder count. ``board`` and
-    ``ownership`` index BOARDS and OWNERSHIPS; ``meeting`` is 0 where
-    ``has_meeting`` is False. ``firm_id`` and ``n_meetings`` (None where
-    blank) are lists. ``units`` and ``scale`` are ``_decimal_units`` of the
-    shares and meeting shares: the rows' exact integer units at 10^scale,
-    ten shares then the meeting share, with scale -1 (and zero units) for a
-    row whose games are counted on the grid of its floats instead.
+    ``units`` is an (N x 11) int64 block of each row's exact decimal units
+    at 10^``scale``: ten shares, descending, with 0 for absent holders, then
+    the meeting share, 0 where ``has_meeting`` is False (``_decimal_units``).
+    ``count`` is each row's holder count. ``board`` and ``ownership`` index
+    BOARDS and OWNERSHIPS. ``firm_id`` and ``n_meetings`` (None where blank)
+    are lists. A value's float is ``units / 10**scale``.
     """
 
     year: np.ndarray
     board: np.ndarray
     ownership: np.ndarray
     firm_id: list
-    shares: np.ndarray
     count: np.ndarray
-    meeting: np.ndarray
     has_meeting: np.ndarray
     n_meetings: list
     units: np.ndarray
@@ -198,13 +204,17 @@ class _Table(NamedTuple):
         rows = index.tolist()
         return _Table(*(c[index] if isinstance(c, np.ndarray) else [c[i] for i in rows] for c in self))
 
+    def floats(self, index=slice(None)) -> np.ndarray:
+        """The float64 block of the shares and meeting share of the rows at ``index``."""
+        return self.units[index] / _POW10[self.scale[index]][:, None]
+
     def records(self) -> list[FirmYearRecord]:
         return [
             FirmYearRecord._checked(firm_id=firm_id, year=year, board=BOARDS[board], ownership=OWNERSHIPS[ownership],
-                                    shares=tuple(shares[:n]), meeting_share=meeting if has else None,
+                                    shares=tuple(values[:n]), meeting_share=values[MAX_HOLDERS] if has else None,
                                     n_meetings=n_meetings)
-            for year, board, ownership, firm_id, shares, n, meeting, has, n_meetings in zip(
-                *(c.tolist() if isinstance(c, np.ndarray) else c for c in self[:-2]))  # units and scale follow
+            for year, board, ownership, firm_id, n, has, n_meetings, values in zip(
+                *(c.tolist() if isinstance(c, np.ndarray) else c for c in self[:-2]), self.floats().tolist())
         ]
 
     @classmethod
@@ -212,17 +222,14 @@ class _Table(NamedTuple):
         """The table of records, which passed the rules when they were built."""
         records = list(records)
         pad = [(0.0,) * (MAX_HOLDERS - n) for n in range(MAX_HOLDERS + 1)]
-        shares = np.array([r.shares + pad[len(r.shares)] for r in records], dtype=float).reshape(-1, MAX_HOLDERS)
-        meeting = np.array([0.0 if r.meeting_share is None else r.meeting_share for r in records], dtype=float)
-        units, scale = _decimal_units(shares, meeting)
+        cells = np.array([r.shares + pad[len(r.shares)] + (r.meeting_share or 0.0,) for r in records], dtype=float)
+        units, scale = _decimal_units(cells.reshape(-1, MAX_HOLDERS + 1))
         return cls(
             year=_int_column([r.year for r in records]),
             board=np.array([_BOARD_CODES[r.board] for r in records], dtype=np.int64),
             ownership=np.array([_OWNERSHIP_CODES[r.ownership] for r in records], dtype=np.int64),
             firm_id=[r.firm_id for r in records],
-            shares=shares,
             count=np.array([len(r.shares) for r in records], dtype=np.int64),
-            meeting=meeting,
             has_meeting=np.array([r.meeting_share is not None for r in records], dtype=bool),
             n_meetings=[r.n_meetings for r in records],
             units=units,
@@ -448,34 +455,36 @@ def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int
     flag((_RISE.test(values[:, :-1], values[:, 1:]) & pairs).any(axis=1), lambda i: _RISE.message)
     # a row with a bad share is rejected already, as is one with a bad
     # meeting share; zeroing them keeps the units finite
-    clean = np.where(bad.any(axis=1)[:, None], 0.0, values)
-    units, scale = _decimal_units(clean, np.where(_MEETING.test(meeting), 0.0, meeting))
-    # the exact decimal total, correctly rounded, or the fsum of a row without units
-    total = units[:, :MAX_HOLDERS].sum(axis=1) / _POW10[np.maximum(scale, 0)]
-    grid = np.flatnonzero(scale < 0)
-    total[grid] = _row_fsums(clean[grid])
-    flag(_TOTAL.test(total), lambda i: _TOTAL.message)
+    cells = np.column_stack((np.where(bad.any(axis=1)[:, None], 0.0, values),
+                             np.where(_MEETING.test(meeting), 0.0, meeting)))
+    off = _UNITS.test(cells)
+    flag(off[:, :MAX_HOLDERS].any(axis=1), lambda i: _UNITS.message.format(value=cells[i, np.argmax(off[i])].item()))
+    units, scale = _decimal_units(cells)
+    # the exact decimal total, correctly rounded
+    flag(_TOTAL.test(units[:, :MAX_HOLDERS].sum(axis=1) / _POW10[scale]), lambda i: _TOTAL.message)
     flag(_MEETING.test(meeting) & has_meeting, lambda i: _MEETING.message.format(meeting_share=meeting[i].item()))
+    flag(off[:, MAX_HOLDERS], lambda i: _UNITS.message.format(value=meeting[i].item()))
     flag(_N_MEETINGS.test(_int_column([m or 0 for m in n_meetings])), lambda i: _N_MEETINGS.message)
-    return _Table(_int_column(year), board, ownership, firm_id, values, count, meeting, has_meeting, n_meetings,
-                  units, scale), problems
+    return _Table(_int_column(year), board, ownership, firm_id, count, has_meeting, n_meetings, units, scale), problems
 
 
 def emit_csv(records: Iterable[FirmYearRecord], dest) -> None:
     """Write records in the registry schema; inverse of ingest_csv."""
+    # the shortest decimal that reads as the value, without an exponent: "1" for 1.0
+    text = functools.partial(np.format_float_positional, trim="-")
     own = not hasattr(dest, "write")
     handle = open(dest, "w", newline="", encoding="utf-8") if own else dest
     try:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for rec in records:
-            shares = [repr(float(s)) for s in rec.shares]
+            shares = [text(s) for s in rec.shares]
             shares += [""] * (MAX_HOLDERS - len(shares))
             writer.writerow(
                 [rec.firm_id, rec.year, rec.board, rec.ownership]
                 + shares
                 + [
-                    "" if rec.meeting_share is None else repr(float(rec.meeting_share)),
+                    "" if rec.meeting_share is None else text(rec.meeting_share),
                     "" if rec.n_meetings is None else rec.n_meetings,
                 ]
             )
@@ -492,6 +501,7 @@ class MomentTarget(NamedTuple):
 _CLIP_TOP1 = (0.02, 0.75)  # bounds of every synthetic leading share
 _SPLIT_ALPHA = 8.0  # Dirichlet concentration of the co-holders' split
 _MEETING_RATIO = MomentTarget(0.87, 0.14)  # meeting share over the top-10 total
+_SYNTH_DECIMALS = 6  # places of every synthetic share, as a printed registry carries
 
 
 @dataclass(frozen=True)
@@ -553,7 +563,9 @@ def _synth_table(config: SynthConfig) -> _Table:
     every part <= top1, since ``rest_cap <= 9*top1*(1 - 1e-9)`` makes
     ``sum(r) - E = 9*top1 - rest`` positive. A split within top1 stays as
     drawn. Zero target SDs give an equal split and identical firms;
-    ``rest = 0`` gives one holder.
+    ``rest = 0`` gives one holder. Every share is then floored to whole
+    micro-units (10^-6), and the meeting share is the floored product of
+    the noise and the integer top-10 total, clipped to [0, 1].
     """
     if config.mode != "registry":
         raise ValueError("config is an outcome generator, not a registry generator")
@@ -569,22 +581,21 @@ def _synth_table(config: SynthConfig) -> _Table:
     p, cap = rest[:, None] * split, top1[:, None]
     room = np.maximum(cap - p, 0.0)
     p = np.minimum(p, cap) + room * (np.maximum(p - cap, 0.0).sum(axis=1) / room.sum(axis=1))[:, None]
-    shares = np.hstack([cap, np.sort(p, axis=1)[:, ::-1]])
-    meeting = np.clip(noise * np.array(_row_fsums(shares), dtype=float), 0.0, 1.0)
-    units, scale = _decimal_units(shares, meeting)
+    # whole micro-units, floored: the order, the top1 cap and a total of at
+    # most 1 hold as drawn; a co-holder below one unit is absent
+    units = np.floor(np.hstack([cap, np.sort(p, axis=1)[:, ::-1]]) * _POW10[_SYNTH_DECIMALS]).astype(np.int64)
+    meeting = np.floor(np.clip(noise * units.sum(axis=1), 0.0, _POW10[_SYNTH_DECIMALS])).astype(np.int64)
     board, ownership = config.group
     return _Table(
         year=_int_column([year for year in config.years for _ in range(firms)]),
         board=np.full(len(top1), _BOARD_CODES[board]),
         ownership=np.full(len(top1), _OWNERSHIP_CODES[ownership]),
         firm_id=[f"{board[0]}{ownership[0]}-{year}-{j:04d}" for year in config.years for j in range(firms)],
-        shares=shares,
-        count=1 + np.count_nonzero(p, axis=1),
-        meeting=meeting,
+        count=np.count_nonzero(units, axis=1),
         has_meeting=np.ones(len(top1), dtype=bool),
         n_meetings=n_meetings.tolist(),
-        units=units,
-        scale=scale,
+        units=np.column_stack((units, meeting)),
+        scale=np.full(len(top1), _SYNTH_DECIMALS, dtype=np.int8),
     )
 
 

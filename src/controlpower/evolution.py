@@ -63,8 +63,8 @@ def collapse_walk(
     if n_operations < 1:
         raise ValueError("need at least one operation")
     law = tuple(float(p) for p in law)
-    if len(law) != 4 or any(p < 0 for p in law) or sum(law) <= 0:
-        raise ValueError("interruption law must be 4 non-negative weights with positive sum")
+    if len(law) != 4 or not all(0 <= p < math.inf for p in law) or sum(law) <= 0:
+        raise ValueError(f"interruption law must be 4 finite non-negative weights with positive sum, got {law}")
     probs = np.asarray(law) / sum(law)
     rng = np.random.default_rng(seed)
     states: list[Fraction] = []

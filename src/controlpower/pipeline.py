@@ -49,7 +49,7 @@ from .fitting import (
     fourier_extrema,
     pearson,
 )
-from .power_index import _grid_weights, _row_fsums, top_holder_numerators
+from .power_index import top_holder_numerators
 
 SPI_MODES = ("top9", "top10", "top11")
 SERIES_NAMES = ("r_spi_1", "m_top1", "m_top2_10")
@@ -130,14 +130,13 @@ def _group_stats(rows: _Table, spi_mode: str) -> list[YearStats]:
     holders, top10 all ten and top11 the ten plus the meeting attendance
     beyond them, clipped at zero, for rows with a meeting share.
 
-    A row with decimal units is counted on them: its total, co-holder
-    total, meeting ratio and residual are exact integer sums, and the
-    floats taken from them (co-holder total over 10^scale, meeting over
-    total) are correctly rounded. A row without them keeps the float path:
-    ``math.fsum`` totals, and each game's grid weights (``_grid_weights``).
+    Every row is counted on its exact decimal units: its total, co-holder
+    total, meeting ratio and residual are integer sums, and the floats taken
+    from them (a value over 10^scale, meeting over total) are correctly
+    rounded.
 
     A zero weight is a null player. It leaves the total and every other
-    weight as they are (also on the grid), so a game plus one zero weight
+    weight as they are, so a game plus one zero weight
     is the same game plus a null player: its numerator over (n+1)! is n+1
     times the smaller game's over n!, the same rational, and ``num / n!``
     is the correctly rounded float of it. So the zero padding of absent
@@ -149,52 +148,36 @@ def _group_stats(rows: _Table, spi_mode: str) -> list[YearStats]:
     if spi_mode == "top11" and not has.all():
         first = int(np.argmin(has))
         raise DataError(f"firm {rows.firm_id[first]} year {rows.year[first]}: top11 mode needs meeting_share")
-    shares, exact = rows.shares, rows.scale >= 0
     games = rows.units.copy()  # the ten holders, then the residual
     total = games[:, :MAX_HOLDERS].sum(axis=1)
     attended = games[:, MAX_HOLDERS].copy()
     games[:, MAX_HOLDERS] = np.maximum(attended - total, 0)
-    top2_10 = (total - games[:, 0]) / _POW10[np.maximum(rows.scale, 0)]
-    ratios = np.divide(attended, total, out=np.zeros(len(total)), where=exact & has)
-    extra = has & (games[:, MAX_HOLDERS] > 0)
-    grid = np.flatnonzero(~exact)
-    if grid.size:
-        floats = shares[grid]
-        float_total = np.array(_row_fsums(floats), dtype=float)
-        top2_10[grid] = _row_fsums(floats[:, 1:])
-        ratios[grid] = rows.meeting[grid] / float_total
-        floats = np.column_stack((floats, np.maximum(rows.meeting[grid] - float_total, 0.0)))
-        extra[grid] = has[grid] & (floats[:, MAX_HOLDERS] > 0)
+    pow10 = _POW10[rows.scale]
 
     def mode_powers(index: np.ndarray, width: int) -> np.ndarray:
         """Float top-holder power of the rows at ``index`` in their game of
         the first ``width`` players, in one batch."""
-        weights = games[index, :width]
-        gridded = ~exact[index]
-        if gridded.any():
-            weights = weights.astype(float)
-            weights[gridded] = _grid_weights(floats[np.searchsorted(grid, index[gridded]), :width])
         # numerators and n! (n <= 11) are exact in float64, so this division
         # is the correctly rounded float of the exact power
-        return top_holder_numerators(weights) / math.factorial(width)
+        return top_holder_numerators(games[index, :width]) / math.factorial(width)
 
     everyone = np.arange(len(total))
     top9 = mode_powers(everyone, 9)
     top10 = top9.copy()
-    tenth = np.flatnonzero(shares[:, 9] > 0)
+    tenth = np.flatnonzero(games[:, MAX_HOLDERS - 1] > 0)
     top10[tenth] = mode_powers(tenth, MAX_HOLDERS)
     top11 = np.where(has, top10, np.nan)
-    extra = np.flatnonzero(extra)
+    extra = np.flatnonzero(has & (games[:, MAX_HOLDERS] > 0))
     top11[extra] = mode_powers(extra, MAX_HOLDERS + 1)
     # in top11 mode every row has a meeting share, so no top11 power is nan
     mode = {"top9": top9, "top10": top10, "top11": top11}[spi_mode]
     years = rows.year.tolist()
     cuts = [0, *(np.flatnonzero(rows.year[1:] != rows.year[:-1]) + 1).tolist(), len(years)]
     # each statistic of every year cell in one pass over its column
-    top1 = _segment_moments(shares[:, 0], cuts)
-    top2_10 = _segment_moments(top2_10, cuts)
+    top1 = _segment_moments(games[:, 0] / pow10, cuts)
+    top2_10 = _segment_moments((total - games[:, 0]) / pow10, cuts)
     met = _cut_counts(has, cuts)
-    ratios = _segment_moments(ratios[has], met)
+    ratios = _segment_moments(attended[has] / total[has], met)
     full9, full10, full11 = (_cut_counts(powers == 1.0, cuts) for powers in (top9, top10, top11))
     power = _power_fields(mode, cuts)
     stats = []
@@ -467,7 +450,7 @@ def _sort_order(table: _Table) -> np.ndarray:
     repeats = np.ones(max(len(order) - 1, 0), dtype=bool)
     for key in keys:
         repeats &= key[order][1:] == key[order][:-1]
-    return np.lexsort((*table.shares.T[::-1], *keys)) if repeats.any() else order
+    return np.lexsort((*table.floats()[:, MAX_HOLDERS - 1 :: -1].T, *keys)) if repeats.any() else order
 
 
 def _check_period_grid(fitted: Sequence[int], config: PipelineConfig) -> None:
@@ -508,15 +491,15 @@ def _records_digest(table: _Table, order: np.ndarray) -> str:
     n_meetings = table.n_meetings
     columns = (
         _int_stream(table.year), _int_stream(table.board), _int_stream(table.ownership), _int_stream(table.count),
-        np.asarray(table.shares, dtype="<f8"), table.has_meeting, np.asarray(table.meeting, dtype="<f8"),
-        np.array([v is not None for v in n_meetings], dtype=bool),
+        table.has_meeting, np.array([v is not None for v in n_meetings], dtype=bool),
         _int_stream([0 if v is None else v for v in n_meetings]),
     )
-    streams = [hashlib.sha256() for _ in range(len(columns) + 2)]
+    streams = [hashlib.sha256() for _ in range(len(columns) + 4)]
     for at in range(0, len(order), _DIGEST_ROWS):
         index = order[at : at + _DIGEST_ROWS]
-        for stream, column in zip(streams, columns):
-            part = column[index]
+        year, board, ownership, count, has, given, n = (column[index] for column in columns)
+        shares, meeting = np.hsplit(table.floats(index).astype("<f8"), [MAX_HOLDERS])
+        for stream, part in zip(streams, (year, board, ownership, count, shares, has, meeting, given, n)):
             stream.update(b"".join(part) if part.dtype == object else part.tobytes())
         firm_ids = [table.firm_id[i].encode() for i in index.tolist()]
         streams[-2].update(np.array([len(b) for b in firm_ids], dtype="<i8").tobytes())
@@ -568,7 +551,7 @@ def run_pipeline(
         provenance = {"input_digest": _records_digest(table, order), "seed": None}
     # at or above half the equity the leading holder's power is 1 by
     # construction, so such firm-years say nothing of the contested regime
-    kept = order[table.shares[order, 0] < TOP1_FILTER_LIMIT]
+    kept = order[table.units[order, 0] / _POW10[table.scale[order]] < TOP1_FILTER_LIMIT]
     if not kept.size:
         raise DataError("no records survive the sampling filter")
     codes = table.board[kept] * len(OWNERSHIPS) + table.ownership[kept]

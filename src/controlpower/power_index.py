@@ -6,14 +6,13 @@ players in the game. Exactly half loses, so a coalition and its complement
 can never both win, and the grand coalition always wins.
 
 All voting decisions are made in exact integer arithmetic on a game's
-integer weights. ``make_game`` places float weights on a fixed integer
+integer weights. ``top_holder_numerators`` takes them as given: the
+pipeline passes a registry's exact decimal units (see the ``dataset``
+module), so its ties are decided exactly. ``make_game`` places float
+weights, such as ``spi``'s input past exact units, on a fixed integer
 grid: proportions of their own total (a ``math.fsum``), ``GRID`` units per
-unit of total weight, rounded half to even. A registry row whose cells are
-decimals of at most 12 places is counted on those decimals' exact units
-instead (``top_holder_numerators`` takes integer weights; see the
-``dataset`` module), so its ties are decided exactly; only rows without
-such units go through the grid (``_grid_weights``). Power values are
-exact: ``fractions.Fraction``, or numerators over n! (int64 from
+unit of total weight, rounded half to even. Power values are exact:
+``fractions.Fraction``, or numerators over n! (int64 from
 ``top_holder_numerators``, else int).
 
 One counting engine serves the library: a batched numpy kernel that sums,
@@ -287,33 +286,6 @@ def spi_dp(game: WeightedVotingGame) -> PowerProfile:
     game. The name is kept from the dynamic program this engine replaced."""
     n_fact = math.factorial(game.n)
     return PowerProfile(tuple(Fraction(v, n_fact) for v in profile_numerators([game])[0]))
-
-
-_FSUM_ROWS = 4096  # rows turned into Python floats at a time
-
-
-def _row_fsums(shares: np.ndarray) -> list[float]:
-    """``math.fsum`` of every row of a 2-D array, a few thousand rows at a
-    time, so that few Python floats are alive at once."""
-    return [total for at in range(0, len(shares), _FSUM_ROWS)
-            for total in map(math.fsum, zip(*shares[at : at + _FSUM_ROWS].T.tolist()))]
-
-
-def _grid_weights(shares: np.ndarray) -> np.ndarray:
-    """make_game's grid weights of every row of the (games x n) float array
-    ``shares``, bit for bit (fsum total, rounded half to even), as float64.
-    A zero weight is a null player: it changes neither the total nor any
-    grid unit. Raises ValueError on any row make_game would reject."""
-    shares = np.asarray(shares, dtype=float)
-    if not np.isfinite(shares).all():
-        raise ValueError("weights must be finite")
-    if (shares < 0).any():
-        raise ValueError("weights must be non-negative")
-    totals = np.array(_row_fsums(shares), dtype=float).reshape(len(shares), 1)
-    if not (totals > 0).all():
-        raise ValueError("total weight must be positive")
-    # grid units are exact float64 integers: 2 * total is about 2 * 10**6
-    return np.rint(shares / totals * GRID)
 
 
 def top_holder_numerators(weights: np.ndarray) -> np.ndarray:

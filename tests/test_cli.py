@@ -84,18 +84,21 @@ def _reference_row(row, index, width):
         if not 0.0 < v <= 1.0:
             raise ValueError(f"share {v!r} outside (0, 1]; absent holders are omitted")
     decimals = [_exact(text) for _, text in held] + ([_exact(meeting)] if meeting else [])
-    scale = max(-min(d.normalize().as_tuple().exponent, 0) for d in decimals)
+    places = [-min(d.normalize().as_tuple().exponent, 0) for d in decimals]
+    for (v, _), p in zip(held, places):
+        if p > 12:
+            raise ValueError(f"{v!r} is not a decimal of at most 12 places")
+    scale = max(places)
     units = [int(d * 10**scale) for d in decimals[:count]]
-    total = float(Fraction(sum(units), 10**scale)) if scale <= 12 else math.fsum(v for v, _ in held)
-    if total > 1.0 + dataset.SHARE_SUM_TOL:
+    if float(Fraction(sum(units), 10**scale)) > 1.0 + dataset.SHARE_SUM_TOL:
         raise ValueError("shares sum above total equity")
     if meeting and not 0.0 <= meeting_share <= 1.0:
         raise ValueError(f"meeting share {meeting_share!r} outside [0, 1]")
+    if meeting and places[-1] > 12:
+        raise ValueError(f"{meeting_share!r} is not a decimal of at most 12 places")
     if n_meetings is not None and n_meetings < 0:
         raise ValueError("meeting count must be non-negative")
     units += [0] * (10 - count) + [int(decimals[-1] * 10**scale) if meeting else 0]
-    if scale > 12:
-        units, scale = [0] * 11, -1
     shares = tuple(v for v, _ in held)
     return firm_id, year, board, ownership, shares, meeting_share, n_meetings, units, scale
 
@@ -564,15 +567,23 @@ class TestPipeline:
 
     def test_default_synth_matches_its_registry_csv(self, tmp_path, capsys):
         # the column table of --synth default and the records `synth registry`
-        # writes are one registry; only the provenance tells them apart
-        reg = tmp_path / "reg.csv"
-        assert run_cli("synth", "registry", "--seed", "3", "--output", str(reg), capsys=capsys)[0] == 0
-        reports = []
-        for source in (["--input", str(reg)], ["--synth", "default", "--seed", "3"]):
-            code, out, err = run_cli("pipeline", *source, capsys=capsys)
-            assert code == 0, err
-            reports.append(json.loads(out))
-        assert reports[0]["groups"] == reports[1]["groups"]
+        # writes are one registry: the same bytes in every format, but for the
+        # provenance's input digest and seed. At seed 5 some co-holder share
+        # is below 1e-4, which repr would write with an exponent.
+        for seed in ("3", "5"):
+            reg = tmp_path / f"reg{seed}.csv"
+            assert run_cli("synth", "registry", "--seed", seed, "--output", str(reg), capsys=capsys)[0] == 0
+            outputs = []
+            for name, source in (("input", ["--input", str(reg)]), ("synth", ["--synth", "default", "--seed", seed])):
+                out = tmp_path / f"{name}{seed}"
+                code, _, err = run_cli("pipeline", *source, "--output", str(out),
+                                       "--format", "json,csv-tables,plot-data", capsys=capsys)
+                assert code == 0, err
+                report = json.loads((out / "report.json").read_text())
+                assert report["provenance"].pop("seed") == (None if name == "input" else int(seed))
+                report["provenance"].pop("input_digest")
+                outputs.append((report, {p.name: p.read_bytes() for p in out.glob("*.csv")}))
+            assert outputs[0] == outputs[1] and len(outputs[0][1]) > 6
 
     def test_registry_with_byte_order_mark(self, tmp_path, capsys):
         plain = Path(__file__).parent / "data" / "golden_registry.csv"
@@ -863,6 +874,22 @@ class TestPipeline:
         assert min(outcomes.values()) >= 100, outcomes
         assert lax >= 20
 
+    def test_cells_past_12_places_match_the_reference_reader(self, tmp_path, capsys):
+        # a share or meeting share that no decimal of at most 12 places reads
+        # as is a data error naming its row, in the table and the slow reader
+        path = tmp_path / "places.csv"
+        path.write_text("\n".join([",".join(dataset.CSV_COLUMNS),
+                                   "f1,2001,main,private,0.3,0.2,,,,,,,,,0.5,",
+                                   "f2,2001,main,private,0.3,0.1000000000001,,,,,,,,,,",
+                                   "f3,2001,main,private,0.3,0.2,,,,,,,,,0.5000000000005,2",
+                                   "f4,2001,main,private,0.3,0.2000000000000000000001,,,,,,,,,,"]) + "\n")
+        message = ("row 3: 0.1000000000001 is not a decimal of at most 12 places; "
+                   "row 4: 0.5000000000005 is not a decimal of at most 12 places")
+        outcomes = {read_outcome(read, str(path)) for read in (reference_registry, table_registry)}
+        assert outcomes == {f"DataError: {message}"}
+        assert run_cli("pipeline", "--input", str(path), "--min-sample", "1", capsys=capsys) == (
+            2, "", f"controlpower: {message}\n")
+
     def test_ties_are_decided_on_exact_decimals(self, tmp_path, capsys):
         # the units sum past 10^4, so the shares are written at 5 places
         path = tmp_path / "tie.csv"
@@ -911,6 +938,49 @@ class TestPipeline:
         code, out, _ = run_cli("pipeline", "--synth", "outcomes", "--seed", "1", capsys=capsys)
         assert code == 0
         assert json.loads(out)["provenance"]["seed"] == 1
+
+
+class TestNumberGrammar:
+    """fit and macro files and the number-list options read the registry's
+    plain decimals, with a sign only on fit t and y and macro values; nan
+    and inf are left to each value's own range check."""
+
+    @pytest.mark.parametrize("row, cell", [("0,1_0", "1_0"), ("1e1,1", "1e1"), ("+0,1", "+0"), ("0,.5", ".5")])
+    def test_lax_fit_cell_is_data_error(self, row, cell, tmp_path, capsys):
+        path = tmp_path / "series.csv"
+        path.write_text("t,y\n" + "".join(f"{t},{t % 3}\n" for t in range(1, 8)) + row + "\n")
+        code, out, err = run_cli("fit", "--input", str(path), capsys=capsys)
+        assert (code, out, err) == (2, "", f"controlpower: {path} line 9: not a plain decimal number: {cell!r}\n")
+
+    def test_signed_fit_cells_and_macro_values_are_read(self, tmp_path, capsys):
+        series, macro = tmp_path / "series.csv", tmp_path / "macro.csv"
+        series.write_text("t,y\n" + "".join(f"-{t}.5, -{t % 3}.25\n" for t in range(8)))
+        assert run_cli("fit", "--input", str(series), capsys=capsys)[0] == 0
+        macro.write_text("year,value\n" + "".join(f"{y},-{y % 7}.5\n" for y in range(1996, 2022)))
+        code, _, err = run_cli("pipeline", "--synth", "outcomes", "--seed", "1", "--macro", f"idx={macro}",
+                               capsys=capsys)
+        assert code == 0, err
+
+    @pytest.mark.parametrize("row, cell", [("1997,1_0", "1_0"), ("+1997,10", "+1997"), ("1997,1e1", "1e1")])
+    def test_lax_macro_cell_is_data_error(self, row, cell, tmp_path, capsys):
+        macro = tmp_path / "macro.csv"
+        macro.write_text(f"year,value\n1996,100\n{row}\n")
+        code, out, err = run_cli("pipeline", "--synth", "outcomes", "--seed", "1", "--macro", f"idx={macro}",
+                                 capsys=capsys)
+        assert (code, out, err) == (2, "", f"controlpower: {macro} line 3: not a plain decimal number: {cell!r}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["synth", "registry", "--seed", "1", "--top1", "0.3,1e-1"], "--top1: not a plain decimal number: '1e-1'"),
+        (["synth", "registry", "--seed", "1", "--top2-10", "0.3;-0.1"],
+         "--top2-10: not a plain decimal number: '-0.1'"),
+        (["pipeline", "--synth", "outcomes", "--seed", "1", "--period-range", "4,5_0"],
+         "period range: not a plain decimal number: '5_0'"),
+        (["evolve", "walk", "--seed", "1", "--law", "1,1,1,0.5e0"], "--law: not a plain decimal number: '0.5e0'"),
+        (["evolve", "walk", "--seed", "1", "--law", "1,1,1,nan"],
+         "interruption law must be 4 finite non-negative weights with positive sum, got (1.0, 1.0, 1.0, nan)"),
+    ])
+    def test_lax_option_number_is_data_error(self, argv, message, capsys):
+        assert run_cli(*argv, capsys=capsys) == (2, "", f"controlpower: {message}\n")
 
 
 def test_module_invocation():

@@ -165,7 +165,12 @@ class TestOneRuleSet:
         ({"s1": "1" + "0" * 400}, {"shares": (float("inf"), 0.2)},
          "share inf outside (0, 1]; absent holders are omitted"),
         ({"s1": "0.6", "s2": "0.45"}, {"shares": (0.6, 0.45)}, "shares sum above total equity"),
+        # 0.1 + 0.2 is the float 0.30000000000000004, which no short decimal reads as
+        ({"s1": "0.30000000000000004"}, {"shares": (0.1 + 0.2, 0.2)},
+         "0.30000000000000004 is not a decimal of at most 12 places"),
         ({"meeting": "1.5"}, {"meeting_share": 1.5}, "meeting share 1.5 outside [0, 1]"),
+        ({"meeting": "0.30000000000000004"}, {"meeting_share": 0.1 + 0.2},
+         "0.30000000000000004 is not a decimal of at most 12 places"),
         ({"meeting": "nan"}, {"meeting_share": float("nan")}, "meeting share nan outside [0, 1]"),
         ({"n_meetings": "-1"}, {"n_meetings": -1}, "meeting count must be non-negative"),
     ]
@@ -357,13 +362,18 @@ class TestDecimalUnits:
         with pytest.raises(DataError, match="^row 2: shares sum above total equity$"):
             dataset._ingest_table(csv_of("f1,2001,main,private,0.500000002,0.5,,,,,,,,,,"))
 
-    def test_more_than_12_places_keep_the_grid(self):
-        table = dataset._ingest_table(csv_of(
-            "f1,2001,main,private,0.3,0.1000000000001,,,,,,,,,,",
-            "f2,2001,main,private,0.3,0.1000000000000,,,,,,,,,0.5000000000000000000001,",
-        ))
-        assert table.scale.tolist() == [-1, 1]
-        assert table.units.tolist() == [[0] * 11, [3, 1] + [0] * 8 + [5]]
+    def test_more_than_12_places_are_a_data_error(self):
+        # a cell is the float it reads as: 0.5000000000000000000001 reads as 0.5
+        rows = ["f1,2001,main,private,0.3,0.1000000000001,,,,,,,,,,",
+                "f2,2001,main,private,0.3,0.1000000000000,,,,,,,,,0.5000000000000000000001,",
+                "f3,2001,main,private,0.3,0.1,,,,,,,,,0.1234567890123,"]
+        with pytest.raises(DataError) as exc:
+            dataset._ingest_table(csv_of(*rows))
+        assert str(exc.value) == ("row 2: 0.1000000000001 is not a decimal of at most 12 places; "
+                                  "row 4: 0.1234567890123 is not a decimal of at most 12 places")
+        table = dataset._ingest_table(csv_of(rows[1]))
+        assert table.scale.tolist() == [1]
+        assert table.units.tolist() == [[3, 1] + [0] * 8 + [5]]
 
 
 class TestColumnMapping:
@@ -529,7 +539,9 @@ class TestSynthRegistry:
         records = synth_registry(config)
         top1 = np.array([r.shares[0] for r in records])
         rest = np.array([math.fsum(r.shares[1:]) for r in records])
-        assert rest == pytest.approx(9 * top1 * (1 - 1e-9), rel=1e-12)
+        # each share is floored to whole micro-units: top1 loses less than
+        # 1e-6 and the co-holders' total less than 9e-6
+        assert (np.abs(rest - 9 * top1) < 9e-6 + 1e-8).all()
         assert all(max(r.shares[1:]) <= r.shares[0] for r in records)
         assert {len(r.shares) for r in records} == {10}
 

@@ -120,20 +120,21 @@ class TestYearStats:
 
     def test_dictatorship_equivalence_property(self):
         # headline ratio must equal the brute-force dictator count
+        # records hold decimals, here of 6 places
         rng = random.Random(37)
         recs = []
         for i in range(120):
-            top1 = rng.uniform(0.05, 0.49)
+            top1 = round(rng.uniform(0.05, 0.49), 6)
             rest = sorted((rng.uniform(0.0, top1) for _ in range(rng.randint(1, 9))), reverse=True)
             scale = min(1.0, (1.0 - top1) / (sum(rest) + 1e-12), 1.0)
-            rest = [r * scale * 0.999 for r in rest]
-            recs.append(record(f"f{i}", [top1] + rest))
+            rest = [round(r * scale * 0.999, 6) for r in rest]
+            recs.append(record(f"f{i}", [top1] + [r for r in rest if r > 0]))
         stats = cell_stats(recs)
         assert stats.n_sample == len(recs)  # every leading share is below the filter limit
         dictators = 0
         for r in recs:
-            game = make_game(r.shares)
-            dictators += game.int_weights[0] > sum(game.int_weights[1:])
+            units = [round(s * 10**6) for s in r.shares]
+            dictators += 2 * units[0] > sum(units)
         assert stats.r_spi_1 == pytest.approx(dictators / len(recs), abs=1e-12)
 
     def test_calibrated_cohort_full_power_ratio(self):
@@ -153,11 +154,11 @@ class TestYearStats:
         recs = []
         rng = random.Random(5)
         for i in range(40):
-            shares = sorted((rng.uniform(0.01, 0.3) for _ in range(5)), reverse=True)
+            shares = sorted((round(rng.uniform(0.01, 0.3), 6) for _ in range(5)), reverse=True)
             total = sum(shares)
             if total > 0.99:
-                shares = [s / (total * 1.02) for s in shares]
-            recs.append(record(f"f{i}", shares, meeting_share=min(1.0, sum(shares))))
+                shares = [round(s / (total * 1.02), 6) for s in shares]
+            recs.append(record(f"f{i}", shares, meeting_share=min(1.0, round(sum(shares), 6))))
         top10 = cell_stats(recs, spi_mode="top10")
         top11 = cell_stats(recs, spi_mode="top11")
         assert top11.r_spi_1 == top10.r_spi_1

@@ -31,8 +31,8 @@ def numerator_pairs(rows):
     for i, row in enumerate(rows):
         by_length.setdefault(len(row), []).append(i)
     for n, index in by_length.items():
-        shares = np.array([rows[i] for i in index], dtype=float).reshape(len(index), n)
-        nums = top_holder_numerators(power_index._grid_weights(shares))
+        weights = np.array([make_game(rows[i]).int_weights for i in index]).reshape(len(index), n)
+        nums = top_holder_numerators(weights)
         for i, num in zip(index, nums.tolist()):
             out[i] = (num, math.factorial(n))
     return out
@@ -264,7 +264,7 @@ class TestEngine:
         exact = [spi_subset(make_game(r)).exact[0] for r in unpadded]
         if width < 11:  # the first rows tie at exactly half the total
             assert exact[0] == Fraction(1, 2) and exact[3] == Fraction(2, 3)
-        nums = top_holder_numerators(power_index._grid_weights(np.array(rows))).tolist()
+        nums = top_holder_numerators(np.array([make_game(r).int_weights for r in rows])).tolist()
         assert [Fraction(num, math.factorial(width)) for num in nums] == exact
 
     def test_rows_must_form_a_2d_array(self):
