@@ -165,14 +165,14 @@ class TestOneRuleSet:
         ({"s1": "1" + "0" * 400}, {"shares": (float("inf"), 0.2)},
          "share inf outside (0, 1]; absent holders are omitted"),
         ({"s1": "0.6", "s2": "0.45"}, {"shares": (0.6, 0.45)}, "shares sum above total equity"),
+        ({"meeting": "1.5"}, {"meeting_share": 1.5}, "meeting share 1.5 outside [0, 1]"),
+        ({"meeting": "nan"}, {"meeting_share": float("nan")}, "meeting share nan outside [0, 1]"),
+        ({"n_meetings": "-1"}, {"n_meetings": -1}, "meeting count must be non-negative"),
         # 0.1 + 0.2 is the float 0.30000000000000004, which no short decimal reads as
         ({"s1": "0.30000000000000004"}, {"shares": (0.1 + 0.2, 0.2)},
          "0.30000000000000004 is not a decimal of at most 12 places"),
-        ({"meeting": "1.5"}, {"meeting_share": 1.5}, "meeting share 1.5 outside [0, 1]"),
         ({"meeting": "0.30000000000000004"}, {"meeting_share": 0.1 + 0.2},
          "0.30000000000000004 is not a decimal of at most 12 places"),
-        ({"meeting": "nan"}, {"meeting_share": float("nan")}, "meeting share nan outside [0, 1]"),
-        ({"n_meetings": "-1"}, {"n_meetings": -1}, "meeting count must be non-negative"),
     ]
 
     @staticmethod
