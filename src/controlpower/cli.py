@@ -107,11 +107,32 @@ def _spi_game(text: str) -> WeightedVotingGame:
     return make_game(weights)
 
 
+def _number(form: str):
+    """The argparse type of a scalar option: the float of a value written in
+    ``form``, refused (exit 1) unless it matches and is finite."""
+
+    def read(text: str) -> float:
+        value = float(text) if re.fullmatch(form, text.strip()) else math.nan
+        if not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"not a finite plain decimal number: {text!r}")
+        return value
+
+    return read
+
+
+_DECIMAL, _SIGNED_DECIMAL = _number(_PLAIN), _number(_SIGNED)
+
+
 def _parse_years(text: str) -> tuple[int, ...]:
-    if "-" in text:
-        lo, hi = text.split("-", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    """The years of ``lo-hi`` or of a comma list, blank items skipped; each
+    year is digits only."""
+    lo, dash, hi = text.partition("-")
+    tokens = [lo, hi] if dash else [tok for tok in text.split(",") if tok.strip()]
+    for tok in tokens:
+        if not re.fullmatch("[0-9]+", tok.strip()):
+            raise ValueError(f"--years: not a year of digits: {tok!r}")
+    years = tuple(map(int, tokens))
+    return tuple(range(years[0], years[1] + 1)) if dash else years
 
 
 def _parse_pair(text: str, what: str, example: str) -> tuple[float, float]:
@@ -183,7 +204,7 @@ def _cmd_evolve(args) -> int:
         params = WaveParams(args.a0, args.a1, args.b1, args.period)
     else:
         params = ideal_wave(args.h)
-    if not (math.isfinite(args.t_step) and args.t_step > 0):
+    if not args.t_step > 0:
         raise ValueError("--t-step must be a finite positive number")
     if not args.t_max / args.t_step + 1 <= 1e6:
         raise ValueError("--t-max / --t-step gives more than 10^6 rows")
@@ -199,12 +220,14 @@ def _cmd_evolve(args) -> int:
 def _read_pairs(path: str, key, grammar: str) -> list[tuple]:
     """(key(first cell), float(second cell)) of each row of a two-column CSV.
 
-    Rows whose first cell ``key`` cannot read (blank, header, comment) are
-    skipped. Any other row is a DataError naming the file and line if its
-    key repeats an earlier row's, its second cell is missing or not a
-    number, either number is not finite, or a cell is not written in its
-    grammar: ``grammar`` for the first, ``_SIGNED`` for the second; so is a
-    row the CSV reader cannot split, such as an unclosed quote.
+    A row whose first cell ``key`` cannot read is skipped when it is the
+    first row (a header) or that cell holds no digit (a blank row or a
+    comment). Any other row is a DataError naming the file and line if
+    ``key`` cannot read its first cell, its key repeats an earlier row's,
+    its second cell is missing or not a number, either number is not
+    finite, or a cell is not written in its grammar: ``grammar`` for the
+    first, ``_SIGNED`` for the second; so is a row the CSV reader cannot
+    split, such as an unclosed quote.
     """
     pairs = []
     seen = set()
@@ -212,12 +235,14 @@ def _read_pairs(path: str, key, grammar: str) -> list[tuple]:
         reader = csv.reader(handle)
         line = 0  # the last line of the last row read
         try:
-            for row in reader:
+            for index, row in enumerate(reader):
                 line = reader.line_num
                 try:
                     first = key(row[0])
                 except (IndexError, ValueError):
-                    continue
+                    if index == 0 or not re.search("[0-9]", "".join(row[:1])):
+                        continue
+                    raise DataError(f"{path} line {line}: not a plain decimal number: {row[0]!r}") from None
                 if first in seen:
                     raise DataError(f"{path} line {line}: {row[0]!r} repeats an earlier row")
                 seen.add(first)
@@ -361,46 +386,42 @@ def _cmd_pipeline(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="controlpower", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("spi", help="power profile of a share list")
+def _spi_options(p):
     p.add_argument("--shares", help="comma-separated share weights, e.g. 2,1,1")
     p.add_argument("--input", help="file with one comma-separated share list per line")
-    p.set_defaults(func=_cmd_spi)
 
-    p = sub.add_parser("evolve", help="ladder sequences, collapse walks, waves")
-    sub_ev = p.add_subparsers(dest="what", required=True)
-    q = sub_ev.add_parser("ratios")
+
+def _evolve_options(p):
+    sub = p.add_subparsers(dest="what", required=True)
+    q = sub.add_parser("ratios")
     q.add_argument("--k", type=int, default=5)
     q.add_argument("--output")
-    q = sub_ev.add_parser("walk")
+    q = sub.add_parser("walk")
     q.add_argument("--operations", type=int, default=100)
     q.add_argument("--seed", type=int, required=True)
     q.add_argument("--law", help="four comma-separated episode-length weights")
     q.add_argument("--output")
-    q = sub_ev.add_parser("wave")
-    q.add_argument("--h", type=float, default=1.5)
-    q.add_argument("--a0", type=float)
-    q.add_argument("--a1", type=float, default=0.0)
-    q.add_argument("--b1", type=float, default=0.0)
-    q.add_argument("--period", type=float, default=18.0)
-    q.add_argument("--t-max", type=float, default=26.0)
-    q.add_argument("--t-step", type=float, default=1.0)
+    q = sub.add_parser("wave")
+    q.add_argument("--h", type=_DECIMAL, default=1.5)
+    q.add_argument("--a0", type=_SIGNED_DECIMAL)
+    q.add_argument("--a1", type=_SIGNED_DECIMAL, default=0.0)
+    q.add_argument("--b1", type=_SIGNED_DECIMAL, default=0.0)
+    q.add_argument("--period", type=_DECIMAL, default=18.0)
+    q.add_argument("--t-max", type=_SIGNED_DECIMAL, default=26.0)
+    q.add_argument("--t-step", type=_DECIMAL, default=1.0)
     q.add_argument("--output")
-    p.set_defaults(func=_cmd_evolve)
 
-    p = sub.add_parser("fit", help="first-order Fourier fit of a t,y CSV")
+
+def _fit_options(p):
     p.add_argument("--input", required=True)
     p.add_argument("--period-range", help="lo,hi in years")
-    p.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
+    p.add_argument("--grid-step", type=_DECIMAL, default=DEFAULT_GRID_STEP)
     p.add_argument("--output")
-    p.set_defaults(func=_cmd_fit)
 
-    p = sub.add_parser("synth", help="seeded synthetic generators")
-    sub_sy = p.add_subparsers(dest="what", required=True)
-    q = sub_sy.add_parser("registry")
+
+def _synth_options(p):
+    sub = p.add_subparsers(dest="what", required=True)
+    q = sub.add_parser("registry")
     q.add_argument("--seed", type=int, required=True)
     q.add_argument("--years", default="1996-2021")
     q.add_argument("--firms-per-year", type=int, default=100)
@@ -408,18 +429,18 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--top1", default="0.278,0.106", help="mean,sd of the leading share")
     q.add_argument("--top2-10", dest="top2_10", default="0.293,0.127", help="mean,sd of the co-holders' total")
     q.add_argument("--output")
-    q = sub_sy.add_parser("outcomes")
+    q = sub.add_parser("outcomes")
     q.add_argument("--seed", type=int, required=True)
     q.add_argument("--years", default="1996-2021")
     q.add_argument("--draws-per-year", type=int, default=500)
     q.add_argument("--group", default="main/private")
-    q.add_argument("--h", type=float, default=1.5)
-    q.add_argument("--mu", type=float, default=0.466)
-    q.add_argument("--sigma", type=float, default=0.165)
+    q.add_argument("--h", type=_DECIMAL, default=1.5)
+    q.add_argument("--mu", type=_SIGNED_DECIMAL, default=0.466)
+    q.add_argument("--sigma", type=_DECIMAL, default=0.165)
     q.add_argument("--output")
-    p.set_defaults(func=_cmd_synth)
 
-    p = sub.add_parser("pipeline", help="full procedure plus report emission")
+
+def _pipeline_options(p):
     sources = p.add_mutually_exclusive_group(required=True)
     sources.add_argument("--input", help="registry CSV")
     sources.add_argument("--synth", choices=("default", "outcomes"))
@@ -429,17 +450,42 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma list of json,csv-tables,plot-data; formats other than json need --output")
     p.add_argument("--spi-mode", default="top10", choices=SPI_MODES)
     p.add_argument("--min-sample", type=int, default=50)
-    p.add_argument("--h", type=float, default=1.5)
+    p.add_argument("--h", type=_DECIMAL, default=1.5)
     p.add_argument("--period-range", help="lo,hi in years")
-    p.add_argument("--grid-step", type=float, default=DEFAULT_GRID_STEP)
+    p.add_argument("--grid-step", type=_DECIMAL, default=DEFAULT_GRID_STEP)
     p.add_argument("--macro", action="append", help="name=path of a year,value CSV; repeatable")
-    p.set_defaults(func=_cmd_pipeline)
 
+
+# each command's help, the function that adds its options and the one that runs it
+_COMMANDS = {
+    "spi": ("power profile of a share list", _spi_options, _cmd_spi),
+    "evolve": ("ladder sequences, collapse walks, waves", _evolve_options, _cmd_evolve),
+    "fit": ("first-order Fourier fit of a t,y CSV", _fit_options, _cmd_fit),
+    "synth": ("seeded synthetic generators", _synth_options, _cmd_synth),
+    "pipeline": ("full procedure plus report emission", _pipeline_options, _cmd_pipeline),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every command, each registered with its help, with the
+    options of ``command`` alone when it names one, else of them all."""
+    parser = _Parser(prog="controlpower", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, add_options, run) in _COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if command in (None, name):
+            add_options(p)
+        p.set_defaults(func=run)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run the command of ``argv`` (``sys.argv[1:]`` when None) and return
+    its exit code. A first argument that names a command is the only one
+    parsed past the top level, so only its options are built; help, "--"
+    and an unknown or missing command take the full parser."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

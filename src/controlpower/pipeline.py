@@ -126,7 +126,7 @@ def _power_fields(values: np.ndarray, cuts: Sequence[int]) -> list[dict]:
 
 def _group_stats(rows: _Table, spi_mode: str) -> list[YearStats]:
     """Per-year aggregates of one group's year-ordered rows (each year one
-    contiguous run), with one power batch per mode: top9 is the first nine
+    contiguous run). In the games of the three modes, top9 is the first nine
     holders, top10 all ten and top11 the ten plus the meeting attendance
     beyond them, clipped at zero, for rows with a meeting share.
 
@@ -135,15 +135,16 @@ def _group_stats(rows: _Table, spi_mode: str) -> list[YearStats]:
     from them (a value over 10^scale, meeting over total) are correctly
     rounded.
 
-    A zero weight is a null player. It leaves the total and every other
-    weight as they are, so a game plus one zero weight
-    is the same game plus a null player: its numerator over (n+1)! is n+1
-    times the smaller game's over n!, the same rational, and ``num / n!``
-    is the correctly rounded float of it. So the zero padding of absent
-    holders leaves the leading holder's power exactly as it is, and each
-    distinct game is counted once: top10 only where the tenth share is
-    above zero, top11 only where the residual is; the other rows take the
-    smaller mode's power bit for bit."""
+    Only ``spi_mode``'s powers are counted, one batch per game width. A
+    zero weight is a null player. It leaves the total and every other
+    weight as they are, so a game plus one zero weight is the same game
+    plus a null player: its numerator over (n+1)! is n+1 times the smaller
+    game's over n!, the same rational, and ``num / n!`` is the correctly
+    rounded float of it. So each row is counted at its own width: top10
+    only where the tenth share is above zero, top11 only where the residual
+    is, else at the smaller mode's width, bit for bit the same power. Each
+    mode's full-power ratio needs no count: the leading holder's power is
+    1 exactly when it outweighs the rest of its game, 2 * s1 > T."""
     has = rows.has_meeting
     if spi_mode == "top11" and not has.all():
         first = int(np.argmin(has))
@@ -153,24 +154,17 @@ def _group_stats(rows: _Table, spi_mode: str) -> list[YearStats]:
     attended = games[:, MAX_HOLDERS].copy()
     games[:, MAX_HOLDERS] = np.maximum(attended - total, 0)
     pow10 = _POW10[rows.scale]
-
-    def mode_powers(index: np.ndarray, width: int) -> np.ndarray:
-        """Float top-holder power of the rows at ``index`` in their game of
-        the first ``width`` players, in one batch."""
+    widths = np.full(len(total), MAX_HOLDERS - 1)
+    if spi_mode != "top9":
+        widths[games[:, MAX_HOLDERS - 1] > 0] = MAX_HOLDERS
+    if spi_mode == "top11":
+        widths[games[:, MAX_HOLDERS] > 0] = MAX_HOLDERS + 1
+    mode = np.empty(len(total))
+    for width in np.unique(widths).tolist():
+        index = np.flatnonzero(widths == width)
         # numerators and n! (n <= 11) are exact in float64, so this division
         # is the correctly rounded float of the exact power
-        return top_holder_numerators(games[index, :width]) / math.factorial(width)
-
-    everyone = np.arange(len(total))
-    top9 = mode_powers(everyone, 9)
-    top10 = top9.copy()
-    tenth = np.flatnonzero(games[:, MAX_HOLDERS - 1] > 0)
-    top10[tenth] = mode_powers(tenth, MAX_HOLDERS)
-    top11 = np.where(has, top10, np.nan)
-    extra = np.flatnonzero(has & (games[:, MAX_HOLDERS] > 0))
-    top11[extra] = mode_powers(extra, MAX_HOLDERS + 1)
-    # in top11 mode every row has a meeting share, so no top11 power is nan
-    mode = {"top9": top9, "top10": top10, "top11": top11}[spi_mode]
+        mode[index] = top_holder_numerators(games[index, :width]) / math.factorial(width)
     years = rows.year.tolist()
     cuts = [0, *(np.flatnonzero(rows.year[1:] != rows.year[:-1]) + 1).tolist(), len(years)]
     # each statistic of every year cell in one pass over its column
@@ -178,7 +172,10 @@ def _group_stats(rows: _Table, spi_mode: str) -> list[YearStats]:
     top2_10 = _segment_moments((total - games[:, 0]) / pow10, cuts)
     met = _cut_counts(has, cuts)
     ratios = _segment_moments(attended[has] / total[has], met)
-    full9, full10, full11 = (_cut_counts(powers == 1.0, cuts) for powers in (top9, top10, top11))
+    twice_lead = 2 * games[:, 0]
+    full9 = _cut_counts(twice_lead > total - games[:, MAX_HOLDERS - 1], cuts)
+    full10 = _cut_counts(twice_lead > total, cuts)
+    full11 = _cut_counts(has & (twice_lead > total + games[:, MAX_HOLDERS]), cuts)
     power = _power_fields(mode, cuts)
     stats = []
     for k, (a, b) in enumerate(zip(cuts, cuts[1:])):

@@ -18,11 +18,14 @@ unit of total weight, rounded half to even. Power values are exact:
 One counting engine serves the library: a batched numpy kernel that sums,
 for a whole batch of games at once, the pivot weights k!(n-1-k)! of one
 player over every coalition of the others (subset counting in the manner
-of Matsui & Matsui 2000 and Bilbao et al. 2000). ``top_holder_numerators``
-runs it over the leading holders of many share lists, ``profile_numerators``
-over every player of many games (one batch per player count; ``spi_dp`` is
-its one-game case). Permutation and pure-Python subset enumeration are
-kept as independent test oracles; all three agree bit for bit.
+of Matsui & Matsui 2000 and Bilbao et al. 2000). A coalition and its
+complement among the others carry the same weight, so one pass over the
+half of the coalitions that leave out the second player scores each pair
+at once. ``top_holder_numerators`` runs it over the leading holders of
+many share lists, ``profile_numerators`` over every player of many games
+(one batch per player count; ``spi_dp`` is its one-game case). Permutation
+and pure-Python subset enumeration are kept as independent test oracles;
+all three agree bit for bit.
 
 Counts are exact integers. Weights are float64, which holds them exactly
 while 2 * total <= 2^53 (any game on the grid, and any registry row at up
@@ -30,11 +33,13 @@ to 12 decimals); ``profile_numerators`` and ``top_holder_numerators``
 refuse a game above that. A batch whose 2 * T_max is below 2^24 (every
 grid game: 2 * T is about 2 * 10^6; registry rows up to 6 decimals) sums
 the subsets in float32, where every partial sum is an integer of at most
-2 * T and so exact in whatever order the BLAS adds. It counts the pivots against the
-weights k!(n-1-k)! divided by their gcd g: one player's pivot sum is then
-at most n!/g = lcm(1..n), which is below 2^24 up to n = 18 (12,252,240),
-and the int64 count is multiplied back by g. Other batches sum in float64
-and count in float64 while n! <= 2^53 (n <= 18), else in int64 (20! < 2^63).
+2 * T and so exact in whatever order the BLAS adds; a pair's score is
+taken from integers of magnitude at most 2 * T + 1 < 2^24, exact too. It
+counts the pivots against the weights k!(n-1-k)! divided by their gcd g:
+one player's pivot sum is then at most n!/g = lcm(1..n), which is below
+2^24 up to n = 18 (12,252,240), and the int64 count is multiplied back
+by g. Other batches sum in float64 and count in float64 while n! <= 2^53
+(n <= 18), else in int64 (20! < 2^63).
 
 A batch is counted in chunks of games whose (games x coalitions)
 subset-sum intermediate holds at most ``_MAX_BYTES`` bytes, so that every
@@ -207,13 +212,13 @@ def _subsets(m: int, dtype: type) -> np.ndarray:
 
 @functools.cache
 def _coalition_coeffs(n: int, dtype: type) -> tuple[np.ndarray, int]:
-    """The pivot weight k!(n-1-k)! / g of every coalition c of the n - 1
-    players after player 0 (bit i of c is player i + 1, the kernel's column
+    """The pivot weight k!(n-1-k)! / g of every coalition c of the n - 2
+    players after player 1 (bit i of c is player i + 2, the kernel's column
     order), as ``dtype``, and g, the gcd of the weights."""
     coeffs = _pivot_coeffs(n)
     g = math.gcd(*coeffs)
     sizes = np.zeros(1, dtype=np.int64)
-    for _ in range(n - 1):
+    for _ in range(n - 2):
         sizes = np.concatenate((sizes, sizes + 1))  # coalitions with the next player follow those without
     return np.array([c // g for c in coeffs], dtype=dtype)[sizes], g
 
@@ -223,17 +228,21 @@ def _pivot_numerators(weights: np.ndarray) -> np.ndarray:
 
     ``weights`` holds one game of n integer weights per row as float64,
     with 2 * T <= 2^53 (see the module docstring). Player 0 pivots on
-    every coalition S of the others with T - 2*w_0 < 2*w(S) <= T, each
-    worth |S|!(n-1-|S|)!. A dictator (2*w_0 > T) is settled in closed
-    form; only the other rows are counted, in float32 where the batch
-    allows it exactly.
+    every coalition S of the others with F < x <= T, where x = 2*w(S) and
+    F = T - 2*w_0, each worth |S|!(n-1-|S|)!. A dictator (F < 0) and a
+    zero-weight leader (F = T) are settled in closed form. The other rows
+    count each S that leaves out player 1 together with its complement
+    among the others: that pair shares one weight, and the complement
+    pivots iff F <= x < T, so the pair scores clip(min(x - F + 1, T + 1 - x),
+    0, 2) pivots, integers of magnitude at most 2T + 1. The count runs in
+    float32 where the batch allows it exactly.
     """
     n = weights.shape[1]
     totals = weights.sum(axis=1)
     floors = totals - 2 * weights[:, 0]
     dictator = floors < 0
     nums = np.where(dictator, math.factorial(n), 0).astype(np.int64)
-    contested = np.flatnonzero(~dictator)
+    contested = np.flatnonzero(~dictator & (weights[:, 0] > 0))
     if not contested.size:
         return nums
     if n <= _FLOAT32_PLAYERS and 2 * totals[contested].max() < _FLOAT32_EXACT:
@@ -241,8 +250,10 @@ def _pivot_numerators(weights: np.ndarray) -> np.ndarray:
     else:
         sum_type = np.float64
         count_type = np.float64 if math.factorial(n) <= _FLOAT_EXACT else np.int64
-    twice_w, totals, floors = (a.astype(sum_type, copy=False) for a in (2 * weights, totals, floors))
-    m = n - 1
+    twice_w = (2 * weights).astype(sum_type, copy=False)
+    upper = (totals + 1).astype(sum_type, copy=False)  # T + 1 - x
+    lower = (floors - 1).astype(sum_type, copy=False)  # x - F + 1 = x - (F - 1)
+    m = n - 2  # players 2..n-1: their coalitions pair with their complements
     lo = min(m, _BLOCK_PLAYERS)
     bits_lo, bits_hi = _subsets(lo, sum_type), _subsets(m - lo, sum_type)
     coeffs, g = _coalition_coeffs(n, count_type)
@@ -250,11 +261,12 @@ def _pivot_numerators(weights: np.ndarray) -> np.ndarray:
     for at in range(0, contested.size, step):
         rows = contested[at : at + step]
         w = twice_w[rows]
-        twice = w[:, 1 : 1 + lo] @ bits_lo
+        twice = w[:, 2 : 2 + lo] @ bits_lo
         if m > lo:
-            twice = ((w[:, 1 + lo :] @ bits_hi)[:, :, None] + twice[:, None, :]).reshape(len(rows), -1)
-        pivot = (twice <= totals[rows, None]) & (twice > floors[rows, None])
-        nums[rows] = (pivot.astype(count_type) @ coeffs).astype(np.int64) * g
+            twice = ((w[:, 2 + lo :] @ bits_hi)[:, :, None] + twice[:, None, :]).reshape(len(rows), -1)
+        score = np.minimum(twice - lower[rows, None], upper[rows, None] - twice)
+        np.clip(score, 0, 2, out=score)
+        nums[rows] = (score.astype(count_type, copy=False) @ coeffs).astype(np.int64) * g
     return nums
 
 

@@ -285,12 +285,15 @@ class TestEvolve:
         assert values[2] == pytest.approx(7 / 12, abs=1e-12)
 
     @pytest.mark.parametrize("bounds", [
-        ["--t-step", "0"], ["--t-step", "-1"], ["--t-step", "nan"], ["--t-step", "inf"],
-        ["--t-max", "inf"], ["--t-max", "1e7", "--t-step", "1"],
+        (["--t-step", "0"], 2), (["--t-step", "-1"], 1), (["--t-step", "nan"], 1), (["--t-step", "inf"], 1),
+        (["--t-max", "inf"], 1), (["--t-max", "10000000", "--t-step", "1"], 2),
     ])
     def test_wave_grid_without_end_exits_promptly(self, bounds):
         # the row loop used to run (and grow its row list) until killed; the
-        # address-space cap turns such a run into a failure, not a full machine
+        # address-space cap turns such a run into a failure, not a full machine.
+        # A value outside the plain decimal grammar is a usage error (exit 1),
+        # a step the row loop cannot end on a data error (exit 2).
+        bounds, status = bounds
         def cap_memory():
             resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
@@ -301,7 +304,7 @@ class TestEvolve:
             timeout=20,
             preexec_fn=cap_memory,
         )
-        assert proc.returncode == 2
+        assert proc.returncode == status
         assert proc.stdout == ""
         assert "--t-" in proc.stderr
 
@@ -351,20 +354,20 @@ class TestFit:
         path = tmp_path / "series.csv"
         path.write_text("".join(f"{t},{0.5 + 0.01 * (t % 5)}\n" for t in range(26)))
         code, out, err = run_cli(
-            "fit", "--input", str(path), "--period-range", "4,50", "--grid-step", "1e-9", capsys=capsys
+            "fit", "--input", str(path), "--period-range", "4,50", "--grid-step", "0.000000001", capsys=capsys
         )
         assert code == 2
         assert out == ""
         assert "trial periods" in err
 
-    def test_infinite_grid_step_is_data_error(self, tmp_path, capsys):
+    def test_infinite_grid_step_is_usage_error(self, tmp_path, capsys):
         # it once printed LAPACK lines on stdout and "SVD did not converge"
         path = tmp_path / "series.csv"
         path.write_text("".join(f"{t},{0.5 + 0.01 * (t % 5)}\n" for t in range(26)))
         code, out, err = run_cli("fit", "--input", str(path), "--grid-step", "inf", capsys=capsys)
-        assert code == 2
+        assert code == 1
         assert out == ""
-        assert err == "controlpower: grid step must be finite\n"
+        assert err.endswith("error: argument --grid-step: not a finite plain decimal number: 'inf'\n")
 
     def test_period_range_below_twice_the_time_step_is_data_error(self, tmp_path, capsys):
         # y = 0.5 t + sin(2 pi t / 7.5), t = 0..25 once fitted T = 1.000001
@@ -500,9 +503,12 @@ class TestSynth:
     ])
     def test_infinite_h_has_no_wave(self, argv, capsys):
         code, out, err = run_cli(*argv, "--h", "inf", capsys=capsys)
-        assert code == 2
+        assert code == 1
         assert out == ""
-        assert err == "controlpower: h must be positive and 12*h finite\n"
+        assert err.endswith("error: argument --h: not a finite plain decimal number: 'inf'\n")
+        # a finite h whose period 12h is not: the wave's own range check
+        code, out, err = run_cli(*argv, "--h", "1" + "0" * 308, capsys=capsys)
+        assert (code, out, err) == (2, "", "controlpower: h must be positive and 12*h finite\n")
 
 
 class TestPipeline:
@@ -681,7 +687,7 @@ class TestPipeline:
 
     def test_oversized_grid_is_data_error(self, capsys):
         code, out, err = run_cli(
-            "pipeline", "--synth", "outcomes", "--seed", "1", "--grid-step", "1e-9", capsys=capsys
+            "pipeline", "--synth", "outcomes", "--seed", "1", "--grid-step", "0.000000001", capsys=capsys
         )
         assert code == 2
         assert out == ""
@@ -782,9 +788,12 @@ class TestPipeline:
 
         monkeypatch.setattr("controlpower.pipeline._synth_table", fail)
         code, out, err = run_cli("pipeline", "--synth", "default", "--seed", "1", *option, capsys=capsys)
-        assert code == 2
+        # refused by the option's grammar, before PipelineConfig's own check (the error) can run
+        assert code == 1
         assert out == ""
-        assert err == f"controlpower: {error}\n"
+        assert err.endswith(f"error: argument {option[0]}: not a finite plain decimal number: {option[1]!r}\n")
+        with pytest.raises(ValueError, match=error):
+            PipelineConfig(**{option[0][2:].replace("-", "_"): float(option[1])})
 
     def test_oversized_default_grid_stops_before_any_power_batch(self, monkeypatch, capsys):
         def fail(rows):
@@ -793,7 +802,7 @@ class TestPipeline:
         monkeypatch.setattr("controlpower.pipeline.top_holder_numerators", fail)
         code, out, err = run_cli(
             "pipeline", "--input", str(Path(__file__).parent / "data" / "golden_registry.csv"),
-            "--min-sample", "5", "--grid-step", "1e-9", capsys=capsys,
+            "--min-sample", "5", "--grid-step", "0.000000001", capsys=capsys,
         )
         assert code == 2
         assert out == ""
@@ -826,7 +835,7 @@ class TestPipeline:
         assert len(reads) == 1
         code, out, err = run_cli(
             "pipeline", "--input", str(GOLDEN_REGISTRY),
-            "--period-range", "4,50", "--grid-step", "1e-9", capsys=capsys,
+            "--period-range", "4,50", "--grid-step", "0.000000001", capsys=capsys,
         )
         assert code == 2
         assert out == ""
@@ -981,6 +990,116 @@ class TestNumberGrammar:
     ])
     def test_lax_option_number_is_data_error(self, argv, message, capsys):
         assert run_cli(*argv, capsys=capsys) == (2, "", f"controlpower: {message}\n")
+
+
+class TestScalarOptionGrammar:
+    """Every scalar number option reads a finite plain decimal, with a sign
+    only where its value may be negative (evolve wave's --a0, --a1, --b1 and
+    --t-max, synth outcomes' --mu); any other value is a usage error (exit
+    1) naming the option. --years takes years of digits only (exit 2)."""
+
+    UNSIGNED = [
+        (["evolve", "wave"], "--h"), (["evolve", "wave"], "--period"), (["evolve", "wave"], "--t-step"),
+        (["fit", "--input", "series.csv"], "--grid-step"),
+        (["synth", "outcomes", "--seed", "1"], "--h"), (["synth", "outcomes", "--seed", "1"], "--sigma"),
+        (["pipeline", "--synth", "default", "--seed", "1"], "--h"),
+        (["pipeline", "--synth", "default", "--seed", "1"], "--grid-step"),
+    ]
+    SIGNED = [
+        (["evolve", "wave"], "--a0"), (["evolve", "wave"], "--a1"), (["evolve", "wave"], "--b1"),
+        (["evolve", "wave"], "--t-max"), (["synth", "outcomes", "--seed", "1"], "--mu"),
+    ]
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e-3", "1_0", ".5", "+1", "0x1",
+                                       pytest.param("1" + "0" * 400, id="10^400")])
+    @pytest.mark.parametrize("argv, option", UNSIGNED + SIGNED)
+    def test_refused_value_is_usage_error(self, argv, option, value, capsys):
+        code, out, err = run_cli(*argv, f"{option}={value}", capsys=capsys)  # "-inf" alone reads as an option
+        assert (code, out) == (1, "")
+        assert err.endswith(f" error: argument {option}: not a finite plain decimal number: {value!r}\n")
+
+    @pytest.mark.parametrize("argv, option", UNSIGNED)
+    def test_sign_only_where_a_value_may_be_negative(self, argv, option, capsys):
+        code, out, err = run_cli(*argv, option, "-1", capsys=capsys)
+        assert (code, out) == (1, "")
+        assert err.endswith(f" error: argument {option}: not a finite plain decimal number: '-1'\n")
+
+    def test_signed_values_are_read(self, capsys):
+        code, out, _ = run_cli("evolve", "wave", "--a0", "-0.5", "--a1", "-0.25", "--b1", "0", "--period", "4",
+                               "--t-max", "2", "--t-step", "2", capsys=capsys)
+        assert (code, out) == (0, "step_or_t,value\n0.0,-0.75\n2.0,-0.25\n")
+        assert run_cli("evolve", "wave", "--t-max", "-1", capsys=capsys) == (0, "step_or_t,value\n", "")
+        code, out, _ = run_cli("synth", "outcomes", "--seed", "1", "--years", "2000", "--draws-per-year", "2",
+                               "--mu", "-0.1", capsys=capsys)
+        assert code == 0 and len(out.splitlines()) == 3
+
+    @pytest.mark.parametrize("years, token", [
+        ("1_996-1997", "1_996"), ("1996-1997.0", "1997.0"), ("+1996", "+1996"), ("1996,1e3", "1e3"), ("1996-", ""),
+    ])
+    def test_years_are_digits_only(self, years, token, capsys):
+        assert run_cli("synth", "registry", "--seed", "1", "--years", years, capsys=capsys) == (
+            2, "", f"controlpower: --years: not a year of digits: {token!r}\n")
+
+
+class TestMacroRows:
+    """A macro file's rows whose year cannot be read are skipped only as a
+    header (the first row), a blank row or a comment (no digit)."""
+
+    ROWS = "".join(f"{y},{100 + 2 * (y - 1996)}\n" for y in range(1996, 2022))
+
+    def _run(self, tmp_path, capsys, text):
+        macro = tmp_path / "index.csv"
+        macro.write_text(text)
+        return macro, run_cli("pipeline", "--synth", "outcomes", "--seed", "1", "--macro", f"idx={macro}",
+                              capsys=capsys)
+
+    def test_year_that_cannot_be_read_is_data_error(self, tmp_path, capsys):
+        macro, result = self._run(tmp_path, capsys, "1996,1\n1997.0,2\n1998,3\n")
+        assert result == (2, "", f"controlpower: {macro} line 2: not a plain decimal number: '1997.0'\n")
+
+    def test_header_blank_rows_and_comments_are_skipped(self, tmp_path, capsys):
+        _, plain = self._run(tmp_path, capsys, "year,value\n" + self.ROWS)
+        assert plain[0] == 0
+        _, noted = self._run(tmp_path, capsys, "year 2021,value\n\n# a comment, read by no one\n" + self.ROWS + ",\n")
+        assert noted == plain
+
+
+class TestParserPerCommand:
+    """main adds options only to the command its first argument names; the
+    exit code, stdout and stderr are those of the full parser."""
+
+    COMMANDS = ("spi", "evolve", "fit", "synth", "pipeline")
+    ARGV = [
+        [], ["-h"], ["--help"], ["bogus"], ["sp"], ["--", "spi", "--shares", "1,1"],
+        ["spi", "-h"], ["spi"], ["spi", "--shares", "2,1,1"], ["spi", "--bogus", "1"], ["spi", "--shares", "1", "fit"],
+        ["evolve", "-h"], ["evolve"], ["evolve", "jump"], ["evolve", "ratios", "-h"], ["evolve", "walk", "-h"],
+        ["evolve", "wave", "-h"], ["evolve", "ratios", "--k", "3"], ["evolve", "walk", "--operations", "3"],
+        ["evolve", "wave", "--t-max", "2"], ["evolve", "wave", "--a0", "nan"], ["evolve", "wave", "--t-step", "0"],
+        ["fit", "-h"], ["fit"], ["fit", "--input", "SERIES"], ["fit", "--input", "SERIES", "--grid-step", "x"],
+        ["synth", "-h"], ["synth"], ["synth", "registry", "-h"], ["synth", "outcomes", "-h"], ["synth", "registry"],
+        ["synth", "registry", "--seed", "1", "--years", "2000", "--firms-per-year", "2"],
+        ["synth", "outcomes", "--seed", "1", "--years", "2000", "--draws-per-year", "3"],
+        ["pipeline", "-h"], ["pipeline"], ["pipeline", "--synth", "bogus"], ["pipeline", "--input", "x", "--synth", "default"],
+        ["pipeline", "--synth", "default", "--spi-mode", "top12"], ["pipeline", "--synth", "outcomes", "--seed", "5"],
+    ]
+
+    @pytest.mark.parametrize("argv", ARGV)
+    def test_same_as_the_full_parser(self, argv, tmp_path, monkeypatch, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("".join(f"{t},{0.5 + 0.01 * (t % 5)}\n" for t in range(26)))
+        argv = [str(series) if arg == "SERIES" else arg for arg in argv]
+        built = []
+        full = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or full(command))
+        per_command = run_cli(*argv, capsys=capsys)
+        assert built == [argv[0] if argv and argv[0] in self.COMMANDS else None]
+        monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
+        assert run_cli(*argv, capsys=capsys) == per_command
+
+    def test_main_reads_sys_argv(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["controlpower", "spi", "--shares", "2,1,1"])
+        assert main() == 0
+        assert capsys.readouterr().out == "0.6667, 0.1667, 0.1667\n"
 
 
 def test_module_invocation():

@@ -561,7 +561,7 @@ class TestInputDigest:
 
 
 class TestBatchedPowers:
-    """One power batch per mode per group gives what one call per cell gives."""
+    """One power batch per counted width per group gives what one call per cell gives."""
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     @pytest.mark.parametrize("spi_mode", SPI_MODES)
@@ -637,6 +637,32 @@ class TestBatchedPowers:
                 for i, power in zip(index.tolist(), direct[spi_mode][index].tolist())
             ]
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("spi_mode", SPI_MODES)
+    def test_full_power_ratios_equal_a_direct_count(self, seed, spi_mode):
+        # r_spi_1_top9/10/11 come from 2 * s1 > T, not from a count; every
+        # row's game of each mode counted in full must give the same ratios
+        records = random_registry(seed, blank_meeting=0.0 if spi_mode == "top11" else 0.15)
+        cells = {}
+        for r in records:
+            cells.setdefault((r.board, r.ownership, r.year), []).append(r)
+
+        def full(games):
+            return top_holder_numerators(games) == math.factorial(games.shape[1])
+
+        fulls = 0
+        for cell in cells.values():
+            table = _Table.from_records(cell)
+            (stats,) = pipeline._group_stats(table, spi_mode)
+            units, has = table.units[:, :10], table.has_meeting
+            residual = np.maximum(table.units[:, 10] - units.sum(axis=1), 0)
+            top11 = full(np.column_stack((units, residual)))[has]
+            assert (stats.r_spi_1_top9, stats.r_spi_1_top10, stats.r_spi_1_top11) == (
+                full(units[:, :9]).sum() / len(cell), full(units).sum() / len(cell),
+                top11.sum() / has.sum() if has.any() else None)
+            fulls += full(units).sum()
+        assert fulls > 0
+
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_top11_names_the_first_firm_without_meeting_share(self, seed):
         records = [r for r in random_registry(seed, blank_meeting=0.0) if r.shares[0] < 0.5]
@@ -656,17 +682,30 @@ class TestBatchedPowers:
 
     @pytest.mark.parametrize("spi_mode", SPI_MODES)
     def test_one_batch_per_mode_per_group(self, spi_mode, monkeypatch):
+        # only the summarised mode is counted: each group in one batch per
+        # distinct game width of that mode, each row at its own width, and
+        # no batch for the other modes
         records = random_registry(5, blank_meeting=0.0 if spi_mode == "top11" else 0.15)
         calls = []
 
         def counting(rows):
-            calls.append(len(rows))
+            calls.append((len(rows), rows.shape[1]))
             return top_holder_numerators(rows)
 
         monkeypatch.setattr(pipeline, "top_holder_numerators", counting)
         report = run_pipeline(records, PipelineConfig(spi_mode=spi_mode, min_sample=1))
-        assert len(report.groups) >= 2
-        assert len(calls) == len(SPI_MODES) * len(report.groups)
+        widths = {}
+        for r in records:
+            if r.shares[0] < 0.5:
+                units = [round(v * 10_000) for v in r.shares] + [0] * (10 - len(r.shares))
+                width = 10 if spi_mode != "top9" and units[9] > 0 else 9
+                if spi_mode == "top11" and round(r.meeting_share * 10_000) > sum(units):
+                    width = 11
+                group = widths.setdefault((r.board, r.ownership), {})
+                group[width] = group.get(width, 0) + 1
+        assert len(report.groups) == len(widths) >= 2
+        assert sorted(calls) == sorted((rows, width) for group in widths.values() for width, rows in group.items())
+        assert len(calls) > len(widths) if spi_mode != "top9" else len(calls) == len(widths)
 
 
 class TestDefaultGridFailsFast:
@@ -712,7 +751,7 @@ class TestDefaultGridFailsFast:
 
     @pytest.mark.parametrize("flag, value, overrides", [
         ("--period-range", "1,10", {"period_range": (1.0, 10.0)}),  # below the Nyquist floor
-        ("--grid-step", "1e-9", {"grid_step": 1e-9}),  # an oversized default grid
+        ("--grid-step", "0.000000001", {"grid_step": 1e-9}),  # an oversized default grid
     ])
     def test_outcomes_range_before_any_draw(self, flag, value, overrides, tmp_path, monkeypatch, capsys):
         source = self._outcomes()

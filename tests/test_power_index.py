@@ -425,6 +425,36 @@ class TestIntegerWeights:
             for block in (np.array(rows, dtype=np.int64), np.array(rows, dtype=float)):
                 assert top_holder_numerators(block).tolist() == expected
 
+    def test_paired_coalitions_match_the_subset_oracle_on_small_weights(self):
+        # small integer weights tie often: many coalitions sit exactly at
+        # half the total, where a coalition and its complement both lose;
+        # some leaders weigh 0. Counted in float32 as given, and in float64
+        # at 2^30 times the weights
+        rng = random.Random(97)
+        ties = zeros = 0
+        for n in range(1, 13):
+            rows = []
+            for _ in range(6 if n > 10 else 25):
+                units = [rng.randint(0, 6) for _ in range(n)]
+                if n >= 2 and rng.random() < 0.6:
+                    side = set(rng.sample(range(n), rng.randint(1, n - 1)))
+                    gap = sum(units[i] for i in side) - sum(u for i, u in enumerate(units) if i not in side)
+                    units[rng.choice([i for i in range(n) if (i in side) == (gap < 0)])] += abs(gap)
+                if n >= 2 and rng.random() < 0.25:
+                    units[0] = 0
+                if not any(units):
+                    units[-1] = 1
+                ties += any(2 * sum(units[i] for i in range(n) if mask >> i & 1) == sum(units)
+                            for mask in range(1, 1 << n))
+                zeros += units[0] == 0
+                rows.append(units)
+            expected = [spi_subset(WeightedVotingGame(tuple(map(float, r)), tuple(r))).exact[0] * math.factorial(n)
+                        for r in rows]
+            block = np.array(rows, dtype=float)
+            assert power_index._pivot_numerators(block).tolist() == expected
+            assert power_index._pivot_numerators(block * 2**30).tolist() == expected
+        assert ties >= 100 and zeros >= 20
+
     def test_decimal_units_decide_ties_the_grid_misses(self):
         # 2885 + 2380 + ... at 4 decimals: the grid rounds a coalition at
         # exactly half onto the winning side (113/630); the units give 5/28
