@@ -41,9 +41,9 @@ from .fitting import (  # noqa: E402,F401
 )
 from .dataset import (  # noqa: E402,F401
     DataError,
-    FirmYearRecord,
     GroupKey,
     MomentTarget,
+    Registry,
     SynthConfig,
     emit_csv,
     ingest_csv,

@@ -27,9 +27,9 @@ from .dataset import (
     _MAX_DECIMALS,
     _PLAIN,
     _all_plain,
-    _ingest_table,
     _stripped,
     emit_csv,
+    ingest_csv,
     synth_outcomes,
     synth_registry,
 )
@@ -188,6 +188,10 @@ def _cmd_spi(args) -> int:
 
 def _cmd_evolve(args) -> int:
     if args.what == "ratios":
+        # the k-th state is a Fraction of Fibonacci numbers of about k / 5
+        # digits, so the time grows faster than k^2
+        if args.k > 10**4:
+            raise ValueError("--k gives more than 10^4 states")
         values = ratio_sequence(args.k)
         if args.output:
             _emit_series([(i + 1, float(v)) for i, v in enumerate(values)], args.output)
@@ -195,15 +199,25 @@ def _cmd_evolve(args) -> int:
             print(", ".join(_fmt(v) for v in values))
         return 0
     if args.what == "walk":
+        if args.operations > 10**6:
+            raise ValueError("--operations gives more than 10^6 operations")
         law = tuple(_parse_floats(args.law, "--law")) if args.law else (0.25, 0.25, 0.25, 0.25)
         states = collapse_walk(args.operations, args.seed, law)
         _emit_series([(i, float(v)) for i, v in enumerate(states)], args.output)
         return 0
-    # wave
-    if args.a0 is not None:
-        params = WaveParams(args.a0, args.a1, args.b1, args.period)
+    # wave: --a0 with its other terms, else the ideal wave of --h
+    if args.a0 is None:
+        for option in ("a1", "b1", "period"):
+            if getattr(args, option) is not None:
+                print(f"evolve wave: --{option} needs --a0", file=sys.stderr)
+                return USAGE_ERROR
+        params = ideal_wave(1.5 if args.h is None else args.h)
+    elif args.h is not None:
+        print("evolve wave: --h is not allowed with --a0", file=sys.stderr)
+        return USAGE_ERROR
     else:
-        params = ideal_wave(args.h)
+        params = WaveParams(args.a0, *(0.0 if v is None else v for v in (args.a1, args.b1)),
+                            18.0 if args.period is None else args.period)
     if not args.t_step > 0:
         raise ValueError("--t-step must be a finite positive number")
     if not args.t_max / args.t_step + 1 <= 1e6:
@@ -376,7 +390,7 @@ def _cmd_pipeline(args) -> int:
         else:
             source = _default_synth(args.seed)
     else:
-        source = _ingest_table(args.input)
+        source = ingest_csv(args.input)
     report = run_pipeline(source, config)
     if args.output:
         for fmt in formats:
@@ -402,11 +416,12 @@ def _evolve_options(p):
     q.add_argument("--law", help="four comma-separated episode-length weights")
     q.add_argument("--output")
     q = sub.add_parser("wave")
-    q.add_argument("--h", type=_DECIMAL, default=1.5)
+    # --a1, --b1 and --period (default 0, 0 and 18) go with --a0; --h (default 1.5) without it
+    q.add_argument("--h", type=_DECIMAL)
     q.add_argument("--a0", type=_SIGNED_DECIMAL)
-    q.add_argument("--a1", type=_SIGNED_DECIMAL, default=0.0)
-    q.add_argument("--b1", type=_SIGNED_DECIMAL, default=0.0)
-    q.add_argument("--period", type=_DECIMAL, default=18.0)
+    q.add_argument("--a1", type=_SIGNED_DECIMAL)
+    q.add_argument("--b1", type=_SIGNED_DECIMAL)
+    q.add_argument("--period", type=_DECIMAL)
     q.add_argument("--t-max", type=_SIGNED_DECIMAL, default=26.0)
     q.add_argument("--t-step", type=_DECIMAL, default=1.0)
     q.add_argument("--output")

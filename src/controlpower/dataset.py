@@ -1,6 +1,6 @@
-"""Firm-year shareholder registries: validation, CSV ingest/emit, the
-column table the pipeline filters and groups, and seeded synthetic
-generators calibrated to yearly moment targets.
+"""Firm-year shareholder registries: the one registry type (``Registry``,
+a column table), CSV ingest with its row rules and emit, and seeded
+synthetic generators calibrated to yearly moment targets.
 
 CSV schema (UTF-8, an optional byte-order mark, comma separator, '.' decimal):
 
@@ -22,14 +22,14 @@ them. A value that no such decimal reads as is a data error.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import functools
 import itertools
 import math
-import operator
 import re
-from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Sequence
+from dataclasses import dataclass, fields
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,89 +58,14 @@ class GroupKey(NamedTuple):
     ownership: str
 
 
-class _Rule(NamedTuple):
-    test: Callable  # flags the bad values among those it is given
-    message: str  # formatted with the failing row's fields
-
-
-# The rules every registry row meets, in checking order. Each test uses
-# only operators that act alike on one Python value and on a numpy column,
-# so FirmYearRecord checks its own fields and the column table whole
-# columns with the same tests. _SHARE and _UNITS test each share and _RISE
-# each consecutive pair; the meeting rules, _UNITS again among them, hold
-# where a meeting share is given.
-_BOARD = _Rule(lambda code: code < 0, "unknown board {board!r}")
-_OWNERSHIP = _Rule(lambda code: code < 0, "unknown ownership {ownership!r}")
-_COUNT = _Rule(lambda n: (n < 1) | (n > MAX_HOLDERS), f"need 1..{MAX_HOLDERS} shares, got {{count}}")
-# nan fails the first term, +-inf the others
-_SHARE = _Rule(lambda s: (s != s) | (s <= 0.0) | (s > 1.0),
-               "share {share!r} outside (0, 1]; absent holders are omitted")
-_RISE = _Rule(operator.lt, "shares must be non-increasing")  # flags a share below the next
-_TOTAL = _Rule(lambda total: total > 1.0 + SHARE_SUM_TOL, "shares sum above total equity")
-_MEETING = _Rule(lambda m: (m != m) | (m < 0.0) | (m > 1.0), "meeting share {meeting_share!r} outside [0, 1]")
-_MAX_DECIMALS = 12  # most places of exact units: 2 * total stays far below 2^53
-# a share or meeting share in [0, 1] that is not the float of a decimal of
-# at most 12 places: rint(v * 10^12) / 10^12 is such a float (see _decimal_units)
-_UNITS = _Rule(lambda v: np.rint(v * 10.0**_MAX_DECIMALS) / 10.0**_MAX_DECIMALS != v,
-               f"{{value!r}} is not a decimal of at most {_MAX_DECIMALS} places")
-_N_MEETINGS = _Rule(lambda n: n < 0, "meeting count must be non-negative")
 # codes sort like the names, since both tuples are in alphabetical order
 _BOARD_CODES = {name: i for i, name in enumerate(BOARDS)}
 _OWNERSHIP_CODES = {name: i for i, name in enumerate(OWNERSHIPS)}
+_MAX_DECIMALS = 12  # most places of exact units: 2 * total stays far below 2^53
 # the one grammar of a number cell; a cell that also parses as an int has no
 # '.'. Only the slow paths match it, so it is compiled there, on first use.
 _PLAIN = r"[0-9]+(?:\.[0-9]+)?"
 _POW10 = np.array([10**d for d in range(_MAX_DECIMALS + 1)], dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class FirmYearRecord:
-    """One firm-year registry row. Shares are the disclosed top holders'
-    equity fractions, descending; absent holders are omitted rather than
-    stored as zeros, so records have one canonical form. Each share and
-    the meeting share must read as a decimal of at most 12 places."""
-
-    firm_id: str
-    year: int
-    board: str
-    ownership: str
-    shares: tuple[float, ...]
-    meeting_share: float | None = None
-    n_meetings: int | None = None
-
-    def __post_init__(self):
-        shares, meeting = self.shares, self.meeting_share
-        if _BOARD.test(_BOARD_CODES.get(self.board, -1)):
-            raise DataError(_BOARD.message.format(board=self.board))
-        if _OWNERSHIP.test(_OWNERSHIP_CODES.get(self.ownership, -1)):
-            raise DataError(_OWNERSHIP.message.format(ownership=self.ownership))
-        if _COUNT.test(len(shares)):
-            raise DataError(_COUNT.message.format(count=len(shares)))
-        for s in shares:
-            if _SHARE.test(s):
-                raise DataError(_SHARE.message.format(share=s))
-        if any(map(_RISE.test, shares, shares[1:])):
-            raise DataError(_RISE.message)
-        for s in shares:
-            if _UNITS.test(s):
-                raise DataError(_UNITS.message.format(value=float(s)))
-        # the exact decimal total, correctly rounded, as a table row's
-        if _TOTAL.test(sum(round(s * 10**_MAX_DECIMALS) for s in shares) / 10**_MAX_DECIMALS):
-            raise DataError(_TOTAL.message)
-        if meeting is not None and _MEETING.test(meeting):
-            raise DataError(_MEETING.message.format(meeting_share=meeting))
-        if meeting is not None and _UNITS.test(meeting):
-            raise DataError(_UNITS.message.format(value=float(meeting)))
-        if self.n_meetings is not None and _N_MEETINGS.test(self.n_meetings):
-            raise DataError(_N_MEETINGS.message)
-
-    @classmethod
-    def _checked(cls, **fields) -> FirmYearRecord:
-        """A record of fields that passed the rules already, as a table's
-        rows have, built without checking them again."""
-        record = object.__new__(cls)
-        vars(record).update(fields)
-        return record
 
 
 def _int_column(values: Sequence[int]) -> np.ndarray:
@@ -155,7 +80,8 @@ def _decimal_units(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Each row's exact decimal units and scale: the int64 block of ``v *
     10**d`` for the (N x 11) float block ``cells`` of ten shares and the
     meeting share (0 where absent or blank), d being the fewest places that
-    hold every cell of the row, and d. Every cell must pass ``_UNITS``.
+    hold every cell of the row, and d. Every cell must be the float of a
+    decimal of at most 12 places.
 
     Values lie in [0, 1]. d is the smallest d <= 12 with rint(v * 10^d) /
     10^d == v for every cell v of the row. For a float v of a decimal of at
@@ -163,9 +89,8 @@ def _decimal_units(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rint recovers them and the division rounds them back to v; for any
     other float the test fails, since decimals of 12 places or fewer lie
     10^-12 apart or more, too far to share a float. So a cell written with
-    at most 12 places gives its written value, and a table of records,
-    which hold floats only, gets the units its CSV gets; and ``units /
-    10**scale`` (the correctly rounded quotient) is each cell's float again.
+    at most 12 places gives its written value, and ``units / 10**scale``
+    (the correctly rounded quotient) is each cell's float again.
     """
     scale = np.full(len(cells), _MAX_DECIMALS, dtype=np.int8)  # a row at 12 is still open below it
     trial = np.empty_like(cells)  # one buffer for every trial: allocation costs more than the arithmetic
@@ -178,15 +103,18 @@ def _decimal_units(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.rint(trial, out=trial).astype(np.int64), scale
 
 
-class _Table(NamedTuple):
-    """A registry as columns, one row per firm-year, in row order.
+@dataclass(frozen=True, eq=False)
+class Registry:
+    """A firm-year registry as columns, one row per firm-year, in row order;
+    ``len`` is its row count.
 
     ``units`` is an (N x 11) int64 block of each row's exact decimal units
     at 10^``scale``: ten shares, descending, with 0 for absent holders, then
     the meeting share, 0 where ``has_meeting`` is False (``_decimal_units``).
     ``count`` is each row's holder count. ``board`` and ``ownership`` index
-    BOARDS and OWNERSHIPS. ``firm_id`` and ``n_meetings`` (None where blank)
-    are lists. A value's float is ``units / 10**scale``.
+    BOARDS and OWNERSHIPS. ``year`` is int64, or an object column of Python
+    ints where a year does not fit. ``firm_id`` and ``n_meetings`` (None
+    where blank) are lists. A value's float is ``units / 10**scale``.
     """
 
     year: np.ndarray
@@ -199,111 +127,80 @@ class _Table(NamedTuple):
     units: np.ndarray
     scale: np.ndarray
 
-    def take(self, index: np.ndarray) -> _Table:
+    def __len__(self) -> int:
+        return len(self.firm_id)
+
+    def columns(self) -> list:
+        """The columns, in field order."""
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def take(self, index: np.ndarray) -> Registry:
         """The rows at ``index``, in that order."""
         rows = index.tolist()
-        return _Table(*(c[index] if isinstance(c, np.ndarray) else [c[i] for i in rows] for c in self))
+        return Registry(*(c[index] if isinstance(c, np.ndarray) else [c[i] for i in rows] for c in self.columns()))
 
     def floats(self, index=slice(None)) -> np.ndarray:
         """The float64 block of the shares and meeting share of the rows at ``index``."""
         return self.units[index] / _POW10[self.scale[index]][:, None]
 
-    def records(self) -> list[FirmYearRecord]:
-        return [
-            FirmYearRecord._checked(firm_id=firm_id, year=year, board=BOARDS[board], ownership=OWNERSHIPS[ownership],
-                                    shares=tuple(values[:n]), meeting_share=values[MAX_HOLDERS] if has else None,
-                                    n_meetings=n_meetings)
-            for year, board, ownership, firm_id, n, has, n_meetings, values in zip(
-                *(c.tolist() if isinstance(c, np.ndarray) else c for c in self[:-2]), self.floats().tolist())
-        ]
-
-    @classmethod
-    def from_records(cls, records: Iterable[FirmYearRecord]) -> _Table:
-        """The table of records, which passed the rules when they were built."""
-        records = list(records)
-        pad = [(0.0,) * (MAX_HOLDERS - n) for n in range(MAX_HOLDERS + 1)]
-        cells = np.array([r.shares + pad[len(r.shares)] + (r.meeting_share or 0.0,) for r in records], dtype=float)
-        units, scale = _decimal_units(cells.reshape(-1, MAX_HOLDERS + 1))
-        return cls(
-            year=_int_column([r.year for r in records]),
-            board=np.array([_BOARD_CODES[r.board] for r in records], dtype=np.int64),
-            ownership=np.array([_OWNERSHIP_CODES[r.ownership] for r in records], dtype=np.int64),
-            firm_id=[r.firm_id for r in records],
-            count=np.array([len(r.shares) for r in records], dtype=np.int64),
-            has_meeting=np.array([r.meeting_share is not None for r in records], dtype=bool),
-            n_meetings=[r.n_meetings for r in records],
-            units=units,
-            scale=scale,
-        )
-
-
-def ingest_csv(source) -> list[FirmYearRecord]:
-    """Read and validate a registry CSV (path or open text handle).
-
-    Any invalid row raises DataError listing every problem with its file
-    line number.
-    """
-    return _ingest_table(source).records()
-
-
-def _ingest_table(source) -> _Table:
-    """``ingest_csv``'s rows as one column table."""
-    if hasattr(source, "read"):
-        return _read_table(source, getattr(source, "name", "input"))
-    with open(source, newline="", encoding="utf-8-sig") as handle:
-        return _read_table(handle, source)
-
 
 # Rows read, parsed and checked at a time, so only one chunk's cells are
 # held at once. Over three registry-10k CLI reports, peak RSS was 45.6 MB
-# with 512-row chunks and 48.0 MB with 2048 (46.6 MB reading row by row
-# into records), with no measured difference in ingest time.
+# with 512-row chunks and 48.0 MB with 2048 (46.6 MB reading row by row),
+# with no measured difference in ingest time.
 _CHUNK_ROWS = 512
 
 
-def _read_table(handle, name: str) -> _Table:
-    """The registry of an open CSV handle; ``name`` names it in the error of
-    a row the CSV reader cannot split, which stops the read."""
-    reader = csv.reader(handle)
-    try:
-        header = next(reader, None)
-    except csv.Error as exc:
-        raise DataError(f"{name} line 1: {exc}") from None
-    if header is None:
-        raise DataError("empty file, no header row")
-    columns = {column: i for i, column in enumerate(header)}  # a repeated name: the last wins
-    missing = [c for c in CSV_COLUMNS if c not in columns]
-    if missing:
-        raise DataError(f"missing required columns: {', '.join(missing)}")
-    index = [columns[c] for c in CSV_COLUMNS]
-    parts = [_Table.from_records([])]  # typed columns even for a file without rows
-    problems: list[str] = []
-    line = reader.line_num
-    while True:
-        rows, lines, unsplit = [], [], None
+def ingest_csv(source) -> Registry:
+    """Read and validate a registry CSV (path or open text handle).
+
+    Any invalid row raises DataError listing every problem with its file
+    line number. A row the CSV reader cannot split stops the read with an
+    error naming the file (a handle's name, else "input") and the line.
+    """
+    own = not hasattr(source, "read")
+    name = source if own else getattr(source, "name", "input")
+    with open(source, newline="", encoding="utf-8-sig") if own else contextlib.nullcontext(source) as handle:
+        reader = csv.reader(handle)
         try:
-            for row in reader:
-                line = reader.line_num
-                if row:  # blank lines are skipped, however many
-                    rows.append(row)
-                    lines.append(line)
-                    if len(rows) == _CHUNK_ROWS:
-                        break
+            header = next(reader, None)
         except csv.Error as exc:
-            # the record that cannot be split starts after the last one read
-            unsplit = f"{name} line {line + 1}: {exc}"
-        if rows:
+            raise DataError(f"{name} line 1: {exc}") from None
+        if header is None:
+            raise DataError("empty file, no header row")
+        columns = {column: i for i, column in enumerate(header)}  # a repeated name: the last wins
+        missing = [c for c in CSV_COLUMNS if c not in columns]
+        if missing:
+            raise DataError(f"missing required columns: {', '.join(missing)}")
+        index = [columns[c] for c in CSV_COLUMNS]
+        parts = []
+        problems: list[str] = []
+        line = reader.line_num
+        while True:
+            rows, lines, unsplit = [], [], None
+            try:
+                for row in reader:
+                    line = reader.line_num
+                    if row:  # blank lines are skipped, however many
+                        rows.append(row)
+                        lines.append(line)
+                        if len(rows) == _CHUNK_ROWS:
+                            break
+            except csv.Error as exc:
+                # the record that cannot be split starts after the last one read
+                unsplit = f"{name} line {line + 1}: {exc}"
+            # a chunk without rows still gives typed columns, for a file without rows
             part, bad = _parse_chunk(rows, index, len(header))
             parts.append(part)
             problems += [f"row {lines[i]}: {message}" for i, message in sorted(bad.items())]
-        if unsplit:
-            problems.append(unsplit)
-        if unsplit or len(rows) < _CHUNK_ROWS:  # the reader stopped
-            break
+            if unsplit:
+                problems.append(unsplit)
+            if unsplit or len(rows) < _CHUNK_ROWS:  # the reader stopped
+                break
     if problems:
         raise DataError("; ".join(problems))
-    return _Table(*(np.concatenate(c) if isinstance(c[0], np.ndarray) else list(itertools.chain(*c))
-                    for c in zip(*parts)))
+    return Registry(*(np.concatenate(c) if isinstance(c[0], np.ndarray) else list(itertools.chain(*c))
+                      for c in zip(*(part.columns() for part in parts))))
 
 
 _REQUIRED = object()  # blank cells are parsed too, and so rejected
@@ -366,9 +263,10 @@ def _stripped(cells: Sequence[str]) -> tuple[Sequence[str], str]:
     return cells, ",".join(cells)
 
 
-def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int) -> tuple[_Table, dict[int, str]]:
-    """A chunk's rows as a table, and the problem of each invalid row by its
-    position in the chunk (the table is of use only when there is none).
+def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int) -> tuple[Registry, dict[int, str]]:
+    """A chunk's rows as a registry, and the problem of each invalid row by
+    its position in the chunk (the registry is of use only when there is
+    none).
 
     A row's problem is the first one met in the order its cells are read:
     the cell count, year, the share cells left to right (a value after a
@@ -394,7 +292,7 @@ def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int
     if short.any():  # a short row is read as blanks, and rejected
         flag(short, lambda i: f"{lengths[i]} cells, the header has {width}")
         rows = [[""] * width if s else row for row, s in zip(rows, short.tolist())]
-    columns = list(zip(*rows))
+    columns = list(zip(*rows)) or [()] * width  # typed empty columns for a chunk without rows
     firm_id, years, boards, ownerships, *share_cells, meeting_cells, count_cells = (columns[i] for i in index)
     firm_id, boards, ownerships = (_stripped(cells)[0] for cells in (firm_id, boards, ownerships))
     # number cells: (cells, whether all are plain); nearly always every cell
@@ -446,30 +344,35 @@ def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int
         values[i, : count[i]] = sorted(values[i, : count[i]].tolist(), reverse=True)
 
     board = np.fromiter(map(_BOARD_CODES.get, boards, itertools.repeat(-1)), np.int64, len(boards))
-    flag(_BOARD.test(board), lambda i: _BOARD.message.format(board=boards[i]))
+    flag(board < 0, lambda i: f"unknown board {boards[i]!r}")
     ownership = np.fromiter(map(_OWNERSHIP_CODES.get, ownerships, itertools.repeat(-1)), np.int64, len(ownerships))
-    flag(_OWNERSHIP.test(ownership), lambda i: _OWNERSHIP.message.format(ownership=ownerships[i]))
-    flag(_COUNT.test(count), lambda i: _COUNT.message.format(count=int(count[i])))
-    bad = _SHARE.test(values) & held
-    flag(bad.any(axis=1), lambda i: _SHARE.message.format(share=values[i, np.argmax(bad[i])].item()))
-    flag((_RISE.test(values[:, :-1], values[:, 1:]) & pairs).any(axis=1), lambda i: _RISE.message)
+    flag(ownership < 0, lambda i: f"unknown ownership {ownerships[i]!r}")
+    # a share that did not parse is nan, which fails both comparisons
+    bad = ~((values > 0.0) & (values <= 1.0)) & held
+    flag(bad.any(axis=1), lambda i: f"share {values[i, np.argmax(bad[i])].item()!r} outside (0, 1]; "
+                                    "absent holders are omitted")
     # a row with a bad share is rejected already, as is one with a bad
     # meeting share; zeroing them keeps the units finite
-    cells = np.column_stack((np.where(bad.any(axis=1)[:, None], 0.0, values),
-                             np.where(_MEETING.test(meeting), 0.0, meeting)))
-    off = _UNITS.test(cells)
-    flag(off[:, :MAX_HOLDERS].any(axis=1), lambda i: _UNITS.message.format(value=cells[i, np.argmax(off[i])].item()))
+    wide = ~((meeting >= 0.0) & (meeting <= 1.0))
+    cells = np.column_stack((np.where(bad.any(axis=1)[:, None], 0.0, values), np.where(wide, 0.0, meeting)))
+    # a value in [0, 1] that is not the float of a decimal of at most 12
+    # places: rint(v * 10^12) / 10^12 is such a float (see _decimal_units)
+    off = np.rint(cells * 10.0**_MAX_DECIMALS) / 10.0**_MAX_DECIMALS != cells
+    places = f"is not a decimal of at most {_MAX_DECIMALS} places"
+    flag(off[:, :MAX_HOLDERS].any(axis=1), lambda i: f"{cells[i, np.argmax(off[i])].item()!r} {places}")
     units, scale = _decimal_units(cells)
     # the exact decimal total, correctly rounded
-    flag(_TOTAL.test(units[:, :MAX_HOLDERS].sum(axis=1) / _POW10[scale]), lambda i: _TOTAL.message)
-    flag(_MEETING.test(meeting) & has_meeting, lambda i: _MEETING.message.format(meeting_share=meeting[i].item()))
-    flag(off[:, MAX_HOLDERS], lambda i: _UNITS.message.format(value=meeting[i].item()))
-    flag(_N_MEETINGS.test(_int_column([m or 0 for m in n_meetings])), lambda i: _N_MEETINGS.message)
-    return _Table(_int_column(year), board, ownership, firm_id, count, has_meeting, n_meetings, units, scale), problems
+    flag(units[:, :MAX_HOLDERS].sum(axis=1) / _POW10[scale] > 1.0 + SHARE_SUM_TOL,
+         lambda i: "shares sum above total equity")
+    flag(wide & has_meeting, lambda i: f"meeting share {meeting[i].item()!r} outside [0, 1]")
+    flag(off[:, MAX_HOLDERS], lambda i: f"{meeting[i].item()!r} {places}")
+    # the holder count is 1..10 and the shares descend by construction, and
+    # n_meetings is digits alone, so no rule remains for them
+    return Registry(_int_column(year), board, ownership, firm_id, count, has_meeting, n_meetings, units, scale), problems
 
 
-def emit_csv(records: Iterable[FirmYearRecord], dest) -> None:
-    """Write records in the registry schema; inverse of ingest_csv."""
+def emit_csv(registry: Registry, dest) -> None:
+    """Write a registry in the CSV schema; inverse of ingest_csv."""
     # the shortest decimal that reads as the value, without an exponent: "1" for 1.0
     text = functools.partial(np.format_float_positional, trim="-")
     own = not hasattr(dest, "write")
@@ -477,17 +380,11 @@ def emit_csv(records: Iterable[FirmYearRecord], dest) -> None:
     try:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        for rec in records:
-            shares = [text(s) for s in rec.shares]
-            shares += [""] * (MAX_HOLDERS - len(shares))
-            writer.writerow(
-                [rec.firm_id, rec.year, rec.board, rec.ownership]
-                + shares
-                + [
-                    "" if rec.meeting_share is None else text(rec.meeting_share),
-                    "" if rec.n_meetings is None else rec.n_meetings,
-                ]
-            )
+        columns = (c.tolist() if isinstance(c, np.ndarray) else c for c in registry.columns()[:-2])
+        for year, board, ownership, firm_id, n, has, n_meetings, values in zip(*columns, registry.floats().tolist()):
+            writer.writerow([firm_id, year, BOARDS[board], OWNERSHIPS[ownership], *map(text, values[:n]),
+                             *[""] * (MAX_HOLDERS - n), text(values[MAX_HOLDERS]) if has else "",
+                             "" if n_meetings is None else n_meetings])
     finally:
         if own:
             handle.close()
@@ -545,13 +442,8 @@ class SynthConfig:
         return "outcomes" if self.pdf is not None else "registry"
 
 
-def synth_registry(config: SynthConfig) -> list[FirmYearRecord]:
-    """The records of ``_synth_table(config)``, a registry with the configured yearly moments."""
-    return _synth_table(config).records()
-
-
-def _synth_table(config: SynthConfig) -> _Table:
-    """The synthetic registry as one column table, deterministic for a given config.
+def synth_registry(config: SynthConfig) -> Registry:
+    """A registry with the configured yearly moments, deterministic for a given config.
 
     Each year draws for all its firms at once, in this order: the leading
     share ``top1`` (a clipped normal), the co-holders' total ``rest`` (a
@@ -586,7 +478,7 @@ def _synth_table(config: SynthConfig) -> _Table:
     units = np.floor(np.hstack([cap, np.sort(p, axis=1)[:, ::-1]]) * _POW10[_SYNTH_DECIMALS]).astype(np.int64)
     meeting = np.floor(np.clip(noise * units.sum(axis=1), 0.0, _POW10[_SYNTH_DECIMALS])).astype(np.int64)
     board, ownership = config.group
-    return _Table(
+    return Registry(
         year=_int_column([year for year in config.years for _ in range(firms)]),
         board=np.full(len(top1), _BOARD_CODES[board]),
         ownership=np.full(len(top1), _OWNERSHIP_CODES[ownership]),

@@ -2,7 +2,7 @@
 group, Fourier and normal fits, oscillation-prediction diagnostics,
 macro correlations, and machine-readable report emission.
 
-The pipeline is a pure function of its inputs: records are canonically
+The pipeline is a pure function of its inputs: rows are canonically
 sorted before any aggregation, every random element lives in the seeded
 generators of the dataset module, and reports serialize with sorted keys,
 so identical inputs give byte-identical outputs.
@@ -27,13 +27,12 @@ from .dataset import (
     OWNERSHIPS,
     TOP1_FILTER_LIMIT,
     DataError,
-    FirmYearRecord,
     GroupKey,
+    Registry,
     SynthConfig,
     _POW10,
-    _Table,
-    _synth_table,
     synth_outcomes,
+    synth_registry,
 )
 from .evolution import wave_eval
 from .fitting import (
@@ -124,7 +123,7 @@ def _power_fields(values: np.ndarray, cuts: Sequence[int]) -> list[dict]:
     ]
 
 
-def _group_stats(rows: _Table, spi_mode: str) -> list[YearStats]:
+def _group_stats(rows: Registry, spi_mode: str) -> list[YearStats]:
     """Per-year aggregates of one group's year-ordered rows (each year one
     contiguous run). In the games of the three modes, top9 is the first nine
     holders, top10 all ten and top11 the ten plus the meeting attendance
@@ -241,7 +240,7 @@ class PipelineConfig:
         if not 0 < self.h < math.inf:
             raise ValueError("h must be positive and finite")
         # before any work; a default range needs a group's span, so run_pipeline
-        # checks it once the records are grouped
+        # checks it once the rows are grouped
         check_period_grid(self.period_range, self.grid_step)
 
 
@@ -434,7 +433,7 @@ def build_report(
     return Report(version=__version__, provenance=prov, groups=groups)
 
 
-def _sort_order(table: _Table) -> np.ndarray:
+def _sort_order(table: Registry) -> np.ndarray:
     """The row order of a stable sort by (year, board, ownership, firm_id,
     shares). The zero padding sorts a shorter share list before a longer
     one it begins, as tuples do, because every share is above 0. firm_id
@@ -474,7 +473,7 @@ def _int_stream(values: Sequence[int]) -> np.ndarray:
                         dtype=object)
 
 
-def _records_digest(table: _Table, order: np.ndarray) -> str:
+def _records_digest(table: Registry, order: np.ndarray) -> str:
     """SHA-256 over the row count and one SHA-256 per field stream, in this
     order: year, board code, ownership code, holder count, the zero-padded
     share block, the meeting-share flag, the meeting share, the n_meetings
@@ -505,12 +504,12 @@ def _records_digest(table: _Table, order: np.ndarray) -> str:
 
 
 def run_pipeline(
-    source: Sequence[FirmYearRecord] | SynthConfig,
+    source: Registry | SynthConfig,
     config: PipelineConfig | None = None,
 ) -> Report:
-    """Run the full procedure on a record set or a synthetic config.
+    """Run the full procedure on a registry or a synthetic config.
 
-    Records are filtered to contested firms, grouped, aggregated per year,
+    Rows are filtered to contested firms, grouped, aggregated per year,
     and fitted; outcome-mode configs skip straight from power draws to the
     yearly ratios. Output is invariant under input row order.
     """
@@ -539,10 +538,9 @@ def run_pipeline(
             _check_period_grid(fitted, config)
             draws = synth_outcomes(source)
             return build_report({source.group: _draws_stats(draws)}, config, provenance)
-        table = _synth_table(source)
+        table = synth_registry(source)
     else:
-        # the CLI passes the table it read; records are tabled here
-        table = source if isinstance(source, _Table) else _Table.from_records(source)
+        table = source
     order = _sort_order(table)
     if not isinstance(source, SynthConfig):
         provenance = {"input_digest": _records_digest(table, order), "seed": None}

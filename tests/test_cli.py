@@ -16,6 +16,7 @@ import pytest
 from controlpower import cli, dataset
 from controlpower.cli import main
 from controlpower.pipeline import PipelineConfig, run_pipeline
+from registry_rows import rows_of
 
 GOLDEN_REGISTRY = Path(__file__).parent / "data" / "golden_registry.csv"
 # 42 share lists of 1-20 players at 2-6 decimals, with planted exact-half
@@ -137,10 +138,9 @@ def reference_registry(path):
 
 
 def table_registry(path):
-    """``dataset._ingest_table(path)``'s rows in ``_reference_row``'s form."""
-    table = dataset._ingest_table(path)
-    return [(r.firm_id, r.year, r.board, r.ownership, r.shares, r.meeting_share, r.n_meetings, units, scale)
-            for r, units, scale in zip(table.records(), table.units.tolist(), table.scale.tolist())]
+    """``dataset.ingest_csv(path)``'s rows in ``_reference_row``'s form."""
+    table = dataset.ingest_csv(path)
+    return [(*row, units, scale) for row, units, scale in zip(rows_of(table), table.units.tolist(), table.scale.tolist())]
 
 
 def read_outcome(read, path):
@@ -283,6 +283,49 @@ class TestEvolve:
         values = [float(r[1]) for r in rows]
         assert values[0] == pytest.approx(7 / 12)
         assert values[2] == pytest.approx(7 / 12, abs=1e-12)
+
+    @pytest.mark.parametrize("argv, option", [
+        (["--a1", "5", "--period", "4"], "--a1"),
+        (["--b1", "0.1"], "--b1"),
+        (["--period", "4", "--h", "2"], "--period"),
+    ])
+    def test_wave_term_without_a0_is_usage_error(self, argv, option, capsys):
+        # the ideal wave of --h has no place for the term
+        assert run_cli("evolve", "wave", *argv, "--t-max", "2", capsys=capsys) == (
+            1, "", f"evolve wave: {option} needs --a0\n")
+
+    def test_h_with_a0_is_usage_error(self, capsys):
+        # the --a0 wave has no place for h
+        assert run_cli("evolve", "wave", "--a0", "0.5", "--a1", "0.1", "--h", "3", capsys=capsys) == (
+            1, "", "evolve wave: --h is not allowed with --a0\n")
+
+    def test_wave_defaults(self, capsys):
+        # --a0 alone: a1 = b1 = 0 and period 18; nothing: the ideal wave of h = 1.5
+        args = ("--t-max", "9", "--t-step", "9")
+        assert run_cli("evolve", "wave", "--a0", "0.5", *args, capsys=capsys) == (
+            run_cli("evolve", "wave", "--a0", "0.5", "--a1", "0", "--b1", "0", "--period", "18", *args,
+                    capsys=capsys))
+        assert run_cli("evolve", "wave", *args, capsys=capsys) == run_cli("evolve", "wave", "--h", "1.5", *args,
+                                                                          capsys=capsys)
+        code, out, _ = run_cli("evolve", "wave", "--a0", "0.5", "--a1", "0.1", "--period", "4", *args, capsys=capsys)
+        assert (code, out) == (0, "step_or_t,value\n0.0,0.6\n9.0,0.5\n")
+
+    @pytest.mark.parametrize("what, option, value, limit, slow", [
+        ("ratios", "--k", 10**4, "10^4 states", "ratio_sequence"),
+        ("walk", "--operations", 10**6, "10^6 operations", "collapse_walk"),
+    ])
+    def test_evolve_size_is_checked_before_any_work(self, what, option, value, limit, slow, monkeypatch, capsys):
+        # the time of --k grows faster than k^2, and a walk's with its operations
+        def fail(*args, **kwargs):
+            raise AssertionError("the sequence was made before its size was checked")
+
+        monkeypatch.setattr(f"controlpower.cli.{slow}", fail)
+        seed = ["--seed", "1"] if what == "walk" else []
+        assert run_cli("evolve", what, option, str(value + 1), *seed, capsys=capsys) == (
+            2, "", f"controlpower: {option} gives more than {limit}\n")
+        # at the limit the check passes and the work starts
+        with pytest.raises(AssertionError, match="before its size was checked"):
+            main(["evolve", what, option, str(value), *seed])
 
     @pytest.mark.parametrize("bounds", [
         (["--t-step", "0"], 2), (["--t-step", "-1"], 1), (["--t-step", "nan"], 1), (["--t-step", "inf"], 1),
@@ -572,8 +615,8 @@ class TestPipeline:
         assert len(years) == 12
 
     def test_default_synth_matches_its_registry_csv(self, tmp_path, capsys):
-        # the column table of --synth default and the records `synth registry`
-        # writes are one registry: the same bytes in every format, but for the
+        # the registry of --synth default and the CSV `synth registry` writes
+        # of it are one registry: the same bytes in every format, but for the
         # provenance's input digest and seed. At seed 5 some co-holder share
         # is below 1e-4, which repr would write with an exponent.
         for seed in ("3", "5"):
@@ -609,7 +652,7 @@ class TestPipeline:
         def fail(*args, **kwargs):
             raise AssertionError("a registry was read although two sources were given")
 
-        monkeypatch.setattr("controlpower.cli._ingest_table", fail)
+        monkeypatch.setattr("controlpower.cli.ingest_csv", fail)
         code, out, err = run_cli("pipeline", "--synth", "default", "--seed", "1",
                                  "--input", str(tmp_path / "x.csv"), capsys=capsys)
         assert code == 1
@@ -786,7 +829,7 @@ class TestPipeline:
         def fail(config):
             raise AssertionError("the registry was drawn before the settings were checked")
 
-        monkeypatch.setattr("controlpower.pipeline._synth_table", fail)
+        monkeypatch.setattr("controlpower.pipeline.synth_registry", fail)
         code, out, err = run_cli("pipeline", "--synth", "default", "--seed", "1", *option, capsys=capsys)
         # refused by the option's grammar, before PipelineConfig's own check (the error) can run
         assert code == 1
@@ -828,8 +871,8 @@ class TestPipeline:
             return read(*args, **kwargs)
 
         # the function the CLI reads a registry with: a good run calls it once
-        read = dataset._ingest_table
-        monkeypatch.setattr("controlpower.cli._ingest_table", reading)
+        read = dataset.ingest_csv
+        monkeypatch.setattr("controlpower.cli.ingest_csv", reading)
         code, _, err = run_cli("pipeline", "--input", str(GOLDEN_REGISTRY), "--min-sample", "5", capsys=capsys)
         assert code == 0, err
         assert len(reads) == 1
@@ -843,13 +886,12 @@ class TestPipeline:
         assert len(reads) == 1, "input was read before the grid was checked"
 
     def test_mutated_registries_match_the_record_path(self, tmp_path, capsys):
-        # 500 seeded byte mutations of the golden registry: the CLI, which
-        # reads the CSV into a column table, and run_pipeline over
-        # ingest_csv's records give the same report bytes or the same error
-        # text. A coarse grid keeps the fits cheap; both paths use it. Both
-        # read through _ingest_table, so it must also match the slow
-        # cell-by-cell reader: the same rows, units and scales, or the same
-        # error text.
+        # 500 seeded byte mutations of the golden registry: the CLI and
+        # run_pipeline over ingest_csv's registry give the same report bytes
+        # or the same error text. A coarse grid keeps the fits cheap; both
+        # paths use it. Both read through ingest_csv, so it must also match
+        # the slow cell-by-cell reader: the same rows, units and scales, or
+        # the same error text.
         golden = GOLDEN_REGISTRY.read_bytes()
         rng = random.Random(20261018)
         alphabet = b"0123456789.,-\n\r\" e_x"
@@ -937,7 +979,7 @@ class TestPipeline:
         assert all(len(c.split(".")[1]) == 6 for line in padded[1:] for c in line.split(",") if "." in c)
         path = tmp_path / "padded.csv"
         path.write_text("\n".join(padded) + "\n")
-        plain, zeros = dataset._ingest_table(str(GOLDEN_REGISTRY)), dataset._ingest_table(str(path))
+        plain, zeros = dataset.ingest_csv(str(GOLDEN_REGISTRY)), dataset.ingest_csv(str(path))
         assert np.array_equal(plain.units, zeros.units) and np.array_equal(plain.scale, zeros.scale)
         reports = [run_cli("pipeline", "--input", str(p), "--min-sample", "5", capsys=capsys)
                    for p in (GOLDEN_REGISTRY, path)]

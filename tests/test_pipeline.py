@@ -15,13 +15,11 @@ from controlpower.dataset import (
     BOARDS,
     OWNERSHIPS,
     DataError,
-    FirmYearRecord,
     GroupKey,
     MomentTarget,
+    Registry,
     SynthConfig,
     _POW10,
-    _Table,
-    _ingest_table,
     ingest_csv,
     synth_registry,
 )
@@ -37,6 +35,7 @@ from controlpower.pipeline import (
     year_stats_from_draws,
 )
 from controlpower.power_index import make_game, spi_dp, top_holder_numerators
+from registry_rows import Row, registry, rows_of
 
 MAIN_PRIVATE = GroupKey("main", "private")
 # 36 firm-years in two groups whose years and some n_meetings exceed int64
@@ -44,14 +43,7 @@ BEYOND_INT64 = Path(__file__).parent / "data" / "beyond_int64_registry.csv"
 
 
 def record(firm_id, shares, year=2001, board="main", ownership="private", meeting_share=None):
-    return FirmYearRecord(
-        firm_id=firm_id,
-        year=year,
-        board=board,
-        ownership=ownership,
-        shares=tuple(shares),
-        meeting_share=meeting_share,
-    )
+    return Row(firm_id, year, board, ownership, tuple(shares), meeting_share)
 
 
 def registry_config(**overrides):
@@ -67,8 +59,9 @@ def registry_config(**overrides):
 
 
 def cell_stats(records, spi_mode="top10"):
-    """The one year of the report on records of one (group, year) cell."""
-    (group,) = run_pipeline(records, PipelineConfig(min_sample=1, spi_mode=spi_mode)).groups.values()
+    """The one year of the report on one (group, year) cell: a registry, or rows."""
+    source = records if isinstance(records, Registry) else registry(records)
+    (group,) = run_pipeline(source, PipelineConfig(min_sample=1, spi_mode=spi_mode)).groups.values()
     (stats,) = group.years
     return stats
 
@@ -227,11 +220,11 @@ class TestYearStatsFromDraws:
         assert powers[0] < 1.0 and powers[1] == 1.0
         assert 0 < sum(v == 1.0 for v in powers) < len(powers) - 2
 
-        from_records = cell_stats(recs)
+        from_rows = cell_stats(recs)
         from_draws = year_stats_from_draws(2001, powers)
         for name in ("r_spi_1", "spi_lt1_mean", "spi_lt1_sd", "spi_lt1_band", "n_spi_lt1"):
-            assert getattr(from_records, name) == getattr(from_draws, name), name
-        assert from_records.spi_lt1_band is not None
+            assert getattr(from_rows, name) == getattr(from_draws, name), name
+        assert from_rows.spi_lt1_band is not None
 
 
 class TestYearStatsValidation:
@@ -270,12 +263,12 @@ class TestPipelineConfig:
 
 class TestRunPipeline:
     def test_row_order_invariance(self):
-        records = synth_registry(registry_config())
+        table = synth_registry(registry_config())
         config = PipelineConfig(min_sample=40)
-        report_a = run_pipeline(records, config)
-        shuffled = records[:]
-        random.Random(99).shuffle(shuffled)
-        report_b = run_pipeline(shuffled, config)
+        report_a = run_pipeline(table, config)
+        shuffled = np.random.default_rng(99).permutation(len(table))
+        assert not (shuffled == np.arange(len(table))).all()
+        report_b = run_pipeline(table.take(shuffled), config)
         assert report_a.to_json() == report_b.to_json()
 
     def test_workers_do_not_change_output(self):
@@ -283,16 +276,6 @@ class TestRunPipeline:
         base = run_pipeline(source, PipelineConfig(min_sample=40, workers=1))
         parallel = run_pipeline(source, PipelineConfig(min_sample=40, workers=4))
         assert base.to_json() == parallel.to_json()
-
-    def test_synthetic_registry_builds_no_records(self, monkeypatch):
-        def fail(*args, **kwargs):
-            raise AssertionError("a record was built")
-
-        monkeypatch.setattr(_Table, "from_records", classmethod(fail))
-        monkeypatch.setattr(FirmYearRecord, "__post_init__", fail)
-        monkeypatch.setattr(FirmYearRecord, "_checked", classmethod(fail))
-        report = run_pipeline(registry_config(), PipelineConfig(min_sample=40))
-        assert MAIN_PRIVATE in report.groups
 
     @pytest.mark.parametrize("change", [
         {"top1": MomentTarget(0.31, 0.10)},
@@ -345,19 +328,19 @@ class TestRunPipeline:
 
     def test_filter_applies(self):
         recs = [record("f1", (0.55, 0.1)), *(record(f"g{i}", (0.3, 0.1)) for i in range(6))]
-        report = run_pipeline(recs, PipelineConfig(min_sample=5))
+        report = run_pipeline(registry(recs), PipelineConfig(min_sample=5))
         assert report.groups[MAIN_PRIVATE].years[0].n_sample == 6
 
     def test_all_filtered_is_error(self):
         with pytest.raises(DataError):
-            run_pipeline([record("f1", (0.6, 0.1))], PipelineConfig(min_sample=1))
+            run_pipeline(registry([record("f1", (0.6, 0.1))]), PipelineConfig(min_sample=1))
 
     def test_multiple_groups_reported_separately(self):
         main = synth_registry(registry_config(firms_per_year=50))
         gem = synth_registry(
             registry_config(firms_per_year=50, seed=5, group=GroupKey("sme_gem", "state"))
         )
-        report = run_pipeline(main + gem, PipelineConfig(min_sample=30))
+        report = run_pipeline(registry(rows_of(main) + rows_of(gem)), PipelineConfig(min_sample=30))
         assert set(report.groups) == {MAIN_PRIVATE, GroupKey("sme_gem", "state")}
         for group_report in report.groups.values():
             assert "r_spi_1" in group_report.fits
@@ -405,8 +388,8 @@ def random_registry(seed, blank_meeting=0.15):
                     units = [max(1, u * 9500 // total) for u in units] if total > 9500 else units
                 shares = tuple(u / 10_000 for u in units)
                 meeting = None if rng.random() < blank_meeting else round(rng.uniform(0.1, 1.0), 4)
-                records.append(FirmYearRecord(f"{group.board}-{group.ownership}-{year}-{i:02d}", year,
-                                              group.board, group.ownership, shares, meeting))
+                records.append(Row(f"{group.board}-{group.ownership}-{year}-{i:02d}", year,
+                                   group.board, group.ownership, shares, meeting))
     return records
 
 
@@ -418,30 +401,32 @@ def per_cell_stats(records, spi_mode):
     for rec in sorted(records, key=lambda r: (r.board, r.ownership, r.year, r.firm_id)):
         if rec.shares[0] < 0.5:
             cells.setdefault(GroupKey(rec.board, rec.ownership), {}).setdefault(rec.year, []).append(rec)
-    return {g: tuple(pipeline._group_stats(_Table.from_records(cell), spi_mode)[0] for cell in by_year.values())
+    return {g: tuple(pipeline._group_stats(registry(cell), spi_mode)[0] for cell in by_year.values())
             for g, by_year in cells.items()}
 
 
 class TestInputDigest:
-    """provenance["input_digest"] of a record set: one SHA-256 over the sorted
-    records' fields, so it ignores row order and how a share was printed."""
+    """provenance["input_digest"] of a registry: one SHA-256 over the sorted
+    rows' fields, so it ignores row order and how a share was printed."""
 
     BASE = (
-        FirmYearRecord("f1", 2001, "main", "private", (0.3, 0.2, 0.1), 0.55, 3),
-        FirmYearRecord("f2", 2001, "main", "private", (0.25, 0.25)),
-        FirmYearRecord("f3", 2002, "sme_gem", "state", (0.4,), 0.35, 0),
+        Row("f1", 2001, "main", "private", (0.3, 0.2, 0.1), 0.55, 3),
+        Row("f2", 2001, "main", "private", (0.25, 0.25)),
+        Row("f3", 2002, "sme_gem", "state", (0.4,), 0.35, 0),
     )
 
     @staticmethod
     def digest(records):
-        return run_pipeline(list(records), PipelineConfig(min_sample=1)).provenance["input_digest"]
+        """The digest of a registry, or of rows."""
+        source = records if isinstance(records, Registry) else registry(records)
+        return run_pipeline(source, PipelineConfig(min_sample=1)).provenance["input_digest"]
 
     def test_pinned_value(self):
         # a refactor that moves this value changes every registry report's provenance
         assert self.digest(self.BASE) == "4483d83f24f2656c58005ba62151c07235c1d3cc6bd8cd04b751c15941f42793"
 
     def test_row_order_does_not_matter(self):
-        records = synth_registry(registry_config(firms_per_year=5))
+        records = rows_of(synth_registry(registry_config(firms_per_year=5)))
         shuffled = records[:]
         random.Random(7).shuffle(shuffled)
         assert shuffled != records
@@ -465,26 +450,26 @@ class TestInputDigest:
         {"shares": (0.3, 0.2, 0.15)},
     ])
     def test_each_field_of_a_record_counts(self, change):
-        changed = (dataclasses.replace(self.BASE[0], **change),) + self.BASE[1:]
+        changed = (self.BASE[0]._replace(**change),) + self.BASE[1:]
         assert self.digest(changed) != self.digest(self.BASE)
 
     @pytest.mark.parametrize("change", [{"meeting_share": 0.0}, {"n_meetings": 0}])
     def test_none_differs_from_zero(self, change):
-        changed = self.BASE[:1] + (dataclasses.replace(self.BASE[1], **change),) + self.BASE[2:]
+        changed = self.BASE[:1] + (self.BASE[1]._replace(**change),) + self.BASE[2:]
         assert self.digest(changed) != self.digest(self.BASE)
 
     def test_field_boundaries_count(self):
         # year 2001 with no meeting count and year 200 with 1 meeting join to
         # the same text; the length prefixes keep the records apart
-        a = dataclasses.replace(self.BASE[1], year=2001, n_meetings=None)
-        b = dataclasses.replace(self.BASE[1], year=200, n_meetings=1)
+        a = self.BASE[1]._replace(year=2001, n_meetings=None)
+        b = self.BASE[1]._replace(year=200, n_meetings=1)
         assert f"{a.year}{a.n_meetings or ''}" == f"{b.year}{b.n_meetings}"
         assert self.digest([a]) != self.digest([b])
 
     def test_repeated_firm_years_in_any_order(self):
         # rows that repeat (year, board, ownership, firm_id) are ordered by
         # their shares, a list before a longer one it begins
-        rows = [dataclasses.replace(self.BASE[0], shares=shares)
+        rows = [self.BASE[0]._replace(shares=shares)
                 for shares in ((0.3, 0.2), (0.3, 0.2, 0.1), (0.25,), (0.3, 0.2, 0.05))]
         digests = {self.digest(rows[k:] + rows[:k]) for k in range(len(rows))}
         assert digests == {self.digest(rows[::-1])} and len(digests) == 1
@@ -493,33 +478,37 @@ class TestInputDigest:
     def test_sort_order_is_the_record_sort(self, seed):
         rng = random.Random(seed)
         records = [
-            FirmYearRecord(rng.choice(["f1", "f2", "f10", "f1\x00"]), rng.choice([2001, 2002]), rng.choice(BOARDS),
-                           rng.choice(OWNERSHIPS), rng.choice([(0.3,), (0.3, 0.2), (0.3, 0.2, 0.1), (0.25, 0.2)]),
-                           rng.choice([None, 0.4]))
+            Row(rng.choice(["f1", "f2", "f10", "f1\x00"]), rng.choice([2001, 2002]), rng.choice(BOARDS),
+                rng.choice(OWNERSHIPS), rng.choice([(0.3,), (0.3, 0.2), (0.3, 0.2, 0.1), (0.25, 0.2)]),
+                rng.choice([None, 0.4]))
             for _ in range(300)
         ]
         expected = sorted(range(len(records)), key=lambda i: (
             records[i].year, records[i].board, records[i].ownership, records[i].firm_id, records[i].shares))
-        assert pipeline._sort_order(_Table.from_records(records)).tolist() == expected
+        # the ids reach the table past the CSV, whose reader refuses NUL on Python 3.10
+        table = dataclasses.replace(registry(r._replace(firm_id="f") for r in records),
+                                    firm_id=[r.firm_id for r in records])
+        assert pipeline._sort_order(table).tolist() == expected
 
     def test_year_beyond_int64(self):
-        far = dataclasses.replace(self.BASE[0], year=10**20)
-        farther = dataclasses.replace(self.BASE[0], year=10**20 + 1)
+        far = self.BASE[0]._replace(year=10**20)
+        farther = self.BASE[0]._replace(year=10**20 + 1)
         assert self.digest([far]) != self.digest([farther])
 
     def test_beyond_int64_registry_is_pinned(self):
         # year and n_meetings sit in object columns, which are hashed as
         # length-prefixed decimal text, never as their pointer bytes
-        table = _ingest_table(BEYOND_INT64)
+        table = ingest_csv(BEYOND_INT64)
         assert table.year.dtype == object and max(m or 0 for m in table.n_meetings) > 2**63
         digest = "eed67edcee35b66e765474d1e048c60d8ec26583fcfd9364ef87407c59b2a198"
-        assert run_pipeline(table, PipelineConfig(min_sample=1)).provenance["input_digest"] == digest
-        assert self.digest(ingest_csv(str(BEYOND_INT64))) == digest
+        assert self.digest(table) == digest
+        # its rows written out and read back
+        assert self.digest(rows_of(table)) == digest
 
     def test_firm_id_boundaries_count(self):
         # "ab" + "c" and "a" + "bc" join to the same bytes; their lengths differ
-        first = [dataclasses.replace(self.BASE[1], firm_id=f) for f in ("ab", "c")]
-        second = [dataclasses.replace(self.BASE[1], firm_id=f) for f in ("a", "bc")]
+        first = [self.BASE[1]._replace(firm_id=f) for f in ("ab", "c")]
+        second = [self.BASE[1]._replace(firm_id=f) for f in ("a", "bc")]
         assert self.digest(first) != self.digest(second)
 
     @staticmethod
@@ -546,18 +535,15 @@ class TestInputDigest:
 
     def test_matches_the_documented_streams(self):
         # non-ASCII ids are counted in bytes: "ü" is one character and two bytes
-        records = self.BASE + (dataclasses.replace(self.BASE[0], firm_id="fü-株"),
-                               dataclasses.replace(self.BASE[1], firm_id="ü"))
+        records = self.BASE + (self.BASE[0]._replace(firm_id="fü-株"), self.BASE[1]._replace(firm_id="ü"))
         assert self.digest(records) == self.documented_digest(records)
         assert self.digest(self.BASE) == self.documented_digest(self.BASE)
 
     def test_chunk_size_does_not_matter(self, monkeypatch):
-        records = synth_registry(registry_config(firms_per_year=5))
-        table = _ingest_table(BEYOND_INT64)
-        whole = self.digest(records), run_pipeline(table, PipelineConfig(min_sample=1)).provenance["input_digest"]
+        tables = synth_registry(registry_config(firms_per_year=5)), ingest_csv(BEYOND_INT64)
+        whole = [self.digest(table) for table in tables]
         monkeypatch.setattr(pipeline, "_DIGEST_ROWS", 1)
-        assert (self.digest(records),
-                run_pipeline(table, PipelineConfig(min_sample=1)).provenance["input_digest"]) == whole
+        assert [self.digest(table) for table in tables] == whole
 
 
 class TestBatchedPowers:
@@ -572,7 +558,7 @@ class TestBatchedPowers:
         assert any(r.meeting_share is None for r in records) == (spi_mode != "top11")
         assert any(2 * r.shares[0] == pytest.approx(math.fsum(r.shares)) for r in records)
         random.Random(seed).shuffle(records)
-        report = run_pipeline(records, PipelineConfig(spi_mode=spi_mode, min_sample=1))
+        report = run_pipeline(registry(records), PipelineConfig(spi_mode=spi_mode, min_sample=1))
         expected = per_cell_stats(records, spi_mode)
         assert len(expected) >= 2
         assert {g: r.years for g, r in report.groups.items()} == expected
@@ -607,10 +593,10 @@ class TestBatchedPowers:
             # attendance below, at or just above the top-10 total, or well above it
             meeting = rng.choice([None, round(rng.uniform(0.0, total), 4), round(total + rng.choice([0.0, 1e-4]), 4),
                                   round(rng.uniform(total, 1.0), 4)])
-            records.append(FirmYearRecord(f"f{year}", year, "main", "private", shares, meeting))
+            records.append(Row(f"f{year}", year, "main", "private", shares, meeting))
             rows.append(units + [0] * (10 - n))
             attended.append(0 if meeting is None else round(meeting * 10_000))
-        table = _Table.from_records(records)
+        table = registry(records)
         has = table.has_meeting
         units = np.array(rows)
         # the table holds the same units, at 10^scale <= 10^4
@@ -652,7 +638,7 @@ class TestBatchedPowers:
 
         fulls = 0
         for cell in cells.values():
-            table = _Table.from_records(cell)
+            table = registry(cell)
             (stats,) = pipeline._group_stats(table, spi_mode)
             units, has = table.units[:, :10], table.has_meeting
             residual = np.maximum(table.units[:, 10] - units.sum(axis=1), 0)
@@ -673,11 +659,11 @@ class TestBatchedPowers:
         early = min((r for r in records if (r.board, r.ownership) == groups[-1]), key=lambda r: r.year)
         assert late.year > early.year
         blank = {late.firm_id, early.firm_id} | {r.firm_id for r in random.Random(seed).sample(records, 2)}
-        records = [dataclasses.replace(r, meeting_share=None) if r.firm_id in blank else r for r in records]
+        records = [r._replace(meeting_share=None) if r.firm_id in blank else r for r in records]
         with pytest.raises(DataError) as per_cell:
             per_cell_stats(records, "top11")
         with pytest.raises(DataError) as batched:
-            run_pipeline(records, PipelineConfig(spi_mode="top11", min_sample=1))
+            run_pipeline(registry(records), PipelineConfig(spi_mode="top11", min_sample=1))
         assert str(batched.value) == str(per_cell.value)
 
     @pytest.mark.parametrize("spi_mode", SPI_MODES)
@@ -693,7 +679,7 @@ class TestBatchedPowers:
             return top_holder_numerators(rows)
 
         monkeypatch.setattr(pipeline, "top_holder_numerators", counting)
-        report = run_pipeline(records, PipelineConfig(spi_mode=spi_mode, min_sample=1))
+        report = run_pipeline(registry(records), PipelineConfig(spi_mode=spi_mode, min_sample=1))
         widths = {}
         for r in records:
             if r.shares[0] < 0.5:
@@ -725,22 +711,22 @@ class TestDefaultGridFailsFast:
         self._no_power(monkeypatch)
         # in top11 mode the grid error comes before the missing meeting_share
         with pytest.raises(ValueError) as early:
-            run_pipeline(records, config)
+            run_pipeline(registry(records), config)
         assert str(early.value) == str(fit_error.value)
 
     def test_only_groups_that_are_fitted_are_checked(self):
         records = random_registry(6)
         # every year below the threshold: nothing is fitted and the grid never matters
         with pytest.raises(DataError, match="minimum sample size"):
-            run_pipeline(records, PipelineConfig(min_sample=100, grid_step=1e-9))
+            run_pipeline(registry(records), PipelineConfig(min_sample=100, grid_step=1e-9))
         # fewer than MIN_FIT_YEARS fitted years: no fit, so no grid
         short = [r for r in records if r.year < 2000 + MIN_FIT_YEARS - 1]
-        assert run_pipeline(short, PipelineConfig(min_sample=1, grid_step=1e-9)).groups
+        assert run_pipeline(registry(short), PipelineConfig(min_sample=1, grid_step=1e-9)).groups
 
     def test_explicit_range_is_left_to_the_config(self, monkeypatch):
         self._no_power(monkeypatch)
         with pytest.raises(ValueError, match="trial periods"):
-            run_pipeline(random_registry(6), PipelineConfig(period_range=(4.0, 50.0), grid_step=1e-9))
+            run_pipeline(registry(random_registry(6)), PipelineConfig(period_range=(4.0, 50.0), grid_step=1e-9))
 
 
     @staticmethod
