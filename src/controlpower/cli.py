@@ -180,9 +180,11 @@ def _cmd_spi(args) -> int:
     # v / n! is correctly rounded, as float(Fraction(v, n!)) is
     for at in range(0, len(games), _SPI_GAMES):
         batch = games[at : at + _SPI_GAMES]
+        lines = []
         for game, nums in zip(batch, profile_numerators(batch)):
             n_fact = math.factorial(game.n)
-            print(", ".join(_fmt(v / n_fact) for v in nums))
+            lines.append(", ".join([format(v / n_fact, ".4g") for v in nums]) + "\n")
+        sys.stdout.write("".join(lines))
     return 0
 
 
@@ -482,23 +484,26 @@ _COMMANDS = {
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every command, each registered with its help, with the
-    options of ``command`` alone when it names one, else of them all."""
+    """The parser of ``command`` alone when it names one, else of every
+    command, each registered with its help and options."""
     parser = _Parser(prog="controlpower", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
+    # one command's parser names all five in its usage line, so its messages
+    # are the full parser's; the full parser names its choices itself
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (summary, add_options, run) in _COMMANDS.items():
-        p = sub.add_parser(name, help=summary)
         if command in (None, name):
+            p = sub.add_parser(name, help=summary)
             add_options(p)
-        p.set_defaults(func=run)
+            p.set_defaults(func=run)
     return parser
 
 
 def main(argv=None) -> int:
     """Run the command of ``argv`` (``sys.argv[1:]`` when None) and return
-    its exit code. A first argument that names a command is the only one
-    parsed past the top level, so only its options are built; help, "--"
-    and an unknown or missing command take the full parser."""
+    its exit code. A first argument that names a command builds that
+    command's parser alone; help, "--" and an unknown or missing command
+    take the full parser."""
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser(argv[0] if argv and argv[0] in _COMMANDS else None)
     try:

@@ -541,6 +541,8 @@ def run_pipeline(
         table = synth_registry(source)
     else:
         table = source
+    if not len(table):
+        raise DataError("the registry has no rows")
     order = _sort_order(table)
     if not isinstance(source, SynthConfig):
         provenance = {"input_digest": _records_digest(table, order), "seed": None}

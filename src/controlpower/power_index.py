@@ -23,9 +23,12 @@ complement among the others carry the same weight, so one pass over the
 half of the coalitions that leave out the second player scores each pair
 at once. ``top_holder_numerators`` runs it over the leading holders of
 many share lists, ``profile_numerators`` over every player of many games
-(one batch per player count; ``spi_dp`` is its one-game case). Permutation
-and pure-Python subset enumeration are kept as independent test oracles;
-all three agree bit for bit.
+(``spi_dp`` is its one-game case): games of fewer than ``_PAD_PLAYERS``
+players in one batch, zero-padded to that width, which is exact because
+a zero weight is a null player (see ``profile_numerators``), and larger
+ones in one batch per player count. Permutation and pure-Python subset
+enumeration are kept as independent test oracles; all three agree bit
+for bit.
 
 Counts are exact integers. Weights are float64, which holds them exactly
 while 2 * total <= 2^53 (any game on the grid, and any registry row at up
@@ -87,6 +90,14 @@ _FLOAT32_EXACT = 2**24
 _FLOAT32_PLAYERS = 18
 # Games whose rotated rows profile_numerators builds at once (3.2 MB at 20 players).
 _PROFILE_GAMES = 1 << 10
+# Width at which profile_numerators counts every smaller game, zero-padded,
+# in one kernel call; a kernel call costs about the same from 2 to 8
+# players. Over ten 60-list benchmark files of 2-11 players (2-vCPU Xeon,
+# numpy 2.4, median of 30 rounds of best of 5) profile_numerators took
+# 0.56 / 0.66 / 0.81 ms padding to 8 / 9 / 10 players, against 0.95 ms with
+# one call per player count; a file of only 9-11 players, 0.98 / 0.95 /
+# 1.08 against 0.99 ms.
+_PAD_PLAYERS = 8
 
 
 @dataclass(frozen=True)
@@ -270,26 +281,56 @@ def _pivot_numerators(weights: np.ndarray) -> np.ndarray:
     return nums
 
 
+@functools.cache
+def _profile_layout(width: int) -> tuple[np.ndarray, np.ndarray]:
+    """The players of a width-player game in the order of row i (player i
+    first, the others after in order), and width!/n! for n = 0..width."""
+    rotate = np.array([[i, *range(i), *range(i + 1, width)] for i in range(width)])
+    fact = [math.factorial(n) for n in range(width + 1)]
+    return rotate, np.array([fact[width] // f for f in fact])
+
+
 def profile_numerators(games: Sequence[WeightedVotingGame]) -> list[tuple[int, ...]]:
     """n!-scaled power of every player of every game, as Python ints, in
     input order. Row i of a game is the game seen from player i (that player
-    first, the others after); each player count is counted ``_PROFILE_GAMES``
-    games at a time, so the rows alive at once do not grow with the batch.
-    Raises ValueError, before counting any game, on a game whose
-    2 * int_total exceeds 2^53, which float64 cannot count exactly."""
+    first, the others after in order).
+
+    A game of fewer than ``_PAD_PLAYERS`` players is counted at that width,
+    its rows padded with zero weights after the real players; rows are built
+    for real players only. A zero weight is a null player: it leaves every
+    power the same rational, so a row's numerator over _PAD_PLAYERS! is its
+    numerator over n! times _PAD_PLAYERS!/n!, and dividing by that factor is
+    exact. Larger games are counted at their own player count. Each width is
+    counted ``_PROFILE_GAMES`` games at a time, so the rows alive at once do
+    not grow with the batch. Raises ValueError, before counting any game, on
+    a game whose 2 * int_total exceeds 2^53, which float64 cannot count
+    exactly."""
     if any(2 * game.int_total > _FLOAT_EXACT for game in games):
         raise ValueError("twice the total integer weight exceeds 2^53")
-    sizes = np.fromiter((game.n for game in games), dtype=np.int64, count=len(games))
+    widths = [max(game.n, _PAD_PLAYERS) for game in games]
     out: list = [None] * len(games)
-    for n in set(sizes.tolist()):
-        rotate = np.array([[i, *range(i), *range(i + 1, n)] for i in range(n)])
-        indices = np.flatnonzero(sizes == n).tolist()
+    for width in set(widths):
+        rotate, factors = _profile_layout(width)
+        indices = [k for k, w in enumerate(widths) if w == width]
         for at in range(0, len(indices), _PROFILE_GAMES):
             chunk = indices[at : at + _PROFILE_GAMES]
-            weights = np.array([games[k].int_weights for k in chunk], dtype=np.float64)
-            nums = _pivot_numerators(weights[:, rotate].reshape(-1, n)).reshape(len(chunk), n)
-            for k, row in zip(chunk, nums.tolist()):
-                out[k] = tuple(row)
+            sizes = [games[k].n for k in chunk]
+            # every game above the pad width fills it; skipping the padding
+            # masks there kept a file of 9-11 player lists 8% faster
+            if width > _PAD_PLAYERS:
+                weights = np.array([games[k].int_weights for k in chunk], dtype=np.float64)
+                nums = _pivot_numerators(weights[:, rotate].reshape(-1, width))
+            else:
+                counts = np.array(sizes)
+                real = np.arange(width) < counts[:, None]  # the (game, player) slots of real players
+                weights = np.zeros((len(chunk), width))
+                weights[real] = list(itertools.chain.from_iterable(games[k].int_weights for k in chunk))
+                nums = _pivot_numerators(weights[:, rotate][real]) // np.repeat(factors[counts], counts)
+            flat = nums.tolist()
+            start = 0
+            for k, n in zip(chunk, sizes):
+                out[k] = tuple(flat[start : start + n])
+                start += n
     return out
 
 

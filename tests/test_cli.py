@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import math
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from controlpower import cli, dataset
+from controlpower import cli, dataset, power_index
 from controlpower.cli import main
 from controlpower.pipeline import PipelineConfig, run_pipeline
 from registry_rows import rows_of
@@ -180,6 +181,25 @@ class TestSpi:
         code, out, err = run_cli("spi", "--input", str(GOLDEN_SPI), capsys=capsys)
         assert code == 0, err
         assert out.encode() == GOLDEN_SPI_OUT.read_bytes()
+
+    def test_one_kernel_call_per_padded_width(self, monkeypatch, capsys):
+        # games below _PAD_PLAYERS players share one batch at that width
+        widths = []
+        count = power_index._pivot_numerators
+        monkeypatch.setattr(power_index, "_pivot_numerators", lambda w: widths.append(w.shape[1]) or count(w))
+        code, out, err = run_cli("spi", "--input", str(GOLDEN_SPI), capsys=capsys)
+        assert (code, err) == (0, "")
+        sizes = {line.count(", ") + 1 for line in out.splitlines()}
+        assert min(sizes) < power_index._PAD_PLAYERS
+        assert sorted(widths) == sorted({max(n, power_index._PAD_PLAYERS) for n in sizes})
+
+    def test_output_chunks_print_the_same_bytes(self, monkeypatch, capsys):
+        # 43 lists: 21 chunks of two and one of one
+        expected = "0.6667, 0.1667, 0.1667\n" + GOLDEN_SPI_OUT.read_text()
+        argv = ("spi", "--shares", "2,1,1", "--input", str(GOLDEN_SPI))
+        assert run_cli(*argv, capsys=capsys) == (0, expected, "")
+        monkeypatch.setattr(cli, "_SPI_GAMES", 2)
+        assert run_cli(*argv, capsys=capsys) == (0, expected, "")
 
     def test_shares_and_mixed_input_print_in_input_order(self, tmp_path, capsys):
         path = tmp_path / "games.txt"
@@ -633,6 +653,22 @@ class TestPipeline:
                 report["provenance"].pop("input_digest")
                 outputs.append((report, {p.name: p.read_bytes() for p in out.glob("*.csv")}))
             assert outputs[0] == outputs[1] and len(outputs[0][1]) > 6
+
+    def test_registry_without_rows_is_data_error(self, tmp_path, capsys):
+        header = tmp_path / "header.csv"
+        header.write_text(GOLDEN_REGISTRY.read_text().splitlines(keepends=True)[0])
+        assert run_cli("pipeline", "--input", str(header), capsys=capsys) == (
+            2, "", "controlpower: the registry has no rows\n")
+
+    def test_registry_filtered_to_no_rows_is_data_error(self, tmp_path, capsys):
+        # the golden registry's two rows whose leader holds half or more
+        header, *rows = GOLDEN_REGISTRY.read_text().splitlines(keepends=True)
+        held = [row for row in rows if float(row.split(",")[4]) >= 0.5]
+        assert len(held) == 2
+        path = tmp_path / "held.csv"
+        path.write_text(header + "".join(held))
+        assert run_cli("pipeline", "--input", str(path), capsys=capsys) == (
+            2, "", "controlpower: no records survive the sampling filter\n")
 
     def test_registry_with_byte_order_mark(self, tmp_path, capsys):
         plain = Path(__file__).parent / "data" / "golden_registry.csv"
@@ -1107,8 +1143,8 @@ class TestMacroRows:
 
 
 class TestParserPerCommand:
-    """main adds options only to the command its first argument names; the
-    exit code, stdout and stderr are those of the full parser."""
+    """main builds only the command its first argument names; the exit code,
+    stdout and stderr are those of the full parser."""
 
     COMMANDS = ("spi", "evolve", "fit", "synth", "pipeline")
     ARGV = [
@@ -1137,6 +1173,20 @@ class TestParserPerCommand:
         assert built == [argv[0] if argv and argv[0] in self.COMMANDS else None]
         monkeypatch.setattr(cli, "build_parser", lambda command=None: full())
         assert run_cli(*argv, capsys=capsys) == per_command
+
+    @staticmethod
+    def registered(parser):
+        (sub,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+        return list(sub.choices)
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_named_command_registers_its_own_parser_alone(self, command):
+        parser = cli.build_parser(command)
+        assert self.registered(parser) == [command]
+        assert parser.format_usage() == cli.build_parser().format_usage()
+
+    def test_the_full_parser_registers_every_command(self):
+        assert self.registered(cli.build_parser()) == list(self.COMMANDS)
 
     def test_main_reads_sys_argv(self, monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["controlpower", "spi", "--shares", "2,1,1"])

@@ -492,7 +492,7 @@ class TestRoundTrip:
         assert_same_registry(table, registry([]))
         assert [c.dtype for c in table.columns() if isinstance(c, np.ndarray)] == [
             np.int64, np.int64, np.int64, np.int64, bool, np.int64, np.int8]
-        with pytest.raises(DataError, match="^no records survive the sampling filter$"):
+        with pytest.raises(DataError, match="^the registry has no rows$"):
             run_pipeline(table, PipelineConfig(min_sample=1))
 
 
@@ -507,7 +507,7 @@ class TestSampleFilter:
         assert (year.n_sample, year.m_top1) == (1, 0.499)
 
     def test_empty_input(self):
-        with pytest.raises(DataError, match="no records survive"):
+        with pytest.raises(DataError, match="^the registry has no rows$"):
             run_pipeline(registry([]), PipelineConfig(min_sample=1))
 
 

@@ -187,9 +187,30 @@ class TestEngine:
             rows.append(sorted(row, reverse=True))
         rng.shuffle(rows)
         games = [make_game(row) for row in rows]
-        assert top_holder_powers(rows) == [_oracle(g)[0] for g in games]
-        for game in games:
-            assert spi_dp(game).exact == _oracle(game)
+        exact = [_oracle(game) for game in games]
+        assert top_holder_powers(rows) == [profile[0] for profile in exact]
+        for game, profile in zip(games, exact):
+            assert spi_dp(game).exact == profile
+        # one profile batch of 1-20 players, games below _PAD_PLAYERS counted
+        # zero-padded to that width: equal weights (a tie at half for an even
+        # count) and two sides of equal integer weight with a null player.
+        # Enumerating the games above 14 players would take seconds, so they
+        # are held to their one-game counts, which TestFloat32Counts checks.
+        for n in range(1, MAX_PLAYERS + 1):
+            games.append(make_game([1] * n))
+            if n >= 3:
+                k = rng.randint(1, n - 2)
+                row = integer_parts(rng, 40 + n, k) + integer_parts(rng, 40 + n, n - 1 - k) + [0]
+                rng.shuffle(row)
+                games.append(WeightedVotingGame(weights=tuple(map(float, row)), int_weights=tuple(row)))
+        exact += [_oracle(game) if game.n <= 14 else None for game in games[len(exact):]]
+        order = list(range(len(games)))
+        rng.shuffle(order)
+        for i, nums in zip(order, profile_numerators([games[i] for i in order])):
+            if exact[i] is None:
+                assert nums == profile_numerators([games[i]])[0]
+            else:
+                assert tuple(Fraction(v, math.factorial(games[i].n)) for v in nums) == exact[i]
 
     def test_zero_weight_players(self):
         rows = [[0.3, 0.0], [0.0, 0.3, 0.2], [0.2, 0.2, 0.0, 0.0, 0.1], [0.0, 0.0, 1.0]]
