@@ -93,10 +93,12 @@ _PROFILE_GAMES = 1 << 10
 # Width at which profile_numerators counts every smaller game, zero-padded,
 # in one kernel call; a kernel call costs about the same from 2 to 8
 # players. Over ten 60-list benchmark files of 2-11 players (2-vCPU Xeon,
-# numpy 2.4, median of 30 rounds of best of 5) profile_numerators took
-# 0.56 / 0.66 / 0.81 ms padding to 8 / 9 / 10 players, against 0.95 ms with
-# one call per player count; a file of only 9-11 players, 0.98 / 0.95 /
-# 1.08 against 0.99 ms.
+# numpy 2.4, median of 30 interleaved rounds of best of 5 per file)
+# profile_numerators took 0.49 / 0.46 / 0.51 ms padding to 8 / 9 / 10
+# players, against 0.76 ms with one call per player count, and on a file of
+# only 9-11 players 0.66 / 0.68 / 0.68 against 0.69 ms. Three more runs of
+# 60 rounds put 9 at 0.6-4.8% under 8, about 0.02 ms of a 3 ms spi invocation,
+# below what the benchmark resolves, so the flat-cost width 8 stays.
 _PAD_PLAYERS = 8
 
 
@@ -296,8 +298,8 @@ def profile_numerators(games: Sequence[WeightedVotingGame]) -> list[tuple[int, .
     first, the others after in order).
 
     A game of fewer than ``_PAD_PLAYERS`` players is counted at that width,
-    its rows padded with zero weights after the real players; rows are built
-    for real players only. A zero weight is a null player: it leaves every
+    padded with zero weights after the real players, and only the rows of
+    real players are kept. A zero weight is a null player: it leaves every
     power the same rational, so a row's numerator over _PAD_PLAYERS! is its
     numerator over n! times _PAD_PLAYERS!/n!, and dividing by that factor is
     exact. Larger games are counted at their own player count. Each width is
@@ -315,22 +317,13 @@ def profile_numerators(games: Sequence[WeightedVotingGame]) -> list[tuple[int, .
         for at in range(0, len(indices), _PROFILE_GAMES):
             chunk = indices[at : at + _PROFILE_GAMES]
             sizes = [games[k].n for k in chunk]
-            # every game above the pad width fills it; skipping the padding
-            # masks there kept a file of 9-11 player lists 8% faster
-            if width > _PAD_PLAYERS:
-                weights = np.array([games[k].int_weights for k in chunk], dtype=np.float64)
-                nums = _pivot_numerators(weights[:, rotate].reshape(-1, width))
-            else:
-                counts = np.array(sizes)
-                real = np.arange(width) < counts[:, None]  # the (game, player) slots of real players
-                weights = np.zeros((len(chunk), width))
-                weights[real] = list(itertools.chain.from_iterable(games[k].int_weights for k in chunk))
-                nums = _pivot_numerators(weights[:, rotate][real]) // np.repeat(factors[counts], counts)
-            flat = nums.tolist()
-            start = 0
-            for k, n in zip(chunk, sizes):
-                out[k] = tuple(flat[start : start + n])
-                start += n
+            # padding rows lead with a zero weight, which the kernel settles in closed form
+            padded = [games[k].int_weights + (0,) * (width - n) for k, n in zip(chunk, sizes)]
+            weights = np.array(padded, dtype=np.float64)
+            nums = _pivot_numerators(weights[:, rotate].reshape(-1, width)).reshape(len(chunk), width)
+            nums //= factors[sizes, None]
+            for k, n, row in zip(chunk, sizes, nums.tolist()):
+                out[k] = tuple(row[:n])
     return out
 
 
