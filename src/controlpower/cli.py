@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
-import json
 import math
 import re
 import sys
@@ -46,6 +45,7 @@ from .pipeline import (
     REPORT_FORMATS,
     SPI_MODES,
     PipelineConfig,
+    _json_text,
     emit_report,
     run_pipeline,
 )
@@ -59,6 +59,7 @@ DEFAULT_TOP1 = MomentTarget(0.278, 0.106)
 DEFAULT_TOP2_10 = MomentTarget(0.293, 0.127)
 _SPI_GAMES = 1 << 12  # games per profile_numerators call; their numerators wait to be printed
 _SIGNED = "-?" + _PLAIN  # the registry's plain decimal, with a sign where a value may be negative
+_MAX_SYNTH_ROWS = 10**6  # most rows or draws `synth` makes
 
 
 class _Parser(argparse.ArgumentParser):
@@ -123,15 +124,20 @@ def _number(form: str):
 _DECIMAL, _SIGNED_DECIMAL = _number(_PLAIN), _number(_SIGNED)
 
 
-def _parse_years(text: str) -> tuple[int, ...]:
+def _parse_years(text: str, per_year: int, option: str) -> tuple[int, ...]:
     """The years of ``lo-hi`` or of a comma list, blank items skipped; each
-    year is digits only."""
+    year is digits only. Refused when the years times ``per_year``, the
+    value of ``option``, exceed _MAX_SYNTH_ROWS, counted from a range's
+    bounds before the range is built."""
     lo, dash, hi = text.partition("-")
     tokens = [lo, hi] if dash else [tok for tok in text.split(",") if tok.strip()]
     for tok in tokens:
         if not re.fullmatch("[0-9]+", tok.strip()):
             raise ValueError(f"--years: not a year of digits: {tok!r}")
     years = tuple(map(int, tokens))
+    count = years[1] - years[0] + 1 if dash else len(years)
+    if max(count, 0) * per_year > _MAX_SYNTH_ROWS:
+        raise ValueError(f"--years times {option} is more than 10^6")
     return tuple(range(years[0], years[1] + 1)) if dash else years
 
 
@@ -296,7 +302,7 @@ def _cmd_fit(args) -> int:
         payload["max"] = payload["min"] = None
     else:
         payload["max"], payload["min"] = fourier_extrema(fit)
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = _json_text(payload) + "\n"
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text)
@@ -306,8 +312,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    years = _parse_years(args.years)
     if args.what == "registry":
+        years = _parse_years(args.years, args.firms_per_year, "--firms-per-year")
         config = SynthConfig(
             years=years,
             firms_per_year=args.firms_per_year,
@@ -319,6 +325,7 @@ def _cmd_synth(args) -> int:
         emit_csv(synth_registry(config), args.output or sys.stdout)
         return 0
     # outcomes
+    years = _parse_years(args.years, args.draws_per_year, "--draws-per-year")
     pdf = ControlPowerPdf(wave=ideal_wave(args.h), mu=args.mu, sigma=args.sigma)
     config = SynthConfig(
         years=years,

@@ -33,7 +33,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .evolution import ControlPowerPdf, pdf_sample
+from .evolution import ControlPowerPdf, _sample_block
 
 BOARDS = ("main", "sme_gem")
 OWNERSHIPS = ("private", "state")
@@ -495,13 +495,14 @@ def synth_outcomes(config: SynthConfig) -> dict[int, np.ndarray]:
     """Per-year power draws from the configured mixed distribution.
 
     Year y maps to time t = y - years[0]; each year gets firms_per_year
-    draws. Deterministic for a given config.
+    draws. Deterministic for a given config. All years are drawn as one
+    block, in ``pdf_sample``'s order: one uniform per draw for every year,
+    year by year, then the normal rounds for the continuous draws of all
+    years together, filled year by year.
     """
     if config.mode != "outcomes":
         raise ValueError("config has no outcome distribution")
-    rng = np.random.default_rng(config.seed)
     origin = config.years[0]
-    return {
-        year: pdf_sample(config.pdf, float(year - origin), config.firms_per_year, rng=rng)
-        for year in config.years
-    }
+    times = [float(year - origin) for year in config.years]
+    block = _sample_block(config.pdf, times, config.firms_per_year, np.random.default_rng(config.seed))
+    return dict(zip(config.years, block))

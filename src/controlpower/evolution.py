@@ -228,21 +228,35 @@ def pdf_sample(
     """Draw n power values at time t: exact 1.0 with probability atom(t),
     otherwise a truncated-normal value in (0, 1). Deterministic given a
     seed (or a caller-owned generator).
+
+    The draw order is the one-year case of ``_sample_block``: n uniforms,
+    a draw being continuous when its uniform is at or above atom(t), then
+    normal rounds of max(still needed, 16), of which the values in (0, 1)
+    fill the continuous draws in order.
     """
     if n < 1:
         raise ValueError("need at least one draw")
     if rng is None:
         rng = np.random.default_rng(seed)
-    atom = pdf.atom(t)
-    out = np.ones(n, dtype=float)
-    cont = rng.random(n) >= atom
-    need = int(cont.sum())
-    draws = np.empty(0, dtype=float)
-    while draws.size < need:
-        batch = rng.normal(pdf.mu, pdf.sigma, size=max(need - draws.size, 16))
-        batch = batch[(batch > 0.0) & (batch < 1.0)]
-        draws = np.concatenate([draws, batch])
-    out[cont] = draws[:need]
+    return _sample_block(pdf, (t,), n, rng)[0]
+
+
+def _sample_block(pdf: ControlPowerPdf, times: Sequence[float], n: int, rng: np.random.Generator) -> np.ndarray:
+    """n draws at each of ``times`` as a (len(times), n) array, from one
+    uniform block ``rng.random((len(times), n))``: slot (k, j) is continuous
+    when its uniform is at or above atom(times[k]), and exactly 1.0
+    otherwise. Normal rounds of max(still needed, 16) draws follow, and
+    their values in (0, 1) fill the continuous slots in year-major order.
+    """
+    out = rng.random((len(times), n))
+    cont = out >= np.array([pdf.atom(t) for t in times])[:, None]
+    need = int(np.count_nonzero(cont))
+    kept = [np.empty(0)]
+    while (have := sum(map(len, kept))) < need:
+        batch = rng.normal(pdf.mu, pdf.sigma, size=max(need - have, 16))
+        kept.append(batch[(batch > 0.0) & (batch < 1.0)])
+    out[cont] = np.concatenate(kept)[:need]
+    out[~cont] = 1.0
     return out
 
 

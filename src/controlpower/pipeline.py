@@ -11,6 +11,7 @@ so identical inputs give byte-identical outputs.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -286,7 +287,7 @@ class Report:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return _json_text(self.to_dict()) + "\n"
 
 
 _LEAVES = frozenset({bool, int, float, str, type(None)})
@@ -304,6 +305,40 @@ def _plain(value):
     if hasattr(value, "__dataclass_fields__"):
         return {k: _plain(v) for k, v in vars(value).items()}
     return value
+
+
+@functools.cache
+def _flat_encoder(depth: int):
+    """The encode of a JSON value at ``depth`` that holds no container:
+    with no indent json runs its C encoder, and the item separator puts
+    each item on its own line at depth + 1."""
+    return json.JSONEncoder(sort_keys=True, separators=(",\n" + "  " * (depth + 1), ": ")).encode
+
+
+def _json_text(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` byte for byte, for a
+    value at ``depth``. A scalar, an empty container and each container
+    that holds no container is one ``_flat_encoder`` call, to which the
+    first and last line of a container are added here; other containers
+    are joined here, their items sorted as json sorts them. A tuple is a
+    list. A non-str key takes json's text for it: its own JSON, quoted."""
+    if not isinstance(value, (dict, list, tuple)) or not value:
+        return _flat_encoder(depth)(value)
+    pad, end = "  " * (depth + 1), "  " * depth
+    is_dict = isinstance(value, dict)
+    if not any(isinstance(item, (dict, list, tuple)) for item in (value.values() if is_dict else value)):
+        text = _flat_encoder(depth)(value)
+        return f"{text[0]}\n{pad}{text[1:-1]}\n{end}{text[-1]}"
+    if is_dict:
+        encode, parts = _flat_encoder(0), []
+        for key, item in sorted(value.items()):
+            if not isinstance(key, (str, int, float, type(None))):  # bool is an int
+                raise TypeError(f"keys must be str, int, float, bool or None, not {type(key).__name__}")
+            parts.append(f"{encode(key if isinstance(key, str) else encode(key))}: {_json_text(item, depth + 1)}")
+    else:
+        parts = [_json_text(item, depth + 1) for item in value]
+    brackets = "{}" if is_dict else "[]"
+    return f"{brackets[0]}\n{pad}" + f",\n{pad}".join(parts) + f"\n{end}{brackets[1]}"
 
 
 def _group_label(group: GroupKey) -> str:
@@ -438,8 +473,13 @@ def _sort_order(table: Registry) -> np.ndarray:
     shares). The zero padding sorts a shorter share list before a longer
     one it begins, as tuples do, because every share is above 0. firm_id
     is ranked as Python str objects, since numpy str arrays drop trailing
-    NULs."""
-    firm = np.unique(np.array(table.firm_id, dtype=object), return_inverse=True)[1]
+    NULs, by a stable sort, which is linear on a registry already in firm
+    order; equal neighbours share a rank."""
+    firm_ids = np.array(table.firm_id, dtype=object)
+    by_id = firm_ids.argsort(kind="stable")
+    ranked = firm_ids[by_id]
+    firm = np.zeros(len(ranked), dtype=np.intp)
+    firm[by_id[1:]] = np.cumsum(ranked[1:] != ranked[:-1])
     keys = (firm, table.ownership, table.board, table.year)
     order = np.lexsort(keys)  # by its last key first
     # the share columns only order rows that repeat all four keys

@@ -548,6 +548,37 @@ class TestSynth:
         assert out == ""
         assert err == "controlpower: year 2000 is given more than once\n"
 
+    @pytest.mark.parametrize("what, size, years, per_year", [
+        ("registry", "--firms-per-year", "1-10001", "100"),
+        ("outcomes", "--draws-per-year", "1,2", "500001"),
+        ("outcomes", "--draws-per-year", "1-1000001", "1"),
+        # the range alone, at the default 500 draws a year, and one no tuple could hold
+        ("outcomes", "--draws-per-year", "1-2001", None),
+        ("registry", "--firms-per-year", "0-99999999999999999999", None),
+    ])
+    def test_size_past_10_6_is_refused_before_any_work(self, what, size, years, per_year, monkeypatch, capsys):
+        # a check that let the size through fails here, before it allocates
+        def no_range(*bounds):
+            raise AssertionError("the year range was built")
+
+        monkeypatch.setattr(cli, "synth_registry", lambda config: pytest.fail("rows were drawn"))
+        monkeypatch.setattr(cli, "synth_outcomes", lambda config: pytest.fail("outcomes were drawn"))
+        monkeypatch.setattr(cli, "range", no_range, raising=False)
+        argv = ["synth", what, "--seed", "1", "--years", years] + ([size, per_year] if per_year else [])
+        assert run_cli(*argv, capsys=capsys) == (2, "", f"controlpower: --years times {size} is more than 10^6\n")
+
+    @pytest.mark.parametrize("what, size, draw", [
+        ("registry", "--firms-per-year", "synth_registry"),
+        ("outcomes", "--draws-per-year", "synth_outcomes"),
+    ])
+    def test_size_of_10_6_passes_the_check(self, what, size, draw, monkeypatch, capsys):
+        configs = []
+        monkeypatch.setattr(cli, draw, lambda config: configs.append(config) or {})
+        monkeypatch.setattr(cli, "emit_csv", lambda table, output: None)
+        code, _, err = run_cli("synth", what, "--seed", "1", "--years", "1-100", size, "10000", capsys=capsys)
+        assert (code, err) == (0, "")
+        assert (len(configs[0].years), configs[0].firms_per_year) == (100, 10000)
+
     def test_outcomes_without_normal_mass_exits_promptly(self):
         # no mass in (0, 1): the sampler used to loop until killed
         proc = subprocess.run(

@@ -23,7 +23,7 @@ from controlpower.dataset import (
     synth_outcomes,
     synth_registry,
 )
-from controlpower.evolution import ControlPowerPdf, WaveParams, ideal_wave
+from controlpower.evolution import ControlPowerPdf, WaveParams, ideal_wave, pdf_sample
 from controlpower.pipeline import PipelineConfig, run_pipeline
 from registry_rows import Row, assert_same_registry, registry, row_cells
 
@@ -662,6 +662,54 @@ class TestSynthOutcomes:
         a = synth_outcomes(config)
         b = synth_outcomes(config)
         assert all(np.array_equal(a[y], b[y]) for y in a)
+
+    @staticmethod
+    def reference(config):
+        """The block draw order, slot by slot: one uniform per slot, year by
+        year; slot (k, j) is continuous when its uniform is at or above year
+        k's atom; normal rounds of max(still needed, 16) draws, whose values
+        in (0, 1) fill the continuous slots year by year; every other slot is 1.0."""
+        rng = np.random.default_rng(config.seed)
+        n, origin = config.firms_per_year, config.years[0]
+        uniforms = rng.random((len(config.years), n))
+        slots = [(year, j) for k, year in enumerate(config.years) for j in range(n)
+                 if uniforms[k, j] >= config.pdf.atom(float(year - origin))]
+        values = []
+        while len(values) < len(slots):
+            batch = rng.normal(config.pdf.mu, config.pdf.sigma, size=max(len(slots) - len(values), 16))
+            values.extend(v for v in batch.tolist() if 0.0 < v < 1.0)
+        draws = {year: [1.0] * n for year in config.years}
+        for (year, j), value in zip(slots, values):
+            draws[year][j] = value
+        return draws
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_block_draw_order(self, seed):
+        # unsorted years, so some times fall before the origin; a quarter
+        # of the normal mass outside (0, 1), so the normal rounds repeat
+        config = SynthConfig(
+            years=(2003, 2000, 2001, 2010),
+            firms_per_year=50,
+            seed=seed,
+            pdf=ControlPowerPdf(wave=ideal_wave(1.5), mu=0.8, sigma=0.3),
+        )
+        draws = synth_outcomes(config)
+        assert list(draws) == list(config.years)
+        assert {year: values.tolist() for year, values in draws.items()} == self.reference(config)
+
+    def test_one_year_is_pdf_sample(self):
+        pdf = ControlPowerPdf(wave=ideal_wave(1.5))
+        config = SynthConfig(years=(2000,), firms_per_year=300, seed=12, pdf=pdf)
+        assert np.array_equal(synth_outcomes(config)[2000], pdf_sample(pdf, 0.0, 300, seed=12))
+
+    def test_atom_share_within_binomial_bound(self):
+        n = 20_000
+        config = SynthConfig(years=tuple(range(1996, 2022)), firms_per_year=n, seed=9,
+                             pdf=ControlPowerPdf(wave=ideal_wave(1.5)))
+        for year, values in synth_outcomes(config).items():
+            atom = config.pdf.atom(float(year - 1996))
+            # continuous draws lie in (0, 1), so the exact ones are the atom's
+            assert abs(np.mean(values == 1.0) - atom) <= 4.5 * math.sqrt(atom * (1 - atom) / n)
 
     def test_registry_config_cannot_generate_outcomes(self):
         config = SynthConfig(

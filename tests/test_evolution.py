@@ -267,6 +267,22 @@ class TestPdfSample:
         with pytest.raises(ValueError):
             pdf_sample(ControlPowerPdf(wave=FITTED_WAVE), 0.0, 0, seed=1)
 
+    @pytest.mark.parametrize("pdf, t, n, seed, expected", [
+        (ControlPowerPdf(wave=ideal_wave(1.5)), 3.0, 8, 11,
+         [1.0, 1.0, 1.0, 1.0, 1.0, 0.5892361266823298, 1.0, 1.0]),
+        (ControlPowerPdf(wave=ideal_wave(1.5), mu=1.2, sigma=0.3), 7.0, 10, 4,
+         [0.7520649945107303, 1.0, 0.6253063326125098, 1.0, 1.0, 1.0, 0.935806044621661, 1.0,
+          0.9983955958024032, 1.0]),
+        # a quarter of the normal mass in (0, 1), so a second normal round fills the draws
+        (ControlPowerPdf(wave=WaveParams(0.0, 0.0, 0.0, 10.0), mu=1.2, sigma=0.3), 0.0, 6, 4,
+         [0.7175436647440833, 0.7520649945107303, 0.6253063326125098, 0.935806044621661,
+          0.9983955958024032, 0.6511187929663947]),
+    ])
+    def test_pinned_stream(self, pdf, t, n, seed, expected):
+        # draws recorded from the per-year sampler that synth_outcomes' block
+        # sampler replaced; pdf_sample, its one-year case, keeps them
+        assert pdf_sample(pdf, t, n, seed=seed).tolist() == expected
+
 
 class TestOscillation:
     model = OscillationModel(share_amplitude=0.03, effort_amplitude=0.8, period=18.0)

@@ -13,6 +13,7 @@ from controlpower import fitting, pipeline
 from controlpower.cli import DEFAULT_SYNTH_YEARS, main
 from controlpower.dataset import (
     BOARDS,
+    MAX_HOLDERS,
     OWNERSHIPS,
     DataError,
     GroupKey,
@@ -490,6 +491,27 @@ class TestInputDigest:
                                     firm_id=[r.firm_id for r in records])
         assert pipeline._sort_order(table).tolist() == expected
 
+    @pytest.mark.parametrize("arrange", ["presorted", "reversed", "shuffled", "repeated"])
+    def test_sort_order_is_the_unique_rank_order(self, arrange):
+        # the order ranking firm ids through np.unique gave, with the share
+        # columns always among the keys; each firm id recurs within a year
+        # and across years, and "repeated" also repeats whole rows
+        table = synth_registry(registry_config(firms_per_year=40))
+        table = dataclasses.replace(table, firm_id=[f"f{int(i[-4:]) % 7}" for i in table.firm_id])
+        n = len(table)
+        table = table.take(pipeline._sort_order(table))
+        index = {
+            "presorted": np.arange(n),
+            "reversed": np.arange(n)[::-1],
+            "shuffled": np.random.default_rng(3).permutation(n),
+            "repeated": np.random.default_rng(4).integers(0, n, size=2 * n),
+        }[arrange]
+        table = table.take(index)
+        firm = np.unique(np.array(table.firm_id, dtype=object), return_inverse=True)[1]
+        keys = (firm, table.ownership, table.board, table.year)
+        expected = np.lexsort((*table.floats()[:, MAX_HOLDERS - 1 :: -1].T, *keys))
+        assert pipeline._sort_order(table).tolist() == expected.tolist()
+
     def test_year_beyond_int64(self):
         far = self.BASE[0]._replace(year=10**20)
         farther = self.BASE[0]._replace(year=10**20 + 1)
@@ -792,6 +814,52 @@ class TestPredictionDiagnostics:
     def test_phase_mismatch_flagged(self):
         diag = self.build(phase_offset=math.pi / 2).groups[MAIN_PRIVATE].diagnostics
         assert diag.phase_diff_ok is False
+
+
+class TestJsonWriter:
+    """pipeline._json_text is json.dumps(value, indent=2, sort_keys=True), byte for byte."""
+
+    @staticmethod
+    def dumps(value):
+        return json.dumps(value, indent=2, sort_keys=True)
+
+    def test_golden_report(self):
+        text = (Path(__file__).parent / "data" / "golden" / "report.json").read_text(encoding="utf-8")
+        assert pipeline._json_text(json.loads(text)) + "\n" == text
+
+    @pytest.mark.parametrize("source", [
+        registry_config(),
+        SynthConfig(years=DEFAULT_SYNTH_YEARS, firms_per_year=500, seed=5, pdf=ControlPowerPdf(wave=ideal_wave(1.5))),
+    ], ids=["registry", "outcomes"])
+    def test_reports(self, source):
+        report = run_pipeline(source, PipelineConfig(min_sample=40))
+        assert report.to_json() == self.dumps(report.to_dict()) + "\n"
+
+    @pytest.mark.parametrize("value", [
+        {}, [], (), "", 0, None,
+        {"a": {}, "b": [], "c": {"d": {}, "e": [[]]}},
+        [[], [[]], [[], {}], {}],
+        [[1, 2], [3, [4, []]], ({"x": ()},)],
+        {"q\"uote": 1, "back\\slash": {"tab\t": [None]}, "line\nend": "\x00\x1f", "ünï": {"中": "é"}},
+        {"\ud800": [1], "\U0001f600": "\ud83d"},
+        [math.nan, math.inf, -math.inf, -0.0, 1e-320, 0.1, 1e300, [math.nan]],
+        {"t": True, "f": False, "n": None, "nested": [True, [False, None]]},
+        [2**63, -(2**63) - 1, 10**40, {"big": [2**64]}],
+        {"b": 1, "a": 2, "B": 3, "": 4, "aa": {"z": 0, "a": 1}},
+        {1: {"x": 1}, 2.5: [2], -3: {}}, {True: [1], False: {}}, {None: [3]}, {math.nan: [1], -math.inf: 2},
+    ], ids=repr)
+    def test_hand_made(self, value):
+        assert pipeline._json_text(value) == self.dumps(value)
+
+    @pytest.mark.parametrize("value", [{(1,): []}, {"a": {(1,): 1}}, {b"k": [1]}])
+    def test_keys_json_cannot_write_are_refused(self, value):
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+            self.dumps(value)
+        with pytest.raises(TypeError, match="keys must be str, int, float, bool or None"):
+            pipeline._json_text(value)
+
+    def test_one_encoder_per_depth(self):
+        assert pipeline._flat_encoder(3) is pipeline._flat_encoder(3)
 
 
 class TestReportEmission:
