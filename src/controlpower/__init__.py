@@ -59,5 +59,4 @@ from .pipeline import (  # noqa: E402,F401
     build_report,
     emit_report,
     run_pipeline,
-    year_stats_from_draws,
 )

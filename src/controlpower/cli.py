@@ -33,6 +33,7 @@ from .dataset import (
     synth_registry,
 )
 from .evolution import (
+    UNIFORM_LAW,
     ControlPowerPdf,
     WaveParams,
     collapse_walk,
@@ -209,7 +210,7 @@ def _cmd_evolve(args) -> int:
     if args.what == "walk":
         if args.operations > 10**6:
             raise ValueError("--operations gives more than 10^6 operations")
-        law = tuple(_parse_floats(args.law, "--law")) if args.law else (0.25, 0.25, 0.25, 0.25)
+        law = tuple(_parse_floats(args.law, "--law")) if args.law else UNIFORM_LAW
         states = collapse_walk(args.operations, args.seed, law)
         _emit_series([(i, float(v)) for i, v in enumerate(states)], args.output)
         return 0
@@ -459,8 +460,8 @@ def _synth_options(p):
     q.add_argument("--draws-per-year", type=int, default=500)
     q.add_argument("--group", default="main/private")
     q.add_argument("--h", type=_DECIMAL, default=1.5)
-    q.add_argument("--mu", type=_SIGNED_DECIMAL, default=0.466)
-    q.add_argument("--sigma", type=_DECIMAL, default=0.165)
+    q.add_argument("--mu", type=_SIGNED_DECIMAL, default=ControlPowerPdf.mu)
+    q.add_argument("--sigma", type=_DECIMAL, default=ControlPowerPdf.sigma)
     q.add_argument("--output")
 
 
@@ -472,9 +473,9 @@ def _pipeline_options(p):
     p.add_argument("--output", help="report directory; stdout JSON when omitted")
     p.add_argument("--format", default="json",
                    help="comma list of json,csv-tables,plot-data; formats other than json need --output")
-    p.add_argument("--spi-mode", default="top10", choices=SPI_MODES)
-    p.add_argument("--min-sample", type=int, default=50)
-    p.add_argument("--h", type=_DECIMAL, default=1.5)
+    p.add_argument("--spi-mode", default=PipelineConfig.spi_mode, choices=SPI_MODES)
+    p.add_argument("--min-sample", type=int, default=PipelineConfig.min_sample)
+    p.add_argument("--h", type=_DECIMAL, default=PipelineConfig.h)
     p.add_argument("--period-range", help="lo,hi in years")
     p.add_argument("--grid-step", type=_DECIMAL, default=DEFAULT_GRID_STEP)
     p.add_argument("--macro", action="append", help="name=path of a year,value CSV; repeatable")

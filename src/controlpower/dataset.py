@@ -17,14 +17,15 @@ stripped.
 Every share and meeting_share must read as a decimal of at most 12
 places; a row is held as exact integer units at 10^d, d the most places
 any of its cells needs (``_decimal_units``), and its games are counted on
-them. A value that no such decimal reads as is a data error.
+them. A value that no such decimal reads as is a data error. The table
+holds those units and nothing derived from them: no holder count and no
+float of a value.
 """
 
 from __future__ import annotations
 
 import contextlib
 import csv
-import functools
 import itertools
 import math
 import re
@@ -76,12 +77,13 @@ def _int_column(values: Sequence[int]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _decimal_units(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _decimal_units(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row's exact decimal units and scale: the int64 block of ``v *
     10**d`` for the (N x 11) float block ``cells`` of ten shares and the
     meeting share (0 where absent or blank), d being the fewest places that
-    hold every cell of the row, and d. Every cell must be the float of a
-    decimal of at most 12 places.
+    hold every cell of the row, and d; and the mask of the cells that are
+    not the float of a decimal of at most 12 places, whose units mean
+    nothing.
 
     Values lie in [0, 1]. d is the smallest d <= 12 with rint(v * 10^d) /
     10^d == v for every cell v of the row. For a float v of a decimal of at
@@ -90,7 +92,8 @@ def _decimal_units(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     other float the test fails, since decimals of 12 places or fewer lie
     10^-12 apart or more, too far to share a float. So a cell written with
     at most 12 places gives its written value, and ``units / 10**scale``
-    (the correctly rounded quotient) is each cell's float again.
+    (the correctly rounded quotient) is each cell's float again; the mask
+    is where that last round trip fails.
     """
     scale = np.full(len(cells), _MAX_DECIMALS, dtype=np.int8)  # a row at 12 is still open below it
     trial = np.empty_like(cells)  # one buffer for every trial: allocation costs more than the arithmetic
@@ -99,8 +102,9 @@ def _decimal_units(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         scale[(scale == _MAX_DECIMALS) & (trial == cells).all(axis=1)] = d
         if (scale < _MAX_DECIMALS).all():
             break
-    np.multiply(cells, _POW10[scale][:, None], out=trial)
-    return np.rint(trial, out=trial).astype(np.int64), scale
+    pow10 = _POW10[scale][:, None]
+    units = np.rint(np.multiply(cells, pow10, out=trial), out=trial).astype(np.int64)
+    return units, scale, np.divide(trial, pow10, out=trial) != cells
 
 
 @dataclass(frozen=True, eq=False)
@@ -111,17 +115,17 @@ class Registry:
     ``units`` is an (N x 11) int64 block of each row's exact decimal units
     at 10^``scale``: ten shares, descending, with 0 for absent holders, then
     the meeting share, 0 where ``has_meeting`` is False (``_decimal_units``).
-    ``count`` is each row's holder count. ``board`` and ``ownership`` index
-    BOARDS and OWNERSHIPS. ``year`` is int64, or an object column of Python
-    ints where a year does not fit. ``firm_id`` and ``n_meetings`` (None
-    where blank) are lists. A value's float is ``units / 10**scale``.
+    A row's holders are its nonzero shares; no column restates their count.
+    ``board`` and ``ownership`` index BOARDS and OWNERSHIPS. ``year`` is
+    int64, or an object column of Python ints where a year does not fit.
+    ``firm_id`` and ``n_meetings`` (None where blank) are lists. A value's
+    float is ``units / 10**scale``, which the table does not hold.
     """
 
     year: np.ndarray
     board: np.ndarray
     ownership: np.ndarray
     firm_id: list
-    count: np.ndarray
     has_meeting: np.ndarray
     n_meetings: list
     units: np.ndarray
@@ -133,15 +137,6 @@ class Registry:
     def columns(self) -> list:
         """The columns, in field order."""
         return [getattr(self, f.name) for f in fields(self)]
-
-    def take(self, index: np.ndarray) -> Registry:
-        """The rows at ``index``, in that order."""
-        rows = index.tolist()
-        return Registry(*(c[index] if isinstance(c, np.ndarray) else [c[i] for i in rows] for c in self.columns()))
-
-    def floats(self, index=slice(None)) -> np.ndarray:
-        """The float64 block of the shares and meeting share of the rows at ``index``."""
-        return self.units[index] / _POW10[self.scale[index]][:, None]
 
 
 # Rows read, parsed and checked at a time, so only one chunk's cells are
@@ -355,12 +350,9 @@ def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int
     # meeting share; zeroing them keeps the units finite
     wide = ~((meeting >= 0.0) & (meeting <= 1.0))
     cells = np.column_stack((np.where(bad.any(axis=1)[:, None], 0.0, values), np.where(wide, 0.0, meeting)))
-    # a value in [0, 1] that is not the float of a decimal of at most 12
-    # places: rint(v * 10^12) / 10^12 is such a float (see _decimal_units)
-    off = np.rint(cells * 10.0**_MAX_DECIMALS) / 10.0**_MAX_DECIMALS != cells
+    units, scale, off = _decimal_units(cells)
     places = f"is not a decimal of at most {_MAX_DECIMALS} places"
     flag(off[:, :MAX_HOLDERS].any(axis=1), lambda i: f"{cells[i, np.argmax(off[i])].item()!r} {places}")
-    units, scale = _decimal_units(cells)
     # the exact decimal total, correctly rounded
     flag(units[:, :MAX_HOLDERS].sum(axis=1) / _POW10[scale] > 1.0 + SHARE_SUM_TOL,
          lambda i: "shares sum above total equity")
@@ -368,22 +360,30 @@ def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int
     flag(off[:, MAX_HOLDERS], lambda i: f"{meeting[i].item()!r} {places}")
     # the holder count is 1..10 and the shares descend by construction, and
     # n_meetings is digits alone, so no rule remains for them
-    return Registry(_int_column(year), board, ownership, firm_id, count, has_meeting, n_meetings, units, scale), problems
+    return Registry(_int_column(year), board, ownership, firm_id, has_meeting, n_meetings, units, scale), problems
+
+
+def _decimal_text(units: int, scale: int) -> str:
+    """The decimal ``units / 10**scale`` as its shortest plain text, with
+    no exponent: "1" for 10**scale units, "0.5" for 50 at scale 2."""
+    whole, part = divmod(units, 10**scale)
+    return f"{whole}.{part:0{scale}d}".rstrip("0") if part else str(whole)
 
 
 def emit_csv(registry: Registry, dest) -> None:
-    """Write a registry in the CSV schema; inverse of ingest_csv."""
-    # the shortest decimal that reads as the value, without an exponent: "1" for 1.0
-    text = functools.partial(np.format_float_positional, trim="-")
+    """Write a registry in the CSV schema; inverse of ingest_csv. Each value
+    is written from its units, as the shortest decimal that reads as it."""
     own = not hasattr(dest, "write")
     handle = open(dest, "w", newline="", encoding="utf-8") if own else dest
     try:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        columns = (c.tolist() if isinstance(c, np.ndarray) else c for c in registry.columns()[:-2])
-        for year, board, ownership, firm_id, n, has, n_meetings, values in zip(*columns, registry.floats().tolist()):
-            writer.writerow([firm_id, year, BOARDS[board], OWNERSHIPS[ownership], *map(text, values[:n]),
-                             *[""] * (MAX_HOLDERS - n), text(values[MAX_HOLDERS]) if has else "",
+        columns = (c.tolist() if isinstance(c, np.ndarray) else c for c in registry.columns())
+        for year, board, ownership, firm_id, has, n_meetings, units, scale in zip(*columns):
+            shares = [_decimal_text(u, scale) for u in units[:MAX_HOLDERS] if u]
+            writer.writerow([firm_id, year, BOARDS[board], OWNERSHIPS[ownership], *shares,
+                             *[""] * (MAX_HOLDERS - len(shares)),
+                             _decimal_text(units[MAX_HOLDERS], scale) if has else "",
                              "" if n_meetings is None else n_meetings])
     finally:
         if own:
@@ -483,7 +483,6 @@ def synth_registry(config: SynthConfig) -> Registry:
         board=np.full(len(top1), _BOARD_CODES[board]),
         ownership=np.full(len(top1), _OWNERSHIP_CODES[ownership]),
         firm_id=[f"{board[0]}{ownership[0]}-{year}-{j:04d}" for year in config.years for j in range(firms)],
-        count=np.count_nonzero(units, axis=1),
         has_meeting=np.ones(len(top1), dtype=bool),
         n_meetings=n_meetings.tolist(),
         units=np.column_stack((units, meeting)),

@@ -217,17 +217,10 @@ def pdf_eval(pdf: ControlPowerPdf, spi: float, t: float) -> float:
     return (1.0 - pdf.atom(t)) * density
 
 
-def pdf_sample(
-    pdf: ControlPowerPdf,
-    t: float,
-    n: int,
-    seed: int | None = None,
-    *,
-    rng: np.random.Generator | None = None,
-) -> np.ndarray:
+def pdf_sample(pdf: ControlPowerPdf, t: float, n: int, seed: int | None = None) -> np.ndarray:
     """Draw n power values at time t: exact 1.0 with probability atom(t),
     otherwise a truncated-normal value in (0, 1). Deterministic given a
-    seed (or a caller-owned generator).
+    seed.
 
     The draw order is the one-year case of ``_sample_block``: n uniforms,
     a draw being continuous when its uniform is at or above atom(t), then
@@ -236,9 +229,7 @@ def pdf_sample(
     """
     if n < 1:
         raise ValueError("need at least one draw")
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    return _sample_block(pdf, (t,), n, rng)[0]
+    return _sample_block(pdf, (t,), n, np.random.default_rng(seed))[0]
 
 
 def _sample_block(pdf: ControlPowerPdf, times: Sequence[float], n: int, rng: np.random.Generator) -> np.ndarray:

@@ -31,6 +31,7 @@ from .dataset import (
     GroupKey,
     Registry,
     SynthConfig,
+    _MAX_DECIMALS,
     _POW10,
     synth_outcomes,
     synth_registry,
@@ -124,11 +125,12 @@ def _power_fields(values: np.ndarray, cuts: Sequence[int]) -> list[dict]:
     ]
 
 
-def _group_stats(rows: Registry, spi_mode: str) -> list[YearStats]:
-    """Per-year aggregates of one group's year-ordered rows (each year one
-    contiguous run). In the games of the three modes, top9 is the first nine
-    holders, top10 all ten and top11 the ten plus the meeting attendance
-    beyond them, clipped at zero, for rows with a meeting share.
+def _group_stats(table: Registry, rows: np.ndarray, spi_mode: str) -> list[YearStats]:
+    """Per-year aggregates of one group: the ``table`` rows at the indices
+    ``rows``, in year order (each year one contiguous run), read in place.
+    In the games of the three modes, top9 is the first nine holders, top10
+    all ten and top11 the ten plus the meeting attendance beyond them,
+    clipped at zero, for rows with a meeting share.
 
     Every row is counted on its exact decimal units: its total, co-holder
     total, meeting ratio and residual are integer sums, and the floats taken
@@ -145,15 +147,15 @@ def _group_stats(rows: Registry, spi_mode: str) -> list[YearStats]:
     is, else at the smaller mode's width, bit for bit the same power. Each
     mode's full-power ratio needs no count: the leading holder's power is
     1 exactly when it outweighs the rest of its game, 2 * s1 > T."""
-    has = rows.has_meeting
+    has = table.has_meeting[rows]
     if spi_mode == "top11" and not has.all():
-        first = int(np.argmin(has))
-        raise DataError(f"firm {rows.firm_id[first]} year {rows.year[first]}: top11 mode needs meeting_share")
-    games = rows.units.copy()  # the ten holders, then the residual
+        first = rows[np.argmin(has)]
+        raise DataError(f"firm {table.firm_id[first]} year {table.year[first]}: top11 mode needs meeting_share")
+    games = table.units[rows]  # the ten holders, then the residual
     total = games[:, :MAX_HOLDERS].sum(axis=1)
     attended = games[:, MAX_HOLDERS].copy()
     games[:, MAX_HOLDERS] = np.maximum(attended - total, 0)
-    pow10 = _POW10[rows.scale]
+    pow10 = _POW10[table.scale[rows]]
     widths = np.full(len(total), MAX_HOLDERS - 1)
     if spi_mode != "top9":
         widths[games[:, MAX_HOLDERS - 1] > 0] = MAX_HOLDERS
@@ -165,8 +167,9 @@ def _group_stats(rows: Registry, spi_mode: str) -> list[YearStats]:
         # numerators and n! (n <= 11) are exact in float64, so this division
         # is the correctly rounded float of the exact power
         mode[index] = top_holder_numerators(games[index, :width]) / math.factorial(width)
-    years = rows.year.tolist()
-    cuts = [0, *(np.flatnonzero(rows.year[1:] != rows.year[:-1]) + 1).tolist(), len(years)]
+    year = table.year[rows]
+    years = year.tolist()
+    cuts = [0, *(np.flatnonzero(year[1:] != year[:-1]) + 1).tolist(), len(years)]
     # each statistic of every year cell in one pass over its column
     top1 = _segment_moments(games[:, 0] / pow10, cuts)
     top2_10 = _segment_moments((total - games[:, 0]) / pow10, cuts)
@@ -200,14 +203,9 @@ def _group_stats(rows: Registry, spi_mode: str) -> list[YearStats]:
     return stats
 
 
-def year_stats_from_draws(year: int, draws: Sequence[float]) -> YearStats:
-    """Aggregate a year of raw power draws (no registry, no share data)."""
-    return _draws_stats({year: draws})[0]
-
-
 def _draws_stats(draws: Mapping[int, Sequence[float]]) -> list[YearStats]:
-    """``year_stats_from_draws`` of every year's draws, in year order, in
-    one pass over all of them."""
+    """The aggregates of every year's raw power draws (no registry, no share
+    data), in year order, in one pass over all of them."""
     years = sorted(draws)
     columns = [np.asarray(draws[year], dtype=float) for year in years]
     if not all(map(len, columns)):
@@ -470,11 +468,13 @@ def build_report(
 
 def _sort_order(table: Registry) -> np.ndarray:
     """The row order of a stable sort by (year, board, ownership, firm_id,
-    shares). The zero padding sorts a shorter share list before a longer
-    one it begins, as tuples do, because every share is above 0. firm_id
-    is ranked as Python str objects, since numpy str arrays drop trailing
-    NULs, by a stable sort, which is linear on a registry already in firm
-    order; equal neighbours share a rank."""
+    shares). Shares compare as exact integers, each row's units rescaled to
+    10^12, which int64 holds since no share is above 1. The zero padding
+    sorts a shorter share list before a longer one it begins, as tuples
+    do, because every share is above 0. firm_id is ranked as Python str
+    objects, since numpy str arrays drop trailing NULs, by a stable sort,
+    which is linear on a registry already in firm order; equal neighbours
+    share a rank."""
     firm_ids = np.array(table.firm_id, dtype=object)
     by_id = firm_ids.argsort(kind="stable")
     ranked = firm_ids[by_id]
@@ -486,7 +486,10 @@ def _sort_order(table: Registry) -> np.ndarray:
     repeats = np.ones(max(len(order) - 1, 0), dtype=bool)
     for key in keys:
         repeats &= key[order][1:] == key[order][:-1]
-    return np.lexsort((*table.floats()[:, MAX_HOLDERS - 1 :: -1].T, *keys)) if repeats.any() else order
+    if not repeats.any():
+        return order
+    shares = table.units[:, MAX_HOLDERS - 1 :: -1] * _POW10[_MAX_DECIMALS - table.scale][:, None]
+    return np.lexsort((*shares.T, *keys))
 
 
 def _check_period_grid(fitted: Sequence[int], config: PipelineConfig) -> None:
@@ -515,18 +518,20 @@ def _int_stream(values: Sequence[int]) -> np.ndarray:
 
 def _records_digest(table: Registry, order: np.ndarray) -> str:
     """SHA-256 over the row count and one SHA-256 per field stream, in this
-    order: year, board code, ownership code, holder count, the zero-padded
-    share block, the meeting-share flag, the meeting share, the n_meetings
-    flag, n_meetings (0 where None), the UTF-8 byte length of each firm_id
-    and the joined firm_id bytes. Each stream holds the rows in ``order``:
-    integers as ``_int_stream`` encodes them, floats as little-endian
-    float64, flags as one byte. Every row's part of a stream has a fixed or
+    order: year, board code, ownership code, holder count (each row's
+    nonzero shares), the zero-padded share block, the meeting-share flag,
+    the meeting share, the n_meetings flag, n_meetings (0 where None), the
+    UTF-8 byte length of each firm_id and the joined firm_id bytes. Each
+    stream holds the rows in ``order``: integers as ``_int_stream`` encodes
+    them, values as the little-endian float64 of units / 10^scale, flags as
+    one byte. Every row's part of a stream has a fixed or
     a stated length, so no two tables share all streams; float bits tell
     values apart exactly, as their repr would. The streams are fed
     ``_DIGEST_ROWS`` rows at a time, which does not change them."""
     n_meetings = table.n_meetings
     columns = (
-        _int_stream(table.year), _int_stream(table.board), _int_stream(table.ownership), _int_stream(table.count),
+        _int_stream(table.year), _int_stream(table.board), _int_stream(table.ownership),
+        _int_stream(np.count_nonzero(table.units[:, :MAX_HOLDERS], axis=1)),
         table.has_meeting, np.array([v is not None for v in n_meetings], dtype=bool),
         _int_stream([0 if v is None else v for v in n_meetings]),
     )
@@ -534,7 +539,8 @@ def _records_digest(table: Registry, order: np.ndarray) -> str:
     for at in range(0, len(order), _DIGEST_ROWS):
         index = order[at : at + _DIGEST_ROWS]
         year, board, ownership, count, has, given, n = (column[index] for column in columns)
-        shares, meeting = np.hsplit(table.floats(index).astype("<f8"), [MAX_HOLDERS])
+        values = table.units[index] / _POW10[table.scale[index]][:, None]
+        shares, meeting = np.hsplit(values.astype("<f8"), [MAX_HOLDERS])
         for stream, part in zip(streams, (year, board, ownership, count, shares, has, meeting, given, n)):
             stream.update(b"".join(part) if part.dtype == object else part.tobytes())
         firm_ids = [table.firm_id[i].encode() for i in index.tolist()]
@@ -587,8 +593,9 @@ def run_pipeline(
     if not isinstance(source, SynthConfig):
         provenance = {"input_digest": _records_digest(table, order), "seed": None}
     # at or above half the equity the leading holder's power is 1 by
-    # construction, so such firm-years say nothing of the contested regime
-    kept = order[table.units[order, 0] / _POW10[table.scale[order]] < TOP1_FILTER_LIMIT]
+    # construction, so such firm-years say nothing of the contested regime;
+    # half of 10^scale and every unit count are exact floats
+    kept = order[table.units[order, 0] < TOP1_FILTER_LIMIT * _POW10[table.scale[order]]]
     if not kept.size:
         raise DataError("no records survive the sampling filter")
     codes = table.board[kept] * len(OWNERSHIPS) + table.ownership[kept]
@@ -600,7 +607,7 @@ def run_pipeline(
     for index in groups.values():
         years, sizes = np.unique(table.year[index], return_counts=True)
         _check_period_grid(years[sizes >= config.min_sample].tolist(), config)
-    stats = {group: _group_stats(table.take(index), config.spi_mode) for group, index in groups.items()}
+    stats = {group: _group_stats(table, index, config.spi_mode) for group, index in groups.items()}
     return build_report(stats, config, provenance)
 
 

@@ -4,7 +4,8 @@ A ``Row`` holds one firm-year as typed values. ``registry`` writes rows
 as registry CSV text and reads it with ``ingest_csv``, so every registry a
 test builds has met the reader's rules; ``rows_of`` gives a registry's
 rows back, and ``assert_same_registry`` compares two registries column by
-column.
+column. ``floats``, ``holders`` and ``take`` read a registry's values,
+holder counts and rows, which the table itself holds only as exact units.
 """
 
 import csv
@@ -14,7 +15,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from controlpower.dataset import BOARDS, CSV_COLUMNS, MAX_HOLDERS, OWNERSHIPS, ingest_csv
+from controlpower.dataset import BOARDS, CSV_COLUMNS, MAX_HOLDERS, OWNERSHIPS, Registry, ingest_csv
 
 
 class Row(NamedTuple):
@@ -54,13 +55,31 @@ def registry(rows):
     return ingest_csv(text)
 
 
+def floats(registry) -> np.ndarray:
+    """The float64 block of every row's shares and meeting share: each
+    value's units over 10^scale, correctly rounded."""
+    return registry.units / 10 ** registry.scale.astype(np.int64)[:, None]
+
+
+def holders(registry) -> np.ndarray:
+    """Each row's holder count: its nonzero shares."""
+    return np.count_nonzero(registry.units[:, :MAX_HOLDERS], axis=1)
+
+
+def take(registry, index):
+    """The registry of the rows at ``index``, in that order."""
+    rows = index.tolist()
+    return Registry(*(c[index] if isinstance(c, np.ndarray) else [c[i] for i in rows] for c in registry.columns()))
+
+
 def rows_of(registry) -> list[Row]:
     """The rows of a registry, each share and meeting share the float its
     units read as."""
     columns = (c.tolist() if isinstance(c, np.ndarray) else c for c in registry.columns()[:-2])
     return [Row(firm_id, year, BOARDS[board], OWNERSHIPS[ownership], tuple(values[:n]),
                 values[MAX_HOLDERS] if has else None, n_meetings)
-            for year, board, ownership, firm_id, n, has, n_meetings, values in zip(*columns, registry.floats().tolist())]
+            for year, board, ownership, firm_id, has, n_meetings, n, values
+            in zip(*columns, holders(registry).tolist(), floats(registry).tolist())]
 
 
 def assert_same_registry(a, b) -> None:

@@ -1,4 +1,6 @@
+import csv
 import dataclasses
+import functools
 import io
 import math
 import random
@@ -13,10 +15,12 @@ from controlpower import dataset
 from controlpower.cli import main
 from controlpower.dataset import (
     BOARDS,
+    MAX_HOLDERS,
     OWNERSHIPS,
     DataError,
     GroupKey,
     MomentTarget,
+    Registry,
     SynthConfig,
     emit_csv,
     ingest_csv,
@@ -25,7 +29,7 @@ from controlpower.dataset import (
 )
 from controlpower.evolution import ControlPowerPdf, WaveParams, ideal_wave, pdf_sample
 from controlpower.pipeline import PipelineConfig, run_pipeline
-from registry_rows import Row, assert_same_registry, registry, row_cells
+from registry_rows import Row, assert_same_registry, floats, holders, registry, row_cells
 
 DATA = Path(__file__).parent / "data"
 # the grammar of a share or meeting_share cell; year and n_meetings take its digits-only case
@@ -64,9 +68,9 @@ class TestRecordValidation:
 
     def test_valid_record(self):
         table = registry([make_row()])
-        assert table.floats()[0, :3].tolist() == [0.30, 0.10, 0.05]
+        assert floats(table)[0, :3].tolist() == [0.30, 0.10, 0.05]
         assert (BOARDS[table.board[0]], OWNERSHIPS[table.ownership[0]]) == ("main", "private")
-        assert (len(table), table.count.tolist()) == (1, [3])
+        assert (len(table), holders(table).tolist()) == (1, [3])
 
     def test_rejects_unknown_board(self):
         with pytest.raises(DataError, match="^row 2: unknown board 'otc'$"):
@@ -84,7 +88,7 @@ class TestRecordValidation:
         # a zero at the tail is an absent holder, so a row has one canonical form
         with pytest.raises(DataError, match="^row 2: all disclosed shares are zero$"):
             registry([make_row(shares=(0.0,))])
-        assert registry([make_row(shares=(0.3, 0.0))]).count.tolist() == [1]
+        assert holders(registry([make_row(shares=(0.3, 0.0))])).tolist() == [1]
         # a held zero: the share after it lies within the order tolerance, so the row is sorted
         with pytest.raises(DataError, match=r"^row 2: share 0\.0 outside \(0, 1\]; absent holders are omitted$"):
             registry([make_row(shares=(0.3, 0.0, 1e-9))])
@@ -103,8 +107,8 @@ class TestIngest:
     def test_accepts_row_with_trailing_zeros(self):
         rows = ingest_csv(csv_of("f1,2001,main,private,0.30,0.10,0.05,0,0,0,0,0,0,0,,"))
         assert len(rows) == 1
-        assert rows.floats()[0].tolist() == [0.30, 0.10, 0.05] + [0.0] * 8
-        assert rows.count.tolist() == [3] and rows.has_meeting.tolist() == [False]
+        assert floats(rows)[0].tolist() == [0.30, 0.10, 0.05] + [0.0] * 8
+        assert holders(rows).tolist() == [3] and rows.has_meeting.tolist() == [False]
 
     def test_rejects_share_sum_above_equity(self):
         with pytest.raises(DataError, match="row 2"):
@@ -116,7 +120,7 @@ class TestIngest:
 
     def test_resorts_within_tolerance(self):
         rows = ingest_csv(csv_of("f1,2001,main,private,0.30,0.299999999999,0.3,,,,,,,,,"))
-        assert rows.floats()[0, :3].tolist() == [0.3, 0.3, 0.299999999999]
+        assert floats(rows)[0, :3].tolist() == [0.3, 0.3, 0.299999999999]
 
     def test_rejects_gap_in_share_columns(self):
         with pytest.raises(DataError, match="blank"):
@@ -377,6 +381,24 @@ class TestDecimalUnits:
         assert table.scale.tolist() == [1]
         assert table.units.tolist() == [[3, 1] + [0] * 8 + [5]]
 
+    def test_mask_is_the_12_place_round_trip(self):
+        # the mask _decimal_units returns is rint(v * 10^12) / 10^12 != v,
+        # cell by cell, on decimals of 0-12 places, floats of no such
+        # decimal, and rows mixing both
+        rng = np.random.default_rng(41)
+        places = rng.integers(0, 13, size=(4000, 11))
+        decimals = np.floor(rng.random(places.shape) * 10.0**places) / 10.0**places
+        cells = np.where(rng.random(places.shape) < 0.97, decimals, rng.random(places.shape))
+        special = [0.1 + 0.2, 1.0, 0.0, 1e-12, 1e-13, np.nextafter(0.5, 1.0), 0.999999999999, 0.1000000000001]
+        cells[: len(special), 0] = special
+        units, scale, off = dataset._decimal_units(cells)
+        assert np.array_equal(off, np.rint(cells * 1e12) / 1e12 != cells)
+        assert off[:, 0].tolist()[: len(special)] == [True, False, False, False, True, True, False, True]
+        fine = ~off.any(axis=1)
+        assert 0 < fine.sum() < len(cells) and (scale[fine] < 12).any() and (scale[~fine] == 12).all()
+        # a row of decimals only is its units over 10^scale again
+        assert np.array_equal(units[fine] / 10 ** scale[fine].astype(np.int64)[:, None], cells[fine])
+
 
 class TestColumnMapping:
     """Columns are found by header name, not position."""
@@ -428,7 +450,7 @@ def assert_same_values(a, b):
     for field, x, y in list(zip(dataclasses.fields(a), a.columns(), b.columns(), strict=True))[:-2]:
         assert (x.tolist() if isinstance(x, np.ndarray) else x) == (
             y.tolist() if isinstance(y, np.ndarray) else y), field.name
-    assert np.array_equal(a.floats(), b.floats())
+    assert np.array_equal(floats(a), floats(b))
 
 
 def padded_golden(tmp_path):
@@ -455,6 +477,35 @@ class TestRoundTrip:
             make_row(firm_id="f3", board="sme_gem", ownership="state", year=2010),
         ])
         assert_same_registry(ingest_csv(emitted(table)), table)
+
+    def test_cells_are_the_shortest_decimal_of_their_units(self):
+        # each value emit_csv writes from its units is the text
+        # np.format_float_positional gives its float, at every scale 0-12:
+        # seeded units, some cut to trailing zeros, and 0, 1 and 10^scale
+        rng = np.random.default_rng(29)
+        units, scales = [], []
+        for scale in range(13):
+            block = rng.integers(0, 10**scale + 1, size=(500, 11))
+            cut = 10 ** rng.integers(0, scale + 1, size=block.shape)
+            block = np.where(rng.random(block.shape) < 0.3, block // cut * cut, block)
+            block[:3] = [[10**scale] * 11, [1] * 11, [10**scale] + [0] * 10]
+            block[:, :MAX_HOLDERS] = -np.sort(-block[:, :MAX_HOLDERS], axis=1)
+            units.append(block)
+            scales += [scale] * len(block)
+        units = np.concatenate(units)
+        n = len(units)
+        has = rng.random(n) < 0.9
+        units[~has, MAX_HOLDERS] = 0
+        table = Registry(year=np.full(n, 2001), board=np.zeros(n, dtype=np.int64),
+                         ownership=np.zeros(n, dtype=np.int64), firm_id=[f"f{i}" for i in range(n)],
+                         has_meeting=has, n_meetings=[None] * n, units=units, scale=np.array(scales, dtype=np.int8))
+        written = list(csv.reader(emitted(table)))[1:]
+        assert len(written) == n
+        text = functools.partial(np.format_float_positional, trim="-")
+        for cells, row, scale, meeting in zip(written, units.tolist(), scales, has.tolist()):
+            shares = [text(u / 10**scale) for u in row[:MAX_HOLDERS] if u]
+            assert cells[4:14] == shares + [""] * (MAX_HOLDERS - len(shares))
+            assert cells[14] == (text(row[MAX_HOLDERS] / 10**scale) if meeting else "")
 
     def test_synthetic_registry_round_trips(self):
         config = SynthConfig(
@@ -491,7 +542,7 @@ class TestRoundTrip:
         assert len(table) == 0 and table.units.shape == (0, 11)
         assert_same_registry(table, registry([]))
         assert [c.dtype for c in table.columns() if isinstance(c, np.ndarray)] == [
-            np.int64, np.int64, np.int64, np.int64, bool, np.int64, np.int8]
+            np.int64, np.int64, np.int64, bool, np.int64, np.int8]
         with pytest.raises(DataError, match="^the registry has no rows$"):
             run_pipeline(table, PipelineConfig(min_sample=1))
 
@@ -545,7 +596,7 @@ class TestSynthRegistry:
         return SynthConfig(**base)
 
     def test_moments_match_targets(self):
-        shares = synth_registry(self.config()).floats()[:, :10]
+        shares = floats(synth_registry(self.config()))[:, :10]
         top1 = shares[:, 0]
         rest = shares[:, 1:].sum(axis=1)
         assert top1.mean() == pytest.approx(0.278, abs=0.01)
@@ -589,14 +640,14 @@ class TestSynthRegistry:
         # for every firm, where almost no Dirichlet split fits under top1 as drawn
         config = self.config(top1=MomentTarget(0.05, 0.01), top2_10=MomentTarget(0.9, 0.0))
         table = synth_registry(config)
-        shares = table.floats()[:, :10]
+        shares = floats(table)[:, :10]
         top1 = shares[:, 0]
         rest = np.array([math.fsum(row[1:]) for row in shares.tolist()])
         # each share is floored to whole micro-units: top1 loses less than
         # 1e-6 and the co-holders' total less than 9e-6
         assert (np.abs(rest - 9 * top1) < 9e-6 + 1e-8).all()
         assert (shares[:, 1:].max(axis=1) <= top1).all()
-        assert set(table.count.tolist()) == {10}
+        assert set(holders(table).tolist()) == {10}
 
     @pytest.mark.parametrize("overrides", [
         *({"seed": seed} for seed in (1, 2, 3, 4)),

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import random
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from controlpower import fitting, pipeline
 from controlpower.cli import DEFAULT_SYNTH_YEARS, main
 from controlpower.dataset import (
     BOARDS,
+    CSV_COLUMNS,
     MAX_HOLDERS,
     OWNERSHIPS,
     DataError,
@@ -33,10 +35,9 @@ from controlpower.pipeline import (
     build_report,
     emit_report,
     run_pipeline,
-    year_stats_from_draws,
 )
 from controlpower.power_index import make_game, spi_dp, top_holder_numerators
-from registry_rows import Row, registry, rows_of
+from registry_rows import Row, floats, registry, rows_of, take
 
 MAIN_PRIVATE = GroupKey("main", "private")
 # 36 firm-years in two groups whose years and some n_meetings exceed int64
@@ -199,7 +200,7 @@ def test_cell_means_and_sds_unchanged():
 
 class TestYearStatsFromDraws:
     def test_atom_count_and_tail(self):
-        stats = year_stats_from_draws(1999, [1.0, 1.0, 0.4, 0.6])
+        stats = pipeline._draws_stats({1999: [1.0, 1.0, 0.4, 0.6]})[0]
         assert stats.r_spi_1 == 0.5
         assert stats.n_spi_lt1 == 2
         assert stats.spi_lt1_mean == pytest.approx(0.5)
@@ -207,7 +208,7 @@ class TestYearStatsFromDraws:
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
-            year_stats_from_draws(1999, [])
+            pipeline._draws_stats({1999: []})
 
     def test_same_power_summary_as_year_stats(self):
         # (0.30, 0.20, 0.10) plants an exact-half coalition, (0.40, 0.10, 0.10)
@@ -222,7 +223,7 @@ class TestYearStatsFromDraws:
         assert 0 < sum(v == 1.0 for v in powers) < len(powers) - 2
 
         from_rows = cell_stats(recs)
-        from_draws = year_stats_from_draws(2001, powers)
+        from_draws = pipeline._draws_stats({2001: powers})[0]
         for name in ("r_spi_1", "spi_lt1_mean", "spi_lt1_sd", "spi_lt1_band", "n_spi_lt1"):
             assert getattr(from_rows, name) == getattr(from_draws, name), name
         assert from_rows.spi_lt1_band is not None
@@ -269,7 +270,7 @@ class TestRunPipeline:
         report_a = run_pipeline(table, config)
         shuffled = np.random.default_rng(99).permutation(len(table))
         assert not (shuffled == np.arange(len(table))).all()
-        report_b = run_pipeline(table.take(shuffled), config)
+        report_b = run_pipeline(take(table, shuffled), config)
         assert report_a.to_json() == report_b.to_json()
 
     def test_workers_do_not_change_output(self):
@@ -394,6 +395,11 @@ def random_registry(seed, blank_meeting=0.15):
     return records
 
 
+def group_stats(table, spi_mode):
+    """``_group_stats`` of every row of ``table``, in table order."""
+    return pipeline._group_stats(table, np.arange(len(table)), spi_mode)
+
+
 def per_cell_stats(records, spi_mode):
     """The aggregates of every (group, year) cell of the records below the
     filter limit, one ``_group_stats`` call per cell in group, year and
@@ -402,7 +408,7 @@ def per_cell_stats(records, spi_mode):
     for rec in sorted(records, key=lambda r: (r.board, r.ownership, r.year, r.firm_id)):
         if rec.shares[0] < 0.5:
             cells.setdefault(GroupKey(rec.board, rec.ownership), {}).setdefault(rec.year, []).append(rec)
-    return {g: tuple(pipeline._group_stats(registry(cell), spi_mode)[0] for cell in by_year.values())
+    return {g: tuple(group_stats(registry(cell), spi_mode)[0] for cell in by_year.values())
             for g, by_year in cells.items()}
 
 
@@ -499,23 +505,55 @@ class TestInputDigest:
         table = synth_registry(registry_config(firms_per_year=40))
         table = dataclasses.replace(table, firm_id=[f"f{int(i[-4:]) % 7}" for i in table.firm_id])
         n = len(table)
-        table = table.take(pipeline._sort_order(table))
+        table = take(table, pipeline._sort_order(table))
         index = {
             "presorted": np.arange(n),
             "reversed": np.arange(n)[::-1],
             "shuffled": np.random.default_rng(3).permutation(n),
             "repeated": np.random.default_rng(4).integers(0, n, size=2 * n),
         }[arrange]
-        table = table.take(index)
+        table = take(table, index)
         firm = np.unique(np.array(table.firm_id, dtype=object), return_inverse=True)[1]
         keys = (firm, table.ownership, table.board, table.year)
-        expected = np.lexsort((*table.floats()[:, MAX_HOLDERS - 1 :: -1].T, *keys))
+        expected = np.lexsort((*floats(table)[:, MAX_HOLDERS - 1 :: -1].T, *keys))
         assert pipeline._sort_order(table).tolist() == expected.tolist()
 
     def test_year_beyond_int64(self):
         far = self.BASE[0]._replace(year=10**20)
         farther = self.BASE[0]._replace(year=10**20 + 1)
         assert self.digest([far]) != self.digest([farther])
+
+    def test_shares_tie_break_on_exact_values(self):
+        # rows that repeat year, board, ownership and firm_id are ordered by
+        # their shares' exact values, which differ only in the 12th place;
+        # equal values tie, so those rows keep their input order
+        s1 = ["0.300000000002", "0.3", "0.300000000001", "0.299999999999", "0.3", "0.3"]
+        s2 = ["0.2", "0.200000000001", "0.2", "0.1", "0.199999999999", "0.2"]
+        records = [Row("f", 2001, "main", "private", pair, meeting)
+                   for pair in zip(s1, s2) for meeting in ("0.9", "0.123456789012", None)]
+        random.Random(5).shuffle(records)
+        table = registry(records)
+        assert set(table.scale.tolist()) == {1, 12}
+        expected = sorted(range(len(records)), key=lambda i: [Decimal(v) for v in records[i].shares])
+        assert pipeline._sort_order(table).tolist() == expected
+
+    def test_same_values_at_any_scale_are_one_table(self):
+        # 0.5 and 0.500000000000 are one value: one order and one digest;
+        # and so is every table with its units rescaled to 10^12
+        header = ",".join(CSV_COLUMNS)
+        texts = [f"{header}\nf1,2001,main,private,{s1},0.2,,,,,,,,,,\nf1,2001,main,private,0.5,0.1,,,,,,,,,,\n"
+                 for s1 in ("0.5", "0.500000000000")]
+        first, second = (ingest_csv(io.StringIO(t)) for t in texts)
+        assert pipeline._sort_order(first).tolist() == pipeline._sort_order(second).tolist() == [1, 0]
+        digests = {pipeline._records_digest(t, pipeline._sort_order(t)) for t in (first, second)}
+        assert len(digests) == 1
+        table = synth_registry(registry_config(firms_per_year=40))
+        table = dataclasses.replace(table, firm_id=[f"f{int(i[-4:]) % 7}" for i in table.firm_id])
+        wide = dataclasses.replace(table, units=table.units * _POW10[12 - table.scale][:, None],
+                                   scale=np.full(len(table), 12, dtype=np.int8))
+        order = pipeline._sort_order(table)
+        assert pipeline._sort_order(wide).tolist() == order.tolist()
+        assert pipeline._records_digest(wide, order) == pipeline._records_digest(table, order)
 
     def test_beyond_int64_registry_is_pinned(self):
         # year and n_meetings sit in object columns, which are hashed as
@@ -636,7 +674,7 @@ class TestBatchedPowers:
         assert (direct["top9"] == 1).any() and (direct["top9"] == 0.5).any()
         for spi_mode in SPI_MODES:
             index = np.flatnonzero(has) if spi_mode == "top11" else np.arange(len(records))
-            stats = pipeline._group_stats(table.take(index), spi_mode)
+            stats = pipeline._group_stats(table, index, spi_mode)
             assert [(ys.r_spi_1_top9, ys.r_spi_1_top10, ys.r_spi_1_top11, ys.r_spi_1, ys.spi_lt1_mean, ys.n_spi_lt1)
                     for ys in stats] == [
                 (float(direct["top9"][i] == 1), float(direct["top10"][i] == 1),
@@ -661,7 +699,7 @@ class TestBatchedPowers:
         fulls = 0
         for cell in cells.values():
             table = registry(cell)
-            (stats,) = pipeline._group_stats(table, spi_mode)
+            (stats,) = group_stats(table, spi_mode)
             units, has = table.units[:, :10], table.has_meeting
             residual = np.maximum(table.units[:, 10] - units.sum(axis=1), 0)
             top11 = full(np.column_stack((units, residual)))[has]
@@ -765,7 +803,7 @@ class TestDefaultGridFailsFast:
         source = self._outcomes()
         config = PipelineConfig(**overrides)
         draws = pipeline.synth_outcomes(source)
-        stats = [year_stats_from_draws(year, draws[year]) for year in sorted(draws)]
+        stats = pipeline._draws_stats(draws)
         with pytest.raises(ValueError) as fit_error:
             build_report({source.group: stats}, config)  # the error the first fit raises
 
