@@ -58,6 +58,9 @@ DATA_ERROR = 2
 DEFAULT_SYNTH_YEARS = tuple(range(1996, 2022))
 DEFAULT_TOP1 = MomentTarget(0.278, 0.106)
 DEFAULT_TOP2_10 = MomentTarget(0.293, 0.127)
+# the defaults above as `synth` options write them
+_DEFAULT_YEARS = f"{DEFAULT_SYNTH_YEARS[0]}-{DEFAULT_SYNTH_YEARS[-1]}"
+_DEFAULT_TOP1, _DEFAULT_TOP2_10 = (f"{target.mean!r},{target.sd!r}" for target in (DEFAULT_TOP1, DEFAULT_TOP2_10))
 _SPI_GAMES = 1 << 12  # games per profile_numerators call; their numerators wait to be printed
 _SIGNED = "-?" + _PLAIN  # the registry's plain decimal, with a sign where a value may be negative
 _MAX_SYNTH_ROWS = 10**6  # most rows or draws `synth` makes
@@ -320,8 +323,8 @@ def _cmd_synth(args) -> int:
             firms_per_year=args.firms_per_year,
             seed=args.seed,
             group=_parse_group(args.group),
-            top1=MomentTarget(*_parse_pair(args.top1, "--top1", "0.278,0.106")),
-            top2_10=MomentTarget(*_parse_pair(args.top2_10, "--top2-10", "0.293,0.127")),
+            top1=MomentTarget(*_parse_pair(args.top1, "--top1", _DEFAULT_TOP1)),
+            top2_10=MomentTarget(*_parse_pair(args.top2_10, "--top2-10", _DEFAULT_TOP2_10)),
         )
         emit_csv(synth_registry(config), args.output or sys.stdout)
         return 0
@@ -448,15 +451,15 @@ def _synth_options(p):
     sub = p.add_subparsers(dest="what", required=True)
     q = sub.add_parser("registry")
     q.add_argument("--seed", type=int, required=True)
-    q.add_argument("--years", default="1996-2021")
+    q.add_argument("--years", default=_DEFAULT_YEARS)
     q.add_argument("--firms-per-year", type=int, default=100)
     q.add_argument("--group", default="main/private")
-    q.add_argument("--top1", default="0.278,0.106", help="mean,sd of the leading share")
-    q.add_argument("--top2-10", dest="top2_10", default="0.293,0.127", help="mean,sd of the co-holders' total")
+    q.add_argument("--top1", default=_DEFAULT_TOP1, help="mean,sd of the leading share")
+    q.add_argument("--top2-10", dest="top2_10", default=_DEFAULT_TOP2_10, help="mean,sd of the co-holders' total")
     q.add_argument("--output")
     q = sub.add_parser("outcomes")
     q.add_argument("--seed", type=int, required=True)
-    q.add_argument("--years", default="1996-2021")
+    q.add_argument("--years", default=_DEFAULT_YEARS)
     q.add_argument("--draws-per-year", type=int, default=500)
     q.add_argument("--group", default="main/private")
     q.add_argument("--h", type=_DECIMAL, default=1.5)

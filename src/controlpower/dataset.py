@@ -16,10 +16,13 @@ stripped.
 
 Every share and meeting_share must read as a decimal of at most 12
 places; a row is held as exact integer units at 10^d, d the most places
-any of its cells needs (``_decimal_units``), and its games are counted on
-them. A value that no such decimal reads as is a data error. The table
-holds those units and nothing derived from them: no holder count and no
-float of a value.
+any of its cells needs once trailing zeros are dropped, and its games are
+counted on them. The units come from the digits of the cell's text, with
+no float step (``_numbers``); only a cell written with more than 12
+places goes through its float, whose shortest decimal must then have at
+most 12 (``_exact_units``). A value that no such decimal reads as is a
+data error. The table holds those units and nothing derived from them: no
+holder count and no float of a value.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, fields
+from decimal import Decimal
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -77,36 +81,6 @@ def _int_column(values: Sequence[int]) -> np.ndarray:
         return np.array(values, dtype=object)
 
 
-def _decimal_units(cells: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each row's exact decimal units and scale: the int64 block of ``v *
-    10**d`` for the (N x 11) float block ``cells`` of ten shares and the
-    meeting share (0 where absent or blank), d being the fewest places that
-    hold every cell of the row, and d; and the mask of the cells that are
-    not the float of a decimal of at most 12 places, whose units mean
-    nothing.
-
-    Values lie in [0, 1]. d is the smallest d <= 12 with rint(v * 10^d) /
-    10^d == v for every cell v of the row. For a float v of a decimal of at
-    most d places, the product is within 2e-4 of that decimal's units, so
-    rint recovers them and the division rounds them back to v; for any
-    other float the test fails, since decimals of 12 places or fewer lie
-    10^-12 apart or more, too far to share a float. So a cell written with
-    at most 12 places gives its written value, and ``units / 10**scale``
-    (the correctly rounded quotient) is each cell's float again; the mask
-    is where that last round trip fails.
-    """
-    scale = np.full(len(cells), _MAX_DECIMALS, dtype=np.int8)  # a row at 12 is still open below it
-    trial = np.empty_like(cells)  # one buffer for every trial: allocation costs more than the arithmetic
-    for d, p in enumerate(_POW10[:-1].tolist()):
-        np.divide(np.rint(np.multiply(cells, p, out=trial), out=trial), p, out=trial)
-        scale[(scale == _MAX_DECIMALS) & (trial == cells).all(axis=1)] = d
-        if (scale < _MAX_DECIMALS).all():
-            break
-    pow10 = _POW10[scale][:, None]
-    units = np.rint(np.multiply(cells, pow10, out=trial), out=trial).astype(np.int64)
-    return units, scale, np.divide(trial, pow10, out=trial) != cells
-
-
 @dataclass(frozen=True, eq=False)
 class Registry:
     """A firm-year registry as columns, one row per firm-year, in row order;
@@ -114,8 +88,8 @@ class Registry:
 
     ``units`` is an (N x 11) int64 block of each row's exact decimal units
     at 10^``scale``: ten shares, descending, with 0 for absent holders, then
-    the meeting share, 0 where ``has_meeting`` is False (``_decimal_units``).
-    A row's holders are its nonzero shares; no column restates their count.
+    the meeting share, 0 where ``has_meeting`` is False, read from the
+    digits of each cell's text (``_numbers``). A row's holders are its nonzero shares; no column restates their count.
     ``board`` and ``ownership`` index BOARDS and OWNERSHIPS. ``year`` is
     int64, or an object column of Python ints where a year does not fit.
     ``firm_id`` and ``n_meetings`` (None where blank) are lists. A value's
@@ -139,59 +113,44 @@ class Registry:
         return [getattr(self, f.name) for f in fields(self)]
 
 
-# Rows read, parsed and checked at a time, so only one chunk's cells are
-# held at once. Over three registry-10k CLI reports, peak RSS was 45.6 MB
-# with 512-row chunks and 48.0 MB with 2048 (46.6 MB reading row by row),
-# with no measured difference in ingest time.
-_CHUNK_ROWS = 512
-
-
 def ingest_csv(source) -> Registry:
-    """Read and validate a registry CSV (path or open text handle).
+    """Read and validate a registry CSV (path or open handle).
 
     Any invalid row raises DataError listing every problem with its file
-    line number. A row the CSV reader cannot split stops the read with an
-    error naming the file (a handle's name, else "input") and the line.
+    line number. A row the reader cannot split, or a byte that is not
+    UTF-8, stops the read with an error naming the file (a handle's name,
+    else "input") and the line.
     """
+    # the byte reader is imported where it is used, so that only a run that
+    # reads a registry compiles it
+    from .csvbytes import _blocks, _field_text
+
     own = not hasattr(source, "read")
     name = source if own else getattr(source, "name", "input")
-    with open(source, newline="", encoding="utf-8-sig") if own else contextlib.nullcontext(source) as handle:
-        reader = csv.reader(handle)
-        try:
-            header = next(reader, None)
-        except csv.Error as exc:
-            raise DataError(f"{name} line 1: {exc}") from None
-        if header is None:
+    with open(source, "rb") if own else contextlib.nullcontext(source) as handle:
+        blocks = _blocks(handle, name, own)
+        block = next(blocks, None)
+        if block is None:
             raise DataError("empty file, no header row")
+        if not len(block.first):
+            raise DataError(block.error)
+        header = [_field_text(block.data[a:b]) for a, b in zip(block.start[: block.count[0]].tolist(),
+                                                               block.stop[: block.count[0]].tolist())]
         columns = {column: i for i, column in enumerate(header)}  # a repeated name: the last wins
         missing = [c for c in CSV_COLUMNS if c not in columns]
         if missing:
             raise DataError(f"missing required columns: {', '.join(missing)}")
-        index = [columns[c] for c in CSV_COLUMNS]
-        parts = []
-        problems: list[str] = []
-        line = reader.line_num
-        while True:
-            rows, lines, unsplit = [], [], None
-            try:
-                for row in reader:
-                    line = reader.line_num
-                    if row:  # blank lines are skipped, however many
-                        rows.append(row)
-                        lines.append(line)
-                        if len(rows) == _CHUNK_ROWS:
-                            break
-            except csv.Error as exc:
-                # the record that cannot be split starts after the last one read
-                unsplit = f"{name} line {line + 1}: {exc}"
-            # a chunk without rows still gives typed columns, for a file without rows
-            part, bad = _parse_chunk(rows, index, len(header))
+        index = np.array([columns[c] for c in CSV_COLUMNS])
+        parts, problems, skip = [], [], 1  # the first block's first record is the header
+        while block is not None:
+            rows = np.flatnonzero(block.count[skip:]) + skip  # blank lines are skipped
+            part, bad = _parse_block(block, rows, index, len(header))
             parts.append(part)
-            problems += [f"row {lines[i]}: {message}" for i, message in sorted(bad.items())]
-            if unsplit:
-                problems.append(unsplit)
-            if unsplit or len(rows) < _CHUNK_ROWS:  # the reader stopped
+            problems += [f"row {block.line[rows[i]]}: {message}" for i, message in sorted(bad.items())]
+            if block.error:
+                problems.append(block.error)
                 break
+            block, skip = next(blocks, None), 0
     if problems:
         raise DataError("; ".join(problems))
     return Registry(*(np.concatenate(c) if isinstance(c[0], np.ndarray) else list(itertools.chain(*c))
@@ -216,18 +175,23 @@ def _all_plain(joined: str) -> bool:
     return b"x" not in shape and shape.count(b".") == shape.count(b"0.0")
 
 
-def _parse_cells(cells: Sequence[str], plain: bool, parse, blank=_REQUIRED) -> tuple[list, dict[int, str]]:
+def _stripped(cells: Sequence[str]) -> tuple[Sequence[str], str]:
+    """The cells stripped of surrounding whitespace, and their comma join:
+    as they are when no cell holds any, which one whitespace split of the
+    join tells faster than a strip of each cell (the split drops whitespace
+    at the join's ends too, so it must give back the whole join)."""
+    joined = ",".join(cells)
+    if joined.split() == [joined]:
+        return cells, joined
+    cells = list(map(str.strip, cells))
+    return cells, ",".join(cells)
+
+
+def _parse_cells(cells: Sequence[str], parse, blank=_REQUIRED) -> tuple[list, dict[int, str]]:
     """``parse`` (int or float) of every cell, or ``blank`` for an empty one,
     and the error text of each cell that does not parse or is not plain
     (``_PLAIN``), by position; its value is then ``blank``, or 0 where
-    blanks are parsed. ``plain`` says every cell is known to be plain."""
-    if plain:
-        try:
-            if blank is _REQUIRED or all(cells):
-                return list(map(parse, cells)), {}
-            return [parse(c) if c else blank for c in cells], {}
-        except ValueError:
-            pass
+    blanks are parsed."""
     values, errors = [], {}
     for i, c in enumerate(cells):
         if not c and blank is not _REQUIRED:
@@ -246,22 +210,153 @@ def _parse_cells(cells: Sequence[str], plain: bool, parse, blank=_REQUIRED) -> t
     return values, errors
 
 
-def _stripped(cells: Sequence[str]) -> tuple[Sequence[str], str]:
-    """The cells stripped of surrounding whitespace, and their comma join:
-    as they are when no cell holds any, which one whitespace split of the
-    join tells faster than a strip of each cell (the split drops whitespace
-    at the join's ends too, so it must give back the whole join)."""
-    joined = ",".join(cells)
-    if joined.split() == [joined]:
-        return cells, joined
-    cells = list(map(str.strip, cells))
-    return cells, ",".join(cells)
+def _exact_units(text: str, value: float) -> tuple[int, int] | None:
+    """A plain cell's exact (units, places), given its float: its written
+    decimal when that has at most 12 places once trailing zeros are
+    dropped, else the shortest decimal of its float; None when that too
+    needs more. A cell outside [0, 1] (or blank, nan) is (0, 0): its row is
+    rejected on its value."""
+    if not 0.0 <= value <= 1.0:
+        return 0, 0
+    whole, _, part = text.partition(".")
+    part = part.rstrip("0")
+    if len(part) <= _MAX_DECIMALS:
+        return int(whole + part), len(part)
+    shortest = Decimal(repr(value)).normalize()
+    places = max(0, -shortest.as_tuple().exponent)
+    return (int(shortest.scaleb(places)), places) if places <= _MAX_DECIMALS else None
 
 
-def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int) -> tuple[Registry, dict[int, str]]:
-    """A chunk's rows as a registry, and the problem of each invalid row by
-    its position in the chunk (the registry is of use only when there is
-    none).
+def _text_rows(rows: Sequence[Sequence[str]], index: Sequence[int]) -> tuple:
+    """Rows as str cells, read cell by cell: firm_id, year, board and
+    ownership text, the floats of ten shares and the meeting share (nan
+    where blank or unparseable), n_meetings, their exact units, scales and
+    mask of the cells no decimal of at most 12 places reads as, and the
+    error text of each number cell that does not parse, by (row, number
+    column)."""
+    columns = [[cell.strip() for cell in column] for column in zip(*rows)]
+    firm_id, years, boards, ownerships, *numbers = (columns[i] for i in index)
+    parses = [(int, _REQUIRED)] + [(float, math.nan)] * (MAX_HOLDERS + 1) + [(int, None)]
+    parsed = [_parse_cells(cells, *parse) for cells, parse in zip([years, *numbers], parses)]
+    errors = {(i, j): text for j, (_, column) in enumerate(parsed) for i, text in column.items()}
+    (year, _), *values, (n_meetings, _) = parsed
+    values = [column for column, _ in values]
+    units = np.zeros((len(rows), MAX_HOLDERS + 1), dtype=np.int64)
+    scale = np.zeros(len(rows), dtype=np.int8)
+    off = np.zeros(units.shape, dtype=bool)
+    for i, row in enumerate(zip(*numbers[:-1], strict=True)):
+        exact = [_exact_units(text, column[i]) for text, column in zip(row, values)]
+        off[i] = [e is None for e in exact]
+        scale[i] = most = max((p for _, p in filter(None, exact)), default=0)
+        units[i] = [u * 10 ** (most - p) for u, p in (e or (0, 0) for e in exact)]
+    return firm_id, year, boards, ownerships, np.array(values, dtype=float).T, n_meetings, units, scale, off, errors
+
+
+# bytes that str.strip may take from a cell's ends: ASCII whitespace, and
+# any byte of a non-ASCII character, which may be whitespace
+_EDGE = np.array([b >= 128 or chr(b).isspace() for b in range(256)])
+_MAX_DIGITS = 15  # most digits of a row's units, whose floats stay exact: 10^15 < 2^53
+# the CSV_COLUMNS of a block's cells, as ``_parse_block`` lays them out:
+# the number cells year, s1..s10, meeting_share and n_meetings, then firm_id,
+# board and ownership
+_LAYOUT = [1, *range(4, 4 + MAX_HOLDERS + 2), 0, 2, 3]
+_NUMBERS = len(_LAYOUT) - 3
+
+
+def _parse_block(block, rows: np.ndarray, index: np.ndarray, width: int) -> tuple[Registry, dict[int, str]]:
+    """The records ``rows`` of ``block`` (a ``csvbytes._Block``) as a
+    registry, and the problem of each invalid row by its position in
+    ``rows`` (the registry is of use only when there is none).
+
+    Cells are read from their bytes into exact units, whole columns at once.
+    A row that needs more is read as text (``_text_rows``): one with fewer
+    cells than the header, a quoted cell with other quotes inside, a number
+    cell outside the plain grammar, blank where it may not be, or needing
+    more than 12 places or 15 digits, a board or ownership not spelled as
+    one, or whitespace or a non-ASCII character at a firm_id's end. Those
+    rows, and those whose units may break a row rule or need sorting, are
+    checked in full (``_check``).
+    """
+    from .csvbytes import _codes, _field_text, _numbers, _texts, _words
+
+    data, n = block.data, len(rows)
+    view = np.frombuffer(data, dtype=np.uint8)
+    first, count = block.first[rows], block.count[rows]
+    short = count < width
+    field = first + np.where(short, 0, index[_LAYOUT, None])  # a short row is read as text
+    a, b = block.start[field], block.stop[field]  # a column of cells to a line
+    del field
+    slow = short.copy()
+    if len(block.quotes):  # a quoted cell is its text inside the quotes, when it has no others
+        quoted = (b > a) & (view[np.minimum(a, len(view) - 1)] == 34)
+        inner = np.searchsorted(block.quotes, b) - np.searchsorted(block.quotes, a)
+        bare = quoted & (inner == 2) & (view[b - 1] == 34)
+        slow |= (quoted & ~bare).any(axis=0)
+        a, b = a + bare, b - bare
+    items = _words(data)
+    number, places, whole, plain, dot = (x.reshape(_NUMBERS, n) for x in _numbers(
+        items, a[:_NUMBERS].ravel(), b[:_NUMBERS].ravel()))
+    blank = a[:_NUMBERS] == b[:_NUMBERS]
+    shares = slice(1, 2 + MAX_HOLDERS)  # and the meeting share
+    scale = places[shares].max(axis=0, initial=0)
+    slow |= ~plain[0] | ~(plain[-1] | blank[-1]) | ~(plain | dot | blank)[shares].all(axis=0)
+    slow |= (scale > _MAX_DECIMALS) | (whole[shares] + scale > _MAX_DIGITS).any(axis=0)
+    scale = np.minimum(scale, _MAX_DECIMALS).astype(np.int8)
+    units = number[shares] * _POW10[np.maximum(scale - places[shares], 0)]
+    board, ownership = (_codes(items, a[j], b[j], names) for j, names in ((-2, BOARDS), (-1, OWNERSHIPS)))
+    edge = (b[-3] > a[-3]) & (_EDGE[view[np.minimum(a[-3], len(view) - 1)]] | _EDGE[view[b[-3] - 1]])
+    slow |= (board < 0) | (ownership < 0) | edge
+    fast = np.flatnonzero(~slow)
+    if len(fast) == n:
+        firm_id = _texts(view, a[-3], b[-3])
+    else:
+        firm_id = [""] * n
+        for i, text in zip(fast.tolist(), _texts(view, a[-3, fast], b[-3, fast])):
+            firm_id[i] = text
+    year, has_meeting = number[0].copy(), ~blank[-2]
+    n_meetings = np.where(blank[-1], None, number[-1]).tolist()
+    # a row whose units may break a rule or need sorting: a blank s1 or a
+    # gap, a zero s1, a share above the one before, or a total or meeting
+    # share above 1
+    total = _POW10[scale]
+    check = slow | blank[1] | (blank[1:-3] & ~blank[2:-2]).any(axis=0) | (units[0] == 0)
+    check |= (units[1:-1] > units[:-2]).any(axis=0) | (units[:-1].sum(axis=0) > total) | (units[-1] > total)
+    units = np.ascontiguousarray(units.T)
+    problems = {}
+    if len(rows := np.flatnonzero(check)):
+        values = np.where(blank[shares, rows].T, math.nan, units[rows] / total[rows, None])
+        errors, names, off = {}, {}, np.zeros(values.shape, dtype=bool)
+        if len(text := np.flatnonzero(slow[rows])):
+            cells = [[""] * width if short[i] else [_field_text(data[block.start[f] : block.stop[f]])
+                                                   for f in range(first[i], first[i] + count[i])]
+                     for i in rows[text].tolist()]
+            ids, years, boards, ownerships, values[text], counts, units[rows[text]], scale[rows[text]], \
+                off[text], errors = _text_rows(cells, index)
+            year = year.tolist()
+            for k, i in enumerate(rows[text].tolist()):
+                firm_id[i], year[i], n_meetings[i] = ids[k], years[k], counts[k]
+                board[i], ownership[i] = _BOARD_CODES.get(boards[k], -1), _OWNERSHIP_CODES.get(ownerships[k], -1)
+                names[int(text[k])] = boards[k], ownerships[k]
+            errors = {(int(text[k]), j): message for (k, j), message in errors.items()}
+            year = _int_column(year)
+        checked = units[rows]
+        bad, has_meeting[rows] = _check(count[rows], width, board[rows], ownership[rows], values, checked,
+                                        scale[rows], off, errors, names)
+        units[rows] = checked
+        problems = {int(rows[i]): message for i, message in bad.items()}
+    return Registry(year, board, ownership, firm_id, has_meeting, n_meetings, units, scale), problems
+
+
+def _check(lengths, width, board, ownership, values, units, scale, off, errors, names) -> tuple[dict, np.ndarray]:
+    """Each invalid row's first problem, and whether each row has a meeting
+    share; rows out of descending order within SORT_TOL are sorted, in
+    ``units`` too. ``values`` are the floats of ten shares and the meeting
+    share (nan where blank or unparseable), ``units`` their exact units at
+    10^``scale`` and ``off`` the cells no decimal of at most 12 places
+    reads as; ``errors`` hold the text of each number cell that does not
+    parse, by (row, column: 0 year, 1-10 shares, 11 meeting_share, 12
+    n_meetings), and ``names`` the board and ownership text of rows read as
+    text.
 
     A row's problem is the first one met in the order its cells are read:
     the cell count, year, the share cells left to right (a value after a
@@ -277,37 +372,18 @@ def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int
             if i not in problems:
                 problems[i] = message(i)
 
-    def parsed(column, parse, blank=_REQUIRED) -> list:
-        values, errors = _parse_cells(*column, parse, blank)
-        flag(errors, lambda i: f"unparseable value ({errors[i]})")
-        return values
+    def unparseable(column):
+        flag([i for i, j in errors if j == column], lambda i: f"unparseable value ({errors[i, column]})")
 
-    lengths = np.fromiter(map(len, rows), np.int64, len(rows))
-    short = lengths < width
-    if short.any():  # a short row is read as blanks, and rejected
-        flag(short, lambda i: f"{lengths[i]} cells, the header has {width}")
-        rows = [[""] * width if s else row for row, s in zip(rows, short.tolist())]
-    columns = list(zip(*rows)) or [()] * width  # typed empty columns for a chunk without rows
-    firm_id, years, boards, ownerships, *share_cells, meeting_cells, count_cells = (columns[i] for i in index)
-    firm_id, boards, ownerships = (_stripped(cells)[0] for cells in (firm_id, boards, ownerships))
-    # number cells: (cells, whether all are plain); nearly always every cell
-    # of the chunk is, which also rules out whitespace to strip
-    numbers = [years, *share_cells, meeting_cells, count_cells]
-    if _all_plain(",".join(map(",".join, numbers))):
-        numbers = [(cells, True) for cells in numbers]
-    else:
-        numbers = [(cells, _all_plain(joined)) for cells, joined in map(_stripped, numbers)]
-    years, *share_cells, meeting_cells, count_cells = numbers
-    year = parsed(years, int)
-
-    # a blank share is nan, which no plain cell parses to
-    shares = [_parse_cells(*col, float, math.nan) for col in share_cells]
-    values = np.array([col for col, _ in shares], dtype=float).T
-    rejected = np.zeros(values.shape, dtype=bool)
-    for j, (_, errors) in enumerate(shares):
-        rejected[list(errors), j] = True
-    given = ~np.isnan(values) | rejected
-    values[~given] = 0.0
+    flag(lengths < width, lambda i: f"{lengths[i]} cells, the header has {width}")
+    unparseable(0)
+    shares = values[:, :MAX_HOLDERS].copy()
+    rejected = np.zeros(shares.shape, dtype=bool)
+    for i, j in errors:
+        if 1 <= j <= MAX_HOLDERS:
+            rejected[i, j - 1] = True
+    given = ~np.isnan(shares) | rejected
+    shares[~given] = 0.0
     after_blank = np.zeros_like(given)
     after_blank[:, 1:] = np.logical_or.accumulate(~given, axis=1)[:, :-1]
     cell_bad = given & (after_blank | rejected)
@@ -316,51 +392,48 @@ def _parse_chunk(rows: Sequence[Sequence[str]], index: Sequence[int], width: int
         j = int(np.argmax(cell_bad[i]))
         if after_blank[i, j]:
             return f"share column s{j + 1} follows a blank column"
-        return f"unparseable value ({shares[j][1][i]})"
+        return f"unparseable value ({errors[i, j + 1]})"
 
     flag(cell_bad.any(axis=1), share_cell_problem)
     flag(~given.any(axis=1), lambda i: "no shares disclosed")
     # zero cells at the tail mean the holder does not exist
-    nonzero = values != 0.0
+    nonzero = shares != 0.0
     count = np.where(nonzero.any(axis=1), MAX_HOLDERS - np.argmax(nonzero[:, ::-1], axis=1), 0)
     flag(count == 0, lambda i: "all disclosed shares are zero")
     held = np.arange(MAX_HOLDERS) < count[:, None]
-    values = np.where(held, values, 0.0)
+    shares = np.where(held, shares, 0.0)
     pairs = held[:, 1:]  # both shares of the pair (j, j + 1) are held
     with np.errstate(invalid="ignore", over="ignore"):
-        flag(((values[:, 1:] - values[:, :-1] > SORT_TOL) & pairs).any(axis=1),
+        flag(((shares[:, 1:] - shares[:, :-1] > SORT_TOL) & pairs).any(axis=1),
              lambda i: "shares out of descending order beyond tolerance")
-    meeting = np.array(parsed(meeting_cells, float, math.nan), dtype=float)
+    unparseable(MAX_HOLDERS + 1)
+    meeting = values[:, MAX_HOLDERS].copy()
     has_meeting = ~np.isnan(meeting)
     meeting[~has_meeting] = 0.0  # as the table holds it
-    n_meetings = parsed(count_cells, int, None)
-    # rows out of descending order within SORT_TOL are sorted as a list is
-    for i in np.flatnonzero(((values[:, 1:] > values[:, :-1]) & pairs).any(axis=1)).tolist():
-        values[i, : count[i]] = sorted(values[i, : count[i]].tolist(), reverse=True)
+    unparseable(MAX_HOLDERS + 2)
+    # rows out of descending order within SORT_TOL are sorted as a list is,
+    # their units and mask alike
+    for i in np.flatnonzero(((shares[:, 1:] > shares[:, :-1]) & pairs).any(axis=1)).tolist():
+        order = sorted(range(count[i]), key=lambda j: -shares[i, j])
+        shares[i, : count[i]], units[i, : count[i]], off[i, : count[i]] = \
+            shares[i, order], units[i, order], off[i, order]
 
-    board = np.fromiter(map(_BOARD_CODES.get, boards, itertools.repeat(-1)), np.int64, len(boards))
-    flag(board < 0, lambda i: f"unknown board {boards[i]!r}")
-    ownership = np.fromiter(map(_OWNERSHIP_CODES.get, ownerships, itertools.repeat(-1)), np.int64, len(ownerships))
-    flag(ownership < 0, lambda i: f"unknown ownership {ownerships[i]!r}")
+    flag(board < 0, lambda i: f"unknown board {names[i][0]!r}")
+    flag(ownership < 0, lambda i: f"unknown ownership {names[i][1]!r}")
     # a share that did not parse is nan, which fails both comparisons
-    bad = ~((values > 0.0) & (values <= 1.0)) & held
-    flag(bad.any(axis=1), lambda i: f"share {values[i, np.argmax(bad[i])].item()!r} outside (0, 1]; "
+    bad = ~((shares > 0.0) & (shares <= 1.0)) & held
+    flag(bad.any(axis=1), lambda i: f"share {shares[i, np.argmax(bad[i])].item()!r} outside (0, 1]; "
                                     "absent holders are omitted")
-    # a row with a bad share is rejected already, as is one with a bad
-    # meeting share; zeroing them keeps the units finite
-    wide = ~((meeting >= 0.0) & (meeting <= 1.0))
-    cells = np.column_stack((np.where(bad.any(axis=1)[:, None], 0.0, values), np.where(wide, 0.0, meeting)))
-    units, scale, off = _decimal_units(cells)
     places = f"is not a decimal of at most {_MAX_DECIMALS} places"
-    flag(off[:, :MAX_HOLDERS].any(axis=1), lambda i: f"{cells[i, np.argmax(off[i])].item()!r} {places}")
+    flag(off[:, :MAX_HOLDERS].any(axis=1), lambda i: f"{shares[i, np.argmax(off[i])].item()!r} {places}")
     # the exact decimal total, correctly rounded
     flag(units[:, :MAX_HOLDERS].sum(axis=1) / _POW10[scale] > 1.0 + SHARE_SUM_TOL,
          lambda i: "shares sum above total equity")
-    flag(wide & has_meeting, lambda i: f"meeting share {meeting[i].item()!r} outside [0, 1]")
+    flag(~((meeting >= 0.0) & (meeting <= 1.0)), lambda i: f"meeting share {meeting[i].item()!r} outside [0, 1]")
     flag(off[:, MAX_HOLDERS], lambda i: f"{meeting[i].item()!r} {places}")
     # the holder count is 1..10 and the shares descend by construction, and
     # n_meetings is digits alone, so no rule remains for them
-    return Registry(_int_column(year), board, ownership, firm_id, has_meeting, n_meetings, units, scale), problems
+    return problems, has_meeting
 
 
 def _decimal_text(units: int, scale: int) -> str:

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import io
 import json
 import math
 import random
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from controlpower import cli, dataset, power_index
+from controlpower import cli, csvbytes, dataset, power_index
 from controlpower.cli import main
 from controlpower.pipeline import PipelineConfig, run_pipeline
 from registry_rows import rows_of
@@ -105,11 +106,25 @@ def _reference_row(row, index, width):
     return firm_id, year, board, ownership, shares, meeting_share, n_meetings, units, scale
 
 
+# where the first byte that is not UTF-8 stood, in the text before it
+NOT_UTF8 = "\udcff"
+
+
 def reference_registry(path):
     """Every row of the registry at ``path`` as ``_reference_row`` gives it,
     or the DataError listing each bad row's first problem in file order,
-    then a row the CSV reader cannot split."""
-    with open(path, newline="", encoding="utf-8-sig") as handle:
+    then a row the CSV reader cannot split or the line of the first byte
+    that is not UTF-8, whichever comes first."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode()
+    except UnicodeDecodeError as exc:
+        line = len(re.findall(rb"\r\n|\r|\n", data[: exc.start])) + 1
+        undecodable = f"{path} line {line}: not UTF-8 (byte 0x{data[exc.start]:02x})"
+        data = data[: exc.start].decode("utf-8-sig") + NOT_UTF8
+    else:
+        data = data.decode("utf-8-sig")
+    with io.StringIO(data, newline="") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, None)
@@ -117,6 +132,8 @@ def reference_registry(path):
             raise dataset.DataError(f"{path} line 1: {exc}") from None
         if header is None:
             raise dataset.DataError("empty file, no header row")
+        if NOT_UTF8 in "".join(header):
+            raise dataset.DataError(undecodable)
         columns = {column: i for i, column in enumerate(header)}
         missing = [c for c in dataset.CSV_COLUMNS if c not in columns]
         if missing:
@@ -126,6 +143,9 @@ def reference_registry(path):
         try:
             for row in reader:
                 line = reader.line_num
+                if NOT_UTF8 in "".join(row):
+                    problems.append(undecodable)
+                    break
                 if row:
                     try:
                         rows.append(_reference_row(row, index, len(header)))
@@ -991,6 +1011,26 @@ class TestPipeline:
             lax += "not a plain" in str(reference)
         assert min(outcomes.values()) >= 100, outcomes
         assert lax >= 20
+
+    def test_undecodable_byte_names_file_and_line(self, tmp_path, capsys, monkeypatch):
+        # a byte that is not UTF-8 past the first 8 KiB and past the reader's
+        # first block stops the read at its line, after the problems of the
+        # rows before it, in the table and the slow reader alike (exit 2)
+        path = tmp_path / "registry.csv"
+        assert main(["synth", "registry", "--seed", "3", "--output", str(path)]) == 0
+        data = bytearray(path.read_bytes())
+        at = max(8192, csvbytes._BLOCK_BYTES) + 5000
+        data[at] = 0xFF
+        line = data[:at].count(b"\n") + 1
+        lines = data.split(b"\n")
+        lines[4] = lines[4].replace(b",main,", b",otc,")
+        path.write_bytes(b"\n".join(lines))
+        message = f"row 5: unknown board 'otc'; {path} line {line}: not UTF-8 (byte 0xff)"
+        for size in (csvbytes._BLOCK_BYTES, 4096):
+            monkeypatch.setattr(csvbytes, "_BLOCK_BYTES", size)
+            outcomes = {read_outcome(read, str(path)) for read in (reference_registry, table_registry)}
+            assert outcomes == {f"DataError: {message}"}
+        assert run_cli("pipeline", "--input", str(path), capsys=capsys) == (2, "", f"controlpower: {message}\n")
 
     def test_cells_past_12_places_match_the_reference_reader(self, tmp_path, capsys):
         # a share or meeting share that no decimal of at most 12 places reads

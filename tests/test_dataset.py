@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from controlpower import dataset
+from controlpower import csvbytes, dataset
 from controlpower.cli import main
 from controlpower.dataset import (
     BOARDS,
@@ -53,6 +53,33 @@ def make_row(**overrides):
     )
     base.update(overrides)
     return Row(**base)
+
+
+# reader block sizes, in bytes, small enough that cuts land inside records,
+# inside quotes and between a CR and its LF
+SMALL_BLOCKS = (7, 64)
+
+
+def read_blocks(monkeypatch, read):
+    """``read()``'s registry under the reader's own block size, once it has
+    given the same registry under each of SMALL_BLOCKS; or the DataError
+    they all raise, with the same text."""
+    outcomes = []
+    for size in (csvbytes._BLOCK_BYTES, *SMALL_BLOCKS):
+        monkeypatch.setattr(csvbytes, "_BLOCK_BYTES", size)
+        try:
+            outcomes.append(read())
+        except DataError as exc:
+            outcomes.append(exc)
+    first, *others = outcomes
+    for other in others:
+        if isinstance(first, DataError):
+            assert isinstance(other, DataError) and str(other) == str(first)
+        else:
+            assert_same_registry(other, first)
+    if isinstance(first, DataError):
+        raise first
+    return first
 
 
 def emitted(table):
@@ -243,22 +270,23 @@ class TestRowNumbers:
             ingest_csv(csv_of('"f\n1",2001,otc,private,0.3,,,,,,,,,,,'))
 
     def test_rows_beyond_one_chunk(self, monkeypatch):
-        # problems keep their file order and row numbers across chunks
-        monkeypatch.setattr(dataset, "_CHUNK_ROWS", 3)
+        # problems keep their file order and row numbers across blocks
         good = "f{},2001,main,private,0.3,0.2,,,,,,,,,,"
         rows = [good.format(i) if i % 4 else f"f{i},2001,main,private,abc,,,,,,,,,,," for i in range(1, 11)]
         with pytest.raises(DataError) as exc:
-            ingest_csv(csv_of(*rows))
+            read_blocks(monkeypatch, lambda: ingest_csv(csv_of(*rows)))
         assert str(exc.value) == "; ".join(
             f"row {i + 1}: unparseable value (could not convert string to float: 'abc')" for i in (4, 8))
-        # good rows keep their file order across chunks
+        # good rows keep their file order across blocks
         good_rows = [good.format(i) for i in range(1, 11)]
-        assert ingest_csv(csv_of(*good_rows)).firm_id == [f"f{i}" for i in range(1, 11)]
+        table = read_blocks(monkeypatch, lambda: ingest_csv(csv_of(*good_rows)))
+        assert table.firm_id == [f"f{i}" for i in range(1, 11)]
 
 
 class TestChunkedRead:
     """One table and the same errors, whatever the blank lines, short rows,
-    chunk boundaries and line endings of the file."""
+    block cuts and line endings of the file: each file is also read with
+    the reader's block patched down to SMALL_BLOCKS."""
 
     @staticmethod
     def rows(count):
@@ -273,17 +301,19 @@ class TestChunkedRead:
         return ingest_csv(str(path))
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-    def test_blank_run_longer_than_a_chunk(self, newline, tmp_path):
-        # 1,024 rows are two full chunks; 600 blank lines must not end the read
+    def test_blank_run_longer_than_a_chunk(self, newline, tmp_path, monkeypatch):
+        # 600 blank lines, longer than a whole block, must not end the read
         rows = self.rows(1024)
-        plain = self.read(tmp_path, "plain.csv", rows)
+        plain = read_blocks(monkeypatch, lambda: self.read(tmp_path, "plain.csv", rows))
         assert len(plain) == 1024
         blanks = rows[:300] + [""] * 600 + rows[300:]
-        assert_same_registry(self.read(tmp_path, "blanks.csv", blanks, newline), plain)
-        assert_same_registry(self.read(tmp_path, "tail.csv", rows + [""] * 600, newline), plain)
+        assert_same_registry(read_blocks(monkeypatch, lambda: self.read(tmp_path, "blanks.csv", blanks, newline)),
+                             plain)
+        tail = rows + [""] * 600
+        assert_same_registry(read_blocks(monkeypatch, lambda: self.read(tmp_path, "tail.csv", tail, newline)), plain)
 
     @pytest.mark.parametrize("newline", ["\n", "\r\n"])
-    def test_short_row_inside_a_chunk(self, newline, tmp_path):
+    def test_short_row_inside_a_chunk(self, newline, tmp_path, monkeypatch):
         rows = self.rows(1100)
         rows[700] = "f700,2001,main,private,0.3,0.2"
         rows[701] = "f701,2001,main,private,abc,,,,,,,,,,,"
@@ -294,13 +324,14 @@ class TestChunkedRead:
             "row {}: unknown board 'otc'",
         ])
         with pytest.raises(DataError) as plain:
-            self.read(tmp_path, "plain.csv", rows, newline)
+            read_blocks(monkeypatch, lambda: self.read(tmp_path, "plain.csv", rows, newline))
         assert str(plain.value) == expected.format(702, 703, 1052)
+        spaced_rows = rows[:300] + [""] * 600 + rows[300:]
         with pytest.raises(DataError) as spaced:
-            self.read(tmp_path, "blanks.csv", rows[:300] + [""] * 600 + rows[300:], newline)
+            read_blocks(monkeypatch, lambda: self.read(tmp_path, "blanks.csv", spaced_rows, newline))
         assert str(spaced.value) == expected.format(1302, 1303, 1652)
 
-    def test_whitespace_is_stripped_wherever_it_is(self, tmp_path):
+    def test_whitespace_is_stripped_wherever_it_is(self, tmp_path, monkeypatch):
         # whitespace at either end of a column's first or last cell, and a
         # whitespace-only cell among numbers, as in a cell of its own
         rows = self.rows(600)
@@ -310,9 +341,10 @@ class TestChunkedRead:
         spaced[200] = rows[200].replace(",0.1,,", ",0.1, \t,", 1)
         spaced[599] = rows[599] + " "
         assert spaced[200] != rows[200] and spaced[511] != rows[511]
-        assert_same_registry(self.read(tmp_path, "spaced.csv", spaced), self.read(tmp_path, "plain.csv", rows))
+        assert_same_registry(read_blocks(monkeypatch, lambda: self.read(tmp_path, "spaced.csv", spaced)),
+                             self.read(tmp_path, "plain.csv", rows))
 
-    def test_unsplittable_row_names_file_and_line(self, tmp_path):
+    def test_unsplittable_row_names_file_and_line(self, tmp_path, monkeypatch):
         # an unclosed quote takes the rest of the file into one field, past
         # the CSV reader's field limit; earlier problems are listed first
         rows = self.rows(4000)
@@ -321,14 +353,80 @@ class TestChunkedRead:
         path = tmp_path / "quote.csv"
         path.write_text("\n".join([HEADER, *rows]) + "\n")
         with pytest.raises(DataError) as exc:
-            ingest_csv(str(path))
+            read_blocks(monkeypatch, lambda: ingest_csv(str(path)))
         assert str(exc.value) == f"row 4: unknown board 'otc'; {path} line 12: field larger than field limit (131072)"
+
+
+class TestTokenizer:
+    """The byte reader splits a file into the records, line numbers, blank
+    lines and field-limit error that ``csv.reader`` gives on the same file
+    opened as text (newline="", utf-8-sig), under every block size."""
+
+    ALPHABET = [b"a", b"0", b".", b",", b'"', b"\r", b"\n", b"\xef\xbb\xbf", "é".encode()]
+
+    @staticmethod
+    def by_csv(path):
+        """(line_num, record) of every record csv.reader yields, blank ones
+        as [], and the error that stops it, as ingest_csv names it."""
+        records, line = [], 0
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            try:
+                for record in reader:
+                    line = reader.line_num
+                    records.append((line, record))
+            except csv.Error as exc:
+                return records, f"{path} line {line + 1}: {exc}"
+        return records, None
+
+    @staticmethod
+    def by_blocks(path):
+        """The same, from the blocks ``csvbytes._blocks`` reads."""
+        records, error = [], None
+        with open(path, "rb") as handle:
+            for block in csvbytes._blocks(handle, str(path), True):
+                for first, count, line in zip(block.first.tolist(), block.count.tolist(), block.line.tolist()):
+                    fields = zip(block.start[first : first + count].tolist(), block.stop[first : first + count].tolist())
+                    records.append((line, [csvbytes._field_text(block.data[a:b]) for a, b in fields]))
+                error = block.error
+        return records, error
+
+    def test_records_match_the_csv_reader(self, tmp_path, monkeypatch):
+        # seeded strings over a small alphabet, read in blocks of a few
+        # bytes to the default; a field limit of 8 lets long fields stop
+        # the read
+        rng = random.Random(2027)
+        path = tmp_path / "case.csv"
+        cases = [b'"a\r\n0,a"\r\n', b"a,0\r\n\r\na", b'"' + b"a" * 9, b'0,"a""a"a"\n,']
+        cases += [b"".join(rng.choices(self.ALPHABET, k=rng.randint(0, 40))) for _ in range(3000)]
+        errors, limit = 0, csv.field_size_limit(8)
+        try:
+            for data in cases:
+                path.write_bytes(data)
+                expected = self.by_csv(path)
+                errors += expected[1] is not None
+                for size in (2, 5, 64, csvbytes._BLOCK_BYTES):
+                    monkeypatch.setattr(csvbytes, "_BLOCK_BYTES", size)
+                    assert self.by_blocks(path) == expected, (data, size)
+        finally:
+            csv.field_size_limit(limit)
+        assert errors > 100
+
+    def test_quote_across_a_block_cut(self, tmp_path, monkeypatch):
+        # a quoted field holding CRLFs and commas spans the cut of every
+        # small block, and a CRLF falls across one
+        path = tmp_path / "quoted.csv"
+        path.write_bytes(b'a,"b\r\nc,d""e"\r\nf,g\r\n"h\ni",j\r\n')
+        for size in (3, 4, 5, 6, 7, 9, 11):
+            monkeypatch.setattr(csvbytes, "_BLOCK_BYTES", size)
+            assert self.by_blocks(path) == self.by_csv(path) == (
+                [(2, ["a", 'b\r\nc,d"e']), (3, ["f", "g"]), (5, ["h\ni", "j"])], None)
 
 
 class TestDecimalUnits:
     """Share and meeting_share cells of at most 12 places reach the table as
     exact integer units at 10^scale, scale the fewest places that hold every
-    cell of the row; a row needing more keeps scale -1 and the float grid."""
+    cell of the row; a cell no such decimal reads as is a data error."""
 
     @staticmethod
     def decimal(rng, units, places):
@@ -380,24 +478,6 @@ class TestDecimalUnits:
         table = ingest_csv(csv_of(rows[1]))
         assert table.scale.tolist() == [1]
         assert table.units.tolist() == [[3, 1] + [0] * 8 + [5]]
-
-    def test_mask_is_the_12_place_round_trip(self):
-        # the mask _decimal_units returns is rint(v * 10^12) / 10^12 != v,
-        # cell by cell, on decimals of 0-12 places, floats of no such
-        # decimal, and rows mixing both
-        rng = np.random.default_rng(41)
-        places = rng.integers(0, 13, size=(4000, 11))
-        decimals = np.floor(rng.random(places.shape) * 10.0**places) / 10.0**places
-        cells = np.where(rng.random(places.shape) < 0.97, decimals, rng.random(places.shape))
-        special = [0.1 + 0.2, 1.0, 0.0, 1e-12, 1e-13, np.nextafter(0.5, 1.0), 0.999999999999, 0.1000000000001]
-        cells[: len(special), 0] = special
-        units, scale, off = dataset._decimal_units(cells)
-        assert np.array_equal(off, np.rint(cells * 1e12) / 1e12 != cells)
-        assert off[:, 0].tolist()[: len(special)] == [True, False, False, False, True, True, False, True]
-        fine = ~off.any(axis=1)
-        assert 0 < fine.sum() < len(cells) and (scale[fine] < 12).any() and (scale[~fine] == 12).all()
-        # a row of decimals only is its units over 10^scale again
-        assert np.array_equal(units[fine] / 10 ** scale[fine].astype(np.int64)[:, None], cells[fine])
 
 
 class TestColumnMapping:
