@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import codecs
 import csv
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -187,7 +187,8 @@ _CELL_BYTES = 16  # widest number cell read from its bytes: two 8-byte words
 _POW10_CELL = np.array([10**d for d in range(_CELL_BYTES + 1)], dtype=np.int64)
 # eight bytes of one value, for SWAR ("SIMD within a register") steps on
 # little-endian words: the first byte of a text is a word's lowest
-_ZEROS, _DOTS, _LOW7, _HIGH4, _SIXES = (np.uint64(0x0101010101010101 * c) for c in (0x30, 0x2E, 0x7F, 0xF0, 0x06))
+_ONES, _ZEROS, _DOTS, _LOW7, _HIGH4, _SIXES = (np.uint64(0x0101010101010101 * c)
+                                               for c in (0x01, 0x30, 0x2E, 0x7F, 0xF0, 0x06))
 # fold steps: adjacent lanes of k digits join into lanes of 2k, masked
 _FOLDS = [(np.uint64(10**k), np.uint64(8 * k), np.uint64(mask))
           for k, mask in ((1, 0x00FF00FF00FF00FF), (2, 0x0000FFFF0000FFFF), (4, 0xFFFFFFFF))]
@@ -240,10 +241,17 @@ def _numbers(items: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarra
             x += spare
             x &= mask
         total = x.view(np.int64) if below == 8 * words - 8 else total * 10**8 + x.view(np.int64)
-        found = np.bitwise_count(dots)
+        # bytes are counted by a multiply that sums a word's bytes into its
+        # top byte: the dots, as 1 in each dot's byte
+        found = (np.multiply(np.right_shift(dots, np.uint64(7), out=spare), _ONES, out=spare)
+                 >> np.uint64(56)).astype(np.uint8)
         count += found
-        # a dot at byte j of the word is its bit 8j + 7, 7 - j places above ``below``
-        places = np.where(found == 1, below + 7 - (np.bitwise_count(np.subtract(dots, 1, out=dots)) >> 3), places)
+        # a dot at byte j of the word is its bit 8j + 7, 7 - j places above
+        # ``below``; of dots - 1, the bytes below it are those with bit 7 set
+        np.subtract(dots, np.uint64(1), out=dots)
+        np.bitwise_and(np.right_shift(dots, np.uint64(7), out=dots), _ONES, out=dots)
+        below_dot = (np.multiply(dots, _ONES, out=dots) >> np.uint64(56)).astype(np.uint8)
+        places = np.where(found == 1, below + 7 - below_dot, places)
     dot = fits & (count == 1) & (places >= 1) & (places <= width - 2)
     places *= dot
     fraction = total % _POW10_CELL[places]
@@ -258,18 +266,6 @@ def _numbers(items: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarra
         places[trailing] -= 1
         trailing = trailing[(places[trailing] > 0) & (total[trailing] % 10 == 0)]
     return total, places, whole, fits & (count == 0) & (width > 0), dot
-
-
-def _codes(items: np.ndarray, a: np.ndarray, b: np.ndarray, names: Sequence[str]) -> np.ndarray:
-    """The index in ``names`` (of at most 8 bytes each) of each cell
-    ``data[a:b]`` spelled exactly as one, else -1; ``items`` as for
-    ``_numbers``."""
-    width = b - a
-    word = items[b + 8] & _KEEP[np.minimum(width, 8)]
-    code = np.full(len(a), -1)
-    for i, name in enumerate(names):
-        code[(word == int.from_bytes(name.encode().rjust(8, b"\0"), "little")) & (width == len(name))] = i
-    return code
 
 
 def _texts(view: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[str]:

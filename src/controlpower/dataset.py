@@ -277,7 +277,7 @@ def _parse_block(block, rows: np.ndarray, index: np.ndarray, width: int) -> tupl
     rows, and those whose units may break a row rule or need sorting, are
     checked in full (``_check``).
     """
-    from .csvbytes import _codes, _field_text, _numbers, _texts, _words
+    from .csvbytes import _field_text, _numbers, _texts, _words
 
     data, n = block.data, len(rows)
     view = np.frombuffer(data, dtype=np.uint8)
@@ -293,9 +293,8 @@ def _parse_block(block, rows: np.ndarray, index: np.ndarray, width: int) -> tupl
         bare = quoted & (inner == 2) & (view[b - 1] == 34)
         slow |= (quoted & ~bare).any(axis=0)
         a, b = a + bare, b - bare
-    items = _words(data)
     number, places, whole, plain, dot = (x.reshape(_NUMBERS, n) for x in _numbers(
-        items, a[:_NUMBERS].ravel(), b[:_NUMBERS].ravel()))
+        _words(data), a[:_NUMBERS].ravel(), b[:_NUMBERS].ravel()))
     blank = a[:_NUMBERS] == b[:_NUMBERS]
     shares = slice(1, 2 + MAX_HOLDERS)  # and the meeting share
     scale = places[shares].max(axis=0, initial=0)
@@ -303,7 +302,9 @@ def _parse_block(block, rows: np.ndarray, index: np.ndarray, width: int) -> tupl
     slow |= (scale > _MAX_DECIMALS) | (whole[shares] + scale > _MAX_DIGITS).any(axis=0)
     scale = np.minimum(scale, _MAX_DECIMALS).astype(np.int8)
     units = number[shares] * _POW10[np.maximum(scale - places[shares], 0)]
-    board, ownership = (_codes(items, a[j], b[j], names) for j, names in ((-2, BOARDS), (-1, OWNERSHIPS)))
+    spelled = _texts(view, a[-2:].ravel(), b[-2:].ravel())  # the board column, then the ownership column
+    board, ownership = (np.fromiter(map(codes.get, spelled[j * n : (j + 1) * n], itertools.repeat(-1)), np.int64, n)
+                        for j, codes in enumerate((_BOARD_CODES, _OWNERSHIP_CODES)))
     edge = (b[-3] > a[-3]) & (_EDGE[view[np.minimum(a[-3], len(view) - 1)]] | _EDGE[view[b[-3] - 1]])
     slow |= (board < 0) | (ownership < 0) | edge
     fast = np.flatnonzero(~slow)

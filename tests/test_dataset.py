@@ -344,6 +344,22 @@ class TestChunkedRead:
         assert_same_registry(read_blocks(monkeypatch, lambda: self.read(tmp_path, "spaced.csv", spaced)),
                              self.read(tmp_path, "plain.csv", rows))
 
+    def test_text_handle_reads_as_a_file_without_newline_translation(self, monkeypatch):
+        # a text handle is read as csv reads a file opened with newline="":
+        # a lone "\r" that io.StringIO keeps ends a record and counts as a
+        # line, as "\n" and "\r\n" do
+        rows = self.rows(40)
+        plain = ingest_csv(io.StringIO("\n".join([HEADER, *rows]) + "\n"))
+        bad = list(rows)
+        bad[30] = rows[30].replace(",private,", ",otc,").replace(",state,", ",otc,")
+        for newline in ("\r", "\r\n"):
+            text = newline.join([HEADER, *rows]) + newline
+            assert_same_registry(read_blocks(monkeypatch, lambda: ingest_csv(io.StringIO(text))), plain)
+            text = newline.join([HEADER, "", *bad]) + newline
+            with pytest.raises(DataError) as exc:
+                read_blocks(monkeypatch, lambda: ingest_csv(io.StringIO(text)))
+            assert str(exc.value) == "row 33: unknown ownership 'otc'"
+
     def test_unsplittable_row_names_file_and_line(self, tmp_path, monkeypatch):
         # an unclosed quote takes the rest of the file into one field, past
         # the CSV reader's field limit; earlier problems are listed first
