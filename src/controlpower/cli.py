@@ -10,8 +10,7 @@ Exit codes: 0 success, 1 usage error, 2 data error.
 from __future__ import annotations
 
 import argparse
-import contextlib
-import csv
+import codecs
 import math
 import re
 import sys
@@ -27,6 +26,7 @@ from .dataset import (
     _PLAIN,
     _all_plain,
     _stripped,
+    _write_csv,
     emit_csv,
     ingest_csv,
     synth_outcomes,
@@ -64,6 +64,7 @@ _DEFAULT_TOP1, _DEFAULT_TOP2_10 = (f"{target.mean!r},{target.sd!r}" for target i
 _SPI_GAMES = 1 << 12  # games per profile_numerators call; their numerators wait to be printed
 _SIGNED = "-?" + _PLAIN  # the registry's plain decimal, with a sign where a value may be negative
 _MAX_SYNTH_ROWS = 10**6  # most rows or draws `synth` makes
+_SERIES = ("step_or_t", "value")  # the header of an `evolve` series
 
 
 class _Parser(argparse.ArgumentParser):
@@ -159,13 +160,6 @@ def _parse_group(text: str) -> GroupKey:
     return GroupKey(board, ownership)
 
 
-def _emit_series(rows, output, header=("step_or_t", "value")):
-    with open(output, "w", newline="", encoding="utf-8") if output else contextlib.nullcontext(sys.stdout) as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
 def _cmd_spi(args) -> int:
     # every game is built before any profile is printed, so a bad line
     # stops the command with no partial output
@@ -174,14 +168,19 @@ def _cmd_spi(args) -> int:
         games.append(_spi_game(args.shares))
     if args.input:
         given = len(games)
-        with open(args.input, encoding="utf-8-sig") as handle:
-            for number, line in enumerate(handle, start=1):
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    try:
-                        games.append(_spi_game(line))
-                    except ValueError as exc:
-                        raise DataError(f"{args.input} line {number}: {exc}") from None
+        with open(args.input, "rb") as handle:
+            data = handle.read().removeprefix(codecs.BOM_UTF8)
+        # split at "\n", "\r" and "\r\n", as a file read as text is
+        for number, line in enumerate(data.splitlines(), start=1):
+            try:
+                line = line.decode().strip()
+            except UnicodeDecodeError as exc:
+                raise DataError(f"{args.input} line {number}: not UTF-8 (byte 0x{line[exc.start]:02x})") from None
+            if line and not line.startswith("#"):
+                try:
+                    games.append(_spi_game(line))
+                except ValueError as exc:
+                    raise DataError(f"{args.input} line {number}: {exc}") from None
         if len(games) == given:
             raise DataError(f"{args.input} has no share lists")
     if not games:
@@ -206,7 +205,7 @@ def _cmd_evolve(args) -> int:
             raise ValueError("--k gives more than 10^4 states")
         values = ratio_sequence(args.k)
         if args.output:
-            _emit_series([(i + 1, float(v)) for i, v in enumerate(values)], args.output)
+            _write_csv(args.output, _SERIES, [(i + 1, float(v)) for i, v in enumerate(values)])
         else:
             print(", ".join(_fmt(v) for v in values))
         return 0
@@ -215,7 +214,7 @@ def _cmd_evolve(args) -> int:
             raise ValueError("--operations gives more than 10^6 operations")
         law = tuple(_parse_floats(args.law, "--law")) if args.law else UNIFORM_LAW
         states = collapse_walk(args.operations, args.seed, law)
-        _emit_series([(i, float(v)) for i, v in enumerate(states)], args.output)
+        _write_csv(args.output or sys.stdout, _SERIES, [(i, float(v)) for i, v in enumerate(states)])
         return 0
     # wave: --a0 with its other terms, else the ideal wave of --h
     if args.a0 is None:
@@ -239,12 +238,13 @@ def _cmd_evolve(args) -> int:
     while t <= args.t_max + 1e-9:
         rows.append((t, wave_eval(params, t)))
         t += args.t_step
-    _emit_series(rows, args.output)
+    _write_csv(args.output or sys.stdout, _SERIES, rows)
     return 0
 
 
 def _read_pairs(path: str, key, grammar: str) -> list[tuple]:
-    """(key(first cell), float(second cell)) of each row of a two-column CSV.
+    """(key(first cell), float(second cell)) of each row of a two-column CSV,
+    read as a registry is (``csvbytes``).
 
     A row whose first cell ``key`` cannot read is skipped when it is the
     first row (a header) or that cell holds no digit (a blank row or a
@@ -252,39 +252,41 @@ def _read_pairs(path: str, key, grammar: str) -> list[tuple]:
     ``key`` cannot read its first cell, its key repeats an earlier row's,
     its second cell is missing or not a number, either number is not
     finite, or a cell is not written in its grammar: ``grammar`` for the
-    first, ``_SIGNED`` for the second; so is a row the CSV reader cannot
-    split, such as an unclosed quote.
+    first, ``_SIGNED`` for the second; so is a field past the CSV field
+    limit, such as an unclosed quote, or a byte that is not UTF-8.
     """
+    from .csvbytes import _blocks, _record
+
+    def records(handle):  # (the line each record ends on, its cells)
+        for block in _blocks(handle, path, True):
+            for k, line in enumerate(block.line.tolist()):
+                yield line, _record(block, k)
+            if block.error:
+                raise DataError(block.error)
+
     pairs = []
     seen = set()
-    with open(path, newline="", encoding="utf-8-sig") as handle:
-        reader = csv.reader(handle)
-        line = 0  # the last line of the last row read
-        try:
-            for index, row in enumerate(reader):
-                line = reader.line_num
-                try:
-                    first = key(row[0])
-                except (IndexError, ValueError):
-                    if index == 0 or not re.search("[0-9]", "".join(row[:1])):
-                        continue
-                    raise DataError(f"{path} line {line}: not a plain decimal number: {row[0]!r}") from None
-                if first in seen:
-                    raise DataError(f"{path} line {line}: {row[0]!r} repeats an earlier row")
-                seen.add(first)
-                try:
-                    pair = (first, float(row[1]))
-                except (IndexError, ValueError):
-                    raise DataError(f"{path} line {line}: no number after {row[0]!r}") from None
-                if not all(map(math.isfinite, pair)):
-                    raise DataError(f"{path} line {line}: {row[0]!r}, {row[1]!r} must be finite numbers")
-                for cell, form in zip(row, (grammar, _SIGNED)):
-                    if not re.fullmatch(form, cell.strip()):
-                        raise DataError(f"{path} line {line}: not a plain decimal number: {cell!r}")
-                pairs.append(pair)
-        except csv.Error as exc:
-            # the row that cannot be split starts after the last one read
-            raise DataError(f"{path} line {line + 1}: {exc}") from None
+    with open(path, "rb") as handle:
+        for index, (line, row) in enumerate(records(handle)):
+            try:
+                first = key(row[0])
+            except (IndexError, ValueError):
+                if index == 0 or not re.search("[0-9]", "".join(row[:1])):
+                    continue
+                raise DataError(f"{path} line {line}: not a plain decimal number: {row[0]!r}") from None
+            if first in seen:
+                raise DataError(f"{path} line {line}: {row[0]!r} repeats an earlier row")
+            seen.add(first)
+            try:
+                pair = (first, float(row[1]))
+            except (IndexError, ValueError):
+                raise DataError(f"{path} line {line}: no number after {row[0]!r}") from None
+            if not all(map(math.isfinite, pair)):
+                raise DataError(f"{path} line {line}: {row[0]!r}, {row[1]!r} must be finite numbers")
+            for cell, form in zip(row, (grammar, _SIGNED)):
+                if not re.fullmatch(form, cell.strip()):
+                    raise DataError(f"{path} line {line}: not a plain decimal number: {cell!r}")
+            pairs.append(pair)
     return pairs
 
 
@@ -340,7 +342,7 @@ def _cmd_synth(args) -> int:
     )
     draws = synth_outcomes(config)
     rows = [(year, float(v)) for year in sorted(draws) for v in draws[year]]
-    _emit_series(rows, args.output, header=("year", "spi"))
+    _write_csv(args.output or sys.stdout, ("year", "spi"), rows)
     return 0
 
 

@@ -136,6 +136,19 @@ def _field_text(raw: bytes, errors: str = "strict") -> str:
     return b"".join(parts).decode(errors=errors)
 
 
+def _record(block: _Block, k: int) -> list[str]:
+    """The field texts of record ``k`` of ``block``; none for a blank line.
+    A record without quotes is decoded at once and split at its commas."""
+    f, count = int(block.first[k]), int(block.count[k])
+    if not count:
+        return []
+    text = block.data[block.start[f] : block.stop[f + count - 1]].decode()
+    if '"' not in text:
+        return text.split(",")
+    return [_field_text(block.data[a:b]) for a, b in zip(block.start[f : f + count].tolist(),
+                                                         block.stop[f : f + count].tolist())]
+
+
 def _blocks(handle, name: str, bom: bool):
     """The registry read from ``handle`` (of bytes or text) as blocks of
     whole records; a leading byte-order mark is dropped when ``bom`` is

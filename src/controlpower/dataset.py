@@ -23,6 +23,11 @@ places goes through its float, whose shortest decimal must then have at
 most 12 (``_exact_units``). A value that no such decimal reads as is a
 data error. The table holds those units and nothing derived from them: no
 holder count and no float of a value.
+
+A block's cells are read a column at a time. A row those columns cannot
+read (an odd cell), or whose units may break a row rule or need sorting,
+is set aside and read again from its cell texts by one function,
+``_read_row``, one row at a time; a clean registry sets none aside.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import math
 import re
 from dataclasses import dataclass, fields
 from decimal import Decimal
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -123,7 +128,7 @@ def ingest_csv(source) -> Registry:
     """
     # the byte reader is imported where it is used, so that only a run that
     # reads a registry compiles it
-    from .csvbytes import _blocks, _field_text
+    from .csvbytes import _blocks, _record
 
     own = not hasattr(source, "read")
     name = source if own else getattr(source, "name", "input")
@@ -134,8 +139,7 @@ def ingest_csv(source) -> Registry:
             raise DataError("empty file, no header row")
         if not len(block.first):
             raise DataError(block.error)
-        header = [_field_text(block.data[a:b]) for a, b in zip(block.start[: block.count[0]].tolist(),
-                                                               block.stop[: block.count[0]].tolist())]
+        header = _record(block, 0)
         columns = {column: i for i, column in enumerate(header)}  # a repeated name: the last wins
         missing = [c for c in CSV_COLUMNS if c not in columns]
         if missing:
@@ -157,7 +161,6 @@ def ingest_csv(source) -> Registry:
                       for c in zip(*(part.columns() for part in parts))))
 
 
-_REQUIRED = object()  # blank cells are parsed too, and so rejected
 # an ASCII byte as it shapes a number: digits as '0', '.' and ',' as
 # themselves, any other byte as 'x'
 _SHAPE = bytes(48 if 48 <= b <= 57 else b if b in b".," else 120 for b in range(256))
@@ -187,29 +190,6 @@ def _stripped(cells: Sequence[str]) -> tuple[Sequence[str], str]:
     return cells, ",".join(cells)
 
 
-def _parse_cells(cells: Sequence[str], parse, blank=_REQUIRED) -> tuple[list, dict[int, str]]:
-    """``parse`` (int or float) of every cell, or ``blank`` for an empty one,
-    and the error text of each cell that does not parse or is not plain
-    (``_PLAIN``), by position; its value is then ``blank``, or 0 where
-    blanks are parsed."""
-    values, errors = [], {}
-    for i, c in enumerate(cells):
-        if not c and blank is not _REQUIRED:
-            values.append(blank)
-            continue
-        try:
-            value = parse(c)
-        except ValueError as exc:
-            errors[i] = str(exc)
-        else:
-            if re.fullmatch(_PLAIN, c):
-                values.append(value)
-                continue
-            errors[i] = f"not a plain decimal number: {c!r}"
-        values.append(0 if blank is _REQUIRED else blank)
-    return values, errors
-
-
 def _exact_units(text: str, value: float) -> tuple[int, int] | None:
     """A plain cell's exact (units, places), given its float: its written
     decimal when that has at most 12 places once trailing zeros are
@@ -227,29 +207,76 @@ def _exact_units(text: str, value: float) -> tuple[int, int] | None:
     return (int(shortest.scaleb(places)), places) if places <= _MAX_DECIMALS else None
 
 
-def _text_rows(rows: Sequence[Sequence[str]], index: Sequence[int]) -> tuple:
-    """Rows as str cells, read cell by cell: firm_id, year, board and
-    ownership text, the floats of ten shares and the meeting share (nan
-    where blank or unparseable), n_meetings, their exact units, scales and
-    mask of the cells no decimal of at most 12 places reads as, and the
-    error text of each number cell that does not parse, by (row, number
-    column)."""
-    columns = [[cell.strip() for cell in column] for column in zip(*rows)]
-    firm_id, years, boards, ownerships, *numbers = (columns[i] for i in index)
-    parses = [(int, _REQUIRED)] + [(float, math.nan)] * (MAX_HOLDERS + 1) + [(int, None)]
-    parsed = [_parse_cells(cells, *parse) for cells, parse in zip([years, *numbers], parses)]
-    errors = {(i, j): text for j, (_, column) in enumerate(parsed) for i, text in column.items()}
-    (year, _), *values, (n_meetings, _) = parsed
-    values = [column for column, _ in values]
-    units = np.zeros((len(rows), MAX_HOLDERS + 1), dtype=np.int64)
-    scale = np.zeros(len(rows), dtype=np.int8)
-    off = np.zeros(units.shape, dtype=bool)
-    for i, row in enumerate(zip(*numbers[:-1], strict=True)):
-        exact = [_exact_units(text, column[i]) for text, column in zip(row, values)]
-        off[i] = [e is None for e in exact]
-        scale[i] = most = max((p for _, p in filter(None, exact)), default=0)
-        units[i] = [u * 10 ** (most - p) for u, p in (e or (0, 0) for e in exact)]
-    return firm_id, year, boards, ownerships, np.array(values, dtype=float).T, n_meetings, units, scale, off, errors
+def _cell(text: str, parse):
+    """``parse`` (int or float) of a number cell's stripped text; a cell that
+    does not parse or is not plain (``_PLAIN``) is a DataError."""
+    try:
+        value = parse(text)
+    except ValueError as exc:
+        raise DataError(f"unparseable value ({exc})") from None
+    if not re.fullmatch(_PLAIN, text):
+        raise DataError(f"unparseable value (not a plain decimal number: {text!r})")
+    return value
+
+
+def _read_row(cells: Sequence[str], index: Sequence[int], width: int) -> tuple:
+    """One row from its cell texts, ``index`` giving the cells of CSV_COLUMNS:
+    firm_id, year, the board and ownership codes, the meeting flag,
+    n_meetings, the units at 10^scale and scale, with shares out of
+    descending order within SORT_TOL sorted. An invalid row raises its
+    first problem in reading order: the cell count, year, the share cells
+    left to right (a value after a blank, or not plain), the share list
+    (none disclosed, all zero, out of order), meeting_share, n_meetings,
+    then the rules: board, ownership, each share in (0, 1], each of at most
+    12 places, their sum, the meeting share in [0, 1], its places."""
+    if len(cells) < width:
+        raise DataError(f"{len(cells)} cells, the header has {width}")
+    firm_id, year, board, ownership, *numbers = [cells[i].strip() for i in index]
+    year = _cell(year, int)
+    shares, blank = [], False
+    for j, text in enumerate(numbers[:MAX_HOLDERS]):
+        if not text:
+            blank = True
+        elif blank:
+            raise DataError(f"share column s{j + 1} follows a blank column")
+        else:
+            shares.append((_cell(text, float), text))
+    if not shares:
+        raise DataError("no shares disclosed")
+    while shares and shares[-1][0] == 0.0:  # zero cells at the tail mean the holder does not exist
+        shares.pop()
+    if not shares:
+        raise DataError("all disclosed shares are zero")
+    if any(b - a > SORT_TOL for (a, _), (b, _) in zip(shares, shares[1:])):
+        raise DataError("shares out of descending order beyond tolerance")
+    meeting, n_meetings = numbers[MAX_HOLDERS:]
+    value = _cell(meeting, float) if meeting else 0.0
+    n_meetings = _cell(n_meetings, int) if n_meetings else None
+    shares.sort(key=lambda share: -share[0])  # stable: equal shares keep their order
+    codes = _BOARD_CODES.get(board), _OWNERSHIP_CODES.get(ownership)
+    if codes[0] is None:
+        raise DataError(f"unknown board {board!r}")
+    if codes[1] is None:
+        raise DataError(f"unknown ownership {ownership!r}")
+    for share, _ in shares:
+        if not 0.0 < share <= 1.0:
+            raise DataError(f"share {share!r} outside (0, 1]; absent holders are omitted")
+    places = f"is not a decimal of at most {_MAX_DECIMALS} places"
+    exact = [_exact_units(text, share) for share, text in shares]
+    if None in exact:
+        raise DataError(f"{shares[exact.index(None)][0]!r} {places}")
+    exact.append(_exact_units(meeting, value) if meeting else (0, 0))
+    scale = max(p for _, p in filter(None, exact))
+    units = [u * 10 ** (scale - p) for u, p in (e or (0, 0) for e in exact)]
+    # the exact decimal total, correctly rounded
+    if sum(units[:-1]) / 10**scale > 1.0 + SHARE_SUM_TOL:
+        raise DataError("shares sum above total equity")
+    if not 0.0 <= value <= 1.0:
+        raise DataError(f"meeting share {value!r} outside [0, 1]")
+    if exact[-1] is None:
+        raise DataError(f"{value!r} {places}")
+    return (firm_id, year, *codes, bool(meeting), n_meetings,
+            units[:-1] + [0] * (MAX_HOLDERS - len(shares)) + units[-1:], scale)
 
 
 # bytes that str.strip may take from a cell's ends: ASCII whitespace, and
@@ -269,24 +296,23 @@ def _parse_block(block, rows: np.ndarray, index: np.ndarray, width: int) -> tupl
     ``rows`` (the registry is of use only when there is none).
 
     Cells are read from their bytes into exact units, whole columns at once.
-    A row that needs more is read as text (``_text_rows``): one with fewer
-    cells than the header, a quoted cell with other quotes inside, a number
-    cell outside the plain grammar, blank where it may not be, or needing
-    more than 12 places or 15 digits, a board or ownership not spelled as
-    one, or whitespace or a non-ASCII character at a firm_id's end. Those
-    rows, and those whose units may break a row rule or need sorting, are
-    checked in full (``_check``).
+    A row is set aside when the columns cannot read it (fewer cells than
+    the header, a quoted cell with other quotes inside, a number cell
+    outside the plain grammar, blank where it may not be, or needing more
+    than 12 places or 15 digits, a board or ownership not spelled as one,
+    or whitespace or a non-ASCII character at a firm_id's end) or when its
+    units may break a row rule or need sorting. Each set-aside row is read
+    again from its cell texts, one row at a time, by ``_read_row``.
     """
-    from .csvbytes import _field_text, _numbers, _texts, _words
+    from .csvbytes import _numbers, _record, _texts, _words
 
     data, n = block.data, len(rows)
     view = np.frombuffer(data, dtype=np.uint8)
     first, count = block.first[rows], block.count[rows]
-    short = count < width
-    field = first + np.where(short, 0, index[_LAYOUT, None])  # a short row is read as text
+    slow = count < width  # a short row is set aside
+    field = first + np.where(slow, 0, index[_LAYOUT, None])
     a, b = block.start[field], block.stop[field]  # a column of cells to a line
     del field
-    slow = short.copy()
     if len(block.quotes):  # a quoted cell is its text inside the quotes, when it has no others
         quoted = (b > a) & (view[np.minimum(a, len(view) - 1)] == 34)
         inner = np.searchsorted(block.quotes, b) - np.searchsorted(block.quotes, a)
@@ -307,13 +333,7 @@ def _parse_block(block, rows: np.ndarray, index: np.ndarray, width: int) -> tupl
                         for j, codes in enumerate((_BOARD_CODES, _OWNERSHIP_CODES)))
     edge = (b[-3] > a[-3]) & (_EDGE[view[np.minimum(a[-3], len(view) - 1)]] | _EDGE[view[b[-3] - 1]])
     slow |= (board < 0) | (ownership < 0) | edge
-    fast = np.flatnonzero(~slow)
-    if len(fast) == n:
-        firm_id = _texts(view, a[-3], b[-3])
-    else:
-        firm_id = [""] * n
-        for i, text in zip(fast.tolist(), _texts(view, a[-3, fast], b[-3, fast])):
-            firm_id[i] = text
+    firm_id = _texts(view, a[-3], b[-3])  # a set-aside row's is read again
     year, has_meeting = number[0].copy(), ~blank[-2]
     n_meetings = np.where(blank[-1], None, number[-1]).tolist()
     # a row whose units may break a rule or need sorting: a blank s1 or a
@@ -324,117 +344,16 @@ def _parse_block(block, rows: np.ndarray, index: np.ndarray, width: int) -> tupl
     check |= (units[1:-1] > units[:-2]).any(axis=0) | (units[:-1].sum(axis=0) > total) | (units[-1] > total)
     units = np.ascontiguousarray(units.T)
     problems = {}
-    if len(rows := np.flatnonzero(check)):
-        values = np.where(blank[shares, rows].T, math.nan, units[rows] / total[rows, None])
-        errors, names, off = {}, {}, np.zeros(values.shape, dtype=bool)
-        if len(text := np.flatnonzero(slow[rows])):
-            cells = [[""] * width if short[i] else [_field_text(data[block.start[f] : block.stop[f]])
-                                                   for f in range(first[i], first[i] + count[i])]
-                     for i in rows[text].tolist()]
-            ids, years, boards, ownerships, values[text], counts, units[rows[text]], scale[rows[text]], \
-                off[text], errors = _text_rows(cells, index)
-            year = year.tolist()
-            for k, i in enumerate(rows[text].tolist()):
-                firm_id[i], year[i], n_meetings[i] = ids[k], years[k], counts[k]
-                board[i], ownership[i] = _BOARD_CODES.get(boards[k], -1), _OWNERSHIP_CODES.get(ownerships[k], -1)
-                names[int(text[k])] = boards[k], ownerships[k]
-            errors = {(int(text[k]), j): message for (k, j), message in errors.items()}
-            year = _int_column(year)
-        checked = units[rows]
-        bad, has_meeting[rows] = _check(count[rows], width, board[rows], ownership[rows], values, checked,
-                                        scale[rows], off, errors, names)
-        units[rows] = checked
-        problems = {int(rows[i]): message for i, message in bad.items()}
+    if check.any():
+        year, columns = year.tolist(), index.tolist()
+        for i in np.flatnonzero(check).tolist():
+            try:
+                firm_id[i], year[i], board[i], ownership[i], has_meeting[i], n_meetings[i], units[i], scale[i] = \
+                    _read_row(_record(block, rows[i]), columns, width)
+            except DataError as exc:
+                problems[i] = str(exc)
+        year = _int_column(year)
     return Registry(year, board, ownership, firm_id, has_meeting, n_meetings, units, scale), problems
-
-
-def _check(lengths, width, board, ownership, values, units, scale, off, errors, names) -> tuple[dict, np.ndarray]:
-    """Each invalid row's first problem, and whether each row has a meeting
-    share; rows out of descending order within SORT_TOL are sorted, in
-    ``units`` too. ``values`` are the floats of ten shares and the meeting
-    share (nan where blank or unparseable), ``units`` their exact units at
-    10^``scale`` and ``off`` the cells no decimal of at most 12 places
-    reads as; ``errors`` hold the text of each number cell that does not
-    parse, by (row, column: 0 year, 1-10 shares, 11 meeting_share, 12
-    n_meetings), and ``names`` the board and ownership text of rows read as
-    text.
-
-    A row's problem is the first one met in the order its cells are read:
-    the cell count, year, the share cells left to right (a value after a
-    blank, or one that does not parse or is not plain), the share list
-    (none disclosed, all zero, out of order beyond SORT_TOL),
-    meeting_share, n_meetings, then the row rules. Each check runs on whole
-    columns.
-    """
-    problems: dict[int, str] = {}
-
-    def flag(bad, message) -> None:
-        for i in np.flatnonzero(bad).tolist() if isinstance(bad, np.ndarray) else bad:
-            if i not in problems:
-                problems[i] = message(i)
-
-    def unparseable(column):
-        flag([i for i, j in errors if j == column], lambda i: f"unparseable value ({errors[i, column]})")
-
-    flag(lengths < width, lambda i: f"{lengths[i]} cells, the header has {width}")
-    unparseable(0)
-    shares = values[:, :MAX_HOLDERS].copy()
-    rejected = np.zeros(shares.shape, dtype=bool)
-    for i, j in errors:
-        if 1 <= j <= MAX_HOLDERS:
-            rejected[i, j - 1] = True
-    given = ~np.isnan(shares) | rejected
-    shares[~given] = 0.0
-    after_blank = np.zeros_like(given)
-    after_blank[:, 1:] = np.logical_or.accumulate(~given, axis=1)[:, :-1]
-    cell_bad = given & (after_blank | rejected)
-
-    def share_cell_problem(i):
-        j = int(np.argmax(cell_bad[i]))
-        if after_blank[i, j]:
-            return f"share column s{j + 1} follows a blank column"
-        return f"unparseable value ({errors[i, j + 1]})"
-
-    flag(cell_bad.any(axis=1), share_cell_problem)
-    flag(~given.any(axis=1), lambda i: "no shares disclosed")
-    # zero cells at the tail mean the holder does not exist
-    nonzero = shares != 0.0
-    count = np.where(nonzero.any(axis=1), MAX_HOLDERS - np.argmax(nonzero[:, ::-1], axis=1), 0)
-    flag(count == 0, lambda i: "all disclosed shares are zero")
-    held = np.arange(MAX_HOLDERS) < count[:, None]
-    shares = np.where(held, shares, 0.0)
-    pairs = held[:, 1:]  # both shares of the pair (j, j + 1) are held
-    with np.errstate(invalid="ignore", over="ignore"):
-        flag(((shares[:, 1:] - shares[:, :-1] > SORT_TOL) & pairs).any(axis=1),
-             lambda i: "shares out of descending order beyond tolerance")
-    unparseable(MAX_HOLDERS + 1)
-    meeting = values[:, MAX_HOLDERS].copy()
-    has_meeting = ~np.isnan(meeting)
-    meeting[~has_meeting] = 0.0  # as the table holds it
-    unparseable(MAX_HOLDERS + 2)
-    # rows out of descending order within SORT_TOL are sorted as a list is,
-    # their units and mask alike
-    for i in np.flatnonzero(((shares[:, 1:] > shares[:, :-1]) & pairs).any(axis=1)).tolist():
-        order = sorted(range(count[i]), key=lambda j: -shares[i, j])
-        shares[i, : count[i]], units[i, : count[i]], off[i, : count[i]] = \
-            shares[i, order], units[i, order], off[i, order]
-
-    flag(board < 0, lambda i: f"unknown board {names[i][0]!r}")
-    flag(ownership < 0, lambda i: f"unknown ownership {names[i][1]!r}")
-    # a share that did not parse is nan, which fails both comparisons
-    bad = ~((shares > 0.0) & (shares <= 1.0)) & held
-    flag(bad.any(axis=1), lambda i: f"share {shares[i, np.argmax(bad[i])].item()!r} outside (0, 1]; "
-                                    "absent holders are omitted")
-    places = f"is not a decimal of at most {_MAX_DECIMALS} places"
-    flag(off[:, :MAX_HOLDERS].any(axis=1), lambda i: f"{shares[i, np.argmax(off[i])].item()!r} {places}")
-    # the exact decimal total, correctly rounded
-    flag(units[:, :MAX_HOLDERS].sum(axis=1) / _POW10[scale] > 1.0 + SHARE_SUM_TOL,
-         lambda i: "shares sum above total equity")
-    flag(~((meeting >= 0.0) & (meeting <= 1.0)), lambda i: f"meeting share {meeting[i].item()!r} outside [0, 1]")
-    flag(off[:, MAX_HOLDERS], lambda i: f"{meeting[i].item()!r} {places}")
-    # the holder count is 1..10 and the shares descend by construction, and
-    # n_meetings is digits alone, so no rule remains for them
-    return problems, has_meeting
 
 
 def _decimal_text(units: int, scale: int) -> str:
@@ -444,24 +363,30 @@ def _decimal_text(units: int, scale: int) -> str:
     return f"{whole}.{part:0{scale}d}".rstrip("0") if part else str(whole)
 
 
+def _write_csv(dest, header: Sequence, rows: Iterable[Sequence]) -> None:
+    """Write ``header`` and ``rows`` as CSV lines ending in "\\n" to
+    ``dest``, a path or an open text handle (which is left open)."""
+    own = not hasattr(dest, "write")
+    with open(dest, "w", newline="", encoding="utf-8") if own else contextlib.nullcontext(dest) as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def emit_csv(registry: Registry, dest) -> None:
     """Write a registry in the CSV schema; inverse of ingest_csv. Each value
     is written from its units, as the shortest decimal that reads as it."""
-    own = not hasattr(dest, "write")
-    handle = open(dest, "w", newline="", encoding="utf-8") if own else dest
-    try:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
+
+    def rows():
         columns = (c.tolist() if isinstance(c, np.ndarray) else c for c in registry.columns())
         for year, board, ownership, firm_id, has, n_meetings, units, scale in zip(*columns):
             shares = [_decimal_text(u, scale) for u in units[:MAX_HOLDERS] if u]
-            writer.writerow([firm_id, year, BOARDS[board], OWNERSHIPS[ownership], *shares,
-                             *[""] * (MAX_HOLDERS - len(shares)),
-                             _decimal_text(units[MAX_HOLDERS], scale) if has else "",
-                             "" if n_meetings is None else n_meetings])
-    finally:
-        if own:
-            handle.close()
+            yield [firm_id, year, BOARDS[board], OWNERSHIPS[ownership], *shares,
+                   *[""] * (MAX_HOLDERS - len(shares)),
+                   _decimal_text(units[MAX_HOLDERS], scale) if has else "",
+                   "" if n_meetings is None else n_meetings]
+
+    _write_csv(dest, CSV_COLUMNS, rows())
 
 
 class MomentTarget(NamedTuple):

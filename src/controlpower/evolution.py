@@ -2,12 +2,17 @@
 
 The probability that the leading shareholder secures full control climbs a
 ladder of Fibonacci ratios (1/2, 2/3, 3/5, 5/8, 8/13) and is randomly
-knocked back to 1/2. Averaged over interruptions the process behaves as a
-harmonic oscillation between 1/2 and 2/3 with period 12 evolution steps,
-i.e. 12*h years when one step takes h years. This module provides the
-ladder itself, the interrupted walk, the resulting wave, its wave-equation
-residual, the mixed point-mass/truncated-normal distribution of the power
-value, and the share/effort oscillation curves.
+knocked back to 1/2. The paper states that, averaged over interruptions,
+the process behaves as a harmonic oscillation between 1/2 and 2/3 with
+period 12 evolution steps, i.e. 12*h years when one step takes h years;
+``ideal_wave`` is that stated result, taken as given. The walk does not
+derive it: its episodes are 2-5 states long, lengths with no common
+divisor, so the exact mean of its k-th state under the uniform law has no
+period. It runs 1/2, 2/3, 0.575, 0.6042, 0.5893, ... and settles at
+6499/10920 (about 0.59515), within 6.1e-5 from k = 20 and 5.3e-8 from
+k = 40. This module provides the ladder, the interrupted walk, the stated
+wave, its wave-equation residual, the mixed point-mass/truncated-normal
+distribution of the power value, and the share/effort oscillation curves.
 """
 
 from __future__ import annotations
@@ -110,7 +115,8 @@ class WaveParams:
 
 
 def ideal_wave(h: float) -> WaveParams:
-    """Idealized full-power-ratio wave implied by the interrupted ladder.
+    """The paper's full-power-ratio wave, taken as given: the walk's own
+    mean settles at 6499/10920 instead (see the module docstring).
 
     Mean 7/12, amplitude 1/12 (so minimum 1/2 and maximum 2/3), period
     12*h years for h years per evolution step. Phase puts the wave at its

@@ -10,7 +10,6 @@ so identical inputs give byte-identical outputs.
 
 from __future__ import annotations
 
-import csv
 import functools
 import hashlib
 import json
@@ -33,6 +32,7 @@ from .dataset import (
     SynthConfig,
     _MAX_DECIMALS,
     _POW10,
+    _write_csv,
     synth_outcomes,
     synth_registry,
 )
@@ -614,13 +614,6 @@ def run_pipeline(
 # report emission ------------------------------------------------------------
 
 REPORT_FORMATS = ("json", "csv-tables", "plot-data")
-
-
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _year_rows(*fields: str):

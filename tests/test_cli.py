@@ -284,6 +284,14 @@ class TestSpi:
         assert err == f"controlpower: {path} line 3: {problem}\n"
 
 
+    def test_undecodable_byte_names_the_line(self, tmp_path, capsys):
+        # lines end at "\r", "\r\n" or "\n", as in a file read as text, after a byte-order mark
+        path = tmp_path / "games.txt"
+        path.write_bytes(b"\xef\xbb\xbf1,1\r2,1\r\n0.5,\xff0.2\n3,1\n")
+        code, out, err = run_cli("spi", "--input", str(path), capsys=capsys)
+        assert (code, out, err) == (2, "", f"controlpower: {path} line 3: not UTF-8 (byte 0xff)\n")
+
+
 class TestEvolve:
     def test_ratios_line(self, capsys):
         code, out, _ = run_cli("evolve", "ratios", "--k", "5", capsys=capsys)
@@ -496,6 +504,14 @@ class TestFit:
         code, out, err = run_cli("fit", "--input", str(path), capsys=capsys)
         assert (code, out) == (2, "")
         assert err == f"controlpower: {path} line 4: field larger than field limit (131072)\n"
+
+    def test_undecodable_byte_names_the_line(self, tmp_path, capsys):
+        # past the reader's first block of 32 KiB
+        path = tmp_path / "series.csv"
+        rows = "".join(f"{t},0.5\r\n" for t in range(5000))
+        path.write_bytes(b"t,y\r\n" + rows.encode() + b"5000,\xff1\r\n")
+        code, out, err = run_cli("fit", "--input", str(path), capsys=capsys)
+        assert (code, out, err) == (2, "", f"controlpower: {path} line 5002: not UTF-8 (byte 0xff)\n")
 
     def test_header_only_is_empty_series(self, tmp_path, capsys):
         path = tmp_path / "series.csv"
@@ -1205,6 +1221,13 @@ class TestMacroRows:
     def test_year_that_cannot_be_read_is_data_error(self, tmp_path, capsys):
         macro, result = self._run(tmp_path, capsys, "1996,1\n1997.0,2\n1998,3\n")
         assert result == (2, "", f"controlpower: {macro} line 2: not a plain decimal number: '1997.0'\n")
+
+    def test_undecodable_byte_names_the_line(self, tmp_path, capsys):
+        macro = tmp_path / "index.csv"
+        macro.write_bytes(b"year,value\n1996,1\n1997,\xff2\n")
+        code, out, err = run_cli("pipeline", "--synth", "outcomes", "--seed", "1", "--macro", f"idx={macro}",
+                                 capsys=capsys)
+        assert (code, out, err) == (2, "", f"controlpower: {macro} line 3: not UTF-8 (byte 0xff)\n")
 
     def test_header_blank_rows_and_comments_are_skipped(self, tmp_path, capsys):
         _, plain = self._run(tmp_path, capsys, "year,value\n" + self.ROWS)

@@ -341,8 +341,12 @@ class TestChunkedRead:
         spaced[200] = rows[200].replace(",0.1,,", ",0.1, \t,", 1)
         spaced[599] = rows[599] + " "
         assert spaced[200] != rows[200] and spaced[511] != rows[511]
-        assert_same_registry(read_blocks(monkeypatch, lambda: self.read(tmp_path, "spaced.csv", spaced)),
-                             self.read(tmp_path, "plain.csv", rows))
+        plain = self.read(tmp_path, "plain.csv", rows)
+        assert_same_registry(read_blocks(monkeypatch, lambda: self.read(tmp_path, "spaced.csv", spaced)), plain)
+        # a space after every comma of every data row: each row is set aside
+        # and read again from its cell texts
+        every = [row.replace(",", ", ") for row in rows]
+        assert_same_registry(read_blocks(monkeypatch, lambda: self.read(tmp_path, "every.csv", every)), plain)
 
     def test_text_handle_reads_as_a_file_without_newline_translation(self, monkeypatch):
         # a text handle is read as csv reads a file opened with newline="":
@@ -371,6 +375,26 @@ class TestChunkedRead:
         with pytest.raises(DataError) as exc:
             read_blocks(monkeypatch, lambda: ingest_csv(str(path)))
         assert str(exc.value) == f"row 4: unknown board 'otc'; {path} line 12: field larger than field limit (131072)"
+
+
+class TestSetAside:
+    """Rows the column path reads are never read again one at a time."""
+
+    def test_clean_registries_never_reach_the_row_reader(self, tmp_path, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a clean row was set aside")
+
+        assert main(["synth", "registry", "--seed", "3", "--output", str(tmp_path / "synth.csv")]) == 0
+        monkeypatch.setattr(dataset, "_read_row", refuse)
+        for source in (DATA / "golden_registry.csv", tmp_path / "synth.csv"):
+            head, *rows = source.read_text().splitlines()
+            copies = {"plain": rows, "quoted": [f'"{firm_id}",{rest}' for firm_id, rest in
+                                                 (row.split(",", 1) for row in rows)]}
+            for name, lines in copies.items():
+                for newline in ("\n", "\r\n"):
+                    path = tmp_path / "copy.csv"
+                    path.write_bytes((newline.join([head, *lines]) + newline).encode())
+                    assert len(ingest_csv(str(path))) == len(rows), (source, name, newline)
 
 
 class TestTokenizer:

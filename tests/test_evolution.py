@@ -97,6 +97,55 @@ class TestCollapseWalk:
             collapse_walk(0, seed=1)
 
 
+def walk_moments(k, law=(1, 1, 1, 1)):
+    """The exact mean and variance of each of the first k states of
+    collapse_walk under ``law``, from the chain on (position, run length):
+    an episode of run length m visits positions 0..m, then a fresh run
+    length is drawn and the walk restarts at position 0. No sampling."""
+    weights = [Fraction(w, sum(law)) for w in law]
+    chance = {(0, m): w for m, w in enumerate(weights, start=1)}
+    moments = []
+    for _ in range(k):
+        mean = sum(p * LADDER_STATES[j] for (j, _), p in chance.items())
+        moments.append((mean, sum(p * LADDER_STATES[j] ** 2 for (j, _), p in chance.items()) - mean**2))
+        after = {}
+        for (j, m), p in chance.items():
+            for state, q in [((j + 1, m), p)] if j < m else [((0, n), p * w) for n, w in enumerate(weights, 1)]:
+                after[state] = after.get(state, 0) + q
+        chance = after
+    return moments
+
+
+class TestWalkMean:
+    """The walk's ensemble mean settles at one value and has no period 12:
+    ``ideal_wave`` is the paper's stated result, not derived from it."""
+
+    LIMIT = Fraction(6499, 10920)
+
+    def test_limit_is_the_mean_state_per_episode(self):
+        # renewal reward: the states of an episode over its length, m + 1
+        total = sum(sum(LADDER_STATES[: m + 1]) for m in range(1, 5))
+        assert total / sum(m + 1 for m in range(1, 5)) == self.LIMIT
+
+    def test_mean_settles_without_a_wave(self):
+        means = [mean for mean, _ in walk_moments(64)]
+        assert means[:5] == [Fraction(1, 2), Fraction(2, 3), Fraction(23, 40), Fraction(29, 48),
+                             Fraction(3677, 6240)]
+        assert abs(means[20] - self.LIMIT) < Fraction(61, 10**6)
+        assert abs(means[40] - self.LIMIT) < Fraction(54, 10**9)
+        # a wave between 1/2 and 2/3 would span 1/6 over any 12 states
+        assert max(means[40:]) - min(means[40:]) < Fraction(1, 10**7)
+
+    def test_draws_match_the_exact_means(self):
+        # each state's sample mean over 2,000 walks lies within 4.5 of its
+        # standard errors of the exact mean (exact equality where it never varies)
+        walks, k = 2000, 25
+        draws = [collapse_walk(k - 1, seed=seed) for seed in range(walks)]
+        for j, (mean, variance) in enumerate(walk_moments(k)):
+            sample = sum(walk[j] for walk in draws) / walks
+            assert float(abs(sample - mean)) <= 4.5 * math.sqrt(variance / walks), j
+
+
 class TestIdealWave:
     def test_period_is_twelve_h(self):
         assert ideal_wave(1.5).period == 18.0
