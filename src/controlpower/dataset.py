@@ -26,8 +26,8 @@ holder count and no float of a value.
 
 A block's cells are read a column at a time. A row those columns cannot
 read (an odd cell), or whose units may break a row rule or need sorting,
-is set aside and read again from its cell texts by one function,
-``_read_row``, one row at a time; a clean registry sets none aside.
+is set aside and read again from its cell texts, one row at a time, by
+``_read_row``; a registry of plain cells within the rules sets none aside.
 """
 
 from __future__ import annotations

@@ -8,11 +8,11 @@ period 12 evolution steps, i.e. 12*h years when one step takes h years;
 ``ideal_wave`` is that stated result, taken as given. The walk does not
 derive it: its episodes are 2-5 states long, lengths with no common
 divisor, so the exact mean of its k-th state under the uniform law has no
-period. It runs 1/2, 2/3, 0.575, 0.6042, 0.5893, ... and settles at
-6499/10920 (about 0.59515), within 6.1e-5 from k = 20 and 5.3e-8 from
-k = 40. This module provides the ladder, the interrupted walk, the stated
-wave, its wave-equation residual, the mixed point-mass/truncated-normal
-distribution of the power value, and the share/effort oscillation curves.
+period and settles at 6499/10920 (about 0.59515), within 6.1e-5 from
+k = 20 and 5.3e-8 from k = 40. This module provides the ladder, the
+interrupted walk, the stated wave, its wave-equation residual, the mixed
+point-mass/truncated-normal distribution of the power value, and the
+share/effort oscillation curves.
 """
 
 from __future__ import annotations
