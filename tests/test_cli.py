@@ -283,7 +283,6 @@ class TestSpi:
         assert out == ""
         assert err == f"controlpower: {path} line 3: {problem}\n"
 
-
     def test_undecodable_byte_names_the_line(self, tmp_path, capsys):
         # lines end at "\r", "\r\n" or "\n", as in a file read as text, after a byte-order mark
         path = tmp_path / "games.txt"
