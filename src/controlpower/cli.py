@@ -24,8 +24,7 @@ from .dataset import (
     SynthConfig,
     _MAX_DECIMALS,
     _PLAIN,
-    _all_plain,
-    _stripped,
+    _int,
     _write_csv,
     emit_csv,
     ingest_csv,
@@ -63,6 +62,7 @@ _DEFAULT_YEARS = f"{DEFAULT_SYNTH_YEARS[0]}-{DEFAULT_SYNTH_YEARS[-1]}"
 _DEFAULT_TOP1, _DEFAULT_TOP2_10 = (f"{target.mean!r},{target.sd!r}" for target in (DEFAULT_TOP1, DEFAULT_TOP2_10))
 _SPI_GAMES = 1 << 12  # games per profile_numerators call; their numerators wait to be printed
 _SIGNED = "-?" + _PLAIN  # the registry's plain decimal, with a sign where a value may be negative
+_PLAIN_LIST = re.compile(f"(?:{_PLAIN}(?:,{_PLAIN})*)?")  # a comma join of plain cells, or of none
 _MAX_SYNTH_ROWS = 10**6  # most rows or draws `synth` makes
 _SERIES = ("step_or_t", "value")  # the header of an `evolve` series
 
@@ -99,11 +99,9 @@ def _spi_game(text: str) -> WeightedVotingGame:
     for the errors it raises, on make_game's grid. Below 2^51 each unit is
     the exact rounding of its cell's float times 10^d, since the float is
     within 2^-53 of the cell, relative."""
-    cells, joined = _stripped(text.replace(";", ",").split(","))
-    if not all(cells):
-        cells = list(filter(None, cells))
+    cells = list(filter(None, map(str.strip, text.replace(";", ",").split(","))))
     weights = list(map(float, cells))  # a cell float refuses raises its own error
-    if not _all_plain(joined):
+    if not _PLAIN_LIST.fullmatch(",".join(cells)):
         raise ValueError(f"not a plain decimal number: {next(c for c in cells if not re.fullmatch(_PLAIN, c))!r}")
     places = max([len(cell.partition(".")[2].rstrip("0")) for cell in cells], default=0)
     # inf past the float range, so such a list takes make_game's error
@@ -139,7 +137,7 @@ def _parse_years(text: str, per_year: int, option: str) -> tuple[int, ...]:
     for tok in tokens:
         if not re.fullmatch("[0-9]+", tok.strip()):
             raise ValueError(f"--years: not a year of digits: {tok!r}")
-    years = tuple(map(int, tokens))
+    years = tuple(map(_int, tokens))
     count = years[1] - years[0] + 1 if dash else len(years)
     if max(count, 0) * per_year > _MAX_SYNTH_ROWS:
         raise ValueError(f"--years times {option} is more than 10^6")
@@ -332,13 +330,12 @@ def _cmd_synth(args) -> int:
         return 0
     # outcomes
     years = _parse_years(args.years, args.draws_per_year, "--draws-per-year")
-    pdf = ControlPowerPdf(wave=ideal_wave(args.h), mu=args.mu, sigma=args.sigma)
     config = SynthConfig(
         years=years,
         firms_per_year=args.draws_per_year,
         seed=args.seed,
         group=_parse_group(args.group),
-        pdf=pdf,
+        pdf=ControlPowerPdf(wave=ideal_wave(args.h), mu=args.mu, sigma=args.sigma),
     )
     draws = synth_outcomes(config)
     rows = [(year, float(v)) for year in sorted(draws) for v in draws[year]]
@@ -379,7 +376,7 @@ def _cmd_pipeline(args) -> int:
             return USAGE_ERROR
     macros = {}
     for name, path in named:
-        macros[name] = dict(_read_pairs(path, int, "[0-9]+"))
+        macros[name] = dict(_read_pairs(path, _int, "[0-9]+"))
         if not macros[name]:
             raise DataError(f"macro file {path} has no (year, value) rows")
     config = PipelineConfig(
@@ -395,12 +392,11 @@ def _cmd_pipeline(args) -> int:
             print("pipeline: --seed is required with --synth", file=sys.stderr)
             return USAGE_ERROR
         if args.synth == "outcomes":
-            pdf = ControlPowerPdf(wave=ideal_wave(args.h))
             source = SynthConfig(
                 years=DEFAULT_SYNTH_YEARS,
                 firms_per_year=500,
                 seed=args.seed,
-                pdf=pdf,
+                pdf=ControlPowerPdf(wave=ideal_wave(args.h)),
             )
         else:
             source = _default_synth(args.seed)

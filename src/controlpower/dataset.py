@@ -73,7 +73,7 @@ _BOARD_CODES = {name: i for i, name in enumerate(BOARDS)}
 _OWNERSHIP_CODES = {name: i for i, name in enumerate(OWNERSHIPS)}
 _MAX_DECIMALS = 12  # most places of exact units: 2 * total stays far below 2^53
 # the one grammar of a number cell; a cell that also parses as an int has no
-# '.'. Only the slow paths match it, so it is compiled there, on first use.
+# '.'. The slow paths match it through re's cache; spi compiles its list pattern from it.
 _PLAIN = r"[0-9]+(?:\.[0-9]+)?"
 _POW10 = np.array([10**d for d in range(_MAX_DECIMALS + 1)], dtype=np.int64)
 
@@ -161,33 +161,11 @@ def ingest_csv(source) -> Registry:
                       for c in zip(*(part.columns() for part in parts))))
 
 
-# an ASCII byte as it shapes a number: digits as '0', '.' and ',' as
-# themselves, any other byte as 'x'
-_SHAPE = bytes(48 if 48 <= b <= 57 else b if b in b".," else 120 for b in range(256))
-
-
-def _all_plain(joined: str) -> bool:
-    """Whether every cell of a comma join of cells that a parse accepts is
-    blank or matches ``_PLAIN``: ASCII digits and dots only, with a digit
-    on each side of every dot (each "0.0" of the shape holds one dot, so
-    the counts agree only then). A cell with two dots or a comma may pass
-    here, but no parse accepts it. Three passes over the join in C."""
-    if not joined.isascii():
-        return False
-    shape = joined.encode().translate(_SHAPE)
-    return b"x" not in shape and shape.count(b".") == shape.count(b"0.0")
-
-
-def _stripped(cells: Sequence[str]) -> tuple[Sequence[str], str]:
-    """The cells stripped of surrounding whitespace, and their comma join:
-    as they are when no cell holds any, which one whitespace split of the
-    join tells faster than a strip of each cell (the split drops whitespace
-    at the join's ends too, so it must give back the whole join)."""
-    joined = ",".join(cells)
-    if joined.split() == [joined]:
-        return cells, joined
-    cells = list(map(str.strip, cells))
-    return cells, ",".join(cells)
+def _int(text: str) -> int:
+    """int() of a cell; ASCII digits drop leading zeros first, since int()
+    refuses over 4,300 digits, zeros too. Other text keeps int()'s error."""
+    digits = text.strip()
+    return int(digits.lstrip("0") or "0") if digits.isascii() and digits.isdigit() else int(text)
 
 
 def _exact_units(text: str, value: float) -> tuple[int, int] | None:
@@ -201,14 +179,14 @@ def _exact_units(text: str, value: float) -> tuple[int, int] | None:
     whole, _, part = text.partition(".")
     part = part.rstrip("0")
     if len(part) <= _MAX_DECIMALS:
-        return int(whole + part), len(part)
+        return _int(whole + part), len(part)
     shortest = Decimal(repr(value)).normalize()
     places = max(0, -shortest.as_tuple().exponent)
     return (int(shortest.scaleb(places)), places) if places <= _MAX_DECIMALS else None
 
 
 def _cell(text: str, parse):
-    """``parse`` (int or float) of a number cell's stripped text; a cell that
+    """``parse`` (_int or float) of a number cell's stripped text; a cell that
     does not parse or is not plain (``_PLAIN``) is a DataError."""
     try:
         value = parse(text)
@@ -232,7 +210,7 @@ def _read_row(cells: Sequence[str], index: Sequence[int], width: int) -> tuple:
     if len(cells) < width:
         raise DataError(f"{len(cells)} cells, the header has {width}")
     firm_id, year, board, ownership, *numbers = [cells[i].strip() for i in index]
-    year = _cell(year, int)
+    year = _cell(year, _int)
     shares, blank = [], False
     for j, text in enumerate(numbers[:MAX_HOLDERS]):
         if not text:
@@ -251,7 +229,7 @@ def _read_row(cells: Sequence[str], index: Sequence[int], width: int) -> tuple:
         raise DataError("shares out of descending order beyond tolerance")
     meeting, n_meetings = numbers[MAX_HOLDERS:]
     value = _cell(meeting, float) if meeting else 0.0
-    n_meetings = _cell(n_meetings, int) if n_meetings else None
+    n_meetings = _cell(n_meetings, _int) if n_meetings else None
     shares.sort(key=lambda share: -share[0])  # stable: equal shares keep their order
     codes = _BOARD_CODES.get(board), _OWNERSHIP_CODES.get(ownership)
     if codes[0] is None:

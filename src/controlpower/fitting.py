@@ -107,20 +107,20 @@ def _coeffs_and_sse(t: np.ndarray, y: np.ndarray, period: float):
 
 
 def check_period_grid(period_range: tuple[float, float] | None, grid_step: float) -> None:
-    """Reject a grid step that is not positive or is infinite, a period
+    """Reject a grid step that is not positive or not finite, a period
     range outside 0 < lo <= hi, or a grid of more than MAX_GRID_PERIODS
     trial periods, without building the grid. With no range only the step
     is checked."""
     if grid_step <= 0:
         raise ValueError("grid step must be positive")
-    if grid_step == math.inf:
+    if not math.isfinite(grid_step):
         raise ValueError("grid step must be finite")
     if period_range is None:
         return
     lo, hi = float(period_range[0]), float(period_range[1])
     if not (0.0 < lo <= hi):
         raise ValueError("empty period range")
-    if not (hi - lo) / grid_step + 2 <= MAX_GRID_PERIODS:  # NaN and inf fail too
+    if not (hi - lo) / grid_step + 2 <= MAX_GRID_PERIODS:  # an infinite hi fails too
         raise ValueError(
             f"period grid over [{lo}, {hi}] in steps of {grid_step} exceeds {MAX_GRID_PERIODS} trial periods"
         )

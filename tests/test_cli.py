@@ -223,11 +223,12 @@ class TestSpi:
 
     def test_shares_and_mixed_input_print_in_input_order(self, tmp_path, capsys):
         path = tmp_path / "games.txt"
-        path.write_text("1,1,1\n# three then two then one\n60,40\n\n5\n2,1,1\n0.2,0.2,0.2,0.2,0.2\n")
+        # cells are stripped of surrounding whitespace and blank ones dropped
+        path.write_text("1,1,1\n# three then two then one\n60,40\n\n5\n2,1,1\n0.2,0.2,0.2,0.2,0.2\n 60 ;\t40 , \n")
         code, out, err = run_cli("spi", "--shares", "3,1", "--input", str(path), capsys=capsys)
         assert code == 0, err
         assert out.splitlines() == [
-            "1, 0", "0.3333, 0.3333, 0.3333", "1, 0", "1", "0.6667, 0.1667, 0.1667", "0.2, 0.2, 0.2, 0.2, 0.2",
+            "1, 0", "0.3333, 0.3333, 0.3333", "1, 0", "1", "0.6667, 0.1667, 0.1667", "0.2, 0.2, 0.2, 0.2, 0.2", "1, 0",
         ]
 
     @pytest.mark.parametrize("shares", [(), ("--shares", "2,1,1")])
@@ -263,12 +264,14 @@ class TestSpi:
 
     @pytest.mark.parametrize("cell", ["0.3_4", "1e-3", "nan", "inf", "-0.2", "+0.2", ".5", "5.", "\u0660.\u0665"])
     def test_lax_cell_is_data_error(self, cell, tmp_path, capsys):
-        code, out, err = run_cli("spi", "--shares", f"0.4,{cell}", capsys=capsys)
-        assert (code, out, err) == (2, "", f"controlpower: not a plain decimal number: {cell!r}\n")
+        # the message names the cell stripped of the whitespace around it
         path = tmp_path / "games.txt"
-        path.write_text(f"0.4,0.2\n0.4;{cell}\n", encoding="utf-8")
-        code, out, err = run_cli("spi", "--input", str(path), capsys=capsys)
-        assert (code, out, err) == (2, "", f"controlpower: {path} line 2: not a plain decimal number: {cell!r}\n")
+        for pad in ("", " ", "\t", "\u00a0", "\u3000"):
+            code, out, err = run_cli("spi", "--shares", f"0.4,{pad}{cell}{pad}", capsys=capsys)
+            assert (code, out, err) == (2, "", f"controlpower: not a plain decimal number: {cell!r}\n")
+            path.write_text(f"0.4,0.2\n0.4;{pad}{cell}{pad}\n", encoding="utf-8")
+            code, out, err = run_cli("spi", "--input", str(path), capsys=capsys)
+            assert (code, out, err) == (2, "", f"controlpower: {path} line 2: not a plain decimal number: {cell!r}\n")
 
     @pytest.mark.parametrize("line, problem", [
         ("0,0", "total weight must be positive"),
@@ -1204,6 +1207,14 @@ class TestScalarOptionGrammar:
         assert run_cli("synth", "registry", "--seed", "1", "--years", years, capsys=capsys) == (
             2, "", f"controlpower: --years: not a year of digits: {token!r}\n")
 
+    def test_leading_zeros_past_the_int_limit(self, capsys):
+        # int() refuses more than 4,300 digits, leading zeros too
+        zeros = "0" * 4400
+        for years, plain in ((f"{zeros}1996-{zeros}1997", "1996-1997"), (f"{zeros}1996,1998", "1996,1998")):
+            argv = ("synth", "registry", "--seed", "1", "--firms-per-year", "2", "--years")
+            written = run_cli(*argv, years, capsys=capsys)
+            assert written == run_cli(*argv, plain, capsys=capsys) and written[0] == 0
+
 
 class TestMacroRows:
     """A macro file's rows whose year cannot be read are skipped only as a
@@ -1227,6 +1238,12 @@ class TestMacroRows:
         code, out, err = run_cli("pipeline", "--synth", "outcomes", "--seed", "1", "--macro", f"idx={macro}",
                                  capsys=capsys)
         assert (code, out, err) == (2, "", f"controlpower: {macro} line 3: not UTF-8 (byte 0xff)\n")
+
+    def test_leading_zeros_past_the_int_limit(self, tmp_path, capsys):
+        # int() refuses more than 4,300 digits, leading zeros too
+        _, plain = self._run(tmp_path, capsys, self.ROWS)
+        _, zeros = self._run(tmp_path, capsys, self.ROWS.replace("\n1997,", "\n" + "0" * 4400 + "1997,"))
+        assert zeros == plain and plain[0] == 0
 
     def test_header_blank_rows_and_comments_are_skipped(self, tmp_path, capsys):
         _, plain = self._run(tmp_path, capsys, "year,value\n" + self.ROWS)

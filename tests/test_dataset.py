@@ -520,6 +520,18 @@ class TestDecimalUnits:
         assert table.units.tolist() == [[3, 1] + [0] * 8 + [5]]
 
 
+    def test_leading_zeros_past_the_int_limit(self, monkeypatch):
+        # int() refuses more than 4,300 digits, leading zeros too: each cell
+        # reads as its value, and another row's problem is still listed
+        zeros = "0" * 4400
+        written = f"f1,{zeros}2001,main,private,{zeros}0.5,{zeros}.2,,,,,,,,,{zeros}1,{zeros}3"
+        table = read_blocks(monkeypatch, lambda: ingest_csv(csv_of(written)))
+        assert_same_registry(table, ingest_csv(csv_of("f1,2001,main,private,0.5,0.2,,,,,,,,,1,3")))
+        assert table.year.tolist() == [2001] and table.n_meetings == [3]
+        with pytest.raises(DataError, match=r"^row 3: unparseable value \(not a plain decimal number: '0_1'\)$"):
+            ingest_csv(csv_of(written, "f2,2001,main,private,0_1,,,,,,,,,,,"))
+
+
 class TestColumnMapping:
     """Columns are found by header name, not position."""
 

@@ -243,7 +243,7 @@ class TestPipelineConfig:
     @pytest.mark.parametrize(
         "period_range, step",
         [(None, 0.0), (None, -1.0), ((4.0, 50.0), 0.0), ((10.0, 5.0), 0.05), ((0.0, 5.0), 0.05),
-         ((4.0, 50.0), 1e-9), (None, math.inf), ((4.0, 50.0), math.inf)],
+         ((4.0, 50.0), 1e-9), (None, math.inf), ((4.0, 50.0), math.inf), (None, math.nan), ((4.0, 50.0), math.nan)],
     )
     def test_rejects_bad_grid_without_building_it(self, period_range, step, monkeypatch):
         def no_grid(*args):
