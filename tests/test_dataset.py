@@ -519,7 +519,6 @@ class TestDecimalUnits:
         assert table.scale.tolist() == [1]
         assert table.units.tolist() == [[3, 1] + [0] * 8 + [5]]
 
-
     def test_leading_zeros_past_the_int_limit(self, monkeypatch):
         # int() refuses more than 4,300 digits, leading zeros too: each cell
         # reads as its value, and another row's problem is still listed
