@@ -137,7 +137,10 @@ def _parse_years(text: str, per_year: int, option: str) -> tuple[int, ...]:
     for tok in tokens:
         if not re.fullmatch("[0-9]+", tok.strip()):
             raise ValueError(f"--years: not a year of digits: {tok!r}")
-    years = tuple(map(_int, tokens))
+    try:
+        years = tuple(map(_int, tokens))
+    except DataError as exc:
+        raise ValueError(f"--years: {exc}") from None
     count = years[1] - years[0] + 1 if dash else len(years)
     if max(count, 0) * per_year > _MAX_SYNTH_ROWS:
         raise ValueError(f"--years times {option} is more than 10^6")
@@ -268,6 +271,8 @@ def _read_pairs(path: str, key, grammar: str) -> list[tuple]:
         for index, (line, row) in enumerate(records(handle)):
             try:
                 first = key(row[0])
+            except DataError as exc:
+                raise DataError(f"{path} line {line}: {exc}") from None
             except (IndexError, ValueError):
                 if index == 0 or not re.search("[0-9]", "".join(row[:1])):
                     continue

@@ -20,7 +20,7 @@ import numpy as np
 # the read until it ends). Larger blocks read faster and raise peak RSS:
 # on registry-10k reports, 128 KiB blocks took 10% less time than 32 KiB
 # for 0.25 MB more, and 256 KiB blocks 2 MB more.
-_BLOCK_BYTES = 1 << 15
+_BLOCK_BYTES = 1 << 17
 _BOM = b"\xef\xbb\xbf"
 _SEPARATES = np.zeros(256, dtype=bool)
 _SEPARATES[list(b",\r\n")] = True
@@ -118,6 +118,8 @@ def _split(data: bytes, final: bool) -> _Split:
         line_ends, line = after[ended] - 1, np.arange(1, len(ended) + 1)
     if tail:
         line = np.append(line, len(line_ends) + (not len(line_ends) or line_ends[-1] < end - 1))
+    offsets = np.int32 if len(data) < 1 << 31 else np.int64  # spans no wider than the data needs
+    start, stop = start.astype(offsets), stop.astype(offsets)
     return _Split(start, stop, last, line, line_ends, quotes, after[ended], len(ended))
 
 
@@ -216,9 +218,9 @@ def _words(data: bytes) -> np.ndarray:
     return np.ndarray((len(data) + 9,), "<u8", bytes(16) + data, strides=(1,))
 
 
-def _numbers(items: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Number cells read from their bytes ``data[a:b]``, ``items`` being
-    ``_words(data)``: each cell's digit product (its units at 10^places),
+def _numbers(items: np.ndarray, b: np.ndarray, width: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Number cells read from their bytes ``data[b - width:b]``, ``items``
+    being ``_words(data)``: each cell's digit product (its units at 10^places),
     its places once trailing zeros are dropped, its digits before the dot,
     and whether it is digits alone or digits with one dot between digits,
     at most _CELL_BYTES wide.
@@ -229,8 +231,7 @@ def _numbers(items: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarra
     fold into one integer in three multiply-shift-mask steps. A dot at
     place f then splits the sum into its whole and fraction parts. The
     steps work in place, on three word buffers."""
-    width = b - a
-    n, words = len(a), 1 + int(width.max(initial=0, where=width <= _CELL_BYTES) > 8)
+    n, words = len(b), 1 + int(width.max(initial=0, where=width <= _CELL_BYTES) > 8)
     fits, count, places = width <= _CELL_BYTES, np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.uint8)
     for below in range(8 * words - 8, -8, -8):  # the places below the word, highest word first
         x = items[b - below + 8]
@@ -272,12 +273,14 @@ def _numbers(items: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarra
     total //= 1 + 9 * dot
     total += fraction
     whole = width - (places + 1) * dot
-    # trailing zeros of the places do not count
+    # trailing zeros of the places do not count: a cell's places drop by the
+    # largest k <= places with 10^k dividing its units, found at once as the
+    # count of the powers 10^1..10^places that divide them
     trailing = np.flatnonzero(dot & zero_end)
-    while len(trailing):
-        total[trailing] //= 10
-        places[trailing] -= 1
-        trailing = trailing[(places[trailing] > 0) & (total[trailing] % 10 == 0)]
+    units, most = total[trailing], places[trailing]
+    k = np.minimum((units % _POW10_CELL[1 : most.max(initial=0) + 1, None] == 0).sum(axis=0, dtype=np.uint8), most)
+    total[trailing] = units // _POW10_CELL[k]
+    places[trailing] = most - k
     return total, places, whole, fits & (count == 0) & (width > 0), dot
 
 
@@ -287,10 +290,11 @@ def _texts(view: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[str]:
     span holds a comma itself."""
     size = b - a
     ends = np.cumsum(size + 1)
-    at = np.repeat(a - (ends - size - 1), size + 1) + np.arange(ends[-1] if len(ends) else 0)
-    joined = view[np.minimum(at, len(view) - 1)]
+    at = np.repeat(a - (ends - size - 1), size + 1)
+    at += np.arange(len(at))
+    joined = view[np.minimum(at, len(view) - 1, out=at)]
     joined[ends - 1] = 44
-    texts = joined.tobytes().decode().split(",")
+    texts = str(joined, "utf-8").split(",")
     if len(texts) == len(a) + 1:
         return texts[:-1]
     return [view[i:j].tobytes().decode() for i, j in zip(a.tolist(), b.tolist())]

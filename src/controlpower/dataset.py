@@ -37,6 +37,7 @@ import csv
 import itertools
 import math
 import re
+import sys
 from dataclasses import dataclass, fields
 from decimal import Decimal
 from typing import Iterable, NamedTuple, Sequence
@@ -145,11 +146,13 @@ def ingest_csv(source) -> Registry:
         if missing:
             raise DataError(f"missing required columns: {', '.join(missing)}")
         index = np.array([columns[c] for c in CSV_COLUMNS])
-        parts, problems, skip = [], [], 1  # the first block's first record is the header
+        # each column's block parts; the first block's first record is the header
+        columns, problems, skip = [[] for _ in fields(Registry)], [], 1
         while block is not None:
             rows = np.flatnonzero(block.count[skip:]) + skip  # blank lines are skipped
             part, bad = _parse_block(block, rows, index, len(header))
-            parts.append(part)
+            for column, values in zip(columns, part.columns()):
+                column.append(values)
             problems += [f"row {block.line[rows[i]]}: {message}" for i, message in sorted(bad.items())]
             if block.error:
                 problems.append(block.error)
@@ -157,15 +160,31 @@ def ingest_csv(source) -> Registry:
             block, skip = next(blocks, None), 0
     if problems:
         raise DataError("; ".join(problems))
-    return Registry(*(np.concatenate(c) if isinstance(c[0], np.ndarray) else list(itertools.chain(*c))
-                      for c in zip(*(part.columns() for part in parts))))
+    return Registry(*map(_joined, columns))
+
+
+def _joined(parts: list):
+    """A column from its block parts, which are let go as soon as it is
+    built, so that one column at a time is held twice."""
+    column = np.concatenate(parts) if isinstance(parts[0], np.ndarray) else list(itertools.chain(*parts))
+    parts.clear()
+    return column
 
 
 def _int(text: str) -> int:
     """int() of a cell; ASCII digits drop leading zeros first, since int()
-    refuses over 4,300 digits, zeros too. Other text keeps int()'s error."""
+    refuses over 4,300 digits, zeros too, and more significant digits than
+    int() reads are a DataError naming their count and the limit. Other
+    text keeps int()'s error."""
     digits = text.strip()
-    return int(digits.lstrip("0") or "0") if digits.isascii() and digits.isdigit() else int(text)
+    if not (digits.isascii() and digits.isdigit()):
+        return int(text)
+    digits = digits.lstrip("0") or "0"
+    try:
+        return int(digits)
+    except ValueError:  # digits alone fail only on the limit
+        raise DataError(f"a number of {len(digits)} digits, over int()'s limit of "
+                        f"{sys.get_int_max_str_digits()}") from None
 
 
 def _exact_units(text: str, value: float) -> tuple[int, int] | None:
@@ -190,6 +209,8 @@ def _cell(text: str, parse):
     does not parse or is not plain (``_PLAIN``) is a DataError."""
     try:
         value = parse(text)
+    except DataError:
+        raise
     except ValueError as exc:
         raise DataError(f"unparseable value ({exc})") from None
     if not re.fullmatch(_PLAIN, text):
@@ -297,23 +318,27 @@ def _parse_block(block, rows: np.ndarray, index: np.ndarray, width: int) -> tupl
         bare = quoted & (inner == 2) & (view[b - 1] == 34)
         slow |= (quoted & ~bare).any(axis=0)
         a, b = a + bare, b - bare
+    spelled = _texts(view, a[-3:].ravel(), b[-3:].ravel())  # firm_id, board and ownership, column by column
+    firm_id = spelled[:n]  # a set-aside row's is read again
+    board, ownership = (np.fromiter(map(codes.get, spelled[j * n : (j + 1) * n], itertools.repeat(-1)), np.int64, n)
+                        for j, codes in ((1, _BOARD_CODES), (2, _OWNERSHIP_CODES)))
+    edge = (b[-3] > a[-3]) & (_EDGE[view[np.minimum(a[-3], len(view) - 1)]] | _EDGE[view[b[-3] - 1]])
+    slow |= (board < 0) | (ownership < 0) | edge
+    size = b[:_NUMBERS] - a[:_NUMBERS]
+    del a  # freed before _numbers, which makes the largest of the block's temporaries
     number, places, whole, plain, dot = (x.reshape(_NUMBERS, n) for x in _numbers(
-        _words(data), a[:_NUMBERS].ravel(), b[:_NUMBERS].ravel()))
-    blank = a[:_NUMBERS] == b[:_NUMBERS]
+        _words(data), b[:_NUMBERS].ravel(), size.ravel()))
+    blank = size == 0
+    del b, size
     shares = slice(1, 2 + MAX_HOLDERS)  # and the meeting share
     scale = places[shares].max(axis=0, initial=0)
     slow |= ~plain[0] | ~(plain[-1] | blank[-1]) | ~(plain | dot | blank)[shares].all(axis=0)
     slow |= (scale > _MAX_DECIMALS) | (whole[shares] + scale > _MAX_DIGITS).any(axis=0)
     scale = np.minimum(scale, _MAX_DECIMALS).astype(np.int8)
     units = number[shares] * _POW10[np.maximum(scale - places[shares], 0)]
-    spelled = _texts(view, a[-2:].ravel(), b[-2:].ravel())  # the board column, then the ownership column
-    board, ownership = (np.fromiter(map(codes.get, spelled[j * n : (j + 1) * n], itertools.repeat(-1)), np.int64, n)
-                        for j, codes in enumerate((_BOARD_CODES, _OWNERSHIP_CODES)))
-    edge = (b[-3] > a[-3]) & (_EDGE[view[np.minimum(a[-3], len(view) - 1)]] | _EDGE[view[b[-3] - 1]])
-    slow |= (board < 0) | (ownership < 0) | edge
-    firm_id = _texts(view, a[-3], b[-3])  # a set-aside row's is read again
-    year, has_meeting = number[0].copy(), ~blank[-2]
-    n_meetings = np.where(blank[-1], None, number[-1]).tolist()
+    year, has_meeting, n_meetings = number[0].copy(), ~blank[-2], number[-1].tolist()
+    for i in np.flatnonzero(blank[-1]).tolist():
+        n_meetings[i] = None
     # a row whose units may break a rule or need sorting: a blank s1 or a
     # gap, a zero s1, a share above the one before, or a total or meeting
     # share above 1

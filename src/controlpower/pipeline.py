@@ -528,12 +528,13 @@ def _records_digest(table: Registry, order: np.ndarray) -> str:
     a stated length, so no two tables share all streams; float bits tell
     values apart exactly, as their repr would. The streams are fed
     ``_DIGEST_ROWS`` rows at a time, which does not change them."""
-    n_meetings = table.n_meetings
+    n_meetings = np.array(table.n_meetings, dtype=object)
+    blank = np.equal(n_meetings, None)
+    n_meetings[blank] = 0
     columns = (
         _int_stream(table.year), _int_stream(table.board), _int_stream(table.ownership),
         _int_stream(np.count_nonzero(table.units[:, :MAX_HOLDERS], axis=1)),
-        table.has_meeting, np.array([v is not None for v in n_meetings], dtype=bool),
-        _int_stream([0 if v is None else v for v in n_meetings]),
+        table.has_meeting, ~blank, _int_stream(n_meetings),
     )
     streams = [hashlib.sha256() for _ in range(len(columns) + 4)]
     for at in range(0, len(order), _DIGEST_ROWS):
@@ -543,9 +544,12 @@ def _records_digest(table: Registry, order: np.ndarray) -> str:
         shares, meeting = np.hsplit(values.astype("<f8"), [MAX_HOLDERS])
         for stream, part in zip(streams, (year, board, ownership, count, shares, has, meeting, given, n)):
             stream.update(b"".join(part) if part.dtype == object else part.tobytes())
-        firm_ids = [table.firm_id[i].encode() for i in index.tolist()]
-        streams[-2].update(np.array([len(b) for b in firm_ids], dtype="<i8").tobytes())
-        streams[-1].update(b"".join(firm_ids))
+        firm_ids = list(map(table.firm_id.__getitem__, index.tolist()))
+        text = "".join(firm_ids)
+        if not text.isascii():  # an ASCII id's UTF-8 length is its length
+            firm_ids = [firm_id.encode() for firm_id in firm_ids]
+        streams[-2].update(np.array(list(map(len, firm_ids)), dtype="<i8").tobytes())
+        streams[-1].update(text.encode())
     return hashlib.sha256(len(order).to_bytes(8, "little") + b"".join(s.digest() for s in streams)).hexdigest()
 
 

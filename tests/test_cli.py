@@ -1215,6 +1215,12 @@ class TestScalarOptionGrammar:
             written = run_cli(*argv, years, capsys=capsys)
             assert written == run_cli(*argv, plain, capsys=capsys) and written[0] == 0
 
+    def test_significant_digits_past_the_int_limit(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        for years in ("1" + "0" * 4400, "1996,1" + "0" * 4400):
+            assert run_cli("synth", "registry", "--seed", "1", "--years", years, capsys=capsys) == (
+                2, "", f"controlpower: --years: a number of 4401 digits, over int()'s limit of {limit}\n")
+
 
 class TestMacroRows:
     """A macro file's rows whose year cannot be read are skipped only as a
@@ -1244,6 +1250,11 @@ class TestMacroRows:
         _, plain = self._run(tmp_path, capsys, self.ROWS)
         _, zeros = self._run(tmp_path, capsys, self.ROWS.replace("\n1997,", "\n" + "0" * 4400 + "1997,"))
         assert zeros == plain and plain[0] == 0
+
+    def test_significant_digits_past_the_int_limit(self, tmp_path, capsys):
+        macro, result = self._run(tmp_path, capsys, self.ROWS.replace("\n1998,", "\n1" + "0" * 4400 + ","))
+        assert result == (2, "", f"controlpower: {macro} line 3: a number of 4401 digits, over int()'s limit of "
+                                 f"{sys.get_int_max_str_digits()}\n")
 
     def test_header_blank_rows_and_comments_are_skipped(self, tmp_path, capsys):
         _, plain = self._run(tmp_path, capsys, "year,value\n" + self.ROWS)

@@ -5,6 +5,7 @@ import io
 import math
 import random
 import re
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -58,14 +59,15 @@ def make_row(**overrides):
 # reader block sizes, in bytes, small enough that cuts land inside records,
 # inside quotes and between a CR and its LF
 SMALL_BLOCKS = (7, 64)
+OLD_BLOCK = 32768  # the reader's block size before 128 KiB, which must give the same registries
 
 
 def read_blocks(monkeypatch, read):
     """``read()``'s registry under the reader's own block size, once it has
-    given the same registry under each of SMALL_BLOCKS; or the DataError
-    they all raise, with the same text."""
+    given the same registry under OLD_BLOCK and each of SMALL_BLOCKS; or the
+    DataError they all raise, with the same text."""
     outcomes = []
-    for size in (csvbytes._BLOCK_BYTES, *SMALL_BLOCKS):
+    for size in (csvbytes._BLOCK_BYTES, OLD_BLOCK, *SMALL_BLOCKS):
         monkeypatch.setattr(csvbytes, "_BLOCK_BYTES", size)
         try:
             outcomes.append(read())
@@ -529,6 +531,56 @@ class TestDecimalUnits:
         assert table.year.tolist() == [2001] and table.n_meetings == [3]
         with pytest.raises(DataError, match=r"^row 3: unparseable value \(not a plain decimal number: '0_1'\)$"):
             ingest_csv(csv_of(written, "f2,2001,main,private,0_1,,,,,,,,,,,"))
+
+    def test_significant_digits_past_the_int_limit(self):
+        # a year or n_meetings of more significant digits than int() reads
+        # names their count and the limit, with its row
+        big = "1" + "0" * 4400
+        limit = f"a number of 4401 digits, over int()'s limit of {sys.get_int_max_str_digits()}"
+        with pytest.raises(DataError) as exc:
+            ingest_csv(csv_of(f"f1,{big},main,private,0.5,,,,,,,,,,,", "f2,2001,main,private,0.5,,,,,,,,,,,",
+                              f"f3,2001,main,private,0.5,,,,,,,,,,,{big}"))
+        assert str(exc.value) == f"row 2: {limit}; row 4: {limit}"
+
+    def test_number_cells_read_as_decimal(self):
+        # csvbytes._numbers against decimal.Decimal on seeded cells 1-16
+        # bytes wide, among them two-word cells whose trailing zeros cross
+        # the 8-byte word boundary, all-zero places, integers ending in 0
+        # (which keep their zeros), 12 trailing zeros and cells that are not
+        # plain; each cell follows a byte that is a digit, a dot or a comma
+        rng = random.Random(211)
+        cells = ["0.100000000000", "1.000000000000", "12.000000000000", "0.000", "0.0", "10", "100000000",
+                 "1000000000000000", "1230.00", "0.5000000000000", "1.", ".5", "1..2", "1.2.3", "-1", "1e5",
+                 " 1", "1_0", "0.1234567890123", "", "12345678.9012345", "99999999999999.9"]
+        for _ in range(4000):
+            width = rng.randint(1, 16)
+            digits = "".join(rng.choices("0123456789", k=width))
+            dot = rng.randint(1, width - 2) if width > 2 and rng.random() < 0.8 else None
+            cell = digits if dot is None else digits[:dot] + "." + digits[dot + 1 :]
+            if rng.random() < 0.3:  # a run of trailing zeros
+                zeros = rng.randint(1, width)
+                cell = cell[:-zeros] + "".join("0" if c.isdigit() else c for c in cell[-zeros:])
+            if rng.random() < 0.1:  # a byte outside the grammar
+                at = rng.randrange(width)
+                cell = cell[:at] + rng.choice("-+e. _x") + cell[at + 1 :]
+            cells.append(cell)
+        data, ends = b"", []
+        for cell in cells:
+            data += rng.choice([b",", b"9", b".", b"0"]) + cell.encode()
+            ends.append(len(data))
+        b = np.array(ends)
+        width = np.array([len(cell) for cell in cells])
+        for narrow in (False, True):  # every cell, then the cells of one word
+            keep = width <= (8 if narrow else 16)
+            total, places, whole, plain, dot = csvbytes._numbers(csvbytes._words(data), b[keep], width[keep])
+            for k, cell in enumerate(c for c, kept in zip(cells, keep) if kept):
+                if not PLAIN.fullmatch(cell):
+                    assert not plain[k] and not dot[k], cell
+                    continue
+                head, point, part = cell.partition(".")
+                exact = len(part.rstrip("0"))
+                expected = (int(Decimal(cell).scaleb(exact)), exact, len(head), not point, bool(point))
+                assert (int(total[k]), int(places[k]), int(whole[k]), bool(plain[k]), bool(dot[k])) == expected, cell
 
 
 class TestColumnMapping:
