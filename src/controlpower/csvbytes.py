@@ -287,6 +287,20 @@ def _numbers(items: np.ndarray, b: np.ndarray, width: np.ndarray) -> tuple[np.nd
     return total, places, whole, fits & (count == 0) & (width > 0), dot
 
 
+def _spelled(items: np.ndarray, b: np.ndarray, width: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
+    """The index in ``names`` of each cell ``data[b - width:b]`` spelled
+    exactly as one of them, as int8, ``items`` being ``_words(data)``; -1
+    for any other cell. Each name is ASCII of at most 8 bytes, so a cell is
+    a name when it has the name's width and its last word, masked to that
+    width as ``_numbers`` masks it, is the name's word."""
+    word = items[b + 8] & _KEEP[np.minimum(width, 8)]
+    codes = np.full(len(b), -1, dtype=np.int8)
+    for code, name in enumerate(names):
+        spelled = np.uint64(int.from_bytes(name.encode().rjust(8, b"\0"), "little"))
+        codes[(word == spelled) & (width == len(name))] = code
+    return codes
+
+
 def _texts(view: np.ndarray, a: np.ndarray, b: np.ndarray) -> list[str]:
     """The UTF-8 text of each span ``view[a:b]``: the spans joined by commas
     in one gather, decoded and split at once; span by span only where a

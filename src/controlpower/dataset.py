@@ -4,15 +4,16 @@ synthetic generators calibrated to yearly moment targets.
 
 CSV schema (UTF-8, an optional byte-order mark, comma separator, '.' decimal):
 
-    firm_id,year,board,ownership,s1,...,s10,meeting_share,n_meetings
+    firm_id,year,board,ownership,s1,...,s10,meeting_share
 
 board is main or sme_gem, ownership is private or state, s1..s10 are the
 top shareholders' equity fractions in descending order (blank or zero
-means the holder does not exist), meeting_share and n_meetings may be
-blank. Every number is plain ASCII: ``[0-9]+(\\.[0-9]+)?`` for a share or
-meeting_share, digits alone for year and n_meetings (no sign, exponent,
-underscore, inner space, nan or inf), and surrounding whitespace is
-stripped.
+means the holder does not exist), meeting_share may be blank. Every
+number is plain ASCII: ``[0-9]+(\\.[0-9]+)?`` for a share or
+meeting_share, digits alone for year, which must fit int64 (no sign,
+exponent, underscore, inner space, nan or inf), and surrounding
+whitespace is stripped. Any other column, n_meetings among them, is
+ignored.
 
 Every share and meeting_share must read as a decimal of at most 12
 places; a row is held as exact integer units at 10^d, d the most places
@@ -56,7 +57,7 @@ TOP1_FILTER_LIMIT = 0.5
 CSV_COLUMNS = (
     ["firm_id", "year", "board", "ownership"]
     + [f"s{i}" for i in range(1, MAX_HOLDERS + 1)]
-    + ["meeting_share", "n_meetings"]
+    + ["meeting_share"]
 )
 
 
@@ -77,14 +78,7 @@ _MAX_DECIMALS = 12  # most places of exact units: 2 * total stays far below 2^53
 # '.'. The slow paths match it through re's cache; spi compiles its list pattern from it.
 _PLAIN = r"[0-9]+(?:\.[0-9]+)?"
 _POW10 = np.array([10**d for d in range(_MAX_DECIMALS + 1)], dtype=np.int64)
-
-
-def _int_column(values: Sequence[int]) -> np.ndarray:
-    """int64 where every value fits, else an object array of Python ints."""
-    try:
-        return np.array(values, dtype=np.int64)
-    except OverflowError:
-        return np.array(values, dtype=object)
+_YEAR_MAX = 2**63 - 1  # years are held as int64
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,10 +90,10 @@ class Registry:
     at 10^``scale``: ten shares, descending, with 0 for absent holders, then
     the meeting share, 0 where ``has_meeting`` is False, read from the
     digits of each cell's text (``_numbers``). A row's holders are its nonzero shares; no column restates their count.
-    ``board`` and ``ownership`` index BOARDS and OWNERSHIPS. ``year`` is
-    int64, or an object column of Python ints where a year does not fit.
-    ``firm_id`` and ``n_meetings`` (None where blank) are lists. A value's
-    float is ``units / 10**scale``, which the table does not hold.
+    ``board`` and ``ownership`` are int8 indices into BOARDS and OWNERSHIPS,
+    ``year`` is int64 and ``scale`` int8, and ``firm_id`` is a list. These
+    are the columns the report reads, and no more. A value's float is
+    ``units / 10**scale``, which the table does not hold.
     """
 
     year: np.ndarray
@@ -107,7 +101,6 @@ class Registry:
     ownership: np.ndarray
     firm_id: list
     has_meeting: np.ndarray
-    n_meetings: list
     units: np.ndarray
     scale: np.ndarray
 
@@ -220,18 +213,20 @@ def _cell(text: str, parse):
 
 def _read_row(cells: Sequence[str], index: Sequence[int], width: int) -> tuple:
     """One row from its cell texts, ``index`` giving the cells of CSV_COLUMNS:
-    firm_id, year, the board and ownership codes, the meeting flag,
-    n_meetings, the units at 10^scale and scale, with shares out of
-    descending order within SORT_TOL sorted. An invalid row raises its
-    first problem in reading order: the cell count, year, the share cells
+    firm_id, year, the board and ownership codes, the meeting flag, the
+    units at 10^scale and scale, with shares out of descending order within
+    SORT_TOL sorted. An invalid row raises its first problem in reading
+    order: the cell count, year (not plain, or past int64), the share cells
     left to right (a value after a blank, or not plain), the share list
-    (none disclosed, all zero, out of order), meeting_share, n_meetings,
-    then the rules: board, ownership, each share in (0, 1], each of at most
-    12 places, their sum, the meeting share in [0, 1], its places."""
+    (none disclosed, all zero, out of order), meeting_share, then the
+    rules: board, ownership, each share in (0, 1], each of at most 12
+    places, their sum, the meeting share in [0, 1], its places."""
     if len(cells) < width:
         raise DataError(f"{len(cells)} cells, the header has {width}")
     firm_id, year, board, ownership, *numbers = [cells[i].strip() for i in index]
     year = _cell(year, _int)
+    if year > _YEAR_MAX:
+        raise DataError(f"year above {_YEAR_MAX}, the int64 limit")
     shares, blank = [], False
     for j, text in enumerate(numbers[:MAX_HOLDERS]):
         if not text:
@@ -248,9 +243,8 @@ def _read_row(cells: Sequence[str], index: Sequence[int], width: int) -> tuple:
         raise DataError("all disclosed shares are zero")
     if any(b - a > SORT_TOL for (a, _), (b, _) in zip(shares, shares[1:])):
         raise DataError("shares out of descending order beyond tolerance")
-    meeting, n_meetings = numbers[MAX_HOLDERS:]
+    meeting = numbers[MAX_HOLDERS]
     value = _cell(meeting, float) if meeting else 0.0
-    n_meetings = _cell(n_meetings, _int) if n_meetings else None
     shares.sort(key=lambda share: -share[0])  # stable: equal shares keep their order
     codes = _BOARD_CODES.get(board), _OWNERSHIP_CODES.get(ownership)
     if codes[0] is None:
@@ -274,7 +268,7 @@ def _read_row(cells: Sequence[str], index: Sequence[int], width: int) -> tuple:
         raise DataError(f"meeting share {value!r} outside [0, 1]")
     if exact[-1] is None:
         raise DataError(f"{value!r} {places}")
-    return (firm_id, year, *codes, bool(meeting), n_meetings,
+    return (firm_id, year, *codes, bool(meeting),
             units[:-1] + [0] * (MAX_HOLDERS - len(shares)) + units[-1:], scale)
 
 
@@ -283,10 +277,11 @@ def _read_row(cells: Sequence[str], index: Sequence[int], width: int) -> tuple:
 _EDGE = np.array([b >= 128 or chr(b).isspace() for b in range(256)])
 _MAX_DIGITS = 15  # most digits of a row's units, whose floats stay exact: 10^15 < 2^53
 # the CSV_COLUMNS of a block's cells, as ``_parse_block`` lays them out:
-# the number cells year, s1..s10, meeting_share and n_meetings, then firm_id,
-# board and ownership
-_LAYOUT = [1, *range(4, 4 + MAX_HOLDERS + 2), 0, 2, 3]
+# the number cells year, s1..s10 and meeting_share, then board, ownership
+# and firm_id
+_LAYOUT = [1, *range(4, 4 + MAX_HOLDERS + 1), 2, 3, 0]
 _NUMBERS = len(_LAYOUT) - 3
+_BOARD, _OWNERSHIP, _FIRM = range(_NUMBERS, _NUMBERS + 3)
 
 
 def _parse_block(block, rows: np.ndarray, index: np.ndarray, width: int) -> tuple[Registry, dict[int, str]]:
@@ -294,16 +289,18 @@ def _parse_block(block, rows: np.ndarray, index: np.ndarray, width: int) -> tupl
     registry, and the problem of each invalid row by its position in
     ``rows`` (the registry is of use only when there is none).
 
-    Cells are read from their bytes into exact units, whole columns at once.
-    A row is set aside when the columns cannot read it (fewer cells than
-    the header, a quoted cell with other quotes inside, a number cell
-    outside the plain grammar, blank where it may not be, or needing more
-    than 12 places or 15 digits, a board or ownership not spelled as one,
-    or whitespace or a non-ASCII character at a firm_id's end) or when its
-    units may break a row rule or need sorting. Each set-aside row is read
-    again from its cell texts, one row at a time, by ``_read_row``.
+    Cells are read from their bytes, whole columns at once: number cells
+    into exact units, board and ownership into their codes by comparing
+    each cell's bytes with the spellings, and firm_id into text. A row is
+    set aside when the columns cannot read it (fewer cells than the header,
+    a quoted cell with other quotes inside, a number cell outside the plain
+    grammar, blank where it may not be, or needing more than 12 places or
+    15 digits, a board or ownership not spelled as one, or whitespace or a
+    non-ASCII character at a firm_id's end) or when its units may break a
+    row rule or need sorting. Each set-aside row is read again from its
+    cell texts, one row at a time, by ``_read_row``.
     """
-    from .csvbytes import _numbers, _record, _texts, _words
+    from .csvbytes import _numbers, _record, _spelled, _texts, _words
 
     data, n = block.data, len(rows)
     view = np.frombuffer(data, dtype=np.uint8)
@@ -318,45 +315,41 @@ def _parse_block(block, rows: np.ndarray, index: np.ndarray, width: int) -> tupl
         bare = quoted & (inner == 2) & (view[b - 1] == 34)
         slow |= (quoted & ~bare).any(axis=0)
         a, b = a + bare, b - bare
-    spelled = _texts(view, a[-3:].ravel(), b[-3:].ravel())  # firm_id, board and ownership, column by column
-    firm_id = spelled[:n]  # a set-aside row's is read again
-    board, ownership = (np.fromiter(map(codes.get, spelled[j * n : (j + 1) * n], itertools.repeat(-1)), np.int64, n)
-                        for j, codes in ((1, _BOARD_CODES), (2, _OWNERSHIP_CODES)))
-    edge = (b[-3] > a[-3]) & (_EDGE[view[np.minimum(a[-3], len(view) - 1)]] | _EDGE[view[b[-3] - 1]])
-    slow |= (board < 0) | (ownership < 0) | edge
-    size = b[:_NUMBERS] - a[:_NUMBERS]
-    del a  # freed before _numbers, which makes the largest of the block's temporaries
+    firm_id = _texts(view, a[_FIRM], b[_FIRM])  # a set-aside row's is read again
+    slow |= (b[_FIRM] > a[_FIRM]) & (_EDGE[view[np.minimum(a[_FIRM], len(view) - 1)]] | _EDGE[view[b[_FIRM] - 1]])
+    size = b[:_FIRM] - a[:_FIRM]
+    del a  # freed before the word view and _numbers, which makes the largest of the block's temporaries
+    words = _words(data)
+    board = _spelled(words, b[_BOARD], size[_BOARD], BOARDS)
+    ownership = _spelled(words, b[_OWNERSHIP], size[_OWNERSHIP], OWNERSHIPS)
+    slow |= (board < 0) | (ownership < 0)
     number, places, whole, plain, dot = (x.reshape(_NUMBERS, n) for x in _numbers(
-        _words(data), b[:_NUMBERS].ravel(), size.ravel()))
-    blank = size == 0
-    del b, size
+        words, b[:_NUMBERS].ravel(), size[:_NUMBERS].ravel()))
+    blank = size[:_NUMBERS] == 0
+    del b, size, words
     shares = slice(1, 2 + MAX_HOLDERS)  # and the meeting share
     scale = places[shares].max(axis=0, initial=0)
-    slow |= ~plain[0] | ~(plain[-1] | blank[-1]) | ~(plain | dot | blank)[shares].all(axis=0)
+    slow |= ~plain[0] | ~(plain | dot | blank)[shares].all(axis=0)
     slow |= (scale > _MAX_DECIMALS) | (whole[shares] + scale > _MAX_DIGITS).any(axis=0)
     scale = np.minimum(scale, _MAX_DECIMALS).astype(np.int8)
     units = number[shares] * _POW10[np.maximum(scale - places[shares], 0)]
-    year, has_meeting, n_meetings = number[0].copy(), ~blank[-2], number[-1].tolist()
-    for i in np.flatnonzero(blank[-1]).tolist():
-        n_meetings[i] = None
+    year, has_meeting = number[0].copy(), ~blank[-1]
     # a row whose units may break a rule or need sorting: a blank s1 or a
     # gap, a zero s1, a share above the one before, or a total or meeting
     # share above 1
     total = _POW10[scale]
-    check = slow | blank[1] | (blank[1:-3] & ~blank[2:-2]).any(axis=0) | (units[0] == 0)
+    check = slow | blank[1] | (blank[1:MAX_HOLDERS] & ~blank[2:-1]).any(axis=0) | (units[0] == 0)
     check |= (units[1:-1] > units[:-2]).any(axis=0) | (units[:-1].sum(axis=0) > total) | (units[-1] > total)
     units = np.ascontiguousarray(units.T)
     problems = {}
-    if check.any():
-        year, columns = year.tolist(), index.tolist()
-        for i in np.flatnonzero(check).tolist():
-            try:
-                firm_id[i], year[i], board[i], ownership[i], has_meeting[i], n_meetings[i], units[i], scale[i] = \
-                    _read_row(_record(block, rows[i]), columns, width)
-            except DataError as exc:
-                problems[i] = str(exc)
-        year = _int_column(year)
-    return Registry(year, board, ownership, firm_id, has_meeting, n_meetings, units, scale), problems
+    columns = index.tolist()
+    for i in np.flatnonzero(check).tolist():
+        try:
+            firm_id[i], year[i], board[i], ownership[i], has_meeting[i], units[i], scale[i] = \
+                _read_row(_record(block, rows[i]), columns, width)
+        except DataError as exc:
+            problems[i] = str(exc)
+    return Registry(year, board, ownership, firm_id, has_meeting, units, scale), problems
 
 
 def _decimal_text(units: int, scale: int) -> str:
@@ -382,12 +375,11 @@ def emit_csv(registry: Registry, dest) -> None:
 
     def rows():
         columns = (c.tolist() if isinstance(c, np.ndarray) else c for c in registry.columns())
-        for year, board, ownership, firm_id, has, n_meetings, units, scale in zip(*columns):
+        for year, board, ownership, firm_id, has, units, scale in zip(*columns):
             shares = [_decimal_text(u, scale) for u in units[:MAX_HOLDERS] if u]
             yield [firm_id, year, BOARDS[board], OWNERSHIPS[ownership], *shares,
                    *[""] * (MAX_HOLDERS - len(shares)),
-                   _decimal_text(units[MAX_HOLDERS], scale) if has else "",
-                   "" if n_meetings is None else n_meetings]
+                   _decimal_text(units[MAX_HOLDERS], scale) if has else ""]
 
     _write_csv(dest, CSV_COLUMNS, rows())
 
@@ -438,6 +430,8 @@ class SynthConfig:
             lo, hi = _CLIP_TOP1
             if not lo <= self.top1.mean <= hi:
                 raise ValueError(f"top1 mean {self.top1.mean} outside clip range")
+            if not -_YEAR_MAX - 1 <= ordered[0] <= ordered[-1] <= _YEAR_MAX:
+                raise ValueError("a registry year must fit int64")
 
     @property
     def mode(self) -> str:
@@ -450,7 +444,8 @@ def synth_registry(config: SynthConfig) -> Registry:
     Each year draws for all its firms at once, in this order: the leading
     share ``top1`` (a clipped normal), the co-holders' total ``rest`` (a
     normal clipped to [0, rest_cap]), a symmetric Dirichlet split over nine
-    co-holders, the meeting noise and the meeting count. With
+    co-holders, the meeting noise and a meeting count, which no column
+    holds. With
     ``p = rest*split``, the excess ``E = sum(max(p - top1, 0))`` and the
     headroom ``r = max(top1 - p, 0)``, each part becomes
     ``min(p, top1) + r*E/sum(r)``: one pass that keeps the sum and leaves
@@ -466,10 +461,11 @@ def synth_registry(config: SynthConfig) -> Registry:
     rng = np.random.default_rng(config.seed)
     firms, n = config.firms_per_year, MAX_HOLDERS - 1
     t1, t210, mr = config.top1, config.top2_10, _MEETING_RATIO
+    # the meeting count, the fifth draw, is dropped; drawing it keeps every later draw as it was
     draws = [(rng.normal(t1.mean, t1.sd, firms), rng.normal(t210.mean, t210.sd, firms),
               rng.dirichlet(np.full(n, _SPLIT_ALPHA), firms) if t1.sd or t210.sd else np.full((firms, n), 1.0 / n),
-              rng.normal(mr.mean, mr.sd, firms), rng.integers(1, 16, firms)) for _ in config.years]
-    top1, rest, split, noise, n_meetings = map(np.concatenate, zip(*draws))
+              rng.normal(mr.mean, mr.sd, firms), rng.integers(1, 16, firms))[:4] for _ in config.years]
+    top1, rest, split, noise = map(np.concatenate, zip(*draws))
     top1 = np.clip(top1, *_CLIP_TOP1)
     rest = np.clip(rest, 0.0, np.minimum(1.0 - top1 - SHARE_SUM_TOL, n * top1 * (1.0 - 1e-9)))
     p, cap = rest[:, None] * split, top1[:, None]
@@ -481,12 +477,11 @@ def synth_registry(config: SynthConfig) -> Registry:
     meeting = np.floor(np.clip(noise * units.sum(axis=1), 0.0, _POW10[_SYNTH_DECIMALS])).astype(np.int64)
     board, ownership = config.group
     return Registry(
-        year=_int_column([year for year in config.years for _ in range(firms)]),
-        board=np.full(len(top1), _BOARD_CODES[board]),
-        ownership=np.full(len(top1), _OWNERSHIP_CODES[ownership]),
+        year=np.repeat(np.array(config.years, dtype=np.int64), firms),
+        board=np.full(len(top1), _BOARD_CODES[board], dtype=np.int8),
+        ownership=np.full(len(top1), _OWNERSHIP_CODES[ownership], dtype=np.int8),
         firm_id=[f"{board[0]}{ownership[0]}-{year}-{j:04d}" for year in config.years for j in range(firms)],
         has_meeting=np.ones(len(top1), dtype=bool),
-        n_meetings=n_meetings.tolist(),
         units=np.column_stack((units, meeting)),
         scale=np.full(len(top1), _SYNTH_DECIMALS, dtype=np.int8),
     )

@@ -502,54 +502,38 @@ def _check_period_grid(fitted: Sequence[int], config: PipelineConfig) -> None:
 
 
 _DIGEST_ROWS = 4096  # rows of the sort order taken from the columns at a time
-
-
-def _int_stream(values: Sequence[int]) -> np.ndarray:
-    """An integer column as digest bytes per row: int64 little-endian where
-    every value fits, else each value's decimal text after its byte length
-    as int64, since an object column's raw bytes are pointers. The choice is
-    made once for the whole column."""
-    try:
-        return np.asarray(values, dtype="<i8")
-    except OverflowError:
-        return np.array([len(text).to_bytes(8, "little") + text for text in (b"%d" % v for v in values)],
-                        dtype=object)
+# one row of the digest's record stream: fixed width, packed, little-endian
+_DIGEST_RECORD = np.dtype([("year", "<i8"), ("board", "i1"), ("ownership", "i1"), ("has_meeting", "u1"),
+                           ("units", "<i8", (MAX_HOLDERS + 1,))])
 
 
 def _records_digest(table: Registry, order: np.ndarray) -> str:
-    """SHA-256 over the row count and one SHA-256 per field stream, in this
-    order: year, board code, ownership code, holder count (each row's
-    nonzero shares), the zero-padded share block, the meeting-share flag,
-    the meeting share, the n_meetings flag, n_meetings (0 where None), the
-    UTF-8 byte length of each firm_id and the joined firm_id bytes. Each
-    stream holds the rows in ``order``: integers as ``_int_stream`` encodes
-    them, values as the little-endian float64 of units / 10^scale, flags as
-    one byte. Every row's part of a stream has a fixed or
-    a stated length, so no two tables share all streams; float bits tell
-    values apart exactly, as their repr would. The streams are fed
-    ``_DIGEST_ROWS`` rows at a time, which does not change them."""
-    n_meetings = np.array(table.n_meetings, dtype=object)
-    blank = np.equal(n_meetings, None)
-    n_meetings[blank] = 0
-    columns = (
-        _int_stream(table.year), _int_stream(table.board), _int_stream(table.ownership),
-        _int_stream(np.count_nonzero(table.units[:, :MAX_HOLDERS], axis=1)),
-        table.has_meeting, ~blank, _int_stream(n_meetings),
-    )
-    streams = [hashlib.sha256() for _ in range(len(columns) + 4)]
+    """SHA-256 over the row count (int64) and one SHA-256 per stream, in
+    this order: one fixed-width record per row (year as int64, the board
+    and ownership codes as int8, the meeting flag as one byte, then the ten
+    shares and the meeting share as int64 units at 10^12, 0 where a share
+    is absent or the meeting share blank), the UTF-8 byte length of each
+    firm_id as int64, and the joined firm_id bytes. Each stream holds the
+    rows in ``order``, little-endian. Every value is an exact integer that
+    fits int64, since no share has more than 12 places or is above 1; a
+    row's part of a stream has a fixed or a stated length, so no two
+    tables share all streams, and the same values at any scale give the
+    same bytes. The streams are fed ``_DIGEST_ROWS`` rows at a time, which
+    does not change them."""
+    streams = [hashlib.sha256() for _ in range(3)]
     for at in range(0, len(order), _DIGEST_ROWS):
         index = order[at : at + _DIGEST_ROWS]
-        year, board, ownership, count, has, given, n = (column[index] for column in columns)
-        values = table.units[index] / _POW10[table.scale[index]][:, None]
-        shares, meeting = np.hsplit(values.astype("<f8"), [MAX_HOLDERS])
-        for stream, part in zip(streams, (year, board, ownership, count, shares, has, meeting, given, n)):
-            stream.update(b"".join(part) if part.dtype == object else part.tobytes())
+        record = np.empty(len(index), dtype=_DIGEST_RECORD)
+        for name in ("year", "board", "ownership", "has_meeting"):
+            record[name] = getattr(table, name)[index]
+        record["units"] = table.units[index] * _POW10[_MAX_DECIMALS - table.scale[index]][:, None]
+        streams[0].update(record)
         firm_ids = list(map(table.firm_id.__getitem__, index.tolist()))
         text = "".join(firm_ids)
         if not text.isascii():  # an ASCII id's UTF-8 length is its length
             firm_ids = [firm_id.encode() for firm_id in firm_ids]
-        streams[-2].update(np.array(list(map(len, firm_ids)), dtype="<i8").tobytes())
-        streams[-1].update(text.encode())
+        streams[1].update(np.array(list(map(len, firm_ids)), dtype="<i8").tobytes())
+        streams[2].update(text.encode())
     return hashlib.sha256(len(order).to_bytes(8, "little") + b"".join(s.digest() for s in streams)).hexdigest()
 
 

@@ -25,7 +25,6 @@ class Row(NamedTuple):
     ownership: str
     shares: tuple
     meeting_share: float | None = None
-    n_meetings: int | None = None
 
 
 def _text(value) -> str:
@@ -39,10 +38,10 @@ def _text(value) -> str:
 def row_cells(row) -> list[str]:
     """The CSV cells of a row (a ``Row`` or a tuple in its field order), in
     ``CSV_COLUMNS`` order."""
-    firm_id, year, board, ownership, shares, meeting_share, n_meetings = Row(*row)
+    firm_id, year, board, ownership, shares, meeting_share = Row(*row)
     shares = [_text(s) for s in shares]
     return [firm_id, _text(year), board, ownership, *shares, *[""] * (MAX_HOLDERS - len(shares)),
-            _text(meeting_share), _text(n_meetings)]
+            _text(meeting_share)]
 
 
 def registry(rows):
@@ -77,8 +76,8 @@ def rows_of(registry) -> list[Row]:
     units read as."""
     columns = (c.tolist() if isinstance(c, np.ndarray) else c for c in registry.columns()[:-2])
     return [Row(firm_id, year, BOARDS[board], OWNERSHIPS[ownership], tuple(values[:n]),
-                values[MAX_HOLDERS] if has else None, n_meetings)
-            for year, board, ownership, firm_id, has, n_meetings, n, values
+                values[MAX_HOLDERS] if has else None)
+            for year, board, ownership, firm_id, has, n, values
             in zip(*columns, holders(registry).tolist(), floats(registry).tolist())]
 
 

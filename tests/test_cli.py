@@ -18,9 +18,10 @@ import pytest
 from controlpower import cli, csvbytes, dataset, power_index
 from controlpower.cli import main
 from controlpower.pipeline import PipelineConfig, run_pipeline
-from registry_rows import rows_of
+from registry_rows import assert_same_registry, rows_of
 
 GOLDEN_REGISTRY = Path(__file__).parent / "data" / "golden_registry.csv"
+GOLDEN_MACRO = Path(__file__).parent / "data" / "golden_macro.csv"
 # 42 share lists of 1-20 players at 2-6 decimals, with planted exact-half
 # coalitions, comments and blank lines, and the bytes `spi --input` prints
 # for them
@@ -57,11 +58,13 @@ def _exact(text):
 
 def _reference_row(row, index, width):
     """One row's (firm_id, year, board, ownership, shares, meeting_share,
-    n_meetings, units, scale), or ValueError naming its first problem."""
+    units, scale), or ValueError naming its first problem."""
     if len(row) < width:
         raise ValueError(f"{len(row)} cells, the header has {width}")
-    firm_id, year, board, ownership, *cells, meeting, n_meetings = (row[i].strip() for i in index)
+    firm_id, year, board, ownership, *cells, meeting = (row[i].strip() for i in index)
     year = _number(year, int)
+    if year >= 2**63:
+        raise ValueError(f"year above {2**63 - 1}, the int64 limit")
     for j, cell in enumerate(cells):
         if cell and not all(cells[:j]):
             raise ValueError(f"share column s{j + 1} follows a blank column")
@@ -77,7 +80,6 @@ def _reference_row(row, index, width):
     if any(b - a > dataset.SORT_TOL for (a, _), (b, _) in zip(held, held[1:])):
         raise ValueError("shares out of descending order beyond tolerance")
     meeting_share = _number(meeting, float) if meeting else None
-    n_meetings = _number(n_meetings, int) if n_meetings else None
     held.sort(key=lambda pair: pair[0], reverse=True)  # stable, as a sorted float list
     if board not in dataset.BOARDS:
         raise ValueError(f"unknown board {board!r}")
@@ -99,11 +101,9 @@ def _reference_row(row, index, width):
         raise ValueError(f"meeting share {meeting_share!r} outside [0, 1]")
     if meeting and places[-1] > 12:
         raise ValueError(f"{meeting_share!r} is not a decimal of at most 12 places")
-    if n_meetings is not None and n_meetings < 0:
-        raise ValueError("meeting count must be non-negative")
     units += [0] * (10 - count) + [int(decimals[-1] * 10**scale) if meeting else 0]
     shares = tuple(v for v, _ in held)
-    return firm_id, year, board, ownership, shares, meeting_share, n_meetings, units, scale
+    return firm_id, year, board, ownership, shares, meeting_share, units, scale
 
 
 # where the first byte that is not UTF-8 stood, in the text before it
@@ -531,6 +531,14 @@ class TestSynth:
         assert run_cli(*common, "--output", str(a), capsys=capsys)[0] == 0
         assert run_cli(*common, "--output", str(b), capsys=capsys)[0] == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_registry_year_past_int64_writes_no_rows(self, capsys):
+        # a registry holds its years as int64; outcomes take any year
+        argv = ("--seed", "1", "--years", f"2000,{2**63}", "--firms-per-year", "2")
+        assert run_cli("synth", "registry", *argv, capsys=capsys) == (
+            2, "", "controlpower: a registry year must fit int64\n")
+        code, out, err = run_cli("synth", "outcomes", *argv[:4], "--draws-per-year", "2", capsys=capsys)
+        assert (code, err) == (0, "") and len(out.splitlines()) == 5
 
     def test_outcomes_header(self, capsys):
         code, out, _ = run_cli(
@@ -1082,7 +1090,7 @@ class TestPipeline:
         (2, "0.13", "\u0660.\u0665"),
         (2, "0.13", "1e-3"),
         (2, "0.7436", "nan"),
-        (3, "3", "+3"),
+        (2, "2002", "+2002"),
     ])
     def test_lax_cell_is_data_error_naming_the_row(self, line, cell, lax, tmp_path, capsys):
         lines = GOLDEN_REGISTRY.read_text().splitlines()
@@ -1094,6 +1102,40 @@ class TestPipeline:
         code, out, err = run_cli("pipeline", "--input", str(path), "--min-sample", "5", capsys=capsys)
         assert (code, out) == (2, "")
         assert err == f"controlpower: row {line}: unparseable value (not a plain decimal number: {lax!r})\n"
+
+    def test_year_past_int64_is_data_error_naming_the_row(self, tmp_path, capsys):
+        lines = GOLDEN_REGISTRY.read_text().splitlines()
+        lines[2] = lines[2].replace(",2001,", f",{2**63},")
+        path = tmp_path / "far.csv"
+        path.write_text("\n".join(lines) + "\n")
+        assert run_cli("pipeline", "--input", str(path), "--min-sample", "5", capsys=capsys) == (
+            2, "", f"controlpower: row 3: year above {2**63 - 1}, the int64 limit\n")
+
+    def test_n_meetings_column_is_not_read(self, tmp_path, capsys):
+        # the golden registry with its n_meetings column, without it, and
+        # with junk in it: one table, and the same bytes in every format
+        header, *rows = GOLDEN_REGISTRY.read_text().splitlines()
+        junk = ["x", "-1", "9" * 5000]
+        forms = {
+            "with": [header, *rows],
+            "without": [line.rsplit(",", 1)[0] for line in [header, *rows]],
+            "junk": [header] + [f"{row.rsplit(',', 1)[0]},{junk[i % 3]}" for i, row in enumerate(rows)],
+        }
+        assert "n_meetings" not in forms["without"][0]
+        tables, outputs = [], []
+        for name, lines in forms.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_text("\n".join(lines) + "\n")
+            tables.append(dataset.ingest_csv(str(path)))
+            out = tmp_path / name
+            code, _, err = run_cli("pipeline", "--input", str(path), "--macro", f"idx={GOLDEN_MACRO}",
+                                   "--min-sample", "5", "--output", str(out), "--format", "json,csv-tables,plot-data",
+                                   capsys=capsys)
+            assert code == 0, err
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        for table in tables[1:]:
+            assert_same_registry(table, tables[0])
+        assert outputs[0] == outputs[1] == outputs[2] and len(outputs[0]) == 13
 
     def test_trailing_zeros_leave_the_report_as_it_is(self, tmp_path, capsys):
         # every share and meeting cell of the golden registry padded to 6

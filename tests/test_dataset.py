@@ -33,8 +33,10 @@ from controlpower.pipeline import PipelineConfig, run_pipeline
 from registry_rows import Row, assert_same_registry, floats, holders, registry, row_cells
 
 DATA = Path(__file__).parent / "data"
-# the grammar of a share or meeting_share cell; year and n_meetings take its digits-only case
+# the grammar of a share or meeting_share cell; year takes its digits-only case
 PLAIN = re.compile(r"[0-9]+(\.[0-9]+)?")
+# registries written with an n_meetings column, which the reader ignores as
+# it ignores any column it does not read
 HEADER = "firm_id,year,board,ownership,s1,s2,s3,s4,s5,s6,s7,s8,s9,s10,meeting_share,n_meetings"
 
 
@@ -50,7 +52,6 @@ def make_row(**overrides):
         ownership="private",
         shares=(0.30, 0.10, 0.05),
         meeting_share=0.42,
-        n_meetings=3,
     )
     base.update(overrides)
     return Row(**base)
@@ -126,10 +127,12 @@ class TestRecordValidation:
         with pytest.raises(DataError, match=r"^row 2: meeting share 1\.2 outside \[0, 1\]$"):
             registry([make_row(meeting_share=1.2)])
 
-    def test_rejects_negative_meeting_count(self):
-        # a count is digits alone, so a negative one is never read
-        with pytest.raises(DataError, match="not a plain decimal number: '-1'"):
-            registry([make_row(n_meetings=-1)])
+    def test_rejects_year_past_int64(self):
+        # years are held as int64: 2^63 - 1 is the last, and a later one names its row
+        assert registry([make_row(year=2**63 - 1)]).year.tolist() == [2**63 - 1]
+        for year in (2**63, 10**20):
+            with pytest.raises(DataError, match=f"^row 2: year above {2**63 - 1}, the int64 limit$"):
+                registry([make_row(year=year)])
 
 
 class TestIngest:
@@ -194,7 +197,7 @@ class TestIngest:
 
     def test_cells_beyond_the_header_are_ignored(self):
         rows = ingest_csv(csv_of("f1,2001,main,private,0.30,0.10,,,,,,,,,0.5,2,extra,cells"))
-        assert_same_registry(rows, registry([make_row(shares=(0.30, 0.10), meeting_share=0.5, n_meetings=2)]))
+        assert_same_registry(rows, registry([make_row(shares=(0.30, 0.10), meeting_share=0.5)]))
 
 
 ROW = "f1,2001,{board},{ownership},{s1},{s2},,,,,,,,,{meeting},{n_meetings}"
@@ -219,7 +222,6 @@ class TestOneRuleSet:
         ({"s1": "0.6", "s2": "0.45"}, {"shares": (0.6, 0.45)}, "shares sum above total equity"),
         ({"meeting": "1.5"}, {"meeting_share": 1.5}, "meeting share 1.5 outside [0, 1]"),
         ({"meeting": "nan"}, {"meeting_share": float("nan")}, "meeting share nan outside [0, 1]"),
-        ({"n_meetings": "-1"}, {"n_meetings": -1}, "meeting count must be non-negative"),
         # 0.1 + 0.2 is the float 0.30000000000000004, which no short decimal reads as
         ({"s1": "0.30000000000000004"}, {"shares": (0.1 + 0.2, 0.2)},
          "0.30000000000000004 is not a decimal of at most 12 places"),
@@ -237,7 +239,7 @@ class TestOneRuleSet:
 
     @pytest.mark.parametrize("cells, fields, message", CASES)
     def test_same_message_everywhere(self, cells, fields, message, tmp_path, capsys):
-        row = make_row(**{"shares": (0.3, 0.2), "meeting_share": 0.5, "n_meetings": 2, **fields})
+        row = make_row(**{"shares": (0.3, 0.2), "meeting_share": 0.5, **fields})
         written = dict(zip(HEADER.split(","), row_cells(row)))
         with pytest.raises(DataError) as typed:
             registry([row])
@@ -399,6 +401,88 @@ class TestSetAside:
                     assert len(ingest_csv(str(path))) == len(rows), (source, name, newline)
 
 
+class TestSpelledCodes:
+    """Board and ownership cells become their codes from their bytes
+    (``csvbytes._spelled``): each cell gets the code the name lookup gives
+    its text, or -1, and a registry of such cells reads as its rows do one
+    at a time, every other spelling set aside to the row reader."""
+
+    @staticmethod
+    def spellings(rng):
+        """Every name and, near each, its prefixes and suffixes, case flips,
+        a space, tab or U+00A0 at either end, quoted and ""-quoted forms, a
+        NUL before it, cells of 8 and 9 bytes and blank; then seeded random
+        edits of the names."""
+        cells = {""}
+        for name in BOARDS + OWNERSHIPS:
+            cells |= {name, name.upper(), name.title(), f"\0{name}", f"{name}_", f"{name}{name[-1]}", f"_{name}_"}
+            cells |= {name[:k] for k in range(len(name))} | {name[k:] for k in range(1, len(name))}
+            cells |= {name[:k] + name[k].swapcase() + name[k + 1 :] for k in range(len(name))}
+            cells |= {pad + name for pad in (" ", "\t", "\u00a0")} | {name + pad for pad in (" ", "\t", "\u00a0")}
+            cells |= {f'"{name}"', f'""{name}""', f'"{name[:2]}""{name[2:]}"', f'" {name}"'}
+        assert {"sme_gem_", "privatee", "_sme_gem_", "_private_"} <= cells
+        names = BOARDS + OWNERSHIPS
+        for _ in range(400):
+            cell = list(rng.choice(names))
+            for _ in range(rng.randint(1, 3)):
+                at = rng.randrange(len(cell) + 1)
+                byte = rng.choice('mainsprvtegd_ \t"MAIN\u00a0é0')
+                edit = rng.randrange(3)
+                if edit == 0 and at < len(cell):
+                    cell[at] = byte
+                elif edit == 1:
+                    cell.insert(at, byte)
+                elif at < len(cell):
+                    del cell[at]
+            cells.add("".join(cell))
+        return sorted(cells)
+
+    def test_codes_are_the_name_lookup(self):
+        # each cell after a byte that may look like part of it, the first at
+        # the start of the data, where the words reach into zero padding
+        rng = random.Random(2032)
+        cells = self.spellings(rng)
+        data, ends = b"", []
+        for cell in cells:
+            data += (rng.choice([b",", b"\0", b"n", b"main", b"e"]) if data else b"") + cell.encode()
+            ends.append(len(data))
+        b, width = np.array(ends), np.array([len(cell.encode()) for cell in cells])
+        for names in (BOARDS, OWNERSHIPS):
+            codes = csvbytes._spelled(csvbytes._words(data), b, width, names)
+            assert codes.dtype == np.int8
+            assert codes.tolist() == [names.index(cell) if cell in names else -1 for cell in cells]
+
+    def test_registry_reads_as_its_rows(self, tmp_path, monkeypatch):
+        # every spelling that leaves a row of whole fields, in the board and
+        # then the ownership column of an otherwise valid row: a stripped
+        # name reads as its code, any other cell is its row's problem
+        base = row_cells(make_row()) + ["2"]
+        lines, expected = [], []  # each row and its (board, ownership) codes, or its problem
+        for column, names, what in ((2, BOARDS, "board"), (3, OWNERSHIPS, "ownership")):
+            for cell in self.spellings(random.Random(2033)):
+                if cell.count('"') % 2 or "\0" in cell:
+                    continue
+                lines.append(",".join(base[:column] + [cell] + base[column + 1 :]))
+                text = next(csv.reader(lines[-1:]))[column].strip()
+                codes = [0, 0]
+                if text in names:
+                    codes[column - 2] = names.index(text)
+                expected.append(tuple(codes) if text in names else f"unknown {what} {text!r}")
+        path = tmp_path / "spelled.csv"
+        path.write_text("\n".join([HEADER, *lines]) + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            read_blocks(monkeypatch, lambda: ingest_csv(str(path)))
+        problems = [f"row {i}: {e}" for i, e in enumerate(expected, start=2) if isinstance(e, str)]
+        assert str(exc.value) == "; ".join(problems)
+        codes = [e for e in expected if not isinstance(e, str)]
+        valid = [line for line, e in zip(lines, expected) if not isinstance(e, str)]
+        path.write_text("\n".join([HEADER, *valid]) + "\n", encoding="utf-8")
+        table = read_blocks(monkeypatch, lambda: ingest_csv(str(path)))
+        assert list(zip(table.board.tolist(), table.ownership.tolist())) == codes
+        assert_same_registry(table, registry([make_row(board=BOARDS[b], ownership=OWNERSHIPS[o]) for b, o in codes]))
+        assert len(codes) >= 30 and len(problems) >= 500
+
+
 class TestTokenizer:
     """The byte reader splits a file into the records, line numbers, blank
     lines and field-limit error that ``csv.reader`` gives on the same file
@@ -528,19 +612,20 @@ class TestDecimalUnits:
         written = f"f1,{zeros}2001,main,private,{zeros}0.5,{zeros}.2,,,,,,,,,{zeros}1,{zeros}3"
         table = read_blocks(monkeypatch, lambda: ingest_csv(csv_of(written)))
         assert_same_registry(table, ingest_csv(csv_of("f1,2001,main,private,0.5,0.2,,,,,,,,,1,3")))
-        assert table.year.tolist() == [2001] and table.n_meetings == [3]
+        assert table.year.tolist() == [2001]
         with pytest.raises(DataError, match=r"^row 3: unparseable value \(not a plain decimal number: '0_1'\)$"):
             ingest_csv(csv_of(written, "f2,2001,main,private,0_1,,,,,,,,,,,"))
 
     def test_significant_digits_past_the_int_limit(self):
-        # a year or n_meetings of more significant digits than int() reads
-        # names their count and the limit, with its row
+        # a year of more significant digits than int() reads names their
+        # count and the limit, with its row; so does one past int64, and an
+        # n_meetings cell of any digits is not read
         big = "1" + "0" * 4400
         limit = f"a number of 4401 digits, over int()'s limit of {sys.get_int_max_str_digits()}"
         with pytest.raises(DataError) as exc:
             ingest_csv(csv_of(f"f1,{big},main,private,0.5,,,,,,,,,,,", "f2,2001,main,private,0.5,,,,,,,,,,,",
-                              f"f3,2001,main,private,0.5,,,,,,,,,,,{big}"))
-        assert str(exc.value) == f"row 2: {limit}; row 4: {limit}"
+                              f"f3,2001,main,private,0.5,,,,,,,,,,,{big}", f"f4,{2**63},main,private,0.5,,,,,,,,,,,"))
+        assert str(exc.value) == f"row 2: {limit}; row 5: year above {2**63 - 1}, the int64 limit"
 
     def test_number_cells_read_as_decimal(self):
         # csvbytes._numbers against decimal.Decimal on seeded cells 1-16
@@ -636,6 +721,14 @@ def assert_same_values(a, b):
     assert np.array_equal(floats(a), floats(b))
 
 
+def golden_without_n_meetings(tmp_path):
+    """The golden registry with its n_meetings column cut."""
+    path = tmp_path / "cut.csv"
+    path.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                            for line in (DATA / "golden_registry.csv").read_text().splitlines()))
+    return path
+
+
 def padded_golden(tmp_path):
     """The golden registry with every share and meeting cell padded to 6 places."""
     lines = (DATA / "golden_registry.csv").read_text().splitlines()
@@ -656,7 +749,7 @@ class TestRoundTrip:
     def test_emit_then_ingest_is_identity(self):
         table = registry([
             make_row(),
-            make_row(firm_id="f2", shares=(0.123456,), meeting_share=None, n_meetings=None),
+            make_row(firm_id="f2", shares=(0.123456,), meeting_share=None),
             make_row(firm_id="f3", board="sme_gem", ownership="state", year=2010),
         ])
         assert_same_registry(ingest_csv(emitted(table)), table)
@@ -679,9 +772,9 @@ class TestRoundTrip:
         n = len(units)
         has = rng.random(n) < 0.9
         units[~has, MAX_HOLDERS] = 0
-        table = Registry(year=np.full(n, 2001), board=np.zeros(n, dtype=np.int64),
-                         ownership=np.zeros(n, dtype=np.int64), firm_id=[f"f{i}" for i in range(n)],
-                         has_meeting=has, n_meetings=[None] * n, units=units, scale=np.array(scales, dtype=np.int8))
+        table = Registry(year=np.full(n, 2001), board=np.zeros(n, dtype=np.int8),
+                         ownership=np.zeros(n, dtype=np.int8), firm_id=[f"f{i}" for i in range(n)],
+                         has_meeting=has, units=units, scale=np.array(scales, dtype=np.int8))
         written = list(csv.reader(emitted(table)))[1:]
         assert len(written) == n
         text = functools.partial(np.format_float_positional, trim="-")
@@ -704,9 +797,9 @@ class TestRoundTrip:
     @pytest.mark.parametrize("source", [
         lambda tmp_path: DATA / "golden_registry.csv",
         padded_golden,
-        lambda tmp_path: DATA / "beyond_int64_registry.csv",
+        golden_without_n_meetings,
         *(lambda tmp_path, seed=seed: synth_csv(tmp_path, seed) for seed in (1, 3, 5)),
-    ], ids=["golden", "golden-padded", "beyond-int64", "synth-1", "synth-3", "synth-5"])
+    ], ids=["golden", "golden-padded", "golden-without-n-meetings", "synth-1", "synth-3", "synth-5"])
     def test_written_registry_reads_back_the_same(self, source, tmp_path):
         path = source(tmp_path)
         table = ingest_csv(str(path))
@@ -715,17 +808,13 @@ class TestRoundTrip:
         again = ingest_csv(io.StringIO(text))
         assert_same_registry(again, table)
         assert emitted(again).getvalue() == text
-        if "beyond" in path.name:
-            # years and some n_meetings past int64, and blank n_meetings, survive
-            assert again.year.dtype == object and max(m or 0 for m in again.n_meetings) > 2**63
-            assert None in again.n_meetings
 
     def test_header_only_file_is_an_empty_registry(self):
         table = ingest_csv(csv_of())
         assert len(table) == 0 and table.units.shape == (0, 11)
         assert_same_registry(table, registry([]))
         assert [c.dtype for c in table.columns() if isinstance(c, np.ndarray)] == [
-            np.int64, np.int64, np.int64, bool, np.int64, np.int8]
+            np.int64, np.int8, np.int8, bool, np.int64, np.int8]
         with pytest.raises(DataError, match="^the registry has no rows$"):
             run_pipeline(table, PipelineConfig(min_sample=1))
 

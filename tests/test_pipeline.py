@@ -40,8 +40,7 @@ from controlpower.power_index import make_game, spi_dp, top_holder_numerators
 from registry_rows import Row, floats, registry, rows_of, take
 
 MAIN_PRIVATE = GroupKey("main", "private")
-# 36 firm-years in two groups whose years and some n_meetings exceed int64
-BEYOND_INT64 = Path(__file__).parent / "data" / "beyond_int64_registry.csv"
+GOLDEN_REGISTRY = Path(__file__).parent / "data" / "golden_registry.csv"
 
 
 def record(firm_id, shares, year=2001, board="main", ownership="private", meeting_share=None):
@@ -417,9 +416,9 @@ class TestInputDigest:
     rows' fields, so it ignores row order and how a share was printed."""
 
     BASE = (
-        Row("f1", 2001, "main", "private", (0.3, 0.2, 0.1), 0.55, 3),
+        Row("f1", 2001, "main", "private", (0.3, 0.2, 0.1), 0.55),
         Row("f2", 2001, "main", "private", (0.25, 0.25)),
-        Row("f3", 2002, "sme_gem", "state", (0.4,), 0.35, 0),
+        Row("f3", 2002, "sme_gem", "state", (0.4,), 0.35),
     )
 
     @staticmethod
@@ -460,18 +459,10 @@ class TestInputDigest:
         changed = (self.BASE[0]._replace(**change),) + self.BASE[1:]
         assert self.digest(changed) != self.digest(self.BASE)
 
-    @pytest.mark.parametrize("change", [{"meeting_share": 0.0}, {"n_meetings": 0}])
+    @pytest.mark.parametrize("change", [{"meeting_share": 0.0}])
     def test_none_differs_from_zero(self, change):
         changed = self.BASE[:1] + (self.BASE[1]._replace(**change),) + self.BASE[2:]
         assert self.digest(changed) != self.digest(self.BASE)
-
-    def test_field_boundaries_count(self):
-        # year 2001 with no meeting count and year 200 with 1 meeting join to
-        # the same text; the length prefixes keep the records apart
-        a = self.BASE[1]._replace(year=2001, n_meetings=None)
-        b = self.BASE[1]._replace(year=200, n_meetings=1)
-        assert f"{a.year}{a.n_meetings or ''}" == f"{b.year}{b.n_meetings}"
-        assert self.digest([a]) != self.digest([b])
 
     def test_repeated_firm_years_in_any_order(self):
         # rows that repeat (year, board, ownership, firm_id) are ordered by
@@ -519,9 +510,12 @@ class TestInputDigest:
         assert pipeline._sort_order(table).tolist() == expected.tolist()
 
     def test_year_beyond_int64(self):
-        far = self.BASE[0]._replace(year=10**20)
-        farther = self.BASE[0]._replace(year=10**20 + 1)
-        assert self.digest([far]) != self.digest([farther])
+        # the last int64 years are hashed apart; a year past them is a data
+        # error naming its row
+        last = [self.BASE[0]._replace(year=year) for year in (2**63 - 2, 2**63 - 1)]
+        assert self.digest(last[:1]) != self.digest(last[1:])
+        with pytest.raises(DataError, match=f"^row 3: year above {2**63 - 1}, the int64 limit$"):
+            self.digest([self.BASE[0], self.BASE[0]._replace(year=2**63)])
 
     def test_shares_tie_break_on_exact_values(self):
         # rows that repeat year, board, ownership and firm_id are ordered by
@@ -555,16 +549,6 @@ class TestInputDigest:
         assert pipeline._sort_order(wide).tolist() == order.tolist()
         assert pipeline._records_digest(wide, order) == pipeline._records_digest(table, order)
 
-    def test_beyond_int64_registry_is_pinned(self):
-        # year and n_meetings sit in object columns, which are hashed as
-        # length-prefixed decimal text, never as their pointer bytes
-        table = ingest_csv(BEYOND_INT64)
-        assert table.year.dtype == object and max(m or 0 for m in table.n_meetings) > 2**63
-        digest = "eed67edcee35b66e765474d1e048c60d8ec26583fcfd9364ef87407c59b2a198"
-        assert self.digest(table) == digest
-        # its rows written out and read back
-        assert self.digest(rows_of(table)) == digest
-
     def test_firm_id_boundaries_count(self):
         # "ab" + "c" and "a" + "bc" join to the same bytes; their lengths differ
         first = [self.BASE[1]._replace(firm_id=f) for f in ("ab", "c")]
@@ -577,16 +561,15 @@ class TestInputDigest:
         built row by row from the sorted records."""
         rows = sorted(records, key=lambda r: (r.year, BOARDS.index(r.board), OWNERSHIPS.index(r.ownership),
                                               r.firm_id, r.shares))
+
+        def units(value):
+            return int(Decimal(repr(value)).scaleb(12)).to_bytes(8, "little")
+
         streams = [
-            [r.year.to_bytes(8, "little", signed=True) for r in rows],
-            [BOARDS.index(r.board).to_bytes(8, "little") for r in rows],
-            [OWNERSHIPS.index(r.ownership).to_bytes(8, "little") for r in rows],
-            [len(r.shares).to_bytes(8, "little") for r in rows],
-            [np.array(r.shares + (0.0,) * (10 - len(r.shares)), dtype="<f8").tobytes() for r in rows],
-            [bytes([r.meeting_share is not None]) for r in rows],
-            [np.array([r.meeting_share or 0.0], dtype="<f8").tobytes() for r in rows],
-            [bytes([r.n_meetings is not None]) for r in rows],
-            [(r.n_meetings or 0).to_bytes(8, "little") for r in rows],
+            [r.year.to_bytes(8, "little", signed=True)
+             + bytes([BOARDS.index(r.board), OWNERSHIPS.index(r.ownership), r.meeting_share is not None])
+             + b"".join(map(units, r.shares + (0.0,) * (10 - len(r.shares)) + (r.meeting_share or 0.0,)))
+             for r in rows],
             [len(r.firm_id.encode()).to_bytes(8, "little") for r in rows],
             [r.firm_id.encode() for r in rows],
         ]
@@ -600,7 +583,7 @@ class TestInputDigest:
         assert self.digest(self.BASE) == self.documented_digest(self.BASE)
 
     def test_chunk_size_does_not_matter(self, monkeypatch):
-        tables = synth_registry(registry_config(firms_per_year=5)), ingest_csv(BEYOND_INT64)
+        tables = synth_registry(registry_config(firms_per_year=5)), ingest_csv(GOLDEN_REGISTRY)
         whole = [self.digest(table) for table in tables]
         monkeypatch.setattr(pipeline, "_DIGEST_ROWS", 1)
         assert [self.digest(table) for table in tables] == whole
