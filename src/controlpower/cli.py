@@ -82,12 +82,17 @@ def _fmt(value: float) -> str:
 def _parse_floats(text: str, option: str) -> list[float]:
     """The numbers of an option's list, split at ',' or ';', blank items
     skipped: plain decimals, as registry cells are, or nan and +-inf, which
-    each value's own range check names."""
+    each value's own range check names. Any other item is refused with the
+    option's name."""
     values = []
     for cell in filter(str.strip, text.replace(";", ",").split(",")):
-        values.append(float(cell))
-        if math.isfinite(values[-1]) and not re.fullmatch(_PLAIN, cell.strip()):
+        try:
+            value = float(cell)
+        except ValueError:
+            value = None
+        if value is None or math.isfinite(value) and not re.fullmatch(_PLAIN, cell.strip()):
             raise ValueError(f"{option}: not a plain decimal number: {cell!r}")
+        values.append(value)
     return values
 
 
@@ -125,6 +130,18 @@ def _number(form: str):
 
 
 _DECIMAL, _SIGNED_DECIMAL = _number(_PLAIN), _number(_SIGNED)
+
+
+def _seed(text: str) -> int:
+    """The argparse type of --seed: an integer, refused (exit 1) unless it
+    reads as one that is not negative, as the seeded generators take."""
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(f"not a non-negative integer: {text!r}")
+    return seed
 
 
 def _parse_years(text: str, per_year: int, option: str) -> tuple[int, ...]:
@@ -259,7 +276,7 @@ def _read_pairs(path: str, key, grammar: str) -> list[tuple]:
     from .csvbytes import _blocks, _record
 
     def records(handle):  # (the line each record ends on, its cells)
-        for block in _blocks(handle, path, True):
+        for block in _blocks(handle, path):
             for k, line in enumerate(block.line.tolist()):
                 yield line, _record(block, k)
             if block.error:
@@ -428,7 +445,7 @@ def _evolve_options(p):
     q.add_argument("--output")
     q = sub.add_parser("walk")
     q.add_argument("--operations", type=int, default=100)
-    q.add_argument("--seed", type=int, required=True)
+    q.add_argument("--seed", type=_seed, required=True)
     q.add_argument("--law", help="four comma-separated episode-length weights")
     q.add_argument("--output")
     q = sub.add_parser("wave")
@@ -453,7 +470,7 @@ def _fit_options(p):
 def _synth_options(p):
     sub = p.add_subparsers(dest="what", required=True)
     q = sub.add_parser("registry")
-    q.add_argument("--seed", type=int, required=True)
+    q.add_argument("--seed", type=_seed, required=True)
     q.add_argument("--years", default=_DEFAULT_YEARS)
     q.add_argument("--firms-per-year", type=int, default=100)
     q.add_argument("--group", default="main/private")
@@ -461,7 +478,7 @@ def _synth_options(p):
     q.add_argument("--top2-10", dest="top2_10", default=_DEFAULT_TOP2_10, help="mean,sd of the co-holders' total")
     q.add_argument("--output")
     q = sub.add_parser("outcomes")
-    q.add_argument("--seed", type=int, required=True)
+    q.add_argument("--seed", type=_seed, required=True)
     q.add_argument("--years", default=_DEFAULT_YEARS)
     q.add_argument("--draws-per-year", type=int, default=500)
     q.add_argument("--group", default="main/private")
@@ -475,7 +492,7 @@ def _pipeline_options(p):
     sources = p.add_mutually_exclusive_group(required=True)
     sources.add_argument("--input", help="registry CSV")
     sources.add_argument("--synth", choices=("default", "outcomes"))
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=_seed)
     p.add_argument("--output", help="report directory; stdout JSON when omitted")
     p.add_argument("--format", default="json",
                    help="comma list of json,csv-tables,plot-data; formats other than json need --output")

@@ -24,7 +24,6 @@ import numpy as np
 # traced peak of 2.95, 2.95, 3.59 and 5.28 MB, and 100 registry-10k
 # reports in one process peaked at 43.7, 43.5, 43.5 and 44.3 MB resident.
 _BLOCK_BYTES = 1 << 17
-_BOM = b"\xef\xbb\xbf"
 _SEPARATES = np.zeros(256, dtype=bool)
 _SEPARATES[list(b",\r\n")] = True
 _NONE = np.zeros(0, dtype=np.int64)
@@ -154,24 +153,24 @@ def _record(block: _Block, k: int) -> list[str]:
                                                          block.stop[f : f + count].tolist())]
 
 
-def _blocks(handle, name: str, bom: bool):
+def _blocks(handle, name: str):
     """The registry read from ``handle`` (of bytes or text) as blocks of
-    whole records; a leading byte-order mark is dropped when ``bom`` is
-    set. A field longer than ``csv.field_size_limit()`` characters, or a
-    byte that is not UTF-8, ends the read: the last block holds the records
-    before the one it is in and names the line that record starts on, or
-    the line of the byte (which wins within one record)."""
+    whole records; a leading byte-order mark is dropped. A field longer
+    than ``csv.field_size_limit()`` characters, or a byte that is not
+    UTF-8, ends the read: the last block holds the records before the one
+    it is in and names the line that record starts on, or the line of the
+    byte (which wins within one record)."""
     limit = csv.field_size_limit()
-    carry, size, line, final = b"", _BLOCK_BYTES, 0, False
+    carry, size, line, final, bom = b"", _BLOCK_BYTES, 0, False, True
     while not final:
         chunk = handle.read(size)
         final = not chunk
         data = carry + (chunk.encode() if isinstance(chunk, str) else chunk)
         if bom:
-            if len(data) < len(_BOM) and not final:
+            if len(data) < len(codecs.BOM_UTF8) and not final:
                 carry = data
                 continue
-            data, bom = data.removeprefix(_BOM), False
+            data, bom = data.removeprefix(codecs.BOM_UTF8), False
         split = _split(data, final)
         count, error = len(split.last) if final else split.terminated, None
         for f in np.flatnonzero(split.stop - split.start > limit).tolist() if len(data) > limit else ():

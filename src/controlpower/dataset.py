@@ -127,7 +127,7 @@ def ingest_csv(source) -> Registry:
     own = not hasattr(source, "read")
     name = source if own else getattr(source, "name", "input")
     with open(source, "rb") if own else contextlib.nullcontext(source) as handle:
-        blocks = _blocks(handle, name, own)
+        blocks = _blocks(handle, name)
         block = next(blocks, None)
         if block is None:
             raise DataError("empty file, no header row")

@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import asdict, astuple, dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 from . import __version__
@@ -274,35 +274,9 @@ class Report:
     provenance: dict
     groups: dict[GroupKey, GroupReport]
 
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "provenance": dict(self.provenance),
-            "groups": {
-                _group_label(k): {f: _plain(v) for f, v in vars(g).items() if f != "group"}
-                for k, g in self.groups.items()
-            },
-        }
-
     def to_json(self) -> str:
-        return _json_text(self.to_dict()) + "\n"
-
-
-_LEAVES = frozenset({bool, int, float, str, type(None)})
-
-
-def _plain(value):
-    """``value`` as ``dataclasses.asdict`` gives it to JSON, dataclasses as
-    dicts of their fields and tuples as lists, without copying its leaves."""
-    if type(value) in _LEAVES:
-        return value
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
-    if isinstance(value, (tuple, list)):
-        return [_plain(v) for v in value]
-    if hasattr(value, "__dataclass_fields__"):
-        return {k: _plain(v) for k, v in vars(value).items()}
-    return value
+        groups = {_group_label(k): {f: v for f, v in vars(g).items() if f != "group"} for k, g in self.groups.items()}
+        return _json_text({"version": self.version, "provenance": self.provenance, "groups": groups}) + "\n"
 
 
 @functools.cache
@@ -315,16 +289,21 @@ def _flat_encoder(depth: int):
 
 def _json_text(value, depth: int = 0) -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` byte for byte, for a
-    value at ``depth``. A scalar, an empty container and each container
-    that holds no container is one ``_flat_encoder`` call, to which the
-    first and last line of a container are added here; other containers
-    are joined here, their items sorted as json sorts them. A tuple is a
-    list. A non-str key takes json's text for it: its own JSON, quoted."""
+    value at ``depth``, and for a dataclass what json.dumps writes for its
+    ``dataclasses.asdict``: it is read as the dict of its fields, in place.
+    A scalar, an empty container and each container that holds no container
+    is one ``_flat_encoder`` call, to which the first and last line of a
+    container are added here; other containers are joined here, their items
+    sorted as json sorts them. A tuple is a list. A non-str key takes json's
+    text for it: its own JSON, quoted."""
+    if hasattr(value, "__dataclass_fields__"):
+        value = vars(value)
     if not isinstance(value, (dict, list, tuple)) or not value:
         return _flat_encoder(depth)(value)
     pad, end = "  " * (depth + 1), "  " * depth
     is_dict = isinstance(value, dict)
-    if not any(isinstance(item, (dict, list, tuple)) for item in (value.values() if is_dict else value)):
+    if not any(isinstance(item, (dict, list, tuple)) or hasattr(item, "__dataclass_fields__")
+               for item in (value.values() if is_dict else value)):
         text = _flat_encoder(depth)(value)
         return f"{text[0]}\n{pad}{text[1:-1]}\n{end}{text[-1]}"
     if is_dict:
@@ -614,10 +593,10 @@ def _year_rows(*fields: str):
 
 
 def _fit_rows(report: Report):
-    # astuple(fit) is a0, a1, b1, period, sse, rmse, r_squared, degenerate
+    # a fit's fields are a0, a1, b1, period, sse, rmse, r_squared, degenerate
     for g in report.groups.values():
         for name, fit in g.fits.items():
-            yield [_group_label(g.group), name, *astuple(fit), *g.extrema.get(name, (None, None)),
+            yield [_group_label(g.group), name, *vars(fit).values(), *g.extrema.get(name, (None, None)),
                    g.diagnostics.period_ratio, g.diagnostics.phase_diff]
 
 
@@ -625,7 +604,7 @@ def _correlation_rows(report: Report):
     for g in report.groups.values():
         for macro, by_series in g.correlations.items():
             for series, c in by_series.items():
-                yield [_group_label(g.group), macro, series, *astuple(c)]
+                yield [_group_label(g.group), macro, series, *vars(c).values()]
 
 
 # csv-tables: (file name, header, row generator) per table

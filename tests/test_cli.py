@@ -1201,11 +1201,28 @@ class TestNumberGrammar:
         assert run_cli(*argv, capsys=capsys) == (2, "", f"controlpower: {message}\n")
 
 
+    @pytest.mark.parametrize("item", ["abc", "0x1", "1.2.3", "\u00bd"])
+    @pytest.mark.parametrize("argv, option", [
+        (["synth", "registry", "--seed", "1", "--top1"], "--top1"),
+        (["synth", "registry", "--seed", "1", "--top2-10"], "--top2-10"),
+        (["pipeline", "--synth", "outcomes", "--seed", "1", "--period-range"], "period range"),
+        (["fit", "--input", "SERIES", "--period-range"], "period range"),
+        (["evolve", "walk", "--seed", "1", "--law"], "--law"),
+    ])
+    def test_option_item_that_is_no_number_names_the_option(self, argv, option, item, tmp_path, capsys):
+        series = tmp_path / "series.csv"
+        series.write_text("".join(f"{t},{t % 3}\n" for t in range(8)))
+        argv = [str(series) if arg == "SERIES" else arg for arg in argv]
+        assert run_cli(*argv, f"4,{item}", capsys=capsys) == (
+            2, "", f"controlpower: {option}: not a plain decimal number: {item!r}\n")
+
+
 class TestScalarOptionGrammar:
     """Every scalar number option reads a finite plain decimal, with a sign
     only where its value may be negative (evolve wave's --a0, --a1, --b1 and
     --t-max, synth outcomes' --mu); any other value is a usage error (exit
-    1) naming the option. --years takes years of digits only (exit 2)."""
+    1) naming the option. --years takes years of digits only (exit 2).
+    --seed takes an integer that is not negative (exit 1 otherwise)."""
 
     UNSIGNED = [
         (["evolve", "wave"], "--h"), (["evolve", "wave"], "--period"), (["evolve", "wave"], "--t-step"),
@@ -1241,6 +1258,15 @@ class TestScalarOptionGrammar:
         code, out, _ = run_cli("synth", "outcomes", "--seed", "1", "--years", "2000", "--draws-per-year", "2",
                                "--mu", "-0.1", capsys=capsys)
         assert code == 0 and len(out.splitlines()) == 3
+
+    @pytest.mark.parametrize("seed", ["-1", "-0x1", "-" + "9" * 30, "x", "1.5"])
+    @pytest.mark.parametrize("argv", [["evolve", "walk"], ["synth", "registry"], ["synth", "outcomes"],
+                                      ["pipeline", "--synth", "default"], ["pipeline", "--synth", "outcomes"]],
+                             ids=" ".join)
+    def test_seed_that_is_negative_or_no_integer_is_usage_error(self, argv, seed, capsys):
+        code, out, err = run_cli(*argv, f"--seed={seed}", capsys=capsys)  # "-1" alone reads as an option
+        assert (code, out) == (1, "")
+        assert err.endswith(f" error: argument --seed: not a non-negative integer: {seed!r}\n")
 
     @pytest.mark.parametrize("years, token", [
         ("1_996-1997", "1_996"), ("1996-1997.0", "1997.0"), ("+1996", "+1996"), ("1996,1e3", "1e3"), ("1996-", ""),

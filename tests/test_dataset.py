@@ -369,6 +369,27 @@ class TestChunkedRead:
                 read_blocks(monkeypatch, lambda: ingest_csv(io.StringIO(text)))
             assert str(exc.value) == "row 33: unknown ownership 'otc'"
 
+    @pytest.mark.parametrize("opener", [
+        lambda path: open(path, "rb"),
+        lambda path: open(path, encoding="utf-8", newline=""),
+        lambda path: io.StringIO(path.read_text(encoding="utf-8")),
+    ], ids=["binary", "text", "StringIO"])
+    def test_byte_order_mark_is_dropped_from_a_handle(self, opener, tmp_path, monkeypatch):
+        # a handle of a registry that starts with a byte-order mark, of bytes
+        # or of UTF-8 text (which keeps the mark as U+FEFF), gives the table
+        # its path gives, and so does the file without the mark
+        rows = self.rows(40)
+        plain = self.read(tmp_path, "plain.csv", rows)
+        path = tmp_path / "marked.csv"
+        path.write_bytes(b"\xef\xbb\xbf" + (tmp_path / "plain.csv").read_bytes())
+        assert_same_registry(ingest_csv(str(path)), plain)
+
+        def by_handle():
+            with opener(path) as handle:
+                return ingest_csv(handle)
+
+        assert_same_registry(read_blocks(monkeypatch, by_handle), plain)
+
     def test_unsplittable_row_names_file_and_line(self, tmp_path, monkeypatch):
         # an unclosed quote takes the rest of the file into one field, past
         # the CSV reader's field limit; earlier problems are listed first
@@ -511,7 +532,7 @@ class TestTokenizer:
         """The same, from the blocks ``csvbytes._blocks`` reads."""
         records, error = [], None
         with open(path, "rb") as handle:
-            for block in csvbytes._blocks(handle, str(path), True):
+            for block in csvbytes._blocks(handle, str(path)):
                 for first, count, line in zip(block.first.tolist(), block.count.tolist(), block.line.tolist()):
                     fields = zip(block.start[first : first + count].tolist(), block.stop[first : first + count].tolist())
                     records.append((line, [csvbytes._field_text(block.data[a:b]) for a, b in fields]))

@@ -837,12 +837,31 @@ class TestPredictionDiagnostics:
         assert diag.phase_diff_ok is False
 
 
+@dataclasses.dataclass(frozen=True)
+class Flat:
+    n: int
+    x: float | None
+    name: str = "flat"
+
+
+@dataclasses.dataclass(frozen=True)
+class Holding:
+    pair: tuple
+    table: dict
+
+
+@dataclasses.dataclass(frozen=True)
+class NoFields:
+    pass
+
+
 class TestJsonWriter:
-    """pipeline._json_text is json.dumps(value, indent=2, sort_keys=True), byte for byte."""
+    """pipeline._json_text is json.dumps(value, indent=2, sort_keys=True), byte for byte,
+    and writes a dataclass as json.dumps writes its dataclasses.asdict."""
 
     @staticmethod
     def dumps(value):
-        return json.dumps(value, indent=2, sort_keys=True)
+        return json.dumps(value, indent=2, sort_keys=True, default=dataclasses.asdict)
 
     def test_golden_report(self):
         text = (Path(__file__).parent / "data" / "golden" / "report.json").read_text(encoding="utf-8")
@@ -853,8 +872,20 @@ class TestJsonWriter:
         SynthConfig(years=DEFAULT_SYNTH_YEARS, firms_per_year=500, seed=5, pdf=ControlPowerPdf(wave=ideal_wave(1.5))),
     ], ids=["registry", "outcomes"])
     def test_reports(self, source):
-        report = run_pipeline(source, PipelineConfig(min_sample=40))
-        assert report.to_json() == self.dumps(report.to_dict()) + "\n"
+        # the report's own objects give what json.dumps writes for the
+        # dataclasses.asdict of each group, keyed by its label, without
+        # and with macro correlations
+        macro = {year: float(year - 1990) for year in DEFAULT_SYNTH_YEARS}
+        for macros in ({}, {"m": macro}):
+            report = run_pipeline(source, PipelineConfig(min_sample=40, macros=macros))
+            assert all(bool(g.correlations) == bool(macros) for g in report.groups.values())
+            expected = {
+                "version": report.version,
+                "provenance": report.provenance,
+                "groups": {f"{k.board}/{k.ownership}": {f: v for f, v in dataclasses.asdict(g).items() if f != "group"}
+                           for k, g in report.groups.items()},
+            }
+            assert report.to_json() == json.dumps(expected, indent=2, sort_keys=True) + "\n"
 
     @pytest.mark.parametrize("value", [
         {}, [], (), "", 0, None,
@@ -868,6 +899,10 @@ class TestJsonWriter:
         [2**63, -(2**63) - 1, 10**40, {"big": [2**64]}],
         {"b": 1, "a": 2, "B": 3, "": 4, "aa": {"z": 0, "a": 1}},
         {1: {"x": 1}, 2.5: [2], -3: {}}, {True: [1], False: {}}, {None: [3]}, {math.nan: [1], -math.inf: 2},
+        Flat(1, 0.5), Flat(-2, None, "é"), Holding((1, 2.5, None), {"k": "v", "n": 3}),
+        Holding((Flat(3, math.inf), ()), {"flat": Flat(4, -0.0), "list": [Flat(5, 1e-320)], "empty": {}}),
+        [Flat(6, 0.1), Flat(7, None)], {"a": Flat(8, 2.0), "b": [NoFields()], "c": NoFields()},
+        NoFields(), [NoFields()], Holding((), {}),
     ], ids=repr)
     def test_hand_made(self, value):
         assert pipeline._json_text(value) == self.dumps(value)
@@ -899,20 +934,6 @@ class TestReportEmission:
         for group, g in report.groups.items():
             years = parsed["groups"][f"{group.board}/{group.ownership}"]["years"]
             assert tuple(YearStats(**y) for y in years) == g.years
-
-    def test_to_dict_is_asdict_without_copies(self, report):
-        # the field walk gives what dataclasses.asdict gave, leaf for leaf
-        macro = {year: float(year - 1990) for year in DEFAULT_SYNTH_YEARS}
-        with_correlations = run_pipeline(registry_config(), PipelineConfig(min_sample=40, macros={"m": macro}))
-        for rep in (report, with_correlations):
-            expected = {
-                "version": rep.version,
-                "provenance": dict(rep.provenance),
-                "groups": {f"{k.board}/{k.ownership}": {f: v for f, v in dataclasses.asdict(g).items() if f != "group"}
-                           for k, g in rep.groups.items()},
-            }
-            assert json.dumps(rep.to_dict(), sort_keys=True) == json.dumps(expected, sort_keys=True)
-        assert with_correlations.to_dict()["groups"]["main/private"]["correlations"]["m"]
 
     def test_csv_tables(self, report, tmp_path):
         paths = emit_report(report, "csv-tables", str(tmp_path))
