@@ -40,7 +40,7 @@ from .evolution import (
     ratio_sequence,
     wave_eval,
 )
-from .fitting import DEFAULT_GRID_STEP, TimeSeries, fit_fourier1, fourier_extrema
+from .fitting import DEFAULT_GRID_STEP, TimeSeries, check_period_grid, fit_fourier1, fourier_extrema
 from .pipeline import (
     REPORT_FORMATS,
     SPI_MODES,
@@ -171,6 +171,14 @@ def _parse_pair(text: str, what: str, example: str) -> tuple[float, float]:
     return values[0], values[1]
 
 
+def _period_options(args) -> tuple[float, float] | None:
+    """The --period-range of fit or pipeline, checked with its --grid-step
+    before any input is read."""
+    period_range = _parse_pair(args.period_range, "period range", "4,50") if args.period_range else None
+    check_period_grid(period_range, args.grid_step)
+    return period_range
+
+
 def _parse_group(text: str) -> GroupKey:
     board, _, ownership = text.partition("/")
     if board not in BOARDS or ownership not in OWNERSHIPS:
@@ -251,12 +259,9 @@ def _cmd_evolve(args) -> int:
         raise ValueError("--t-step must be a finite positive number")
     if not args.t_max / args.t_step + 1 <= 1e6:
         raise ValueError("--t-max / --t-step gives more than 10^6 rows")
-    rows = []
-    t = 0.0
-    while t <= args.t_max + 1e-9:
-        rows.append((t, wave_eval(params, t)))
-        t += args.t_step
-    _write_csv(args.output or sys.stdout, _SERIES, rows)
+    # each t is k * step, not a running sum, whose rounding error grows with k
+    ts = [k * args.t_step for k in range(math.floor(args.t_max / args.t_step + 1e-9) + 1)]
+    _write_csv(args.output or sys.stdout, _SERIES, [(t, wave_eval(params, t)) for t in ts])
     return 0
 
 
@@ -311,9 +316,9 @@ def _read_pairs(path: str, key, grammar: str) -> list[tuple]:
 
 
 def _cmd_fit(args) -> int:
+    period_range = _period_options(args)
     # _read_pairs rejects a repeated t, so sorting by t is unambiguous
     series = TimeSeries.from_pairs(sorted(_read_pairs(args.input, float, _SIGNED)))
-    period_range = _parse_pair(args.period_range, "period range", "4,50") if args.period_range else None
     fit = fit_fourier1(series, period_range, grid_step=args.grid_step)
     payload = {
         "a0": fit.a0,
@@ -396,6 +401,10 @@ def _cmd_pipeline(args) -> int:
         if names.count(name) > 1:
             print(f"pipeline: --macro name {name!r} is given more than once", file=sys.stderr)
             return USAGE_ERROR
+    if (args.seed is None) == bool(args.synth):  # --seed goes with --synth, and only with it
+        print(f"pipeline: --seed is {'required' if args.synth else 'only used'} with --synth", file=sys.stderr)
+        return USAGE_ERROR
+    period_range = _period_options(args)
     macros = {}
     for name, path in named:
         macros[name] = dict(_read_pairs(path, _int, "[0-9]+"))
@@ -405,14 +414,11 @@ def _cmd_pipeline(args) -> int:
         spi_mode=args.spi_mode,
         min_sample=args.min_sample,
         h=args.h,
-        period_range=_parse_pair(args.period_range, "period range", "4,50") if args.period_range else None,
+        period_range=period_range,
         grid_step=args.grid_step,
         macros=macros,
     )
     if args.synth:
-        if args.seed is None:
-            print("pipeline: --seed is required with --synth", file=sys.stderr)
-            return USAGE_ERROR
         if args.synth == "outcomes":
             source = SynthConfig(
                 years=DEFAULT_SYNTH_YEARS,

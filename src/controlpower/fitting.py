@@ -31,9 +31,12 @@ DEFAULT_GRID_STEP = 0.05
 # anything is allocated.
 MAX_GRID_PERIODS = 10**6
 DEGENERATE_AMPLITUDE = 1e-9
-# Largest (periods x points) intermediate of the period scan; the grid is
-# cut along the period axis to stay below it.
-_SCAN_ELEMENTS = 1 << 13
+# Fewest points (years, in a report) a Fourier fit takes
+MIN_FIT_YEARS = 4
+# Largest (series x periods x points) intermediate of the period scan, whose
+# periods are cut into chunks to stay within it: of 2^13..2^18, the fastest
+# that left a registry report's peak memory where it was.
+_SCAN_ELEMENTS = 1 << 16
 # A trial period is ill-conditioned when the smaller eigenvalue of its
 # centred 2x2 normal matrix (det/trace within a factor 2) falls below this
 # share of the point count; lstsq scores it instead of the closed form.
@@ -151,65 +154,55 @@ def _period_grid(lo: float, hi: float, grid_step: float) -> np.ndarray:
 
 def _scan_sse(t: np.ndarray, y: np.ndarray, periods: np.ndarray) -> np.ndarray:
     """Least-squares error of the three-coefficient fit at every period, for
-    one series y or for each row of a (series x points) block of series on
-    the same t. ``periods`` is one list of periods for every series, and the
-    result has y's shape with periods for points; or it is a (series x
-    periods) block with one row of periods per series, which is also the
-    result's shape.
+    one series y or each row of a (series x points) block on the same t.
+    ``periods`` is (rows x periods): one row shared by every series (a 1-D
+    list is one such row) or one row per series. The result is (series x
+    periods), one row of it for a 1-D y.
 
     Centring y, cos and sin on their means removes a0, so each period is a
     2x2 solve in closed form; the error is summed from explicit residuals,
-    never as y'y - b'A^-1 b, which cancels. A chunk of design rows (cos,
-    sin and their 2x2 normal matrix, one row per period) is built at once;
-    with shared periods each series then takes its own row-wise products
-    with it, with a row of periods per series each design row meets its own
-    series. Either way a period's error is bit for bit that of a scan of its
-    series alone. Ill-conditioned periods (such as T = 1 or 2 on integer t,
-    where sin is rounding noise) are scored by ``_coeffs_and_sse``, whose
-    lstsq truncates the vanishing column.
+    never as y'y - b'A^-1 b, which cancels. The centred design is built
+    once per row of periods and broadcast against the centred series, a
+    chunk of periods at a time so the (series x periods x points) residuals
+    stay within _SCAN_ELEMENTS. Every product runs along points alone, so a
+    period's error is bit for bit that of its series alone, in any chunk or
+    batch. Ill-conditioned periods (such as T = 1 or 2 on integer t, where
+    sin is rounding noise) are scored by ``_coeffs_and_sse``, whose lstsq
+    truncates the vanishing column.
     """
     n = t.size
     wt = 2.0 * math.pi * t
     block = np.atleast_2d(y)
-    centred = np.array([row - row.mean() for row in block])
-    own = periods.ndim > 1
-    flat = periods.reshape(-1)
-    series = np.repeat(np.arange(len(block)), periods.shape[-1]) if own else None  # of each design row
-    sse = np.empty(flat.size if own else (len(block), flat.size))
-    rows = max(1, _SCAN_ELEMENTS // n)
-    for at in range(0, flat.size, rows):
-        theta = wt / flat[at : at + rows, None]
+    centred = block - block.mean(axis=1, keepdims=True)
+    grid = np.atleast_2d(periods)
+    sse = np.empty((len(block), grid.shape[1]))
+    width = max(1, _SCAN_ELEMENTS // (len(block) * n))
+    for at in range(0, grid.shape[1], width):
+        trial = grid[:, at : at + width]
+        theta = wt / trial[..., None]
         c = np.cos(theta)
         s = np.sin(theta)
-        c -= c.mean(axis=1, keepdims=True)
-        s -= s.mean(axis=1, keepdims=True)
-        cc = np.einsum("ij,ij->i", c, c)
-        ss = np.einsum("ij,ij->i", s, s)
-        cs = np.einsum("ij,ij->i", c, s)
+        c -= c.mean(axis=-1, keepdims=True)
+        s -= s.mean(axis=-1, keepdims=True)
+        cc = np.einsum("...j,...j->...", c, c)
+        ss = np.einsum("...j,...j->...", s, s)
+        cs = np.einsum("...j,...j->...", c, s)
         det = cc * ss - cs * cs
         sound = det > _SCAN_MIN_EIGEN * n * (cc + ss)
         det = np.where(sound, det, 1.0)
-        if own:  # each design row with its own series
-            jobs, spec = [(centred[series[at : at + rows]], sse[at : at + rows])], "ij,ij->i"
-        else:  # each series with every design row
-            jobs, spec = zip(centred, sse[:, at : at + rows]), "ij,j->i"
-        for yc, out in jobs:
-            # row-wise products, so a period's error depends on neither its chunk nor its batch
-            cy = np.einsum(spec, c, yc)
-            sy = np.einsum(spec, s, yc)
-            a1 = (ss * cy - cs * sy) / det
-            b1 = (cc * sy - cs * cy) / det
-            resid = yc - a1[:, None] * c - b1[:, None] * s
-            out[:] = np.einsum("ij,ij->i", resid, resid)
-        for i in np.flatnonzero(~sound).tolist():
-            period = float(flat[at + i])
-            if own:
-                sse[at + i] = _coeffs_and_sse(t, block[series[at + i]], period)[1]
-            else:
-                for row, out in zip(block, sse[:, at : at + rows]):
-                    out[i] = _coeffs_and_sse(t, row, period)[1]
-    if own:
-        return sse.reshape(periods.shape)
+        cy = np.einsum("...ij,...j->...i", c, centred)
+        sy = np.einsum("...ij,...j->...i", s, centred)
+        a1 = (ss * cy - cs * sy) / det
+        b1 = (cc * sy - cs * cy) / det
+        # in place, so that at most two chunks of residuals are alive at once
+        resid = a1[..., None] * c
+        np.subtract(centred[:, None], resid, out=resid)
+        resid -= b1[..., None] * s
+        out = sse[:, at : at + width]
+        out[:] = np.einsum("...j,...j->...", resid, resid)
+        trial = np.broadcast_to(trial, out.shape)
+        for row, i in zip(*np.nonzero(~np.broadcast_to(sound, out.shape))):
+            out[row, i] = _coeffs_and_sse(t, block[row], float(trial[row, i]))[1]
     return sse if y.ndim > 1 else sse[0]
 
 
@@ -226,7 +219,7 @@ def fit_fourier1(
     aliases tie) the smaller period wins. Rescans of 21 periods around the
     best one, each ten times finer, then refine it until the step is within
     1e-11 of T; each holds the best period so far and keeps the least error,
-    so the error never rises. Needs at least 4 points, at most
+    so the error never rises. Needs at least MIN_FIT_YEARS points, at most
     MAX_GRID_PERIODS trial periods and a lowest period of at least twice the
     smallest time step. A constant series is reported as degenerate, not an
     error.
@@ -249,8 +242,8 @@ def fit_fourier1_batch(
     """
     bounds = []
     for one in series:
-        if len(one) < 4:
-            raise ValueError("Fourier fitting needs at least 4 points")
+        if len(one) < MIN_FIT_YEARS:
+            raise ValueError(f"Fourier fitting needs at least {MIN_FIT_YEARS} points")
         bounds.append(_period_bounds(one.t, period_range, grid_step))
     fits: list[FourierFit | None] = [None] * len(series)
     axes: dict[bytes, list[int]] = {}
@@ -261,7 +254,7 @@ def fit_fourier1_batch(
         lo, hi = bounds[members[0]]
         grid = _period_grid(lo, hi, grid_step)
         block = np.array([series[k].y for k in members], dtype=float)
-        live, winners = [], []  # the rows of non-constant series and their grid winners
+        live, moments, winners = [], [], []  # each non-constant series' row, (mean, sst) and grid winner
         for j, (y, scan) in enumerate(zip(block, _scan_sse(t, block, grid))):
             mean = float(y.mean())
             sst = float(((y - mean) ** 2).sum())
@@ -269,11 +262,12 @@ def fit_fourier1_batch(
                 fits[members[j]] = FourierFit(mean, 0.0, 0.0, None, 0.0, 0.0, 1.0, True)
                 continue
             live.append(j)
+            moments.append((mean, sst))
             # the first (smallest) period among equal errors wins
             winners.append(float(grid[np.argmax(scan <= scan.min() + _SCAN_TIE * sst)]))
         periods = _refined_periods(t, block[live], np.array(winners), lo, hi, min(grid_step, hi - lo))
-        for j, period in zip(live, periods):
-            fits[members[j]] = _fit_at(t, block[j], period)
+        for j, period, (mean, sst) in zip(live, periods, moments):
+            fits[members[j]] = _fit_at(t, block[j], period, mean, sst)
     return fits
 
 
@@ -300,10 +294,9 @@ def _refined_periods(t: np.ndarray, block: np.ndarray, periods: np.ndarray,
     return periods.tolist()
 
 
-def _fit_at(t: np.ndarray, y: np.ndarray, period: float) -> FourierFit:
-    """The fit of the non-constant series y at its refined period."""
-    mean = float(y.mean())
-    sst = float(((y - mean) ** 2).sum())
+def _fit_at(t: np.ndarray, y: np.ndarray, period: float, mean: float, sst: float) -> FourierFit:
+    """The fit of the non-constant series y, of the given mean and total sum
+    of squares, at its refined period."""
     coef, sse = _coeffs_and_sse(t, y, period)
     a0, a1, b1 = (float(v) for v in coef)
     if math.hypot(a1, b1) < DEGENERATE_AMPLITUDE:

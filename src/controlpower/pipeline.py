@@ -39,6 +39,7 @@ from .dataset import (
 from .evolution import wave_eval
 from .fitting import (
     DEFAULT_GRID_STEP,
+    MIN_FIT_YEARS,
     _period_bounds,
     CorrelationResult,
     FourierFit,
@@ -54,7 +55,6 @@ from .power_index import top_holder_numerators
 
 SPI_MODES = ("top9", "top10", "top11")
 SERIES_NAMES = ("r_spi_1", "m_top1", "m_top2_10")
-MIN_FIT_YEARS = 4
 PERIOD_RATIO_EXPECTED = 0.5
 PERIOD_RATIO_RTOL = 0.05
 PHASE_DIFF_EXPECTED = math.pi

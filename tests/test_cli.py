@@ -17,6 +17,7 @@ import pytest
 
 from controlpower import cli, csvbytes, dataset, power_index
 from controlpower.cli import main
+from controlpower.evolution import ideal_wave, wave_eval
 from controlpower.pipeline import PipelineConfig, run_pipeline
 from registry_rows import assert_same_registry, rows_of
 
@@ -334,6 +335,15 @@ class TestEvolve:
         assert values[0] == pytest.approx(7 / 12)
         assert values[2] == pytest.approx(7 / 12, abs=1e-12)
 
+    def test_wave_times_are_multiples_of_the_step(self, capsys):
+        # a running sum of 0.1 printed 0.7999999999999999 .. 0.9999999999999999
+        code, out, _ = run_cli("evolve", "wave", "--t-step", "0.1", "--t-max", "1", capsys=capsys)
+        assert code == 0
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == [k * 0.1 for k in range(11)]
+        assert rows[-1][0] == "1.0"
+        assert [float(r[1]) for r in rows] == [wave_eval(ideal_wave(1.5), k * 0.1) for k in range(11)]
+
     @pytest.mark.parametrize("argv, option", [
         (["--a1", "5", "--period", "4"], "--a1"),
         (["--b1", "0.1"], "--b1"),
@@ -442,6 +452,19 @@ class TestFit:
     def test_missing_file(self, capsys):
         code, _, err = run_cli("fit", "--input", "/nonexistent.csv", capsys=capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("command", [["fit"], ["pipeline", "--macro", "idx=/nonexistent-macro.csv"]])
+    @pytest.mark.parametrize("options, message", [
+        (["--period-range", "4,abc"], "period range: not a plain decimal number: 'abc'"),
+        (["--period-range", "4"], "period range needs two numbers, e.g. 4,50"),
+        (["--period-range", "10,5"], "empty period range"),
+        (["--period-range", "4,50", "--grid-step", "0.000000001"],
+         "period grid over [4.0, 50.0] in steps of 1e-09 exceeds 1000000 trial periods"),
+    ])
+    def test_period_options_are_checked_before_any_file_is_read(self, command, options, message, capsys):
+        # the range once met the file only after a full read, so a missing file was named instead
+        code, out, err = run_cli(*command, "--input", "/nonexistent.csv", *options, capsys=capsys)
+        assert (code, out, err) == (2, "", f"controlpower: {message}\n")
 
     def test_oversized_grid_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "series.csv"
@@ -800,6 +823,11 @@ class TestPipeline:
     def test_missing_input_file_is_data_error(self, capsys):
         code, _, _ = run_cli("pipeline", "--input", "/no/such/file.csv", capsys=capsys)
         assert code == 2
+
+    def test_seed_with_input_is_usage_error(self, capsys):
+        # it was ignored: the report's seed stayed null
+        code, out, err = run_cli("pipeline", "--input", str(GOLDEN_REGISTRY), "--seed", "7", capsys=capsys)
+        assert (code, out, err) == (1, "", "pipeline: --seed is only used with --synth\n")
 
     def test_unknown_format_stops_before_any_work(self, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):

@@ -351,11 +351,62 @@ class TestBatchedScan:
         t = np.arange(26.0)
         ys = self.block(rng, t, 4)
         grid = fitting._period_grid(4.0, 50.0, 0.05)
-        monkeypatch.setattr(fitting, "_SCAN_ELEMENTS", 7 * t.size + 3)  # 7 periods a chunk
+        monkeypatch.setattr(fitting, "_SCAN_ELEMENTS", 7 * ys.size + 3)  # 7 periods of the 4 series a chunk
         assert grid.size > 100 * 7
         batch = fitting._scan_sse(t, ys, grid)
         for y, scan in zip(ys, batch):
             assert np.array_equal(scan, fitting._scan_sse(t, y, grid))
+
+    @pytest.mark.parametrize("rows", [1, 3, 12])
+    def test_shared_grid_equals_the_grid_tiled_per_series(self, rows, monkeypatch):
+        # a grid from T = 2, where sin is rounding noise on integer t, so
+        # lstsq scores that period of every series under broadcasting
+        rng = np.random.default_rng(rows)
+        t = np.arange(1996.0, 2022.0)
+        ys = self.block(rng, t, rows)
+        grid = fitting._period_grid(2.0, 50.0, 0.05)
+        weak = []
+        solve = fitting._coeffs_and_sse
+
+        def counting(t, y, period):
+            weak.append(period)
+            return solve(t, y, period)
+
+        monkeypatch.setattr(fitting, "_coeffs_and_sse", counting)
+        shared = fitting._scan_sse(t, ys, grid)
+        assert weak == [2.0] * rows
+        tiled = fitting._scan_sse(t, ys, np.tile(grid, (rows, 1)))
+        assert weak == [2.0] * (2 * rows)
+        assert np.array_equal(shared, tiled)
+        for y, scan in zip(ys, shared):
+            assert np.array_equal(scan, fitting._scan_sse(t, y, grid))
+
+    @pytest.mark.parametrize("tile", [False, True])
+    def test_chunks_bound_the_series_periods_points_block(self, tile, monkeypatch):
+        # the bound cuts the grid mid-way into chunks of 7 periods, whose
+        # residuals for 3 series are the largest array the scan takes a
+        # product of; every period keeps the error of the whole-grid scan
+        rng = np.random.default_rng(12)
+        t = np.arange(1996.0, 2022.0)
+        ys = self.block(rng, t, 3)
+        grid = fitting._period_grid(2.0, 50.0, 0.05)
+        periods = np.tile(grid, (3, 1)) if tile else grid
+        monkeypatch.setattr(fitting, "_SCAN_ELEMENTS", ys.size * grid.size)  # one chunk
+        whole = fitting._scan_sse(t, ys, periods)
+        monkeypatch.setattr(fitting, "_SCAN_ELEMENTS", 7 * ys.size + 5)
+        shapes = []
+        einsum = np.einsum
+
+        def recording(spec, *operands):
+            shapes.extend(np.shape(op) for op in operands)
+            return einsum(spec, *operands)
+
+        monkeypatch.setattr(np, "einsum", recording)
+        chunked = fitting._scan_sse(t, ys, periods)
+        monkeypatch.undo()
+        assert grid.size % 7 and len(shapes) > 100
+        assert max(shapes, key=np.prod) == (3, 7, t.size)
+        assert np.array_equal(chunked, whole)
 
     def test_batched_fits_equal_single_fits(self, monkeypatch):
         rng = np.random.default_rng(18)
