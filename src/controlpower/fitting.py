@@ -34,9 +34,10 @@ DEGENERATE_AMPLITUDE = 1e-9
 # Fewest points (years, in a report) a Fourier fit takes
 MIN_FIT_YEARS = 4
 # Largest (series x periods x points) intermediate of the period scan, whose
-# periods are cut into chunks to stay within it: of 2^13..2^18, the fastest
-# that left a registry report's peak memory where it was.
-_SCAN_ELEMENTS = 1 << 16
+# periods are cut into chunks to stay within it. Of 2^13..2^18, the one
+# that left an outcomes report's peak memory where it was; larger chunks
+# were up to 1 ms faster on a registry report and raised that peak.
+_SCAN_ELEMENTS = 1 << 13
 # A trial period is ill-conditioned when the smaller eigenvalue of its
 # centred 2x2 normal matrix (det/trace within a factor 2) falls below this
 # share of the point count; lstsq scores it instead of the closed form.
@@ -179,9 +180,9 @@ def _scan_sse(t: np.ndarray, y: np.ndarray, periods: np.ndarray) -> np.ndarray:
     width = max(1, _SCAN_ELEMENTS // (len(block) * n))
     for at in range(0, grid.shape[1], width):
         trial = grid[:, at : at + width]
-        theta = wt / trial[..., None]
-        c = np.cos(theta)
-        s = np.sin(theta)
+        c = wt / trial[..., None]  # the angles, then their cosines in place
+        s = np.sin(c)
+        np.cos(c, out=c)
         c -= c.mean(axis=-1, keepdims=True)
         s -= s.mean(axis=-1, keepdims=True)
         cc = np.einsum("...j,...j->...", c, c)
@@ -200,9 +201,10 @@ def _scan_sse(t: np.ndarray, y: np.ndarray, periods: np.ndarray) -> np.ndarray:
         resid -= b1[..., None] * s
         out = sse[:, at : at + width]
         out[:] = np.einsum("...j,...j->...", resid, resid)
-        trial = np.broadcast_to(trial, out.shape)
-        for row, i in zip(*np.nonzero(~np.broadcast_to(sound, out.shape))):
-            out[row, i] = _coeffs_and_sse(t, block[row], float(trial[row, i]))[1]
+        if not sound.all():
+            trial = np.broadcast_to(trial, out.shape)
+            for row, i in zip(*np.nonzero(~np.broadcast_to(sound, out.shape))):
+                out[row, i] = _coeffs_and_sse(t, block[row], float(trial[row, i]))[1]
     return sse if y.ndim > 1 else sse[0]
 
 
