@@ -172,8 +172,7 @@ def _parse_pair(text: str, what: str, example: str) -> tuple[float, float]:
 
 
 def _period_options(args) -> tuple[float, float] | None:
-    """The --period-range of fit or pipeline, checked with its --grid-step
-    before any input is read."""
+    """The --period-range of fit or pipeline, checked with --grid-step before any input is read."""
     period_range = _parse_pair(args.period_range, "period range", "4,50") if args.period_range else None
     check_period_grid(period_range, args.grid_step)
     return period_range

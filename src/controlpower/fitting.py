@@ -33,10 +33,9 @@ MAX_GRID_PERIODS = 10**6
 DEGENERATE_AMPLITUDE = 1e-9
 # Fewest points (years, in a report) a Fourier fit takes
 MIN_FIT_YEARS = 4
-# Largest (series x periods x points) intermediate of the period scan, whose
-# periods are cut into chunks to stay within it. Of 2^13..2^18, the one
-# that left an outcomes report's peak memory where it was; larger chunks
-# were up to 1 ms faster on a registry report and raised that peak.
+# Largest (series x periods x points) intermediate of the period scan, cut
+# along periods: of 2^13..2^18 the one that kept an outcomes report's peak
+# memory; larger ones ran a 10,400-row registry report up to 1 ms faster.
 _SCAN_ELEMENTS = 1 << 13
 # A trial period is ill-conditioned when the smaller eigenvalue of its
 # centred 2x2 normal matrix (det/trace within a factor 2) falls below this
@@ -297,8 +296,7 @@ def _refined_periods(t: np.ndarray, block: np.ndarray, periods: np.ndarray,
 
 
 def _fit_at(t: np.ndarray, y: np.ndarray, period: float, mean: float, sst: float) -> FourierFit:
-    """The fit of the non-constant series y, of the given mean and total sum
-    of squares, at its refined period."""
+    """The fit at ``period`` of the non-constant series y of ``mean`` and total sum of squares ``sst``."""
     coef, sse = _coeffs_and_sse(t, y, period)
     a0, a1, b1 = (float(v) for v in coef)
     if math.hypot(a1, b1) < DEGENERATE_AMPLITUDE:
