@@ -14,6 +14,7 @@ import codecs
 import math
 import re
 import sys
+from decimal import Decimal
 
 from .dataset import (
     BOARDS,
@@ -258,8 +259,10 @@ def _cmd_evolve(args) -> int:
         raise ValueError("--t-step must be a finite positive number")
     if not args.t_max / args.t_step + 1 <= 1e6:
         raise ValueError("--t-max / --t-step gives more than 10^6 rows")
-    # each t is k * step, not a running sum, whose rounding error grows with k
-    ts = [k * args.t_step for k in range(math.floor(args.t_max / args.t_step + 1e-9) + 1)]
+    # each t is k * step, not a running sum, whose rounding error grows with
+    # k, rounded to the step's decimal places so that 3 * 0.1 prints 0.3
+    places = max(0, -Decimal(repr(args.t_step)).as_tuple().exponent)
+    ts = [round(k * args.t_step, places) for k in range(math.floor(args.t_max / args.t_step + 1e-9) + 1)]
     _write_csv(args.output or sys.stdout, _SERIES, [(t, wave_eval(params, t)) for t in ts])
     return 0
 

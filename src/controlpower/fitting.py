@@ -255,20 +255,16 @@ def fit_fourier1_batch(
         lo, hi = bounds[members[0]]
         grid = _period_grid(lo, hi, grid_step)
         block = np.array([series[k].y for k in members], dtype=float)
-        live, moments, winners = [], [], []  # each non-constant series' row, (mean, sst) and grid winner
-        for j, (y, scan) in enumerate(zip(block, _scan_sse(t, block, grid))):
-            mean = float(y.mean())
-            sst = float(((y - mean) ** 2).sum())
-            if sst == 0.0:
-                fits[members[j]] = FourierFit(mean, 0.0, 0.0, None, 0.0, 0.0, 1.0, True)
-                continue
-            live.append(j)
-            moments.append((mean, sst))
-            # the first (smallest) period among equal errors wins
-            winners.append(float(grid[np.argmax(scan <= scan.min() + _SCAN_TIE * sst)]))
-        periods = _refined_periods(t, block[live], np.array(winners), lo, hi, min(grid_step, hi - lo))
-        for j, period, (mean, sst) in zip(live, periods, moments):
-            fits[members[j]] = _fit_at(t, block[j], period, mean, sst)
+        mean = block.mean(axis=1)
+        sst = ((block - mean[:, None]) ** 2).sum(axis=1)
+        sse = _scan_sse(t, block, grid)
+        # the first (smallest) period among equal errors wins
+        winners = grid[np.argmax(sse <= sse.min(axis=1, keepdims=True) + _SCAN_TIE * sst[:, None], axis=1)]
+        live = sst != 0.0  # a constant series is degenerate
+        periods = iter(_refined_periods(t, block[live], winners[live], lo, hi, min(grid_step, hi - lo)))
+        for k, y, m, s, refined in zip(members, block, mean.tolist(), sst.tolist(), live.tolist()):
+            fits[k] = (_fit_at(t, y, next(periods), m, s) if refined
+                       else FourierFit(m, 0.0, 0.0, None, 0.0, 0.0, 1.0, True))
     return fits
 
 

@@ -259,7 +259,6 @@ class Diagnostics:
 
 @dataclass(frozen=True)
 class GroupReport:
-    group: GroupKey
     years: tuple[YearStats, ...]
     fitted_years: tuple[int, ...]
     fits: dict[str, FourierFit]
@@ -275,7 +274,7 @@ class Report:
     groups: dict[GroupKey, GroupReport]
 
     def to_json(self) -> str:
-        groups = {_group_label(k): {f: v for f, v in vars(g).items() if f != "group"} for k, g in self.groups.items()}
+        groups = {_group_label(k): g for k, g in self.groups.items()}
         return _json_text({"version": self.version, "provenance": self.provenance, "groups": groups}) + "\n"
 
 
@@ -327,26 +326,19 @@ def _series_points(years: Iterable[YearStats], name: str, origin: int) -> list[t
     return [(float(ys.year - origin), getattr(ys, name)) for ys in years if getattr(ys, name) is not None]
 
 
-def _qualifying(stats: Sequence[YearStats], config: PipelineConfig) -> list[YearStats]:
-    """The years with at least ``min_sample`` firms: only they enter the
-    fits, with t counted from the first of them, so that all series of a
-    group share one origin (phases stay comparable)."""
-    return [ys for ys in stats if ys.n_sample >= config.min_sample]
-
-
 def _wrap_angle(angle: float) -> float:
     return angle % (2.0 * math.pi)
 
 
 def _group_report(
-    group: GroupKey,
     stats: Sequence[YearStats],
+    qualifying: Sequence[YearStats],
     fits: dict[str, FourierFit],
     config: PipelineConfig,
 ) -> GroupReport:
-    """The report of one group from its year-ordered aggregates and the fits
-    of its qualifying series, with the diagnostics and correlations."""
-    qualifying = _qualifying(stats, config)
+    """The report of one group from its year-ordered aggregates, the
+    qualifying ones among them and the fits of their series, with the
+    diagnostics and correlations."""
     extrema = {name: fourier_extrema(fit) for name, fit in fits.items() if not fit.degenerate}
 
     ratio = None
@@ -394,7 +386,6 @@ def _group_report(
             correlations[macro_name] = by_series
 
     return GroupReport(
-        group=group,
         years=tuple(stats),
         fitted_years=tuple(ys.year for ys in qualifying),
         fits=fits,
@@ -410,27 +401,27 @@ def build_report(
     provenance: Mapping | None = None,
 ) -> Report:
     """Assemble a report from per-group yearly aggregates."""
-    if not any(
-        any(ys.n_sample >= config.min_sample for ys in stats)
-        for stats in stats_by_group.values()
-    ):
-        raise DataError(f"no group reaches the minimum sample size {config.min_sample} in any year")
     stats = {group: sorted(stats_by_group[group], key=lambda ys: ys.year) for group in sorted(stats_by_group)}
+    # only the years with at least min_sample firms enter the fits, with t
+    # counted from the first of them, so that all series of a group share
+    # one origin (phases stay comparable)
+    qualifying = {group: [ys for ys in years if ys.n_sample >= config.min_sample] for group, years in stats.items()}
+    if not any(qualifying.values()):
+        raise DataError(f"no group reaches the minimum sample size {config.min_sample} in any year")
     # every qualifying series of every group in one batch, in group and
     # series order, so that the first bad one raises its own fit's error
     jobs = []
-    for group, years in stats.items():
-        qualifying = _qualifying(years, config)
-        origin = qualifying[0].year if qualifying else 0
+    for group, years in qualifying.items():
+        origin = years[0].year if years else 0
         for name in SERIES_NAMES:
-            points = _series_points(qualifying, name, origin)
+            points = _series_points(years, name, origin)
             if len(points) >= MIN_FIT_YEARS:
                 jobs.append((group, name, TimeSeries.from_pairs(points)))
     fitted = fit_fourier1_batch([series for *_, series in jobs], config.period_range, grid_step=config.grid_step)
     fits: dict[GroupKey, dict[str, FourierFit]] = {group: {} for group in stats}
     for (group, name, _), fit in zip(jobs, fitted):
         fits[group][name] = fit
-    groups = {group: _group_report(group, years, fits[group], config) for group, years in stats.items()}
+    groups = {group: _group_report(years, qualifying[group], fits[group], config) for group, years in stats.items()}
     prov = {
         "input_digest": None,
         "seed": None,
@@ -586,25 +577,25 @@ REPORT_FORMATS = ("json", "csv-tables", "plot-data")
 def _year_rows(*fields: str):
     """Row generator of a per-year table: group label, year, then ``fields`` of each YearStats."""
     def rows(report: Report):
-        for g in report.groups.values():
+        for group, g in report.groups.items():
             for ys in g.years:
-                yield [_group_label(g.group), ys.year] + [getattr(ys, f) for f in fields]
+                yield [_group_label(group), ys.year] + [getattr(ys, f) for f in fields]
     return rows
 
 
 def _fit_rows(report: Report):
     # a fit's fields are a0, a1, b1, period, sse, rmse, r_squared, degenerate
-    for g in report.groups.values():
+    for group, g in report.groups.items():
         for name, fit in g.fits.items():
-            yield [_group_label(g.group), name, *vars(fit).values(), *g.extrema.get(name, (None, None)),
+            yield [_group_label(group), name, *vars(fit).values(), *g.extrema.get(name, (None, None)),
                    g.diagnostics.period_ratio, g.diagnostics.phase_diff]
 
 
 def _correlation_rows(report: Report):
-    for g in report.groups.values():
+    for group, g in report.groups.items():
         for macro, by_series in g.correlations.items():
             for series, c in by_series.items():
-                yield [_group_label(g.group), macro, series, *vars(c).values()]
+                yield [_group_label(group), macro, series, *vars(c).values()]
 
 
 # csv-tables: (file name, header, row generator) per table
@@ -657,7 +648,7 @@ def emit_report(report: Report, format: str, dest: str) -> list[str]:
         return written
 
     # plot-data
-    for g in report.groups.values():
+    for group, g in report.groups.items():
         origin = g.fitted_years[0] if g.fitted_years else 0
         qualifying = [ys for ys in g.years if ys.year in g.fitted_years]
         for name, fit in g.fits.items():
@@ -665,7 +656,7 @@ def emit_report(report: Report, format: str, dest: str) -> list[str]:
                 [t, observed, fit.a0 if fit.degenerate else wave_eval(fit.params, t)]
                 for t, observed in _series_points(qualifying, name, origin)
             ]
-            path = os.path.join(dest, f"plot_{g.group.board}_{g.group.ownership}_{name}.csv")
+            path = os.path.join(dest, f"plot_{group.board}_{group.ownership}_{name}.csv")
             _write_csv(path, ["t", "observed", "fitted"], rows)
             written.append(path)
     return written

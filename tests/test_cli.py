@@ -336,13 +336,16 @@ class TestEvolve:
         assert values[2] == pytest.approx(7 / 12, abs=1e-12)
 
     def test_wave_times_are_multiples_of_the_step(self, capsys):
-        # a running sum of 0.1 printed 0.7999999999999999 .. 0.9999999999999999
-        code, out, _ = run_cli("evolve", "wave", "--t-step", "0.1", "--t-max", "1", capsys=capsys)
-        assert code == 0
-        rows = [line.split(",") for line in out.splitlines()[1:]]
-        assert [float(r[0]) for r in rows] == [k * 0.1 for k in range(11)]
-        assert rows[-1][0] == "1.0"
-        assert [float(r[1]) for r in rows] == [wave_eval(ideal_wave(1.5), k * 0.1) for k in range(11)]
+        # a running sum of 0.1 printed 0.7999999999999999 .. 0.9999999999999999,
+        # and k * 0.1 printed 0.30000000000000004; each t is k * step at the
+        # step's decimal places, and the wave is evaluated at the t printed
+        for step, times in (("0.1", [f"{k / 10}" for k in range(11)]),
+                            ("0.05", ["0.0", "0.05", "0.1", "0.15", "0.2"])):
+            code, out, _ = run_cli("evolve", "wave", "--t-step", step, "--t-max", times[-1], capsys=capsys)
+            assert code == 0
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert [r[0] for r in rows] == times
+            assert [float(r[1]) for r in rows] == [wave_eval(ideal_wave(1.5), float(t)) for t in times]
 
     @pytest.mark.parametrize("argv, option", [
         (["--a1", "5", "--period", "4"], "--a1"),

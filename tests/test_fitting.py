@@ -432,6 +432,25 @@ class TestBatchedScan:
         # one grid scan per distinct t
         assert grid_scans == len({s.t for s in series})
 
+    def test_every_float_field_is_a_python_float(self):
+        # an np.float64 compares and prints as the float it holds, so neither
+        # batch == alone nor the golden report would show one
+        rng = np.random.default_rng(20)
+        t = np.arange(26.0)
+        wave, tiny = self.block(rng, t, 2)
+        series = [
+            TimeSeries(tuple(t), tuple(wave.tolist())),
+            TimeSeries(tuple(t), (0.25,) * t.size),  # constant, beside a live series
+            TimeSeries(tuple(t), tuple((0.5 + 1e-12 * tiny).tolist())),  # amplitude below DEGENERATE_AMPLITUDE
+            TimeSeries(tuple(t + 1.0), (0.4,) * t.size),  # the one series of its t, constant
+        ]
+        fits = fitting.fit_fourier1_batch(series)
+        assert [fit.degenerate for fit in fits] == [False, True, True, True]
+        for fit in fits:
+            for name, value in vars(fit).items():
+                if name != "degenerate" and value is not None:
+                    assert type(value) is float, name
+
     def test_first_bad_series_raises_its_own_error(self, monkeypatch):
         def no_scan(*args):
             raise AssertionError("the scan must not run")
