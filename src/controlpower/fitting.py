@@ -4,12 +4,12 @@ two-sided significance.
 
 The period of the Fourier model is found by a grid scan of the
 least-squares error, refined by rescans of ever finer grids around the
-best period. Every scan scores its trial periods in one numpy pass: with
-y, cos and sin centred on their means, each period's 2x2 normal equations
-are solved in closed form (the floating-mean periodogram of Zechmeister &
-Kuerster 2009) and the error is summed from explicit residuals. Periods
-whose centred design is ill-conditioned and the reported coefficients use
-an ordinary ``lstsq`` solve at the fixed period.
+best period. One solver gives every number: with y, cos and sin centred
+on their means, each period's 2x2 normal equations are solved in closed
+form (the floating-mean periodogram of Zechmeister & Kuerster 2009) and
+the error is summed from explicit residuals, for a scan's trial periods in
+one numpy pass and for the reported fit, a0 = mean(y) - a1 mean(cos) -
+b1 mean(sin). No BLAS or LAPACK call is made, so no CPU kernel moves them.
 
 The p-value engine is a self-contained regularized incomplete beta
 evaluated by Lentz's continued fraction, so reported (r, n) pairs can be
@@ -39,7 +39,8 @@ MIN_FIT_YEARS = 4
 _SCAN_ELEMENTS = 1 << 13
 # A trial period is ill-conditioned when the smaller eigenvalue of its
 # centred 2x2 normal matrix (det/trace within a factor 2) falls below this
-# share of the point count; lstsq scores it instead of the closed form.
+# share of the point count; it is fitted on its larger centred column alone,
+# or on neither when that column's squared norm is below this share too.
 _SCAN_MIN_EIGEN = 1e-8
 # Scan errors within this share of the total sum of squares of the
 # smallest are equal: aliased periods (T and 1/(1 - 1/T) on integer t) tie
@@ -101,14 +102,6 @@ class FourierFit:
         return WaveParams(self.a0, self.a1, self.b1, self.period)
 
 
-def _coeffs_and_sse(t: np.ndarray, y: np.ndarray, period: float):
-    theta = 2.0 * math.pi * t / period
-    design = np.column_stack([np.ones_like(t), np.cos(theta), np.sin(theta)])
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    return coef, float(resid @ resid)
-
-
 def check_period_grid(period_range: tuple[float, float] | None, grid_step: float) -> None:
     """Reject a grid step that is not positive or not finite, a period
     range outside 0 < lo <= hi, or a grid of more than MAX_GRID_PERIODS
@@ -152,58 +145,66 @@ def _period_grid(lo: float, hi: float, grid_step: float) -> np.ndarray:
     return grid
 
 
+def _solve(wt: np.ndarray, centred: np.ndarray, trial: np.ndarray):
+    """(a1, b1, sse, c_mean, s_mean) of each centred series (row of
+    ``centred``) at each trial period of ``trial`` (rows x periods) on the
+    times ``wt`` = 2 pi t; c_mean and s_mean, the means of cos and sin, are
+    per row of periods.
+
+    Centring y, cos and sin on their means removes a0, so each period is a
+    2x2 solve in closed form; the error is summed from explicit residuals,
+    never as y'y - b'A^-1 b, which cancels. Every product runs along points
+    alone, so a period's numbers are bit for bit those of its series alone,
+    in any chunk or batch. Collinear centred cos and sin (T = 1 or 2 on
+    integer t, where sin is rounding noise) are fitted on the larger column
+    alone, or on neither when it vanishes too.
+    """
+    n = wt.size
+    c = wt / trial[..., None]  # the angles, then their cosines in place
+    s = np.sin(c)
+    np.cos(c, out=c)
+    c_mean = c.mean(axis=-1, keepdims=True)
+    s_mean = s.mean(axis=-1, keepdims=True)
+    c -= c_mean
+    s -= s_mean
+    cc = np.einsum("...j,...j->...", c, c)
+    ss = np.einsum("...j,...j->...", s, s)
+    cs = np.einsum("...j,...j->...", c, s)
+    det = cc * ss - cs * cs
+    sound = det > _SCAN_MIN_EIGEN * n * (cc + ss)
+    det = np.where(sound, det, 1.0)
+    cy = np.einsum("...ij,...j->...i", c, centred)
+    sy = np.einsum("...ij,...j->...i", s, centred)
+    a1 = (ss * cy - cs * sy) / det
+    b1 = (cc * sy - cs * cy) / det
+    if not sound.all():
+        on_c = ~sound & (cc >= ss) & (cc > _SCAN_MIN_EIGEN * n)
+        on_s = ~sound & (cc < ss) & (ss > _SCAN_MIN_EIGEN * n)
+        a1 = np.where(sound, a1, np.where(on_c, cy, 0.0) / np.where(on_c, cc, 1.0))
+        b1 = np.where(sound, b1, np.where(on_s, sy, 0.0) / np.where(on_s, ss, 1.0))
+    # in place, so that at most two chunks of residuals are alive at once
+    resid = a1[..., None] * c
+    np.subtract(centred[:, None], resid, out=resid)
+    resid -= b1[..., None] * s
+    return a1, b1, np.einsum("...j,...j->...", resid, resid), c_mean[..., 0], s_mean[..., 0]
+
+
 def _scan_sse(t: np.ndarray, y: np.ndarray, periods: np.ndarray) -> np.ndarray:
     """Least-squares error of the three-coefficient fit at every period, for
     one series y or each row of a (series x points) block on the same t.
     ``periods`` is (rows x periods): one row shared by every series (a 1-D
     list is one such row) or one row per series. The result is (series x
-    periods), one row of it for a 1-D y.
-
-    Centring y, cos and sin on their means removes a0, so each period is a
-    2x2 solve in closed form; the error is summed from explicit residuals,
-    never as y'y - b'A^-1 b, which cancels. The centred design is built
-    once per row of periods and broadcast against the centred series, a
-    chunk of periods at a time so the (series x periods x points) residuals
-    stay within _SCAN_ELEMENTS. Every product runs along points alone, so a
-    period's error is bit for bit that of its series alone, in any chunk or
-    batch. Ill-conditioned periods (such as T = 1 or 2 on integer t, where
-    sin is rounding noise) are scored by ``_coeffs_and_sse``, whose lstsq
-    truncates the vanishing column.
-    """
-    n = t.size
+    periods), one row of it for a 1-D y, scored by ``_solve`` a chunk of
+    periods at a time so that the (series x periods x points) residuals
+    stay within _SCAN_ELEMENTS."""
     wt = 2.0 * math.pi * t
     block = np.atleast_2d(y)
     centred = block - block.mean(axis=1, keepdims=True)
     grid = np.atleast_2d(periods)
     sse = np.empty((len(block), grid.shape[1]))
-    width = max(1, _SCAN_ELEMENTS // (len(block) * n))
+    width = max(1, _SCAN_ELEMENTS // (len(block) * t.size))
     for at in range(0, grid.shape[1], width):
-        trial = grid[:, at : at + width]
-        c = wt / trial[..., None]  # the angles, then their cosines in place
-        s = np.sin(c)
-        np.cos(c, out=c)
-        c -= c.mean(axis=-1, keepdims=True)
-        s -= s.mean(axis=-1, keepdims=True)
-        cc = np.einsum("...j,...j->...", c, c)
-        ss = np.einsum("...j,...j->...", s, s)
-        cs = np.einsum("...j,...j->...", c, s)
-        det = cc * ss - cs * cs
-        sound = det > _SCAN_MIN_EIGEN * n * (cc + ss)
-        det = np.where(sound, det, 1.0)
-        cy = np.einsum("...ij,...j->...i", c, centred)
-        sy = np.einsum("...ij,...j->...i", s, centred)
-        a1 = (ss * cy - cs * sy) / det
-        b1 = (cc * sy - cs * cy) / det
-        # in place, so that at most two chunks of residuals are alive at once
-        resid = a1[..., None] * c
-        np.subtract(centred[:, None], resid, out=resid)
-        resid -= b1[..., None] * s
-        out = sse[:, at : at + width]
-        out[:] = np.einsum("...j,...j->...", resid, resid)
-        if not sound.all():
-            trial = np.broadcast_to(trial, out.shape)
-            for row, i in zip(*np.nonzero(~np.broadcast_to(sound, out.shape))):
-                out[row, i] = _coeffs_and_sse(t, block[row], float(trial[row, i]))[1]
+        sse[:, at : at + width] = _solve(wt, centred, grid[:, at : at + width])[2]
     return sse if y.ndim > 1 else sse[0]
 
 
@@ -293,13 +294,12 @@ def _refined_periods(t: np.ndarray, block: np.ndarray, periods: np.ndarray,
 
 def _fit_at(t: np.ndarray, y: np.ndarray, period: float, mean: float, sst: float) -> FourierFit:
     """The fit at ``period`` of the non-constant series y of ``mean`` and total sum of squares ``sst``."""
-    coef, sse = _coeffs_and_sse(t, y, period)
-    a0, a1, b1 = (float(v) for v in coef)
+    a1, b1, sse, c_mean, s_mean = (v.item() for v in _solve(2.0 * math.pi * t, (y - mean)[None], np.array([[period]])))
     if math.hypot(a1, b1) < DEGENERATE_AMPLITUDE:
         return FourierFit(mean, 0.0, 0.0, None, sst, math.sqrt(sst / len(y)), 0.0, True)
     rmse = math.sqrt(sse / len(y))
     r_squared = 1.0 - sse / sst
-    return FourierFit(a0, a1, b1, period, sse, rmse, r_squared, False)
+    return FourierFit(mean - a1 * c_mean - b1 * s_mean, a1, b1, period, sse, rmse, r_squared, False)
 
 
 def fourier_extrema(fit: FourierFit) -> tuple[float, float]:

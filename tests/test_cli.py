@@ -435,6 +435,23 @@ class TestFit:
         assert payload["degenerate"] is False
         assert payload["max"] > payload["min"]
 
+    def test_calendar_years_do_not_fit_rounding_noise(self):
+        # once printed T = 2.0, b1 = 72339761637.9 and max = 7.2e10: the
+        # fit at T = 2 scaled sin(pi t), which is rounding noise, up to the trend
+        trend = Path(__file__).parent / "data" / "trend_1996.csv"
+        proc = subprocess.run(
+            [sys.executable, "-m", "controlpower.cli", "fit", "--input", str(trend), "--period-range", "2,10"],
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        fit = json.loads(proc.stdout)
+        ys = [float(row.split(",")[1]) for row in trend.read_text().split()]
+        assert fit["T"] != 2.0
+        assert max(abs(fit["a1"]), abs(fit["b1"])) <= max(ys) - min(ys)
+        assert min(ys) <= fit["min"] < fit["max"] <= max(ys)
+
     def test_rows_in_any_t_order(self, tmp_path, capsys):
         shuffled, ordered = tmp_path / "shuffled.csv", tmp_path / "ordered.csv"
         shuffled.write_text("t,y\n2,1\n0,2\n1,3\n3,4\n4,2\n5,1\n")

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,8 @@ from controlpower.fitting import (
 from controlpower.evolution import ideal_wave, wave_extrema
 
 GEN = WaveParams(0.553, 0.060, -0.083, 17.357)
+# t,y rows: a gentle trend on the calendar years 1996-2018, no period-2 swing
+TREND = Path(__file__).parent / "data" / "trend_1996.csv"
 
 
 def sample_series(params, t, noise_sd=0.0, seed=None):
@@ -119,12 +122,34 @@ class TestFourierFit:
             fit_fourier1(series, (0.0, 5.0))
 
 
+def coeffs_and_sse(t, y, period):
+    """The oracle: (a0, a1, b1) and the error of the three-column design at
+    ``period`` by lstsq. Its rcond of 1e-8 drops a column that is rounding
+    noise, as sin(pi t) is on integer t; the default keeps it and fits the
+    noise (at T = 2 on t = 1996..2021 it read an error of 0.0527 against the
+    true 0.0567)."""
+    theta = 2.0 * math.pi * t / period
+    design = np.column_stack([np.ones_like(t), np.cos(theta), np.sin(theta)])
+    coef, *_ = np.linalg.lstsq(design, y, rcond=1e-8)
+    resid = y - design @ coef
+    return coef, float(resid @ resid)
+
+
+def unsound(t, period):
+    """Whether the centred cos and sin of ``period`` on t are collinear by
+    the scan's test, so that the scan fits one column or neither."""
+    theta = 2.0 * math.pi * np.asarray(t) / period
+    c, s = np.cos(theta), np.sin(theta)
+    c, s = c - c.mean(), s - s.mean()
+    cc, ss, cs = c @ c, s @ s, c @ s
+    return not cc * ss - cs * cs > fitting._SCAN_MIN_EIGEN * len(t) * (cc + ss)
+
+
 def reference_fit(series, period_range=None, grid_step=0.05):
     """The fit as one lstsq per grid period (the scan before vectorisation),
     refined by golden section on lstsq (the refinement before rescans),
     falling back to the grid winner when that ends worse: (period, a0, a1,
     b1, sse)."""
-    coeffs_and_sse = fitting._coeffs_and_sse
     t = np.asarray(series.t, dtype=float)
     y = np.asarray(series.y, dtype=float)
     lo, hi = period_range or (4.0, 2.0 * series.span)
@@ -193,7 +218,7 @@ class TestPeriodScan:
             lo = float(rng.choice([0.5, 1.0, 2.0, 4.0]))  # 0.5, 1 and 2 are near-singular on integer t
             grid = fitting._period_grid(lo, lo + rng.uniform(1.0, 40.0), float(rng.choice([0.05, 0.25, 0.5])))
             scan = fitting._scan_sse(t, y, grid)
-            ref = np.array([fitting._coeffs_and_sse(t, y, float(p))[1] for p in grid])
+            ref = np.array([coeffs_and_sse(t, y, float(p))[1] for p in grid])
             sst = float(((y - y.mean()) ** 2).sum())
             assert np.isfinite(scan).all()
             assert (np.abs(scan - ref) <= np.maximum(1e-9 * ref, 1e-12 * sst)).all(), k
@@ -261,10 +286,35 @@ class TestPeriodScan:
         y = 0.5 + 0.004 * (t - 1996) + 0.05 * np.sin(2 * np.pi * t / 7.5) + rng.normal(0.0, 0.01, t.size)
         grid = fitting._period_grid(1.0, 10.0, 0.05)
         scan = fitting._scan_sse(t, y, grid)
-        ref = np.array([fitting._coeffs_and_sse(t, y, float(p))[1] for p in grid])
+        ref = np.array([coeffs_and_sse(t, y, float(p))[1] for p in grid])
         assert np.isfinite(scan).all()
         np.testing.assert_allclose(scan, ref, rtol=1e-9, atol=0.0)
         assert 7.0 < grid[np.argmin(scan)] < 8.0
+
+    def test_calendar_years_do_not_fit_rounding_noise(self):
+        # at T = 2 on integer t, sin(pi t) is rounding noise of about 1e-12;
+        # an lstsq that kept that column fitted the trend with it and
+        # returned T = 2.0 with b1 = 7.2e10 over [2, 10]
+        t, y = np.loadtxt(TREND, delimiter=",", unpack=True)
+        fit = fit_fourier1(TimeSeries(tuple(t), tuple(y)), (2.0, 10.0))
+        assert fit.period != 2.0
+        assert max(abs(fit.a1), abs(fit.b1)) <= y.max() - y.min()
+
+    def test_reported_numbers_match_the_oracle_at_the_period(self):
+        # a0 = mean - a1 mean(cos) - b1 mean(sin), a1, b1 and the error of
+        # the closed form against lstsq at the fitted period
+        rng = np.random.default_rng(36)
+        fits = 0
+        for k in range(40):
+            series = random_series(rng, integer_t=k % 2 == 0)
+            if series.span < 2.0 or (fit := fit_fourier1(series)).degenerate:
+                continue
+            t, y = np.asarray(series.t), np.asarray(series.y)
+            coef, sse = coeffs_and_sse(t, y, fit.period)
+            np.testing.assert_allclose([fit.a0, fit.a1, fit.b1], coef, rtol=1e-9, atol=1e-12)
+            assert fit.sse == pytest.approx(sse, rel=1e-9, abs=1e-12 * float(((y - y.mean()) ** 2).sum()))
+            fits += 1
+        assert fits > 30
 
     def test_aliased_periods_keep_the_smaller(self):
         # on integer t, T = 6 and T = 1.2 (1/1.2 = 1 - 1/6) fit equally well:
@@ -358,25 +408,19 @@ class TestBatchedScan:
             assert np.array_equal(scan, fitting._scan_sse(t, y, grid))
 
     @pytest.mark.parametrize("rows", [1, 3, 12])
-    def test_shared_grid_equals_the_grid_tiled_per_series(self, rows, monkeypatch):
-        # a grid from T = 2, where sin is rounding noise on integer t, so
-        # lstsq scores that period of every series under broadcasting
+    def test_shared_grid_equals_the_grid_tiled_per_series(self, rows):
+        # a grid from T = 2, where sin is rounding noise on integer t, so the
+        # scan fits that period of every series on cos alone under
+        # broadcasting, to the oracle's error
         rng = np.random.default_rng(rows)
         t = np.arange(1996.0, 2022.0)
         ys = self.block(rng, t, rows)
         grid = fitting._period_grid(2.0, 50.0, 0.05)
-        weak = []
-        solve = fitting._coeffs_and_sse
-
-        def counting(t, y, period):
-            weak.append(period)
-            return solve(t, y, period)
-
-        monkeypatch.setattr(fitting, "_coeffs_and_sse", counting)
+        assert [p for p in grid.tolist() if unsound(t, p)] == [2.0]
         shared = fitting._scan_sse(t, ys, grid)
-        assert weak == [2.0] * rows
+        for y, sse in zip(ys, shared[:, 0]):
+            assert sse == pytest.approx(coeffs_and_sse(t, y, 2.0)[1], rel=1e-9, abs=0.0)
         tiled = fitting._scan_sse(t, ys, np.tile(grid, (rows, 1)))
-        assert weak == [2.0] * (2 * rows)
         assert np.array_equal(shared, tiled)
         for y, scan in zip(ys, shared):
             assert np.array_equal(scan, fitting._scan_sse(t, y, grid))
@@ -507,25 +551,26 @@ class TestBatchedRescans:
         period_range = (2.0, 50.0)
         alone = [fit_fourier1(s, period_range) for s in series]
         rows, weak = [], []
-        scan, solve = fitting._scan_sse, fitting._coeffs_and_sse
+        scan = fitting._scan_sse
 
         def counting_scan(t, y, periods):
+            sse = scan(t, y, periods)
             rows.append(len(periods) if np.ndim(periods) > 1 else 0)  # 0 for a grid scan
-            return scan(t, y, periods)
-
-        def counting_solve(t, y, period):
-            if rows and rows[-1]:
-                weak.append(period)
-            return solve(t, y, period)
+            if rows[-1]:  # each rescan row's error at T = 2, with its series
+                weak.extend((y[i], sse[i, j]) for i, j in zip(*np.nonzero(periods == 2.0)))
+            return sse
 
         monkeypatch.setattr(fitting, "_scan_sse", counting_scan)
-        monkeypatch.setattr(fitting, "_coeffs_and_sse", counting_solve)
         assert fitting.fit_fourier1_batch(series, period_range) == alone
         # one grid scan, then one block per level over the series still live
         assert rows[0] == 0 and all(rows[1:])
         assert rows[1] == len(series) - 1  # the constant series is not refined
         assert rows[-1] < rows[1]  # series stop at different levels
-        assert 2.0 in weak  # a rescan scored T = 2 through lstsq
+        # a rescan scored T = 2, where cos and sin are collinear, in closed form
+        assert weak and unsound(t, 2.0)
+        for y, sse in weak:  # to 1e-12 of the total sum of squares, where the fit is exact
+            sst = float(((y - y.mean()) ** 2).sum())
+            assert sse == pytest.approx(coeffs_and_sse(t, y, 2.0)[1], rel=1e-9, abs=1e-12 * sst)
         for size in (1, 2):
             batched = [fit for at in range(0, len(series), size)
                        for fit in fitting.fit_fourier1_batch(series[at : at + size], period_range)]
@@ -589,6 +634,7 @@ class TestFitNormal:
     def test_requires_two_samples(self):
         with pytest.raises(ValueError):
             fit_normal([0.5])
+
 
     def test_recovers_truncated_normal_parameters(self):
         pdf = ControlPowerPdf(wave=WaveParams(0.0, 0.0, 0.0, 10.0))

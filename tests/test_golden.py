@@ -22,7 +22,13 @@ they were written from and held to the same rules, keyed by column name.
 import csv
 import json
 import math
+import os
+import platform
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 from controlpower.cli import main
 
@@ -33,6 +39,11 @@ FLOAT_TOL = 1e-12
 # r_spi_1 in table_spi1_ratio.csv
 EXACT_RATIOS = {"r_spi_1", "r_spi_1_top9", "r_spi_1_top10", "r_spi_1_top11", "band_count_ratio", "ratio"}
 SERIES = ("r_spi_1", "m_top1", "m_top2_10")
+GOLDEN_ARGS = [
+    "pipeline", "--input", str(DATA / "golden_registry.csv"),
+    "--macro", f"idx={DATA / 'golden_macro.csv'}", "--min-sample", "5",
+    "--format", "json,csv-tables,plot-data",
+]
 
 
 def _mismatches(expected, actual, path="", key=None):
@@ -79,11 +90,7 @@ def _load(path: Path):
 
 
 def test_golden_report(tmp_path, capsys):
-    code = main([
-        "pipeline", "--input", str(DATA / "golden_registry.csv"),
-        "--macro", f"idx={DATA / 'golden_macro.csv'}", "--min-sample", "5",
-        "--output", str(tmp_path), "--format", "json,csv-tables,plot-data",
-    ])
+    code = main([*GOLDEN_ARGS, "--output", str(tmp_path)])
     assert code == 0, capsys.readouterr().err
     names = sorted(p.name for p in GOLDEN.iterdir())
     assert sorted(p.name for p in tmp_path.iterdir()) == names
@@ -130,3 +137,23 @@ def test_table_comparison_is_strict():
     altered = json.loads(json.dumps(fits))
     altered["rows"][0]["degenerate"] = 0
     assert len(_mismatches(fits, altered)) == 1
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="the kernels named are x86_64 ones")
+def test_same_report_under_every_blas_kernel(tmp_path):
+    # numpy's OpenBLAS picks its kernels by CPU when it loads, and reads
+    # OPENBLAS_CORETYPE then, so each kernel runs in its own process; the
+    # fit numbers once moved by up to 1.2e-13 between kernels
+    outputs = {}
+    for kernel in ("", "Haswell", "Sandybridge", "Zen"):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        if kernel:
+            env["OPENBLAS_CORETYPE"] = kernel
+        out = tmp_path / (kernel or "default")
+        proc = subprocess.run([sys.executable, "-m", "controlpower.cli", *GOLDEN_ARGS, "--output", str(out)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs[kernel] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert len(outputs[""]) == 13
+    for kernel, files in outputs.items():
+        assert files == outputs[""], kernel
