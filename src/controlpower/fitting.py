@@ -50,6 +50,13 @@ _BETA_EPS = 1e-12
 _BETA_MAX_ITER = 400
 
 
+def _check_finite(name: str, values) -> None:
+    """Refuse the first NaN or infinite value, by name."""
+    for v in values:
+        if not math.isfinite(v):
+            raise ValueError(f"{name} value {v!r} is not finite")
+
+
 @dataclass(frozen=True)
 class TimeSeries:
     """Ordered (t, y) observations with strictly increasing t."""
@@ -62,6 +69,8 @@ class TimeSeries:
             raise ValueError("t and y must have the same length")
         if len(self.t) == 0:
             raise ValueError("series is empty")
+        _check_finite("t", self.t)
+        _check_finite("y", self.y)
         if any(b <= a for a, b in zip(self.t, self.t[1:])):
             raise ValueError("t must be strictly increasing")
 
@@ -330,6 +339,7 @@ def fit_normal(samples: Sequence[float]) -> NormalFit:
     n = len(values)
     if n < 2:
         raise ValueError("need at least two samples")
+    _check_finite("sample", values.tolist())
     return NormalFit(*_segment_moments(values, [0, n])[0], n)
 
 
@@ -386,6 +396,8 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> CorrelationResult:
     n = len(xs)
     if n < 3:
         raise ValueError("need at least three pairs")
+    _check_finite("x", xs)
+    _check_finite("y", ys)
     mx = math.fsum(xs) / n
     my = math.fsum(ys) / n
     sxx = math.fsum((v - mx) ** 2 for v in xs)

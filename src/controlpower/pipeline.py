@@ -238,6 +238,10 @@ class PipelineConfig:
             raise ValueError("worker count must be positive")
         if not 0 < self.h < math.inf:
             raise ValueError("h must be positive and finite")
+        for name, series in self.macros.items():
+            for year, value in series.items():
+                if not math.isfinite(value):
+                    raise ValueError(f"macro {name!r} value {value!r} of {year} is not finite")
         # before any work; a default range needs a group's span, so run_pipeline
         # checks it once the rows are grouped
         check_period_grid(self.period_range, self.grid_step)

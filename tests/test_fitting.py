@@ -49,6 +49,14 @@ class TestTimeSeries:
         with pytest.raises(ValueError, match="series is empty"):
             TimeSeries.from_pairs([])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_value_that_is_not_finite(self, value):
+        # a NaN y once gave a silent all-NaN fit that was not degenerate
+        with pytest.raises(ValueError, match=f"^y value {value!r} is not finite$"):
+            fit_fourier1(TimeSeries((0.0, 1.0, 2.0, 3.0, 4.0), (1.0, 2.0, value, 4.0, 5.0)))
+        with pytest.raises(ValueError, match=f"^t value {value!r} is not finite$"):
+            TimeSeries((0.0, value, 5.0), (1.0, 2.0, 3.0))
+
 
 class TestFourierFit:
     def test_noiseless_recovery(self):
@@ -635,6 +643,10 @@ class TestFitNormal:
         with pytest.raises(ValueError):
             fit_normal([0.5])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_sample_that_is_not_finite(self, value):
+        with pytest.raises(ValueError, match=f"^sample value {value!r} is not finite$"):
+            fit_normal([0.3, value, 0.7])
 
     def test_recovers_truncated_normal_parameters(self):
         pdf = ControlPowerPdf(wave=WaveParams(0.0, 0.0, 0.0, 10.0))
@@ -721,6 +733,14 @@ class TestPearson:
             pearson([1, 2], [3, 4])
         with pytest.raises(ValueError):
             pearson([1, 1, 1], [1, 2, 3])
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_value_that_is_not_finite(self, value):
+        # max(-1.0, min(1.0, nan)) is 1.0: a NaN once read r = 1.0, p = 0.0
+        with pytest.raises(ValueError, match=f"^x value {value!r} is not finite$"):
+            pearson([1, 2, value, 4], [1, 2, 3, 5])
+        with pytest.raises(ValueError, match=f"^y value {value!r} is not finite$"):
+            pearson([1, 2, 3, 5], [1, 2, value, 4])
 
 
 class TestPFromR:

@@ -257,6 +257,12 @@ class TestPipelineConfig:
         with pytest.raises(ValueError, match="h must be positive and finite"):
             PipelineConfig(h=h)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_macro_value_that_is_not_finite(self, value):
+        # one NaN once gave r = 1.0 and p = 0.0 for every series of every group
+        with pytest.raises(ValueError, match=f"^macro 'idx' value {value!r} of 2002 is not finite$"):
+            PipelineConfig(macros={"idx": {2001: 1.0, 2002: value, 2003: 2.0}})
+
     def test_default_range_checks_only_the_step(self):
         # the default range needs a group's span, so its size is checked at the fit
         assert PipelineConfig(grid_step=1e-9).grid_step == 1e-9
