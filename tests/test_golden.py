@@ -15,8 +15,11 @@ regenerate the directory on purpose:
         --output tests/data/golden --format json,csv-tables,plot-data
 
 Counts, labels, flags and count ratios must match exactly; other floats
-(means, fits, p-values) to 1e-12. CSV cells are parsed back to the values
-they were written from and held to the same rules, keyed by column name.
+(means, fits, p-values) to 1e-12. The exact rule goes by key name, and a
+list takes the name of the key it sits under, so the fitted extrema stored
+under a ratio's name (``extrema/r_spi_1``) are held exactly too. CSV cells
+are parsed back to the values they were written from and held to the same
+rules, keyed by column name.
 """
 
 import csv
